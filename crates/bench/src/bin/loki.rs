@@ -4,22 +4,22 @@
 //! loki list   [--json]                                  # registered scenarios
 //! loki run    <scenario> [key=value …] [--json] [--jobs N]
 //! loki sweep  <scenario> [axis=v1,v2,…] [key=value …] [--json] [--csv] [--jobs N] [--serial]
-//! loki report [out=PATH] [skip_large=1] [skip_stress=1] [--jobs N]
 //! ```
 //!
 //! `run` executes one scenario with its kind-specific executor (the former
 //! `fig*`/`ablation_*`/`capacity_table` binaries); `sweep` enumerates a grid over
-//! the controller/slo/peak/cluster/links/seed axes and fans the points out across
-//! cores, reporting cross-seed mean/stddev per axis point (with a `--csv` emitter
-//! for figure plotting); `report` refreshes `BENCH_sim.json`. Unknown keys and
-//! unparsable values exit with a clear error (exit code 2) instead of being
-//! silently ignored.
+//! the [`Sweep::AXES`] and fans the points out across cores, reporting cross-seed
+//! mean/stddev per axis point (with a `--csv` emitter for figure plotting).
+//! Unknown keys and unparsable values exit with a clear error (exit code 2)
+//! instead of being silently ignored. Performance is measured by the reference
+//! benchmark, not by this CLI: see `benchmark/README.md`.
 
 use loki_bench::figures::{self, ScenarioReport};
 use loki_bench::report::{self, Json};
 use loki_bench::runner::Runner;
-use loki_bench::scenario::{self, Scenario, ScenarioKind};
+use loki_bench::scenario::{self, Scenario};
 use loki_bench::sweep::Sweep;
+use loki_sim::{BurnReport, RunSummary};
 use std::fmt::Write as _;
 
 const USAGE: &str = "loki — the Loki evaluation harness
@@ -28,7 +28,6 @@ USAGE:
   loki list   [--json]                                 list registered scenarios
   loki run    <scenario> [key=value ...] [--json] [--jobs N] [--trace PATH] [--timeline PATH]
   loki sweep  <scenario> [axis=v1,v2,...] [key=value ...] [--json] [--csv] [--jobs N] [--serial]
-  loki report [out=PATH] [runs=N] [skip_large=1] [skip_stress=1] [--jobs N]
   loki help
 
 Config keys: cluster, slo, duration, peak, base, seed, bucket, drain, runs,
@@ -61,7 +60,7 @@ fn fail(message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Flags shared by `run` and `sweep`.
+/// Flags of `list`, `run` and `sweep`.
 struct Flags {
     json: bool,
     csv: bool,
@@ -75,7 +74,8 @@ struct Flags {
     kv: Vec<String>,
 }
 
-fn parse_flags(args: &[String]) -> Flags {
+/// Parse the flags of `command`, rejecting those it does not take.
+fn parse_flags(command: &str, args: &[String]) -> Flags {
     let mut flags = Flags {
         json: false,
         csv: false,
@@ -116,6 +116,15 @@ fn parse_flags(args: &[String]) -> Flags {
             other => flags.kv.push(other.to_string()),
         }
     }
+    if flags.csv && command != "sweep" {
+        fail("--csv is only available for sweep");
+    }
+    if flags.trace.is_some() && command != "run" {
+        fail("--trace is only available for run");
+    }
+    if flags.timeline.is_some() && command != "run" {
+        fail("--timeline is only available for run");
+    }
     flags
 }
 
@@ -138,16 +147,7 @@ fn lookup_scenario(name: &str) -> &'static Scenario {
 }
 
 fn cmd_list(args: &[String]) {
-    let flags = parse_flags(args);
-    if flags.csv {
-        fail("--csv is only available for sweep");
-    }
-    if flags.trace.is_some() {
-        fail("--trace is only available for run");
-    }
-    if flags.timeline.is_some() {
-        fail("--timeline is only available for run");
-    }
+    let flags = parse_flags("list", args);
     if !flags.kv.is_empty() {
         fail(&format!("list takes no operands, got {:?}", flags.kv));
     }
@@ -160,42 +160,9 @@ fn cmd_list(args: &[String]) {
                 // before any axis is widened — scripts drive sweeps from this.
                 let sweep = Sweep::for_scenario(sc, cfg.clone());
                 let mut axes = Json::object();
-                axes.push(
-                    "controllers",
-                    Json::Arr(sweep.controllers.iter().map(|c| c.name().into()).collect()),
-                )
-                .push(
-                    "slo",
-                    Json::Arr(sweep.slo_ms.iter().map(|&v| v.into()).collect()),
-                )
-                .push(
-                    "peak",
-                    Json::Arr(sweep.peak_qps.iter().map(|&v| v.into()).collect()),
-                )
-                .push(
-                    "cluster",
-                    Json::Arr(sweep.cluster_size.iter().map(|&v| v.into()).collect()),
-                )
-                .push(
-                    "links",
-                    Json::Arr(sweep.links.iter().map(|l| l.name().into()).collect()),
-                )
-                .push(
-                    "route",
-                    Json::Arr(sweep.route.iter().map(|r| r.label().into()).collect()),
-                )
-                .push(
-                    "elastic",
-                    Json::Arr(sweep.elastic.iter().map(|m| m.name().into()).collect()),
-                )
-                .push(
-                    "jobs",
-                    Json::Arr(sweep.jobs.iter().map(|&v| v.into()).collect()),
-                )
-                .push(
-                    "seed",
-                    Json::Arr(sweep.seed.iter().map(|&v| Json::UInt(v)).collect()),
-                );
+                for axis in Sweep::AXES {
+                    axes.push(axis, sweep.axis_json(axis));
+                }
                 let mut obj = Json::object();
                 obj.push("name", sc.name.into())
                     .push("title", sc.title.into())
@@ -227,10 +194,7 @@ fn cmd_list(args: &[String]) {
 }
 
 fn cmd_run(args: &[String]) {
-    let flags = parse_flags(args);
-    if flags.csv {
-        fail("--csv is only available for sweep");
-    }
+    let flags = parse_flags("run", args);
     let Some((name, overrides)) = flags.kv.split_first() else {
         fail("run requires a scenario name");
     };
@@ -378,15 +342,9 @@ fn cmd_run_timeline(
 }
 
 fn cmd_sweep(args: &[String]) {
-    let flags = parse_flags(args);
+    let flags = parse_flags("sweep", args);
     if flags.json && flags.csv {
         fail("--json and --csv are mutually exclusive");
-    }
-    if flags.trace.is_some() {
-        fail("--trace is only available for run");
-    }
-    if flags.timeline.is_some() {
-        fail("--timeline is only available for run");
     }
     let Some((name, operands)) = flags.kv.split_first() else {
         fail("sweep requires a scenario name");
@@ -400,10 +358,7 @@ fn cmd_sweep(args: &[String]) {
         };
         match key {
             // Axis keys accept comma-separated lists and are applied to the grid.
-            "controllers" | "controller" | "slo" | "peak" | "cluster" | "links" | "route"
-            | "elastic" | "spot" | "revoke" | "stockout" | "provisioner" | "jobs" | "seed" => {
-                axes.push((key.to_string(), value.to_string()));
-            }
+            _ if Sweep::is_axis(key) => axes.push((key.to_string(), value.to_string())),
             // Everything else is a base-config override.
             _ => {
                 if let Err(message) = cfg.set(key, value) {
@@ -482,25 +437,10 @@ fn cmd_sweep(args: &[String]) {
                 ),
             );
         if multi_seed {
+            let aggregates = report::aggregate_sweep(&points, &results);
             out.push(
                 "aggregates",
-                Json::Arr(
-                    report::aggregate_sweep(&points, &results)
-                        .iter()
-                        .map(|agg| {
-                            let mut obj = Json::object();
-                            obj.push("label", agg.label.as_str().into()).push(
-                                "seeds",
-                                Json::Arr(agg.seeds.iter().map(|&s| Json::UInt(s)).collect()),
-                            );
-                            for (i, metric) in report::SWEEP_METRICS.iter().enumerate() {
-                                obj.push(&format!("{metric}_mean"), agg.mean[i].into())
-                                    .push(&format!("{metric}_stddev"), agg.stddev[i].into());
-                            }
-                            obj
-                        })
-                        .collect(),
-                ),
+                Json::Arr(aggregates.iter().map(|agg| agg.to_json()).collect()),
             );
         }
         print!("{}", out.render());
@@ -520,22 +460,22 @@ fn cmd_sweep(args: &[String]) {
         "budget%",
         "max_burn"
     );
-    // SLO error-budget columns: fraction of the (1 - slo_target) budget the
-    // run consumed, and the worst fast-window burn rate (see loki_sim::burn).
-    let burn_cols = |burn: Option<&loki_sim::BurnReport>| match burn {
-        Some(b) => (
-            format!("{:.1}", b.budget_consumed * 100.0),
-            format!("{:.2}", b.worst_burn_rate),
-        ),
-        None => (String::from("-"), String::from("-")),
-    };
-    for point in &results {
-        let s = &point.result.summary;
-        let (budget, worst) = burn_cols(point.burn.as_ref());
+    // One row per point, plus an indented row per pipeline of a
+    // multi-pipeline point. The SLO error-budget columns are the fraction of
+    // the (1 - slo_target) budget the run consumed and the worst fast-window
+    // burn rate (see loki_sim::burn).
+    let row = |out: &mut String, label: &str, s: &RunSummary, burn: Option<&BurnReport>| {
+        let (budget, worst) = match burn {
+            Some(b) => (
+                format!("{:.1}", b.budget_consumed * 100.0),
+                format!("{:.2}", b.worst_burn_rate),
+            ),
+            None => (String::from("-"), String::from("-")),
+        };
         let _ = writeln!(
             out,
             "{:<40} {:>10} {:>10} {:>8} {:>8} {:>10.4} {:>10.4} {:>8} {:>9}",
-            point.label,
+            label,
             s.total_arrivals,
             s.total_on_time,
             s.total_late,
@@ -545,23 +485,17 @@ fn cmd_sweep(args: &[String]) {
             budget,
             worst
         );
-        // Multi-pipeline points: one indented row per pipeline on the cluster.
+    };
+    for point in &results {
+        row(
+            &mut out,
+            &point.label,
+            &point.result.summary,
+            point.burn.as_ref(),
+        );
         for lane in &point.per_pipeline {
-            let s = &lane.summary;
-            let (budget, worst) = burn_cols(lane.burn.as_ref());
-            let _ = writeln!(
-                out,
-                "{:<40} {:>10} {:>10} {:>8} {:>8} {:>10.4} {:>10.4} {:>8} {:>9}",
-                format!("  └ {}", lane.name),
-                s.total_arrivals,
-                s.total_on_time,
-                s.total_late,
-                s.total_dropped,
-                s.slo_violation_ratio,
-                s.system_accuracy,
-                budget,
-                worst
-            );
+            let label = format!("  └ {}", lane.name);
+            row(&mut out, &label, &lane.summary, lane.burn.as_ref());
         }
     }
     if multi_seed {
@@ -575,142 +509,24 @@ fn cmd_sweep(args: &[String]) {
             "axis point", "seeds", "slo_viol", "accuracy", "on_time"
         );
         for agg in report::aggregate_sweep(&points, &results) {
-            // SWEEP_METRICS indices: 0 = on_time, 6 = slo_violation_ratio,
-            // 7 = system_accuracy (see report::SWEEP_METRICS for the full order).
+            let viol = agg.get("slo_violation_ratio");
+            let accuracy = agg.get("system_accuracy");
+            let on_time = agg.get("on_time");
             let _ = writeln!(
                 out,
                 "{:<34} {:>7} {:>12.4} ± {:>7.4} {:>12.4} ± {:>7.4} {:>11.1} ± {:>6.1}",
                 agg.label,
                 agg.seeds.len(),
-                agg.mean[6],
-                agg.stddev[6],
-                agg.mean[7],
-                agg.stddev[7],
-                agg.mean[0],
-                agg.stddev[0],
+                viol.mean,
+                viol.stddev,
+                accuracy.mean,
+                accuracy.stddev,
+                on_time.mean,
+                on_time.stddev,
             );
         }
     }
     print!("{out}");
-}
-
-fn cmd_report(args: &[String]) {
-    let flags = parse_flags(args);
-    if flags.json || flags.csv {
-        fail("report is always JSON; drop --json/--csv");
-    }
-    if flags.trace.is_some() {
-        fail("--trace is only available for run");
-    }
-    if flags.timeline.is_some() {
-        fail("--timeline is only available for run");
-    }
-    let mut out_path = "BENCH_sim.json".to_string();
-    let mut skip_large = false;
-    let mut skip_stress = false;
-    let mut min_runs = 1usize;
-    for arg in &flags.kv {
-        let Some((key, value)) = arg.split_once('=') else {
-            fail(&format!("expected key=value, got {arg:?}"));
-        };
-        match key {
-            "out" => out_path = value.to_string(),
-            "skip_large" => skip_large = value == "1" || value == "true",
-            "skip_stress" => skip_stress = value == "1" || value == "true",
-            // Fairness floor: every scenario runs at least this many times and
-            // reports its best wall, so fast and slow configs get equal treatment.
-            "runs" => match value.parse::<usize>() {
-                Ok(n) if n >= 1 => min_runs = n,
-                _ => fail(&format!("invalid runs value {value:?} (want a count >= 1)")),
-            },
-            _ => fail(&format!(
-                "unknown report key {key:?} (known: out, runs, skip_large, skip_stress)"
-            )),
-        }
-    }
-    // Serial by default so per-scenario wall-clocks stay undistorted; --jobs opts in.
-    let runner = if let Some(jobs) = flags.jobs {
-        Runner::with_jobs(jobs)
-    } else {
-        Runner::serial()
-    };
-    // Engine lane threads used for the parallel leg of multi-pipeline entries.
-    const PARALLEL_JOBS: usize = 4;
-    let mut entries = Vec::new();
-    for name in [
-        "traffic_300qps_30s",
-        "traffic_1m_arrivals",
-        "traffic_hetnet",
-        "multi_traffic_social",
-        "multi_zipf_16",
-        "elastic_diurnal",
-        "spot_diurnal",
-        "stress_diurnal_day",
-    ] {
-        if skip_large && name != "traffic_300qps_30s" {
-            continue;
-        }
-        if skip_stress && name == "stress_diurnal_day" {
-            continue;
-        }
-        let sc = lookup_scenario(name);
-        let mut cfg = sc.config();
-        cfg.runs = cfg.runs.max(min_runs);
-        let runs = cfg.runs.max(1);
-        if matches!(sc.kind, ScenarioKind::MultiPipeline(..)) {
-            // Multi-pipeline scenarios exercise the sharded engine: time the same
-            // point with one lane thread and with PARALLEL_JOBS. Summaries are
-            // bit-identical across the two legs; only wall-clock differs.
-            let mut serial_cfg = cfg.clone();
-            serial_cfg.jobs = 1;
-            let mut parallel_cfg = cfg.clone();
-            parallel_cfg.jobs = PARALLEL_JOBS;
-            eprintln!("running {name} ({runs} run(s), jobs=1)...");
-            let serial = runner.run(vec![scenario::scenario_point(sc, &serial_cfg)]);
-            eprintln!("running {name} ({runs} run(s), jobs={PARALLEL_JOBS})...");
-            let parallel = runner.run(vec![scenario::scenario_point(sc, &parallel_cfg)]);
-            let host_cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let mut entry = figures::throughput_entry_json(name, runs, &serial[0]);
-            entry
-                .push("serial_wall_s", serial[0].wall_s.into())
-                .push("parallel_wall_s", parallel[0].wall_s.into())
-                .push("jobs", PARALLEL_JOBS.into())
-                .push(
-                    "parallel_speedup",
-                    (serial[0].wall_s / parallel[0].wall_s).into(),
-                )
-                .push("host_cores", host_cores.into());
-            // On a single-core host lanes cannot run concurrently, so the
-            // jobs>1 leg only demonstrates bit-identity; its wall-clock ratio
-            // is scheduling noise, not a speedup measurement.
-            if host_cores == 1 {
-                eprintln!(
-                    "note: single-core host; {name} parallel_speedup is identity-only \
-                     (bit-identity check, not a performance measurement)"
-                );
-                entry.push(
-                    "parallel_speedup_note",
-                    "identity-only: single-core host, lanes cannot run concurrently".into(),
-                );
-            }
-            entries.push(entry);
-        } else {
-            eprintln!("running {name} ({runs} run(s))...");
-            let results = runner.run(vec![scenario::scenario_point(sc, &cfg)]);
-            entries.push(figures::throughput_entry_json(name, runs, &results[0]));
-        }
-    }
-    let mut json = Json::object();
-    json.push("benchmark", "simulator_throughput".into())
-        .push("scenarios", Json::Arr(entries));
-    let rendered = json.render();
-    if let Err(error) = std::fs::write(&out_path, &rendered) {
-        fail(&format!("cannot write {out_path}: {error}"));
-    }
-    eprintln!("wrote {out_path}");
-    print!("{rendered}");
 }
 
 fn emit(report: &ScenarioReport, json: bool) {
@@ -732,7 +548,6 @@ fn main() {
             "list" => cmd_list(rest),
             "run" => cmd_run(rest),
             "sweep" => cmd_sweep(rest),
-            "report" => cmd_report(rest),
             "help" | "--help" | "-h" => println!("{USAGE}"),
             other => fail(&format!("unknown command {other:?}")),
         },

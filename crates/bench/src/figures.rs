@@ -7,7 +7,7 @@
 //! [`Runner`]; analytic kinds (phase diagram, trade-off tables, allocator probes)
 //! compute in place.
 
-use crate::report::Json;
+use crate::report::{push_metrics, Json, MetricRow, METRICS};
 use crate::runner::Runner;
 use crate::scenario::{ControllerSpec, PointResult, RunPoint, Scenario, ScenarioKind};
 use crate::sweep::Sweep;
@@ -20,7 +20,7 @@ use loki_core::greedy::GreedyAllocator;
 use loki_core::milp_alloc::MilpAllocator;
 use loki_core::perf::{FanoutOverrides, PerfModel};
 use loki_core::{LokiConfig, LokiController, ScalingMode};
-use loki_sim::{CostSummary, DropPolicy, RunSummary, SimResult};
+use loki_sim::{CostSummary, DropPolicy, PhaseProfile, RunSummary, SimResult};
 use loki_workload::TraceSpec;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -31,29 +31,6 @@ pub struct ScenarioReport {
     pub text: String,
     /// Machine-readable report (`loki run <scenario> --json`).
     pub json: Json,
-}
-
-/// Pre-refactor (seed-engine) reference wall-clocks for the throughput scenarios,
-/// measured on the PR-1 dev container (single CPU, best of 8×3 runs) with the
-/// HashMap-based engine the repo seeded with. They anchor the `speedup_vs_seed`
-/// field; re-measure and update when the hardware baseline changes.
-///
-/// Scenario note: PR 2 moved these scenarios onto the Scenario API, which uses one
-/// seed (11) for both arrival generation and the simulator RNG, where the deleted
-/// `bench_report` binary paired arrival seed 11 with simulator seed 42. The workload
-/// scale and arrival stream are identical; only the in-sim stochastic draws differ,
-/// so the wall-clock anchors remain statistically comparable (well inside the
-/// ±5-10% single-CPU noise) even though exact event counts shifted slightly.
-pub const SEED_BASELINE_WALL_S: &[(&str, f64)] = &[
-    ("traffic_300qps_30s", 0.009268),
-    ("traffic_1m_arrivals", 1.341551),
-];
-
-fn seed_baseline_wall(name: &str) -> Option<f64> {
-    SEED_BASELINE_WALL_S
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, w)| *w)
 }
 
 /// Run a scenario with its kind-specific executor.
@@ -79,22 +56,13 @@ pub fn run_scenario(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> S
 /// (bit-identical across `jobs=` values); host-time measurements live in the
 /// separate profile object.
 pub fn summary_json(s: &RunSummary) -> Json {
+    let row = MetricRow::summary(s);
     let mut obj = Json::object();
-    obj.push("total_arrivals", s.total_arrivals.into())
-        .push("on_time", s.total_on_time.into())
-        .push("late", s.total_late.into())
-        .push("dropped", s.total_dropped.into())
-        .push("dropped_deadline", s.total_dropped_deadline.into())
-        .push("dropped_reclaimed", s.total_dropped_reclaimed.into())
-        .push("dropped_revoked", s.total_dropped_revoked.into())
-        .push("slo_violation_ratio", s.slo_violation_ratio.into())
-        .push("system_accuracy", s.system_accuracy.into())
-        .push("mean_utilization", s.mean_utilization.into())
-        .push("p50_ms", s.p50_ms.into())
-        .push("p90_ms", s.p90_ms.into())
-        .push("p99_ms", s.p99_ms.into())
-        .push("p999_ms", s.p999_ms.into())
-        .push("min_active_workers", s.min_active_workers.into())
+    obj.push("total_arrivals", s.total_arrivals.into());
+    for metric in METRICS.iter().filter(|m| m.in_summary) {
+        obj.push(metric.name, (metric.value)(&row).into());
+    }
+    obj.push("min_active_workers", s.min_active_workers.into())
         .push("max_active_workers", s.max_active_workers.into())
         .push("peak_goodput", s.peak_goodput.into())
         .push("rerouted", s.total_rerouted.into())
@@ -102,41 +70,43 @@ pub fn summary_json(s: &RunSummary) -> Json {
     obj
 }
 
+/// A dispatch phase of an engine self-profile: name and host seconds.
+type Phase = (&'static str, fn(&PhaseProfile) -> f64);
+
+/// The dispatch phases of an engine self-profile, in report order.
+const PROFILE_PHASES: &[Phase] = &[
+    ("arrival", |p| p.arrival_s),
+    ("delivery", |p| p.delivery_s),
+    ("batch", |p| p.batch_s),
+    ("control", |p| p.control_s),
+    ("routing", |p| p.routing_s),
+    ("metrics", |p| p.metrics_s),
+    ("swap", |p| p.swap_s),
+    ("market", |p| p.market_s),
+    ("elastic", |p| p.elastic_s),
+    ("rebalance", |p| p.rebalance_s),
+];
+
 /// JSON view of an engine self-profile: host wall-clock seconds per dispatch
 /// phase (`profile=true` runs only). Host time, not simulated time — these
 /// fields are excluded from determinism comparisons, like `lane_wall_s`.
-pub fn profile_json(p: &loki_sim::PhaseProfile) -> Json {
+pub fn profile_json(p: &PhaseProfile) -> Json {
     let mut obj = Json::object();
-    obj.push("arrival_s", p.arrival_s.into())
-        .push("delivery_s", p.delivery_s.into())
-        .push("batch_s", p.batch_s.into())
-        .push("control_s", p.control_s.into())
-        .push("routing_s", p.routing_s.into())
-        .push("metrics_s", p.metrics_s.into())
-        .push("swap_s", p.swap_s.into())
-        .push("market_s", p.market_s.into())
-        .push("elastic_s", p.elastic_s.into())
-        .push("rebalance_s", p.rebalance_s.into())
-        .push("lane_total_s", p.lane_total_s().into());
+    for (phase, seconds) in PROFILE_PHASES {
+        obj.push(&format!("{phase}_s"), seconds(p).into());
+    }
+    obj.push("lane_total_s", p.lane_total_s().into());
     obj
 }
 
 /// One-line text rendering of an engine self-profile.
-pub fn profile_text(p: &loki_sim::PhaseProfile) -> String {
-    format!(
-        "engine profile (host-s): arrival {:.4}  delivery {:.4}  batch {:.4}  control {:.4}  \
-         routing {:.4}  metrics {:.4}  swap {:.4}  market {:.4}  elastic {:.4}  rebalance {:.4}",
-        p.arrival_s,
-        p.delivery_s,
-        p.batch_s,
-        p.control_s,
-        p.routing_s,
-        p.metrics_s,
-        p.swap_s,
-        p.market_s,
-        p.elastic_s,
-        p.rebalance_s
-    )
+pub fn profile_text(p: &PhaseProfile) -> String {
+    let mut text = String::from("engine profile (host-s):");
+    for (i, (phase, seconds)) in PROFILE_PHASES.iter().enumerate() {
+        let gap = if i == 0 { " " } else { "  " };
+        let _ = write!(text, "{gap}{phase} {:.4}", seconds(p));
+    }
+    text
 }
 
 /// JSON view of the experiment knobs a report was produced with.
@@ -245,20 +215,7 @@ fn comparison(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Scenari
     text.push_str(&format_headline_ratios(&named));
 
     let mut json = report_header(sc, cfg);
-    json.push(
-        "systems",
-        Json::Arr(
-            named
-                .iter()
-                .map(|(name, r)| {
-                    let mut obj = Json::object();
-                    obj.push("name", name.as_str().into())
-                        .push("summary", summary_json(&r.summary));
-                    obj
-                })
-                .collect(),
-        ),
-    );
+    json.push("systems", systems_json(&named));
     ScenarioReport { text, json }
 }
 
@@ -298,6 +255,21 @@ fn slo_sweep(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Scenario
     let mut json = report_header(sc, cfg);
     json.push("points", Json::Arr(rows));
     ScenarioReport { text, json }
+}
+
+/// The `systems` array of a comparison: each system's name and summary.
+fn systems_json(named: &[(String, SimResult)]) -> Json {
+    Json::Arr(
+        named
+            .iter()
+            .map(|(name, r)| {
+                let mut obj = Json::object();
+                obj.push("name", name.as_str().into())
+                    .push("summary", summary_json(&r.summary));
+                obj
+            })
+            .collect(),
+    )
 }
 
 /// Maximum accuracy drop of a run: the worst 30 s-bucket accuracy vs the pipeline
@@ -418,20 +390,9 @@ fn capacity_table(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Sce
         text.push_str(&format_summary_table(&named));
         text.push_str(&format_headline_ratios(&named));
         let mut entry = Json::object();
-        entry.push("pipeline", label.into()).push(
-            "systems",
-            Json::Arr(
-                named
-                    .iter()
-                    .map(|(name, r)| {
-                        let mut obj = Json::object();
-                        obj.push("name", name.as_str().into())
-                            .push("summary", summary_json(&r.summary));
-                        obj
-                    })
-                    .collect(),
-            ),
-        );
+        entry
+            .push("pipeline", label.into())
+            .push("systems", systems_json(&named));
         pipelines_json.push(entry);
     }
     json.push("pipelines", Json::Arr(pipelines_json));
@@ -440,7 +401,7 @@ fn capacity_table(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Sce
 
 fn throughput(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
     let results = runner.run(vec![base_point(sc, cfg)]);
-    let entry = throughput_entry_json(sc.name, cfg.runs.max(1), &results[0]);
+    let entry = throughput_json(sc.name, cfg.runs.max(1), &results[0]);
 
     let s = &results[0].result.summary;
     let mut text = format!("# {}: simulator throughput\n", sc.name);
@@ -453,14 +414,6 @@ fn throughput(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Scenari
         s.events_processed as f64 / results[0].wall_s,
         results[0].arrivals as f64 / results[0].wall_s,
     );
-    if let Some(baseline) = seed_baseline_wall(sc.name) {
-        let _ = writeln!(
-            text,
-            "seed baseline {:.6} s -> speedup {:.2}x",
-            baseline,
-            baseline / results[0].wall_s
-        );
-    }
     let _ = writeln!(
         text,
         "on_time {}  late {}  dropped {} (deadline {}, reclaimed {}, revoked {})  accuracy {:.4}",
@@ -824,25 +777,13 @@ fn spot_family(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Scenar
     ScenarioReport { text, json }
 }
 
-/// One `BENCH_sim.json` scenario entry (shared between `loki run` and `loki report`).
-pub fn throughput_entry_json(name: &str, runs: usize, point: &PointResult) -> Json {
+/// The `throughput` object of a Throughput report: run identity and
+/// wall-clock rates around the [`METRICS`] a throughput run is judged by.
+fn throughput_json(name: &str, runs: usize, point: &PointResult) -> Json {
     let s = &point.result.summary;
-    let events = s.events_processed;
-    let baseline = seed_baseline_wall(name);
-    let controller_s = point
-        .controller_stats
-        .as_ref()
-        .map(|st| st.allocation_time_s + st.routing_time_s);
-    let plan_build_s = point
-        .controller_stats
-        .as_ref()
-        .map(|st| st.plan_build_time_s);
-    let cache = point.controller_stats.as_ref().map(|st| {
-        (
-            st.routing_cache_consults,
-            st.routing_cache_hits,
-            st.routing_warnings_total,
-        )
+    let row = MetricRow::point(point);
+    let controller_s = point.controller_stats.as_ref().map_or(Json::Null, |st| {
+        Json::Num(st.allocation_time_s + st.routing_time_s)
     });
     let mut entry = Json::object();
     entry
@@ -850,59 +791,44 @@ pub fn throughput_entry_json(name: &str, runs: usize, point: &PointResult) -> Js
         .push("arrivals", point.arrivals.into())
         .push("runs", runs.into())
         .push("best_wall_s", point.wall_s.into())
-        .push(
-            "seed_baseline_wall_s",
-            baseline.map(Json::Num).unwrap_or(Json::Null),
-        )
-        .push(
-            "speedup_vs_seed",
-            baseline
-                .map(|b| Json::Num(b / point.wall_s))
-                .unwrap_or(Json::Null),
-        )
-        .push(
-            "controller_s",
-            controller_s.map(Json::Num).unwrap_or(Json::Null),
-        )
-        .push(
+        .push("controller_s", controller_s);
+    push_metrics(
+        &mut entry,
+        &row,
+        &[
             "plan_build_s",
-            plan_build_s.map(Json::Num).unwrap_or(Json::Null),
-        )
-        .push(
             "routing_cache_consults",
-            cache
-                .map(|(c, _, _)| Json::UInt(c as u64))
-                .unwrap_or(Json::Null),
-        )
-        .push(
             "routing_cache_hits",
-            cache
-                .map(|(_, h, _)| Json::UInt(h as u64))
-                .unwrap_or(Json::Null),
-        )
-        .push(
             "routing_warnings",
-            cache
-                .map(|(_, _, w)| Json::UInt(w as u64))
-                .unwrap_or(Json::Null),
+        ],
+    );
+    entry
+        .push("events_processed", s.events_processed.into())
+        .push(
+            "events_per_sec",
+            (s.events_processed as f64 / point.wall_s).into(),
         )
-        .push("events_processed", events.into())
-        .push("events_per_sec", (events as f64 / point.wall_s).into())
         .push(
             "arrivals_per_sec",
             (point.arrivals as f64 / point.wall_s).into(),
-        )
-        .push("on_time", s.total_on_time.into())
-        .push("late", s.total_late.into())
-        .push("dropped", s.total_dropped.into())
-        .push("dropped_deadline", s.total_dropped_deadline.into())
-        .push("dropped_reclaimed", s.total_dropped_reclaimed.into())
-        .push("dropped_revoked", s.total_dropped_revoked.into())
-        .push("system_accuracy", s.system_accuracy.into())
-        .push("p50_ms", s.p50_ms.into())
-        .push("p90_ms", s.p90_ms.into())
-        .push("p99_ms", s.p99_ms.into())
-        .push("p999_ms", s.p999_ms.into());
+        );
+    push_metrics(
+        &mut entry,
+        &row,
+        &[
+            "on_time",
+            "late",
+            "dropped",
+            "dropped_deadline",
+            "dropped_reclaimed",
+            "dropped_revoked",
+            "system_accuracy",
+            "p50_ms",
+            "p90_ms",
+            "p99_ms",
+            "p999_ms",
+        ],
+    );
     if let Some(cost) = &point.cost {
         entry.push("cost", cost_json(cost));
     }
@@ -913,11 +839,11 @@ pub fn throughput_entry_json(name: &str, runs: usize, point: &PointResult) -> Js
             .per_pipeline
             .iter()
             .map(|lane| {
-                let mut row = Json::object();
-                row.push("name", lane.name.as_str().into())
-                    .push("lane_wall_s", lane.lane_wall_s.into())
-                    .push("barrier_wait_s", lane.barrier_wait_s.into());
-                row
+                let mut obj = Json::object();
+                obj.push("name", lane.name.as_str().into());
+                let row = MetricRow::lane(point, lane);
+                push_metrics(&mut obj, &row, &["lane_wall_s", "barrier_wait_s"]);
+                obj
             })
             .collect();
         entry.push("per_pipeline", Json::Arr(lanes));
@@ -1223,4 +1149,45 @@ fn milp_probe(sc: &Scenario, cfg: &ExperimentConfig) -> ScenarioReport {
         .push("max_capacity_qps", max_cap.into())
         .push("points", Json::Arr(rows));
     ScenarioReport { text, json }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn keys(json: Option<&Json>) -> String {
+        match json {
+            Some(Json::Obj(entries)) => {
+                let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+                keys.join(",")
+            }
+            other => panic!("expected an object, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn throughput_and_summary_objects_keep_their_published_keys() {
+        let sc = crate::scenario::find("traffic_300qps_30s").expect("registered");
+        let cfg = ExperimentConfig {
+            duration_s: 2,
+            drain_s: 1.0,
+            runs: 1,
+            ..sc.config()
+        };
+        let report = run_scenario(sc, &cfg, &Runner::serial());
+        assert_eq!(
+            keys(report.json.get("throughput")),
+            "name,arrivals,runs,best_wall_s,controller_s,plan_build_s,routing_cache_consults,\
+             routing_cache_hits,routing_warnings,events_processed,events_per_sec,\
+             arrivals_per_sec,on_time,late,dropped,dropped_deadline,dropped_reclaimed,\
+             dropped_revoked,system_accuracy,p50_ms,p90_ms,p99_ms,p999_ms"
+        );
+        assert_eq!(
+            keys(Some(&summary_json(&RunSummary::default()))),
+            "total_arrivals,on_time,late,dropped,dropped_deadline,dropped_reclaimed,\
+             dropped_revoked,slo_violation_ratio,system_accuracy,mean_utilization,p50_ms,\
+             p90_ms,p99_ms,p999_ms,min_active_workers,max_active_workers,peak_goodput,\
+             rerouted,events_processed"
+        );
+    }
 }

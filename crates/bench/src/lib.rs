@@ -6,19 +6,21 @@
 //! * [`scenario`] — the Scenario subsystem: named experiment registrations
 //!   ([`scenario::REGISTRY`]), the [`scenario::ControllerSpec`] factory enum, and
 //!   self-contained [`scenario::RunPoint`]s.
-//! * [`sweep`] — grid builder over scenario axes (controller / SLO / peak / cluster /
-//!   seed) with deterministic enumeration.
+//! * [`sweep`] — experiment grids over the scenario axes ([`sweep::Sweep::AXES`]) with
+//!   deterministic enumeration.
 //! * [`runner`] — a hand-rolled scoped-thread pool that fans independent runs out
 //!   across cores; parallel results are bit-identical to serial execution.
 //! * [`figures`] — kind-specific executors producing text + JSON reports.
-//! * [`report`] — the hand-rolled JSON writer (the vendored serde is a no-op stub).
+//! * [`report`] — the hand-rolled JSON writer (the vendored serde is a no-op stub)
+//!   and the named metric table every sweep and summary output derives from.
+//! * [`timeline`] — the windowed time-series export of one run.
 //!
 //! The single `loki` binary (`src/bin/loki.rs`) exposes all of it: `loki list`,
-//! `loki run <scenario> [key=value…] [--json]`, `loki sweep <scenario> [axis=v,v…]`,
-//! and `loki report` (which refreshes `BENCH_sim.json`). `EXPERIMENTS.md` at the
-//! repository root indexes every scenario with the invocation that reproduces the
-//! corresponding paper figure. The Criterion benches under `benches/` reproduce the
-//! Section 6.5 runtime measurements.
+//! `loki run <scenario> [key=value…] [--json]`, and `loki sweep <scenario>
+//! [axis=v,v…]`. `EXPERIMENTS.md` at the repository root indexes every scenario
+//! with the invocation that reproduces the corresponding paper figure. Speed is
+//! measured by the reference benchmark instead (`benchmark/README.md`), which
+//! does not link this crate.
 
 pub mod figures;
 pub mod report;

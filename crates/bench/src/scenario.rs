@@ -726,7 +726,8 @@ pub enum ScenarioKind {
     MilpProbe,
     /// Headline capacity/efficiency numbers (abstract / Section 6.2).
     CapacityTable,
-    /// Simulator-throughput measurement feeding `BENCH_sim.json`.
+    /// Simulator-throughput run: wall-clock rates next to the simulated
+    /// outcome (the reference benchmark is `benchmark/README.md`).
     Throughput,
     /// Several pipelines on one shared cluster under a resource arbiter
     /// (Section 7's contended multi-pipeline serving), over a named lane mix.
@@ -776,7 +777,7 @@ impl Scenario {
 
 /// The canonical [`RunPoint`] of a scenario: Loki-greedy controllers, default
 /// drop policy, and the scenario's multi-pipeline spec when it has one. The
-/// figure executors, sweeps, and `loki report` all start from this.
+/// figure executors and sweeps all start from this.
 pub fn scenario_point(sc: &Scenario, cfg: &ExperimentConfig) -> RunPoint {
     RunPoint {
         label: sc.name.to_string(),
@@ -970,10 +971,10 @@ fn multi_cfg() -> ExperimentConfig {
 
 fn multi_zipf_cfg() -> ExperimentConfig {
     // Sixteen Zipf-popularity tenants on a 64-worker cluster: enough lanes
-    // that the sharded engine has real fan-out (the tentpole throughput
-    // scenario recorded with both serial and parallel wall-clock in
-    // BENCH_sim.json), and enough demand skew that the contended arbiter's
-    // partition tracks the 1/rank popularity curve.
+    // that the sharded engine has real fan-out (the reference benchmark's
+    // `zipf16_shared` workload, see benchmark/README.md, runs the same mix),
+    // and enough demand skew that the contended arbiter's partition tracks
+    // the 1/rank popularity curve.
     ExperimentConfig {
         cluster_size: 64,
         duration_s: 600,
@@ -986,7 +987,7 @@ fn multi_zipf_cfg() -> ExperimentConfig {
 }
 
 /// The scenario registry: every former figure/ablation/capacity binary, plus the
-/// throughput scenarios tracked in `BENCH_sim.json`. `loki list` prints this table.
+/// simulator-throughput scenarios. `loki list` prints this table.
 pub const REGISTRY: &[Scenario] = &[
     Scenario {
         name: "fig1_phases",

@@ -1,15 +1,15 @@
 //! Declarative sweep grids over scenario axes.
 //!
-//! A [`Sweep`] takes a base scenario configuration and per-axis value lists
-//! (controller, SLO, peak demand, cluster size, seed) and enumerates the cartesian
+//! A [`Sweep`] takes a base scenario configuration and a value list per axis
+//! ([`Sweep::AXES`]: controller, SLO, … , seed) and enumerates the cartesian
 //! product as [`RunPoint`]s in a fixed nesting order — controller outermost, seed
 //! innermost — so grid enumeration is deterministic and parallel execution (which
 //! preserves input order) reports points exactly where a serial loop would.
 
+use crate::report::Json;
 use crate::scenario::{ControllerSpec, RunPoint, Scenario, ScenarioKind};
 use crate::{ElasticMode, ExperimentConfig, LinkProfile, ProvisionerKind};
 use loki_sim::RouteMode;
-use std::fmt::Write as _;
 
 /// A grid of experiment points over a base configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,6 +32,29 @@ pub struct Sweep {
 }
 
 impl Sweep {
+    /// The axis names [`Sweep::set_axis`] accepts (`controller` is also
+    /// accepted as an alias of `controllers`), in grid nesting order.
+    pub const AXES: [&'static str; 13] = [
+        "controllers",
+        "slo",
+        "peak",
+        "cluster",
+        "links",
+        "route",
+        "elastic",
+        "spot",
+        "revoke",
+        "stockout",
+        "provisioner",
+        "jobs",
+        "seed",
+    ];
+
+    /// True when `key` names a sweep axis.
+    pub fn is_axis(key: &str) -> bool {
+        key == "controller" || Self::AXES.contains(&key)
+    }
+
     /// A sweep whose axes are all singletons taken from `cfg` — `points()` returns
     /// exactly the scenario's canonical runs until axes are widened. Comparison
     /// scenarios default to the three-system panel, the SLO-sensitivity scenario to
@@ -70,129 +93,92 @@ impl Sweep {
     /// Set an axis from a comma-separated value list (CLI surface). Unknown axes and
     /// unparsable values are hard errors, never silently ignored.
     pub fn set_axis(&mut self, axis: &str, values: &str) -> Result<(), String> {
-        fn parse_list<T: std::str::FromStr>(axis: &str, values: &str) -> Result<Vec<T>, String> {
-            let parsed: Result<Vec<T>, _> = values.split(',').map(|v| v.trim().parse()).collect();
-            match parsed {
-                Ok(list) if !list.is_empty() => Ok(list),
-                _ => Err(format!("invalid value list for axis {axis}: {values:?}")),
+        /// Parse every comma-separated value with `parse`; `want` describes
+        /// the accepted values in the error.
+        fn list<T>(
+            axis: &str,
+            values: &str,
+            want: &str,
+            parse: impl Fn(&str) -> Option<T>,
+        ) -> Result<Vec<T>, String> {
+            match values.split(',').map(|v| parse(v.trim())).collect() {
+                Some(list) if !Vec::is_empty(&list) => Ok(list),
+                _ => Err(format!("invalid {axis} list {values:?} (want {want})")),
             }
         }
+        fn number<T: std::str::FromStr>(v: &str) -> Option<T> {
+            v.parse().ok()
+        }
         match axis {
-            "slo" => self.slo_ms = parse_list(axis, values)?,
-            "peak" => self.peak_qps = parse_list(axis, values)?,
-            "cluster" => self.cluster_size = parse_list(axis, values)?,
+            "slo" => self.slo_ms = list(axis, values, "numbers", number)?,
+            "peak" => self.peak_qps = list(axis, values, "numbers", number)?,
+            "cluster" => self.cluster_size = list(axis, values, "counts", number)?,
             "jobs" => {
-                self.jobs = parse_list::<usize>(axis, values)?
-                    .into_iter()
-                    .map(|j: usize| j.max(1))
-                    .collect()
+                self.jobs = list(axis, values, "counts", |v| {
+                    number::<usize>(v).map(|j| j.max(1))
+                })?
             }
-            "seed" => self.seed = parse_list(axis, values)?,
+            "seed" => self.seed = list(axis, values, "integers", number)?,
             "controllers" | "controller" => {
-                let specs: Option<Vec<ControllerSpec>> = values
-                    .split(',')
-                    .map(|v| ControllerSpec::from_name(v.trim()))
-                    .collect();
-                match specs {
-                    Some(list) if !list.is_empty() => self.controllers = list,
-                    _ => {
-                        return Err(format!(
-                            "invalid controller list {values:?} (known: {})",
-                            ControllerSpec::ALL.map(|c| c.name()).join(", ")
-                        ))
-                    }
-                }
+                let known = ControllerSpec::ALL.map(|c| c.name()).join(", ");
+                self.controllers = list(axis, values, &known, ControllerSpec::from_name)?
             }
             "links" => {
-                let profiles: Option<Vec<LinkProfile>> = values
-                    .split(',')
-                    .map(|v| LinkProfile::from_name(v.trim()))
-                    .collect();
-                match profiles {
-                    Some(list) if !list.is_empty() => self.links = list,
-                    _ => {
-                        return Err(format!(
-                            "invalid links list {values:?} (known: {})",
-                            LinkProfile::ALL.map(|p| p.name()).join(", ")
-                        ))
-                    }
-                }
+                let known = LinkProfile::ALL.map(|p| p.name()).join(", ");
+                self.links = list(axis, values, &known, LinkProfile::from_name)?
             }
-            "route" => {
-                let modes: Option<Vec<RouteMode>> = values
-                    .split(',')
-                    .map(|v| RouteMode::parse(v.trim()))
-                    .collect();
-                match modes {
-                    Some(list) if !list.is_empty() => self.route = list,
-                    _ => {
-                        return Err(format!(
-                            "invalid route list {values:?} (known: accuracy, link-aware)"
-                        ))
-                    }
-                }
-            }
+            "route" => self.route = list(axis, values, "accuracy, link-aware", RouteMode::parse)?,
             "elastic" => {
-                let modes: Option<Vec<ElasticMode>> = values
-                    .split(',')
-                    .map(|v| ElasticMode::from_name(v.trim()))
-                    .collect();
-                match modes {
-                    Some(list) if !list.is_empty() => self.elastic = list,
-                    _ => {
-                        return Err(format!(
-                            "invalid elastic list {values:?} (known: {})",
-                            ElasticMode::ALL.map(|m| m.name()).join(", ")
-                        ))
-                    }
-                }
+                let known = ElasticMode::ALL.map(|m| m.name()).join(", ");
+                self.elastic = list(axis, values, &known, ElasticMode::from_name)?
             }
-            "spot" => {
-                let flags: Result<Vec<bool>, _> =
-                    values.split(',').map(|v| v.trim().parse()).collect();
-                match flags {
-                    Ok(list) if !list.is_empty() => self.spot = list,
-                    _ => return Err(format!("invalid spot list {values:?} (want true/false)")),
-                }
-            }
+            "spot" => self.spot = list(axis, values, "true/false", number)?,
             "revoke" => {
-                let rates = parse_list::<f64>(axis, values)?;
-                if rates.iter().any(|r| !r.is_finite() || *r < 0.0) {
-                    return Err(format!("invalid revoke list {values:?} (want rates >= 0)"));
-                }
-                self.revoke = rates;
+                self.revoke = list(axis, values, "rates >= 0", |v| {
+                    number::<f64>(v).filter(|r| r.is_finite() && *r >= 0.0)
+                })?
             }
             "stockout" => {
-                let probs = parse_list::<f64>(axis, values)?;
-                if probs.iter().any(|p| !(0.0..=1.0).contains(p)) {
-                    return Err(format!(
-                        "invalid stockout list {values:?} (want probabilities in [0, 1])"
-                    ));
-                }
-                self.stockout = probs;
+                self.stockout = list(axis, values, "probabilities in [0, 1]", |v| {
+                    number::<f64>(v).filter(|p| (0.0..=1.0).contains(p))
+                })?
             }
             "provisioner" => {
-                let kinds: Option<Vec<ProvisionerKind>> = values
-                    .split(',')
-                    .map(|v| ProvisionerKind::from_name(v.trim()))
-                    .collect();
-                match kinds {
-                    Some(list) if !list.is_empty() => self.provisioner = list,
-                    _ => {
-                        return Err(format!(
-                            "invalid provisioner list {values:?} (known: {})",
-                            ProvisionerKind::ALL.map(|k| k.name()).join(", ")
-                        ))
-                    }
-                }
+                let known = ProvisionerKind::ALL.map(|k| k.name()).join(", ");
+                self.provisioner = list(axis, values, &known, ProvisionerKind::from_name)?
             }
             _ => {
                 return Err(format!(
-                "unknown sweep axis {axis:?} (axes: controllers, slo, peak, cluster, links, route, elastic, spot, revoke, stockout, provisioner, jobs, seed)"
-            ))
+                    "unknown sweep axis {axis:?} (axes: {})",
+                    Self::AXES.join(", ")
+                ))
             }
         }
         Ok(())
+    }
+
+    /// The values of one axis as JSON (`loki list --json`). Panics on a name
+    /// outside [`Sweep::AXES`].
+    pub fn axis_json(&self, axis: &str) -> Json {
+        fn arr<T>(values: &[T], f: impl Fn(&T) -> Json) -> Json {
+            Json::Arr(values.iter().map(f).collect())
+        }
+        match axis {
+            "controllers" => arr(&self.controllers, |c| c.name().into()),
+            "slo" => arr(&self.slo_ms, |&v| v.into()),
+            "peak" => arr(&self.peak_qps, |&v| v.into()),
+            "cluster" => arr(&self.cluster_size, |&v| v.into()),
+            "links" => arr(&self.links, |l| l.name().into()),
+            "route" => arr(&self.route, |r| r.label().into()),
+            "elastic" => arr(&self.elastic, |m| m.name().into()),
+            "spot" => arr(&self.spot, |&v| v.into()),
+            "revoke" => arr(&self.revoke, |&v| v.into()),
+            "stockout" => arr(&self.stockout, |&v| v.into()),
+            "provisioner" => arr(&self.provisioner, |k| k.name().into()),
+            "jobs" => arr(&self.jobs, |&v| v.into()),
+            "seed" => arr(&self.seed, |&v| Json::UInt(v)),
+            _ => panic!("unknown sweep axis {axis:?}"),
+        }
     }
 
     /// Number of grid points.
@@ -217,114 +203,82 @@ impl Sweep {
         self.len() == 0
     }
 
-    /// The market axes (spot, revoke, stockout, provisioner) flattened into
-    /// one nesting level, in spot-outermost order.
-    fn market_grid(&self) -> Vec<(bool, f64, f64, ProvisionerKind)> {
-        let mut out = Vec::new();
-        for &spot in &self.spot {
-            for &revoke in &self.revoke {
-                for &stockout in &self.stockout {
-                    for &provisioner in &self.provisioner {
-                        out.push((spot, revoke, stockout, provisioner));
-                    }
-                }
-            }
+    /// Enumerate the grid in its fixed nesting order: controller outermost,
+    /// then each axis in [`Sweep::AXES`] order, seed innermost.
+    pub fn points(&self) -> Vec<RunPoint> {
+        type Grid = Vec<(ControllerSpec, ExperimentConfig)>;
+        /// Replace every grid point by one point per value of the next axis.
+        fn nest<T: Copy>(grid: Grid, values: &[T], set: fn(&mut ExperimentConfig, T)) -> Grid {
+            grid.into_iter()
+                .flat_map(|(controller, cfg)| {
+                    values.iter().map(move |&v| {
+                        let mut cfg = cfg.clone();
+                        set(&mut cfg, v);
+                        (controller, cfg)
+                    })
+                })
+                .collect()
         }
-        out
+        let mut grid: Grid = self
+            .controllers
+            .iter()
+            .map(|&c| (c, self.base.cfg.clone()))
+            .collect();
+        grid = nest(grid, &self.slo_ms, |c, v| c.slo_ms = v);
+        grid = nest(grid, &self.peak_qps, |c, v| c.peak_qps = v);
+        grid = nest(grid, &self.cluster_size, |c, v| c.cluster_size = v);
+        grid = nest(grid, &self.links, |c, v| c.links = v);
+        grid = nest(grid, &self.route, |c, v| c.route = v);
+        grid = nest(grid, &self.elastic, |c, v| c.elastic = v);
+        grid = nest(grid, &self.spot, |c, v| c.spot = v);
+        grid = nest(grid, &self.revoke, |c, v| c.revoke_per_hour = v);
+        grid = nest(grid, &self.stockout, |c, v| c.stockout = v);
+        grid = nest(grid, &self.provisioner, |c, v| c.provisioner = v);
+        grid = nest(grid, &self.jobs, |c, v| c.jobs = v);
+        grid = nest(grid, &self.seed, |c, v| c.seed = v);
+        grid.into_iter()
+            .map(|(controller, cfg)| RunPoint {
+                label: self.label(controller, &cfg),
+                controller,
+                cfg,
+                ..self.base.clone()
+            })
+            .collect()
     }
 
-    /// Enumerate the grid in its fixed nesting order. Labels name only the axes that
-    /// actually vary, so single-axis sweeps stay readable.
-    pub fn points(&self) -> Vec<RunPoint> {
-        let mut out = Vec::with_capacity(self.len());
-        for &controller in &self.controllers {
-            for &slo in &self.slo_ms {
-                for &peak in &self.peak_qps {
-                    for &cluster in &self.cluster_size {
-                        for &links in &self.links {
-                            for &route in &self.route {
-                                for &elastic in &self.elastic {
-                                    for market in self.market_grid() {
-                                        for &jobs in &self.jobs {
-                                            for &seed in &self.seed {
-                                                let (spot, revoke, stockout, provisioner) = market;
-                                                let mut cfg = self.base.cfg.clone();
-                                                cfg.slo_ms = slo;
-                                                cfg.peak_qps = peak;
-                                                cfg.cluster_size = cluster;
-                                                cfg.links = links;
-                                                cfg.route = route;
-                                                cfg.elastic = elastic;
-                                                cfg.spot = spot;
-                                                cfg.revoke_per_hour = revoke;
-                                                cfg.stockout = stockout;
-                                                cfg.provisioner = provisioner;
-                                                cfg.jobs = jobs;
-                                                cfg.seed = seed;
-                                                let mut label = controller.name().to_string();
-                                                if self.slo_ms.len() > 1 {
-                                                    let _ = write!(label, " slo={slo}");
-                                                }
-                                                if self.peak_qps.len() > 1 {
-                                                    let _ = write!(label, " peak={peak}");
-                                                }
-                                                if self.cluster_size.len() > 1 {
-                                                    let _ = write!(label, " cluster={cluster}");
-                                                }
-                                                if self.links.len() > 1 {
-                                                    let _ =
-                                                        write!(label, " links={}", links.name());
-                                                }
-                                                if self.route.len() > 1 {
-                                                    let _ =
-                                                        write!(label, " route={}", route.label());
-                                                }
-                                                if self.elastic.len() > 1 {
-                                                    let _ = write!(
-                                                        label,
-                                                        " elastic={}",
-                                                        elastic.name()
-                                                    );
-                                                }
-                                                if self.spot.len() > 1 {
-                                                    let _ = write!(label, " spot={spot}");
-                                                }
-                                                if self.revoke.len() > 1 {
-                                                    let _ = write!(label, " revoke={revoke}");
-                                                }
-                                                if self.stockout.len() > 1 {
-                                                    let _ = write!(label, " stockout={stockout}");
-                                                }
-                                                if self.provisioner.len() > 1 {
-                                                    let _ = write!(
-                                                        label,
-                                                        " provisioner={}",
-                                                        provisioner.name()
-                                                    );
-                                                }
-                                                if self.jobs.len() > 1 {
-                                                    let _ = write!(label, " jobs={jobs}");
-                                                }
-                                                if self.seed.len() > 1 {
-                                                    let _ = write!(label, " seed={seed}");
-                                                }
-                                                out.push(RunPoint {
-                                                    label,
-                                                    controller,
-                                                    cfg,
-                                                    ..self.base.clone()
-                                                });
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+    /// A point's label: the controller, then `axis=value` for every axis that
+    /// actually varies, so single-axis sweeps stay readable.
+    fn label(&self, controller: ControllerSpec, cfg: &ExperimentConfig) -> String {
+        let mut label = controller.name().to_string();
+        for (len, part) in [
+            (self.slo_ms.len(), format!("slo={}", cfg.slo_ms)),
+            (self.peak_qps.len(), format!("peak={}", cfg.peak_qps)),
+            (
+                self.cluster_size.len(),
+                format!("cluster={}", cfg.cluster_size),
+            ),
+            (self.links.len(), format!("links={}", cfg.links.name())),
+            (self.route.len(), format!("route={}", cfg.route.label())),
+            (
+                self.elastic.len(),
+                format!("elastic={}", cfg.elastic.name()),
+            ),
+            (self.spot.len(), format!("spot={}", cfg.spot)),
+            (self.revoke.len(), format!("revoke={}", cfg.revoke_per_hour)),
+            (self.stockout.len(), format!("stockout={}", cfg.stockout)),
+            (
+                self.provisioner.len(),
+                format!("provisioner={}", cfg.provisioner.name()),
+            ),
+            (self.jobs.len(), format!("jobs={}", cfg.jobs)),
+            (self.seed.len(), format!("seed={}", cfg.seed)),
+        ] {
+            if len > 1 {
+                label.push(' ');
+                label.push_str(&part);
             }
         }
-        out
+        label
     }
 }
 
@@ -387,6 +341,29 @@ mod tests {
             sweep.controllers,
             vec![ControllerSpec::LokiMilp, ControllerSpec::Proteus]
         );
+    }
+
+    #[test]
+    fn every_axis_is_settable_and_listed() {
+        let mut sweep = Sweep::for_scenario(fig8(), fig8().config());
+        for axis in Sweep::AXES {
+            assert!(Sweep::is_axis(axis));
+            let current = match sweep.axis_json(axis) {
+                Json::Arr(values) => values[0].clone(),
+                other => panic!("axis {axis} lists {other:?}"),
+            };
+            // Round-trip each axis's default back through `set_axis`.
+            let value = match current {
+                Json::Str(s) => s,
+                Json::Num(v) => format!("{v}"),
+                Json::UInt(v) => format!("{v}"),
+                Json::Bool(b) => format!("{b}"),
+                other => panic!("axis {axis} value {other:?}"),
+            };
+            sweep.set_axis(axis, &value).unwrap();
+        }
+        assert!(Sweep::is_axis("controller"));
+        assert!(!Sweep::is_axis("duration"));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! before the first sample fall back to the interval's own `active_workers`,
 //! `0.0`, and `1.0`.
 
-use crate::report::{csv_row, Json};
+use crate::report::{csv_row, Json, Value};
 use crate::scenario::PointResult;
 use loki_sim::{
     BurnReport, Histogram, IntervalMetrics, Journal, JournalEvent, JournalKind, CLUSTER_LANE,
@@ -25,29 +25,6 @@ use loki_sim::{
 
 /// The label the cluster-level rows carry in the `lane` column.
 pub const CLUSTER_LABEL: &str = "cluster";
-
-/// Column order of the timeline CSV (one row per interval per lane).
-pub const TIMELINE_COLUMNS: [&str; 19] = [
-    "time_s",
-    "lane",
-    "arrivals",
-    "on_time",
-    "late",
-    "dropped",
-    "dropped_deadline",
-    "dropped_reclaimed",
-    "dropped_revoked",
-    "accuracy",
-    "active_workers",
-    "rerouted",
-    "p50_ms",
-    "p90_ms",
-    "p99_ms",
-    "p999_ms",
-    "fleet_warm",
-    "billed_usd",
-    "spot_mult",
-];
 
 /// A right-continuous step function sampled from journal events: `at(t)` is
 /// the value of the latest sample with `time <= t`.
@@ -150,6 +127,64 @@ fn window_percentiles(window: Option<&[Histogram]>, index: usize) -> Option<[f64
     }
 }
 
+/// Everything an interval column reads: the interval's counters, its
+/// windowed percentiles, and the fleet context in effect at its end.
+struct IntervalRow<'a> {
+    m: &'a IntervalMetrics,
+    pcts: Option<[f64; 4]>,
+    fleet: &'a FleetContext,
+    end_s: f64,
+}
+
+impl IntervalRow<'_> {
+    fn pct(&self, i: usize) -> Value {
+        self.pcts.map_or(Value::Absent, |p| Value::Real(p[i]))
+    }
+}
+
+/// A named interval column and how to read it from an [`IntervalRow`].
+type Column = (&'static str, fn(&IntervalRow) -> Value);
+
+/// The per-interval columns, after the leading time and lane columns. Both
+/// the CSV header and the keys of every JSON interval row come from this list.
+const INTERVAL_COLUMNS: &[Column] = &[
+    ("arrivals", |r| Value::Count(r.m.arrivals)),
+    ("on_time", |r| Value::Count(r.m.completed_on_time)),
+    ("late", |r| Value::Count(r.m.completed_late)),
+    ("dropped", |r| Value::Count(r.m.dropped)),
+    ("dropped_deadline", |r| Value::Count(r.m.dropped_deadline)),
+    ("dropped_reclaimed", |r| Value::Count(r.m.dropped_reclaimed)),
+    ("dropped_revoked", |r| Value::Count(r.m.dropped_revoked)),
+    ("accuracy", |r| Value::Real(r.m.mean_accuracy())),
+    ("active_workers", |r| {
+        Value::Count(r.m.active_workers as u64)
+    }),
+    ("rerouted", |r| Value::Count(r.m.rerouted)),
+    ("p50_ms", |r| r.pct(0)),
+    ("p90_ms", |r| r.pct(1)),
+    ("p99_ms", |r| r.pct(2)),
+    ("p999_ms", |r| r.pct(3)),
+    ("fleet_warm", |r| {
+        let warm = r.fleet.warm.at(r.end_s);
+        Value::Real(warm.unwrap_or(r.m.active_workers as f64))
+    }),
+    ("billed_usd", |r| {
+        Value::Real(r.fleet.dollars.at(r.end_s).unwrap_or(0.0))
+    }),
+    ("spot_mult", |r| {
+        Value::Real(r.fleet.multiplier.at(r.end_s).unwrap_or(1.0))
+    }),
+];
+
+/// The timeline CSV header: time, lane, then [`INTERVAL_COLUMNS`].
+fn timeline_header() -> Vec<String> {
+    ["time_s", "lane"]
+        .into_iter()
+        .chain(INTERVAL_COLUMNS.iter().map(|(name, _)| *name))
+        .map(String::from)
+        .collect()
+}
+
 fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
@@ -165,40 +200,26 @@ pub fn timeline_csv(point: &PointResult) -> String {
     let fleet = FleetContext::new(point.result.journal.as_ref());
     let interval_s = interval_length_s(&point.result.intervals);
     let mut out = String::new();
-    csv_row(&mut out, &TIMELINE_COLUMNS.map(String::from));
+    csv_row(&mut out, &timeline_header());
     let rows = point.result.intervals.len();
     for index in 0..rows {
         for s in &series {
             let Some(m) = s.intervals.get(index) else {
                 continue;
             };
-            let end_s = m.start_s + interval_s;
-            let pcts = window_percentiles(s.window, index);
-            let pct = |i: usize| pcts.map(|p| fmt_f64(p[i])).unwrap_or_default();
-            csv_row(
-                &mut out,
-                &[
-                    fmt_f64(m.start_s),
-                    s.lane.to_string(),
-                    m.arrivals.to_string(),
-                    m.completed_on_time.to_string(),
-                    m.completed_late.to_string(),
-                    m.dropped.to_string(),
-                    m.dropped_deadline.to_string(),
-                    m.dropped_reclaimed.to_string(),
-                    m.dropped_revoked.to_string(),
-                    fmt_f64(m.mean_accuracy()),
-                    m.active_workers.to_string(),
-                    m.rerouted.to_string(),
-                    pct(0),
-                    pct(1),
-                    pct(2),
-                    pct(3),
-                    fmt_f64(fleet.warm.at(end_s).unwrap_or(m.active_workers as f64)),
-                    fmt_f64(fleet.dollars.at(end_s).unwrap_or(0.0)),
-                    fmt_f64(fleet.multiplier.at(end_s).unwrap_or(1.0)),
-                ],
-            );
+            let row = IntervalRow {
+                m,
+                pcts: window_percentiles(s.window, index),
+                fleet: &fleet,
+                end_s: m.start_s + interval_s,
+            };
+            let mut fields = vec![fmt_f64(m.start_s), s.lane.to_string()];
+            fields.extend(INTERVAL_COLUMNS.iter().map(|(_, value)| match value(&row) {
+                Value::Count(n) => n.to_string(),
+                Value::Real(v) => fmt_f64(v),
+                Value::Absent => String::new(),
+            }));
+            csv_row(&mut out, &fields);
         }
     }
     out
@@ -296,43 +317,14 @@ fn lane_label(lane: u32, lane_names: &[&str]) -> Json {
     }
 }
 
-fn interval_json(
-    lane: &str,
-    m: &IntervalMetrics,
-    pcts: Option<[f64; 4]>,
-    fleet: &FleetContext,
-    end_s: f64,
-) -> Json {
+fn interval_json(lane: &str, row: &IntervalRow) -> Json {
     let mut obj = Json::object();
     obj.push("type", "interval".into())
-        .push("t", m.start_s.into())
-        .push("lane", lane.into())
-        .push("arrivals", m.arrivals.into())
-        .push("on_time", m.completed_on_time.into())
-        .push("late", m.completed_late.into())
-        .push("dropped", m.dropped.into())
-        .push("dropped_deadline", m.dropped_deadline.into())
-        .push("dropped_reclaimed", m.dropped_reclaimed.into())
-        .push("dropped_revoked", m.dropped_revoked.into())
-        .push("accuracy", m.mean_accuracy().into())
-        .push("active_workers", m.active_workers.into())
-        .push("rerouted", m.rerouted.into());
-    for (key, i) in [("p50_ms", 0), ("p90_ms", 1), ("p99_ms", 2), ("p999_ms", 3)] {
-        obj.push(key, pcts.map(|p| Json::Num(p[i])).unwrap_or(Json::Null));
+        .push("t", row.m.start_s.into())
+        .push("lane", lane.into());
+    for (name, value) in INTERVAL_COLUMNS {
+        obj.push(name, value(row).into());
     }
-    obj.push(
-        "fleet_warm",
-        fleet
-            .warm
-            .at(end_s)
-            .unwrap_or(m.active_workers as f64)
-            .into(),
-    )
-    .push("billed_usd", fleet.dollars.at(end_s).unwrap_or(0.0).into())
-    .push(
-        "spot_mult",
-        fleet.multiplier.at(end_s).unwrap_or(1.0).into(),
-    );
     obj
 }
 
@@ -418,13 +410,13 @@ pub fn timeline_json(scenario: &str, point: &PointResult) -> String {
         let end_s = point.result.intervals[index].start_s + interval_s;
         for s in &series {
             if let Some(m) = s.intervals.get(index) {
-                timeline.push(interval_json(
-                    s.lane,
+                let row = IntervalRow {
                     m,
-                    window_percentiles(s.window, index),
-                    &fleet,
+                    pcts: window_percentiles(s.window, index),
+                    fleet: &fleet,
                     end_s,
-                ));
+                };
+                timeline.push(interval_json(s.lane, &row));
             }
         }
         while next_event < events.len() && events[next_event].time_s() < end_s {
@@ -454,6 +446,32 @@ mod tests {
         assert_eq!(s.at(2.9), Some(10.0));
         assert_eq!(s.at(3.0), Some(30.0));
         assert_eq!(s.at(100.0), Some(30.0));
+    }
+
+    #[test]
+    fn csv_header_and_json_interval_keys_share_the_column_list() {
+        let fleet = FleetContext::new(None);
+        let m = IntervalMetrics::default();
+        let row = IntervalRow {
+            m: &m,
+            pcts: None,
+            fleet: &fleet,
+            end_s: 1.0,
+        };
+        let Json::Obj(entries) = interval_json(CLUSTER_LABEL, &row) else {
+            unreachable!("interval_json builds an object")
+        };
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        let header = timeline_header();
+        assert_eq!(keys[..3], ["type", "t", "lane"]);
+        assert_eq!(header[..2], ["time_s", "lane"]);
+        assert_eq!(keys[3..], header[2..]);
+        assert_eq!(
+            header.join(","),
+            "time_s,lane,arrivals,on_time,late,dropped,dropped_deadline,dropped_reclaimed,\
+             dropped_revoked,accuracy,active_workers,rerouted,p50_ms,p90_ms,p99_ms,p999_ms,\
+             fleet_warm,billed_usd,spot_mult"
+        );
     }
 
     #[test]

@@ -95,7 +95,8 @@ pub struct CalendarQueue<T> {
 /// same-batch fan-out deliveries shares one bucket (one sort), narrow enough
 /// that sub-millisecond PCIe-class hops still usually cross into the next slot
 /// instead of splicing into the live drain buffer. Tuned on the
-/// `traffic_1m_arrivals` and `traffic_hetnet` workloads (see `BENCH_sim.json`).
+/// `traffic_1m_arrivals` and `traffic_hetnet` workloads (the reference
+/// benchmark in `benchmark/README.md` measures the same data plane).
 pub const DEFAULT_SHIFT: u32 = 10;
 /// Default bucket count: 128 buckets × 1 ms ≈ 131 ms of horizon — ample for
 /// every network hop. The wheel's live footprint (headers + bucket buffers)

@@ -48,9 +48,8 @@
 //!
 //! Determinism is unchanged: all hot-path state is iterated in dense index
 //! order, and every stochastic choice consumes draws from its lane's seeded RNG
-//! (lane 0 uses `SimConfig::seed` exactly). `BENCH_sim.json` (regenerated by
-//! `cargo run --release -p loki_bench --bin loki -- report`) tracks the
-//! resulting throughput.
+//! (lane 0 uses `SimConfig::seed` exactly). The reference benchmark
+//! (`benchmark/README.md`) measures the resulting throughput.
 
 use crate::elastic::{ElasticAction, ElasticObservation, ElasticPolicy, WorkerClassCatalog};
 use crate::journal::{Journal, JournalKind, CLUSTER_LANE};
