@@ -1,6 +1,6 @@
 //! The discrete-event simulation engine: a sharded driver over per-lane shards.
 //!
-//! The engine owns the cluster state (the shared worker [`Fleet`], the owner map,
+//! The engine owns the cluster state (the worker fleet, the owner map,
 //! elastic-fleet accounting) and the *cluster-level* event queue (rebalance and
 //! elastic ticks, boot completions, unload cooldowns of free workers). Everything
 //! lane-local — the calendar queue of ticks and deliveries, the arrival cursor,
@@ -10,12 +10,12 @@
 //! # Sharded execution with an epoch-barrier merge
 //!
 //! Between two cluster events, lanes are data-independent: a warm worker is owned
-//! by exactly one lane (`Engine::owner`), every routing path checks ownership
-//! before touching a worker, and nothing else is shared. The driver exploits
-//! that: it advances every shard up to the next cluster-event timestamp (the
-//! *epoch barrier*), then — single-threaded — applies the cluster events
-//! (repartitions, fleet scaling, boot completions) and merges the shards'
-//! buffered retirements into the cluster accounting. With `jobs > 1` the shards
+//! by exactly one lane (`Engine::owner`), and each shard is lent `&mut` access
+//! to its own workers only (`crate::shard`'s module docs), so nothing mutable
+//! is shared. The driver exploits that: it advances every shard up to the next
+//! cluster-event timestamp (the *epoch barrier*), then — single-threaded —
+//! settles the shards' retirements and applies the cluster events
+//! (repartitions, fleet scaling, boot completions). With `jobs > 1` the shards
 //! of one epoch run on separate worker threads (`crate::par::par_map`, the same
 //! bounded scoped pool the bench harness uses); with `jobs = 1` they run inline
 //! on the calling thread in lane order.
@@ -56,7 +56,10 @@ use crate::journal::{Journal, JournalKind, CLUSTER_LANE};
 use crate::metrics::{ClassCost, CostSummary, IntervalMetrics, RunSummary};
 use crate::multi::{ArbiterObservation, ResourceArbiter};
 use crate::par::par_map;
-use crate::shard::{fallback_worker_for_task, Fleet, LaneCtx, LaneEvent, LaneState, Shard, FREE};
+use crate::shard::{
+    count_drop, fallback_worker_for_task, retire, DropCause, LaneCtx, LaneEvent, LaneState,
+    Retirement, Shard, FREE,
+};
 use crate::types::{ms_to_us, secs_to_us, Controller, Query, SimConfig, SimTime, WorkerId};
 use crate::worker::{Lifecycle, Worker};
 use loki_pipeline::PipelineGraph;
@@ -64,7 +67,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 pub(crate) use crate::shard::LaneInput;
 
@@ -100,10 +102,13 @@ pub struct SimResult {
     pub journal: Option<Journal>,
 }
 
-/// A structured engine invariant violation. The dispatch loop and root
+/// A structured engine error: either an engine invariant violation or an
+/// out-of-range value returned through a public trait ([`Controller`],
+/// [`ResourceArbiter`], [`ElasticPolicy`]). The dispatch loop and root
 /// bookkeeping guard their impossible-but-unchecked states with these instead
 /// of bare `unwrap`s, so a scheduler-refactor regression reports what broke,
-/// where in simulated time, and after how many events.
+/// where in simulated time, and after how many events; a bad trait output is
+/// named with its offending index and the simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineError {
     /// The dispatch loop selected an event source whose queue turned out empty.
@@ -121,6 +126,41 @@ pub enum EngineError {
         /// The handler that tripped ("drop", "complete").
         context: &'static str,
         /// Simulated time at the failure, µs.
+        now_us: SimTime,
+    },
+    /// The [`ResourceArbiter`] returned a partition that does not size every
+    /// pipeline exactly once.
+    PartitionLength {
+        /// Entries in the returned partition.
+        len: usize,
+        /// Pipelines in the run.
+        lanes: usize,
+        /// Simulated time of the arbiter call, µs.
+        now_us: SimTime,
+    },
+    /// An [`ElasticPolicy`] action named a worker class outside the catalog.
+    UnknownClass {
+        /// The action ("provision", "drain").
+        action: &'static str,
+        /// The class index it named.
+        class: usize,
+        /// Classes in the catalog.
+        classes: usize,
+        /// Simulated time of the elastic tick, µs.
+        now_us: SimTime,
+    },
+    /// A [`Controller`]'s allocation plan named a model variant outside its
+    /// pipeline.
+    UnknownVariant {
+        /// Which part of the plan ("plan instance", "latency budget").
+        input: &'static str,
+        /// The pipeline lane whose controller emitted the plan.
+        lane: u32,
+        /// The task index of the named variant.
+        task: usize,
+        /// The variant index within that task.
+        variant: usize,
+        /// Simulated time of the control tick, µs.
         now_us: SimTime,
     },
 }
@@ -142,6 +182,32 @@ impl std::fmt::Display for EngineError {
                 f,
                 "engine invariant violated: root state missing in the {context} \
                  handler while sub-queries were outstanding (now = {now_us} us)"
+            ),
+            EngineError::PartitionLength { len, lanes, now_us } => write!(
+                f,
+                "resource arbiter returned a partition of {len} entries for \
+                 {lanes} pipelines (now = {now_us} us)"
+            ),
+            EngineError::UnknownClass {
+                action,
+                class,
+                classes,
+                now_us,
+            } => write!(
+                f,
+                "elastic policy asked to {action} class {class} outside the \
+                 {classes}-class catalog (now = {now_us} us)"
+            ),
+            EngineError::UnknownVariant {
+                input,
+                lane,
+                task,
+                variant,
+                now_us,
+            } => write!(
+                f,
+                "controller of lane {lane} named variant {variant} of task {task} \
+                 in a {input}, outside its pipeline (now = {now_us} us)"
             ),
         }
     }
@@ -279,12 +345,13 @@ pub(crate) struct Engine<'a> {
     /// completions, free workers' unload cooldowns).
     cluster_events: u64,
 
-    /// The shared worker fleet (interior mutability; see `crate::shard`).
-    fleet: Fleet,
+    /// The worker fleet, indexed by `WorkerId`. Shards reach their own
+    /// workers only through tables lent from it (see `crate::shard`).
+    fleet: Vec<Worker>,
     /// Owning lane per worker (`FREE` = released, claimable by a rebalance).
-    /// Atomic so shards can read it concurrently mid-epoch; all cross-lane
-    /// writes happen at barriers on the driver thread.
-    owner: Vec<AtomicU32>,
+    /// Only the driver writes it, at barriers; shards read it as of the last
+    /// one.
+    owner: Vec<u32>,
 
     /// Arbiter invocations that actually moved workers.
     rebalances: u64,
@@ -411,10 +478,22 @@ impl ElasticState {
             return;
         }
         self.class_gpu_us[class] += to - from;
-        self.class_weighted_us[class] += match market {
+        self.class_weighted_us[class] += self.priced_us(market, class, from, to);
+    }
+
+    /// The microseconds of a non-empty warm interval `[from, to)` weighted
+    /// by the market's price schedule for spot classes; flat otherwise.
+    fn priced_us(
+        &self,
+        market: Option<&crate::MarketConfig>,
+        class: usize,
+        from: SimTime,
+        to: SimTime,
+    ) -> f64 {
+        match market {
             Some(m) if self.catalog.classes[class].spot => m.weighted_us(from, to),
             _ => (to - from) as f64,
-        };
+        }
     }
 }
 
@@ -490,7 +569,6 @@ impl<'a> Engine<'a> {
         let (shift, num_buckets) = config
             .calendar
             .resolve_for_range(ms_to_us(min_hop_ms), ms_to_us(max_hop_ms));
-        let fleet_len = workers.len();
         // Each shard seeds its own periodic events and first arrival from its
         // lane-local seq stream; the per-lane relative order (control tick,
         // routing tick, metrics tick, first arrival) matches the historical
@@ -508,8 +586,8 @@ impl<'a> Engine<'a> {
             cseq: 0,
             now: 0,
             cluster_events: 0,
-            fleet: Fleet::new(workers),
-            owner: (0..fleet_len).map(|_| AtomicU32::new(FREE)).collect(),
+            owner: vec![FREE; workers.len()],
+            fleet: workers,
             rebalances: 0,
             migrations: 0,
             elastic,
@@ -586,6 +664,55 @@ impl<'a> Engine<'a> {
         self.cluster.push(Reverse((time, self.cseq, event)));
     }
 
+    /// Lend lane `li` its workers and run `f` on its shard: how barrier code
+    /// acts on one lane (re-homing, batch starts, retirement).
+    fn with_lane<R>(
+        &mut self,
+        li: usize,
+        f: impl FnOnce(&mut Shard<'a>, &mut LaneCtx<'_>) -> R,
+    ) -> R {
+        let mut ctx = LaneCtx::lend(
+            self.config,
+            &mut self.fleet,
+            &self.owner,
+            self.end_time_us,
+            li as u32,
+        );
+        f(&mut self.shards[li], &mut ctx)
+    }
+
+    /// Settle a retirement: free the worker's owner slot, move it out of its
+    /// drain pool, stop its billing, and journal it at its own time. Mid-epoch
+    /// retirements are settled at the next barrier, barrier-time ones at once.
+    fn settle_retirement(&mut self, r: Retirement) {
+        self.owner[r.worker as usize] = FREE;
+        let market = self.market.as_ref().map(|m| &m.config);
+        if let Some(e) = self.elastic.as_mut() {
+            let class = r.class as usize;
+            // `from == MAX` marks a revoked worker: its billing already
+            // stopped (the accrual below is a no-op) and its lifecycle count
+            // lives in the revoked pool, invisible to the policy's
+            // voluntary-drain accounting.
+            if r.billed_from_us == SimTime::MAX {
+                e.revoked_draining[class] -= 1;
+            } else {
+                e.draining[class] -= 1;
+            }
+            e.retired[class] += 1;
+            e.accrue(market, class, r.billed_from_us, r.at_us);
+        }
+        if let Some(j) = self.journal.as_mut() {
+            j.record(
+                r.at_us,
+                CLUSTER_LANE,
+                JournalKind::Retire {
+                    worker: r.worker,
+                    class: r.class,
+                },
+            );
+        }
+    }
+
     /// Apply the initial partition: contiguous blocks of workers per lane, in
     /// lane order. Workers beyond the partition sum stay `FREE`.
     fn init_partition(&mut self, sizes: &[usize]) {
@@ -593,9 +720,7 @@ impl<'a> Engine<'a> {
         let mut next = 0usize;
         for (li, &count) in sizes.iter().enumerate() {
             let take = count.min(self.fleet.len().saturating_sub(next));
-            for w in next..next + take {
-                self.owner[w].store(li as u32, Ordering::Relaxed);
-            }
+            self.owner[next..next + take].fill(li as u32);
             next += take;
         }
         self.rebuild_owned_lists();
@@ -604,15 +729,33 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// A lane's warm (dispatchable) owned workers — the units partitions are
-    /// measured in.
-    fn lane_warm_count(&self, shard: &Shard<'_>) -> usize {
-        shard
-            .lane
-            .owned
+    /// Each lane's warm (dispatchable) owned workers — the units partitions
+    /// are measured in.
+    fn lane_warm_counts(&self) -> Vec<usize> {
+        self.shards
             .iter()
-            .filter(|w| self.fleet.get(w.index()).accepts_dispatches())
-            .count()
+            .map(|s| {
+                s.lane
+                    .owned
+                    .iter()
+                    .filter(|w| self.fleet[w.index()].accepts_dispatches())
+                    .count()
+            })
+            .collect()
+    }
+
+    /// Queries waiting on each lane's workers (arbiter and policy input).
+    fn lane_queued(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .map(|s| {
+                s.lane
+                    .owned
+                    .iter()
+                    .map(|w| self.fleet[w.index()].queue_len())
+                    .sum()
+            })
+            .collect()
     }
 
     /// Rebuild every lane's `owned` list from the owner map.
@@ -620,93 +763,67 @@ impl<'a> Engine<'a> {
         for shard in self.shards.iter_mut() {
             shard.lane.owned.clear();
         }
-        for (w, o) in self.owner.iter().enumerate() {
-            let o = o.load(Ordering::Relaxed);
+        for (w, &o) in self.owner.iter().enumerate() {
             if o != FREE {
                 self.shards[o as usize].lane.owned.push(WorkerId(w));
             }
         }
     }
 
-    /// Advance every shard to `bound` — on `jobs` worker threads when asked
-    /// and useful, inline in lane order otherwise — then (back on one thread)
-    /// account barrier waits and merge the shards' buffered retirements into
-    /// the cluster's elastic accounting.
+    /// Advance every shard to `bound`, each with its own workers lent to it —
+    /// on `jobs` worker threads when asked and useful, inline in lane order
+    /// otherwise — then (back on one thread) account barrier waits and settle
+    /// the shards' mid-epoch retirements.
     fn run_shards_until(
         &mut self,
         bound: SimTime,
         jobs: usize,
         controllers: &mut [&mut dyn Controller],
     ) -> Result<(), EngineError> {
-        let ctx = LaneCtx {
-            config: self.config,
-            fleet: &self.fleet,
-            owner: &self.owner,
-            end_time_us: self.end_time_us,
-        };
-        let shards = &mut self.shards;
-        if jobs > 1 && shards.len() > 1 {
-            let work: Vec<(&mut Shard<'a>, &mut dyn Controller)> = shards
-                .iter_mut()
-                .zip(controllers.iter_mut().map(|c| &mut **c))
-                .collect();
-            for outcome in par_map(work, jobs, |(shard, controller)| {
-                shard.run_until(bound, &ctx, controller)
+        let lanes = self.shards.len();
+        let ctxs = LaneCtx::lend_all(
+            self.config,
+            &mut self.fleet,
+            &self.owner,
+            self.end_time_us,
+            lanes,
+        );
+        let work = self
+            .shards
+            .iter_mut()
+            .zip(controllers.iter_mut().map(|c| &mut **c))
+            .zip(ctxs);
+        if jobs > 1 && lanes > 1 {
+            let work: Vec<_> = work.collect();
+            for outcome in par_map(work, jobs, |((shard, controller), mut ctx)| {
+                shard.run_until(bound, &mut ctx, controller)
             }) {
                 outcome?;
             }
         } else {
-            for (shard, controller) in shards.iter_mut().zip(controllers.iter_mut()) {
-                shard.run_until(bound, &ctx, &mut **controller)?;
+            for ((shard, controller), mut ctx) in work {
+                shard.run_until(bound, &mut ctx, controller)?;
             }
         }
         // Barrier-wait accounting: each shard waits (at most) for the slowest
         // shard of the epoch.
-        let slowest = shards
+        let slowest = self
+            .shards
             .iter()
             .map(|s| s.epoch_wall_s)
             .fold(0.0_f64, f64::max);
-        for shard in shards.iter_mut() {
+        for shard in self.shards.iter_mut() {
             shard.barrier_wait_s += (slowest - shard.epoch_wall_s).max(0.0);
         }
-        // Merge mid-epoch retirements (drained workers whose last batch
-        // completed inside a shard) into the cluster's elastic accounting, so
-        // the next elastic tick observes exact lifecycle counts.
-        let market = self.market.as_ref().map(|m| &m.config);
-        let mut retired_events: Vec<(SimTime, u32, u32)> = Vec::new();
-        for li in 0..self.shards.len() {
-            if self.shards[li].retirements.is_empty() {
-                continue;
-            }
-            let retirements = std::mem::take(&mut self.shards[li].retirements);
-            if let Some(e) = self.elastic.as_mut() {
-                for (worker, class, from_us, to_us) in retirements {
-                    let class = class as usize;
-                    // `from == MAX` marks a revoked worker: its billing
-                    // already stopped (the accrual below is a no-op) and its
-                    // lifecycle count lives in the revoked pool, invisible to
-                    // the policy's voluntary-drain accounting.
-                    if from_us == SimTime::MAX {
-                        e.revoked_draining[class] -= 1;
-                    } else {
-                        e.draining[class] -= 1;
-                    }
-                    e.retired[class] += 1;
-                    e.accrue(market, class, from_us, to_us);
-                    if self.journal.is_some() {
-                        retired_events.push((to_us, worker, class as u32));
-                    }
-                }
-            }
-        }
-        // Journal the mid-epoch retirements at their own timestamps (the
-        // driver's clock still reads the previous barrier here). Lanes merge
-        // in index order on this one thread, so the recording sequence — the
+        // Settle mid-epoch retirements (drained workers whose last batch
+        // completed inside a shard) before any cluster event, so the next
+        // elastic tick observes exact lifecycle counts. Lanes merge in index
+        // order on this one thread, so the journal's recording sequence — the
         // sort tiebreaker for equal-time retirements — is independent of
         // `jobs`.
-        if let Some(j) = self.journal.as_mut() {
-            for (to_us, worker, class) in retired_events {
-                j.record(to_us, CLUSTER_LANE, JournalKind::Retire { worker, class });
+        for li in 0..lanes {
+            for r in std::mem::take(&mut self.shards[li].retirements) {
+                self.settle_retirement(r);
             }
         }
         Ok(())
@@ -742,7 +859,7 @@ impl<'a> Engine<'a> {
         // lane's first control tick sees its capacity-scoped worker set.
         match arbiter.as_mut() {
             Some(arb) => {
-                let sizes = self.arbiter_partition(&mut **arb, true);
+                let sizes = self.arbiter_partition(&mut **arb, true)?;
                 let sizes =
                     sizes.unwrap_or_else(|| even_partition(self.shards.len(), self.fleet.len()));
                 self.init_partition(&sizes);
@@ -827,13 +944,14 @@ impl<'a> Engine<'a> {
                             ClusterEvent::SwapDone(worker) => {
                                 // The worker was free when released but may
                                 // have been claimed by a later rebalance.
-                                let o = self.owner[worker.index()].load(Ordering::Relaxed);
-                                if o == FREE {
-                                    self.cluster_events += 1;
-                                } else {
-                                    self.shards[o as usize].lane.events_processed += 1;
+                                match self.owner[worker.index()] {
+                                    FREE => self.cluster_events += 1,
+                                    o => {
+                                        let li = o as usize;
+                                        self.shards[li].lane.events_processed += 1;
+                                        self.with_lane(li, |shard, ctx| shard.kick(ctx, worker));
+                                    }
                                 }
-                                self.kick(worker);
                             }
                         }
                         if let Some(start) = phase_start {
@@ -875,19 +993,10 @@ impl<'a> Engine<'a> {
             let current = &mut lane.current;
             let mut tracer = lane.tracer.as_deref_mut();
             lane.roots.drain_with(|state| {
-                current.dropped += 1;
                 // A root still in flight at run end keeps the cause of the
                 // branch it already lost, if any; otherwise it simply ran out
                 // of time.
-                match state.drop_cause {
-                    c if c == crate::shard::DropCause::Reclaimed as u8 => {
-                        current.dropped_reclaimed += 1
-                    }
-                    c if c == crate::shard::DropCause::Revoked as u8 => {
-                        current.dropped_revoked += 1
-                    }
-                    _ => current.dropped_deadline += 1,
-                }
+                count_drop(current, state.drop_cause);
                 if state.trace_slot != u32::MAX {
                     if let Some(t) = tracer.as_deref_mut() {
                         t.finish(state.trace_slot, final_now, true);
@@ -895,8 +1004,15 @@ impl<'a> Engine<'a> {
                 }
             });
         }
-        for shard in self.shards.iter_mut() {
-            shard.flush_interval(&self.fleet, self.config.metrics_interval_s, final_now);
+        let ctxs = LaneCtx::lend_all(
+            self.config,
+            &mut self.fleet,
+            &self.owner,
+            self.end_time_us,
+            self.shards.len(),
+        );
+        for (shard, ctx) in self.shards.iter_mut().zip(ctxs) {
+            shard.flush_interval(&ctx, self.config.metrics_interval_s, final_now);
         }
 
         let mut out = Vec::with_capacity(self.shards.len());
@@ -1023,19 +1139,13 @@ impl<'a> Engine<'a> {
         };
         let market = self.market.as_ref().map(|m| &m.config);
         let mut weighted = e.class_weighted_us.clone();
-        for w in self.fleet.iter() {
-            if !matches!(w.lifecycle, Lifecycle::Warm | Lifecycle::Draining) {
-                continue;
+        for w in &self.fleet {
+            if matches!(w.lifecycle, Lifecycle::Warm | Lifecycle::Draining)
+                && w.billed_from_us < now
+            {
+                let class = w.class as usize;
+                weighted[class] += e.priced_us(market, class, w.billed_from_us, now);
             }
-            let (from, to) = (w.billed_from_us, now);
-            if to <= from {
-                continue;
-            }
-            let class = w.class as usize;
-            weighted[class] += match market {
-                Some(m) if e.catalog.classes[class].spot => m.weighted_us(from, to),
-                _ => (to - from) as f64,
-            };
         }
         weighted
             .iter()
@@ -1052,16 +1162,12 @@ impl<'a> Engine<'a> {
         &mut self,
         arbiter: &mut dyn ResourceArbiter,
         initial: bool,
-    ) -> Option<Vec<usize>> {
+    ) -> Result<Option<Vec<usize>>, EngineError> {
         // Partitions are reported (and targeted) in *warm* workers: a lane's
         // draining workers are leaving and must neither pad its share in the
         // arbiter's eyes nor count against a warm-sized target when the
         // partition is applied (for fixed fleets owned == warm).
-        let partition: Vec<usize> = self
-            .shards
-            .iter()
-            .map(|s| self.lane_warm_count(s))
-            .collect();
+        let partition = self.lane_warm_counts();
         let demand_qps: Vec<f64> = self
             .shards
             .iter()
@@ -1075,17 +1181,7 @@ impl<'a> Engine<'a> {
             .collect();
         let slo_ms: Vec<f64> = self.shards.iter().map(|s| s.lane.slo_ms()).collect();
         let num_tasks: Vec<usize> = self.shards.iter().map(|s| s.lane.num_tasks).collect();
-        let queued: Vec<usize> = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.lane
-                    .owned
-                    .iter()
-                    .map(|w| self.fleet.get(w.index()).queue_len())
-                    .sum()
-            })
-            .collect();
+        let queued = self.lane_queued();
         // The partitionable fleet is the warm workers — elastic fleets change
         // size between epochs (boots add capacity, drains remove it), and the
         // arbiter must tolerate that; for fixed fleets this is `cluster_size`.
@@ -1099,12 +1195,16 @@ impl<'a> Engine<'a> {
             num_tasks: &num_tasks,
             queued: &queued,
         };
-        let mut target = arbiter.partition(&observation)?;
-        assert_eq!(
-            target.len(),
-            self.shards.len(),
-            "arbiter must size every pipeline"
-        );
+        let Some(mut target) = arbiter.partition(&observation) else {
+            return Ok(None);
+        };
+        if target.len() != self.shards.len() {
+            return Err(EngineError::PartitionLength {
+                len: target.len(),
+                lanes: self.shards.len(),
+                now_us: self.now,
+            });
+        }
         // Never exceed the physical cluster: trim the largest shares first.
         let mut total: usize = target.iter().sum();
         while total > usable {
@@ -1115,11 +1215,11 @@ impl<'a> Engine<'a> {
                 break;
             }
         }
-        Some(target)
+        Ok(Some(target))
     }
 
     fn on_rebalance(&mut self, arbiter: &mut dyn ResourceArbiter) -> Result<(), EngineError> {
-        if let Some(target) = self.arbiter_partition(arbiter, false) {
+        if let Some(target) = self.arbiter_partition(arbiter, false)? {
             let moved = self.apply_partition(&target)?;
             if moved > 0 {
                 self.rebalances += 1;
@@ -1162,23 +1262,15 @@ impl<'a> Engine<'a> {
         // Warm counts, matching the units of the arbiter's target: a lane
         // holding draining workers is not over its target by their number,
         // and must not release warm capacity it is still entitled to.
-        let current: Vec<usize> = self
-            .shards
-            .iter()
-            .map(|s| self.lane_warm_count(s))
-            .collect();
+        let current = self.lane_warm_counts();
         if current == target {
             return Ok(0);
         }
-        let owner_before: Vec<u32> = self
-            .owner
-            .iter()
-            .map(|o| o.load(Ordering::Relaxed))
-            .collect();
-        // Phase 1: shrinking lanes release workers into the free pool.
-        let mut orphans: Vec<(usize, Query)> = Vec::new();
+        let owner_before = self.owner.clone();
+        // Phase 1: shrinking lanes release workers into the free pool; each
+        // keeps the queries stranded on its released workers.
         let mut swapped: Vec<(WorkerId, SimTime)> = Vec::new();
-        let mut shrunk: Vec<usize> = Vec::new();
+        let mut shrunk: Vec<(usize, Vec<Query>)> = Vec::new();
         for li in 0..self.shards.len() {
             if current[li] <= target[li] {
                 continue;
@@ -1194,122 +1286,99 @@ impl<'a> Engine<'a> {
                 .iter()
                 .copied()
                 .filter(|w| {
-                    let worker = self.fleet.get(w.index());
+                    let worker = &self.fleet[w.index()];
                     worker.accepts_dispatches() && !worker.has_in_flight()
                 })
                 .collect();
             candidates.sort_by_key(|w| {
-                let worker = self.fleet.get(w.index());
+                let worker = &self.fleet[w.index()];
                 (
                     worker.assignment.is_some() as u8,
                     worker.queue_len(),
                     w.index(),
                 )
             });
+            let mut orphans = Vec::new();
             for &w in candidates.iter().take(surplus) {
-                let wi = w.index();
-                let had_model = self.fleet.get(wi).assignment.is_some();
-                for q in self.fleet.get_mut(wi).drain_queue() {
-                    orphans.push((li, q));
-                }
-                self.fleet.get_mut(wi).unassign();
+                let worker = &mut self.fleet[w.index()];
+                let had_model = worker.assignment.is_some();
+                orphans.extend(worker.drain_queue());
+                worker.unassign();
                 if had_model && self.config.model_swap_ms > 0.0 {
                     // First-class reassignment event: the model-unload
                     // cooldown before any lane can batch on this worker. The
                     // event is scheduled after phase 2, once the worker's new
                     // owner (a claiming lane, or the free pool) is known.
                     let until = self.now + ms_to_us(self.config.model_swap_ms);
-                    self.fleet.get_mut(wi).begin_swap(until);
+                    worker.begin_swap(until);
                     swapped.push((w, until));
                 }
-                self.owner[wi].store(FREE, Ordering::Relaxed);
+                self.owner[w.index()] = FREE;
             }
-            shrunk.push(li);
+            shrunk.push((li, orphans));
         }
         // Phase 2: growing lanes claim from the free pool, ascending index.
         // Only warm workers are claimable: booting, draining, and retired
         // slots carry the FREE tag but are not capacity.
-        let mut pool: Vec<usize> = (0..self.fleet.len())
-            .filter(|&w| {
-                self.owner[w].load(Ordering::Relaxed) == FREE
-                    && self.fleet.get(w).accepts_dispatches()
-            })
-            .collect();
-        pool.sort_unstable();
-        let mut pool = pool.into_iter();
+        let mut pool = (0..self.fleet.len())
+            .filter(|&w| self.owner[w] == FREE && self.fleet[w].accepts_dispatches())
+            .collect::<Vec<_>>()
+            .into_iter();
         let mut grown: Vec<usize> = Vec::new();
         for li in 0..self.shards.len() {
             if current[li] >= target[li] {
                 continue;
             }
-            let mut need = target[li] - current[li];
-            while need > 0 {
-                let Some(w) = pool.next() else { break };
-                self.owner[w].store(li as u32, Ordering::Relaxed);
-                need -= 1;
+            for w in pool.by_ref().take(target[li] - current[li]) {
+                self.owner[w] = li as u32;
             }
             grown.push(li);
         }
         // A migration is a worker whose owner actually changed over the whole
         // tick (released-and-reclaimed counts once; shrink-only targets that
         // park workers in the free pool still count their releases).
-        let moved = owner_before
+        let changed: Vec<(usize, u32, u32)> = owner_before
             .iter()
-            .zip(self.owner.iter())
-            .filter(|(before, after)| **before != after.load(Ordering::Relaxed))
-            .count();
+            .zip(&self.owner)
+            .enumerate()
+            .filter(|(_, (before, after))| before != after)
+            .map(|(w, (&before, &after))| (w, before, after))
+            .collect();
         // Journal every worker whose owner changed (`FREE` doubles as
         // `CLUSTER_LANE`: a release to the free pool reads as a migration to
         // the cluster, a claim as one from it).
-        if self.journal.is_some() {
-            for (w, &before) in owner_before.iter().enumerate() {
-                let after = self.owner[w].load(Ordering::Relaxed);
-                if before != after {
-                    self.journal_record(
-                        CLUSTER_LANE,
-                        JournalKind::Migration {
-                            worker: w as u32,
-                            from_lane: before,
-                            to_lane: after,
-                        },
-                    );
-                }
-            }
+        for &(w, from_lane, to_lane) in &changed {
+            self.journal_record(
+                CLUSTER_LANE,
+                JournalKind::Migration {
+                    worker: w as u32,
+                    from_lane,
+                    to_lane,
+                },
+            );
         }
         // Phase 3: refresh the affected lanes' views of their partitions.
         self.rebuild_owned_lists();
-        for &li in shrunk.iter().chain(grown.iter()) {
-            self.shards[li].lane.assignments_epoch += 1;
-            self.shards[li].rebuild_workers_by_task(&self.fleet);
+        for li in shrunk.iter().map(|(li, _)| *li).chain(grown) {
+            self.with_lane(li, |shard, ctx| shard.invalidate_routing(ctx));
         }
         // Schedule the unload cooldowns now that owners are settled: a
         // claimed worker's completion belongs on its new lane's queue (so the
         // lane can batch the moment the cooldown ends), a still-free worker's
         // on the cluster queue.
         for (w, until) in swapped {
-            let o = self.owner[w.index()].load(Ordering::Relaxed);
-            if o == FREE {
-                self.push_cluster(until, ClusterEvent::SwapDone(w));
-            } else {
-                self.shards[o as usize].push(until, LaneEvent::SwapDone(w));
+            match self.owner[w.index()] {
+                FREE => self.push_cluster(until, ClusterEvent::SwapDone(w)),
+                o => self.shards[o as usize].push(until, LaneEvent::SwapDone(w)),
             }
         }
         // Phase 4: re-home queries stranded on released workers.
-        for (li, q) in orphans {
-            match fallback_worker_for_task(&self.shards[li].lane, &self.fleet, q.task) {
-                Some(worker) => {
-                    let mut q = q;
-                    q.enqueued_us = self.now;
-                    self.shards[li].trace_marker(q.root, crate::trace::SpanKind::Requeue, worker);
-                    self.fleet.get_mut(worker.index()).enqueue(q);
-                    self.kick(worker);
-                }
-                None => {
-                    self.shards[li].drop_root_child(q.root, crate::shard::DropCause::Reclaimed)?
-                }
-            }
+        for (li, orphans) in shrunk {
+            self.with_lane(li, |shard, ctx| {
+                shard.rehome(ctx, orphans, DropCause::Reclaimed)
+            })?;
         }
-        Ok(moved)
+        Ok(changed.len())
     }
 
     // ---- elastic fleet -----------------------------------------------------------
@@ -1326,17 +1395,7 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|s| s.lane.demand_estimate())
             .collect();
-        let queued: Vec<usize> = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.lane
-                    .owned
-                    .iter()
-                    .map(|w| self.fleet.get(w.index()).queue_len())
-                    .sum()
-            })
-            .collect();
+        let queued = self.lane_queued();
         let window_attainment: Vec<f64> = self
             .shards
             .iter_mut()
@@ -1422,7 +1481,7 @@ impl<'a> Engine<'a> {
         }
         for action in actions {
             match action {
-                ElasticAction::Provision { class, count } => self.apply_provision(class, count),
+                ElasticAction::Provision { class, count } => self.apply_provision(class, count)?,
                 ElasticAction::Drain { class, count } => self.apply_drain(class, count)?,
             }
         }
@@ -1436,28 +1495,15 @@ impl<'a> Engine<'a> {
     /// (live = provisioning + warm + draining; retired slots do not count).
     /// With a market attached, each requested *spot* worker may be denied by
     /// a capacity stockout before admission.
-    fn apply_provision(&mut self, class: usize, count: usize) {
-        {
-            let e = self.elastic.as_ref().expect("provision without config");
-            assert!(
-                class < e.catalog.len(),
-                "provision references class {class} outside the {}-class catalog",
-                e.catalog.len()
-            );
-        }
+    fn apply_provision(&mut self, class: usize, count: usize) -> Result<(), EngineError> {
+        self.check_class("provision", class)?;
         let requested = count;
         let mut count = count;
         if let (Some(m), Some(e)) = (self.market.as_mut(), self.elastic.as_mut()) {
             let p = m.config.stockout_probability;
             if p > 0.0 && e.catalog.classes[class].spot {
-                let mut granted = 0usize;
-                for _ in 0..count {
-                    if m.rng.gen::<f64>() < p {
-                        e.stockouts[class] += 1;
-                    } else {
-                        granted += 1;
-                    }
-                }
+                let granted = (0..count).filter(|_| m.rng.gen::<f64>() >= p).count();
+                e.stockouts[class] += (count - granted) as u64;
                 count = granted;
             }
         }
@@ -1477,22 +1523,33 @@ impl<'a> Engine<'a> {
             .filter(|w| w.lifecycle != Lifecycle::Retired)
             .count();
         let take = count.min(e.max_fleet.saturating_sub(live));
-        let boot_delay = e.boot_delay_us[class];
+        e.provisioning[class] += take;
+        e.provisioned[class] += take as u64;
+        let boot_done = self.now + e.boot_delay_us[class];
         let perf_scale = e.catalog.classes[class].latency_scale;
         for _ in 0..take {
             let id = WorkerId(self.fleet.len());
             self.fleet
                 .push(Worker::provisioning(id, class as u32, perf_scale));
-            self.owner.push(AtomicU32::new(FREE));
-            e.provisioning[class] += 1;
-            e.provisioned[class] += 1;
-            // Inline `push_cluster` (no method call: `e` holds a field borrow).
-            self.cseq += 1;
-            self.cluster.push(Reverse((
-                self.now + boot_delay,
-                self.cseq,
-                ClusterEvent::BootDone(id),
-            )));
+            self.owner.push(FREE);
+            self.push_cluster(boot_done, ClusterEvent::BootDone(id));
+        }
+        Ok(())
+    }
+
+    /// Reject an elastic action naming a class outside the catalog: actions
+    /// come from the public [`ElasticPolicy`] trait, so they are outside input.
+    fn check_class(&self, action: &'static str, class: usize) -> Result<(), EngineError> {
+        let classes = self.elastic.as_ref().map_or(0, |e| e.catalog.len());
+        if class < classes {
+            Ok(())
+        } else {
+            Err(EngineError::UnknownClass {
+                action,
+                class,
+                classes,
+                now_us: self.now,
+            })
         }
     }
 
@@ -1503,7 +1560,7 @@ impl<'a> Engine<'a> {
     fn on_boot_done(&mut self, worker: WorkerId) {
         let wi = worker.index();
         let class = {
-            let w = self.fleet.get_mut(wi);
+            let w = &mut self.fleet[wi];
             debug_assert_eq!(w.lifecycle, Lifecycle::Provisioning);
             w.lifecycle = Lifecycle::Warm;
             w.billed_from_us = self.now;
@@ -1523,7 +1580,7 @@ impl<'a> Engine<'a> {
             },
         );
         if !self.has_arbiter {
-            self.owner[wi].store(0, Ordering::Relaxed);
+            self.owner[wi] = 0;
             // Worker ids grow monotonically, so pushing keeps `owned` sorted.
             self.shards[0].lane.owned.push(worker);
             // No epoch bump: an unassigned worker appears in no routing table;
@@ -1534,15 +1591,10 @@ impl<'a> Engine<'a> {
     /// Drain `count` warm workers of `class`: idlest first (unassigned, then
     /// shortest queue, ties by index). Queued queries are re-homed inside the
     /// owner lane; workers without an in-flight batch retire immediately, the
-    /// rest at their batch completion (inside their owner's shard, buffered
-    /// into `Shard::retirements` and merged at the next barrier).
+    /// rest at their batch completion (inside their owner's shard, settled at
+    /// the next barrier).
     fn apply_drain(&mut self, class: usize, count: usize) -> Result<(), EngineError> {
-        let e = self.elastic.as_ref().expect("drain without config");
-        assert!(
-            class < e.catalog.len(),
-            "drain references class {class} outside the {}-class catalog",
-            e.catalog.len()
-        );
+        self.check_class("drain", class)?;
         let mut candidates: Vec<WorkerId> = self
             .fleet
             .iter()
@@ -1550,18 +1602,17 @@ impl<'a> Engine<'a> {
             .map(|w| w.id)
             .collect();
         candidates.sort_by_key(|w| {
-            let worker = self.fleet.get(w.index());
+            let worker = &self.fleet[w.index()];
             (
                 worker.assignment.is_some() as u8,
                 worker.queue_len(),
                 w.index(),
             )
         });
-        let mut orphans: Vec<(u32, Query)> = Vec::new();
-        let mut touched: Vec<usize> = Vec::new();
+        // Per lane: whether it lost a worker, and the queries to re-home.
+        let mut touched: Vec<Option<Vec<Query>>> = vec![None; self.shards.len()];
         for &w in candidates.iter().take(count) {
             let wi = w.index();
-            let lane = self.owner[wi].load(Ordering::Relaxed);
             let e = self.elastic.as_mut().expect("drain without config");
             e.warm[class] -= 1;
             e.draining[class] += 1;
@@ -1572,79 +1623,45 @@ impl<'a> Engine<'a> {
                     class: class as u32,
                 },
             );
-            self.fleet.get_mut(wi).begin_drain();
-            for q in self.fleet.get_mut(wi).drain_queue() {
-                orphans.push((lane, q));
+            let worker = &mut self.fleet[wi];
+            worker.begin_drain();
+            let idle = !worker.has_in_flight();
+            // A free worker holds no queue (its queries were re-homed when
+            // its lane released it).
+            if let Some(orphans) = touched.get_mut(self.owner[wi] as usize) {
+                orphans
+                    .get_or_insert_with(Vec::new)
+                    .extend(worker.drain_queue());
             }
-            if lane != FREE && !touched.contains(&(lane as usize)) {
-                touched.push(lane as usize);
-            }
-            if !self.fleet.get(wi).has_in_flight() {
+            if idle {
                 self.retire_worker(w);
             }
         }
         // Invalidate the touched lanes' routing state *before* re-homing, so
         // the fallback path cannot hand a query back to a draining worker.
-        for &li in &touched {
-            self.shards[li].lane.assignments_epoch += 1;
-            self.shards[li].rebuild_workers_by_task(&self.fleet);
-        }
-        for (lane, q) in orphans {
-            debug_assert_ne!(lane, FREE, "a free worker cannot hold queued queries");
-            let li = lane as usize;
-            match fallback_worker_for_task(&self.shards[li].lane, &self.fleet, q.task) {
-                Some(target) => {
-                    let mut q = q;
-                    q.enqueued_us = self.now;
-                    self.shards[li].trace_marker(q.root, crate::trace::SpanKind::Requeue, target);
-                    self.fleet.get_mut(target.index()).enqueue(q);
-                    self.kick(target);
-                }
-                None => {
-                    self.shards[li].drop_root_child(q.root, crate::shard::DropCause::Reclaimed)?
-                }
+        for (li, orphans) in touched.into_iter().enumerate() {
+            if let Some(orphans) = orphans {
+                self.with_lane(li, |shard, ctx| {
+                    shard.invalidate_routing(ctx);
+                    shard.rehome(ctx, orphans, DropCause::Reclaimed)
+                })?;
             }
         }
         Ok(())
     }
 
-    /// Finish a drained worker at a barrier: stop billing, free its slot's
-    /// ownership, and drop it from its lane's routing state. The slot itself
-    /// is never reused, so `WorkerId`s stay stable for the whole run.
-    /// (Mid-epoch retirements take the shard-local path instead.)
+    /// Retire a drained worker at a barrier (mid-epoch retirements happen in
+    /// the owner's shard instead): a lane-owned worker leaves its lane through
+    /// the shard's own [`Shard::retire_worker`], and either way the
+    /// retirement is settled at once.
     fn retire_worker(&mut self, worker: WorkerId) {
         let wi = worker.index();
-        let (class, billed_from) = {
-            let w = self.fleet.get_mut(wi);
-            debug_assert_eq!(w.lifecycle, Lifecycle::Draining);
-            let class = w.class as usize;
-            let billed_from = w.billed_from_us;
-            w.lifecycle = Lifecycle::Retired;
-            w.unassign();
-            (class, billed_from)
+        let retired = match self.owner[wi] {
+            FREE => Some(retire(&mut self.fleet[wi], self.now)),
+            li => self.with_lane(li as usize, |shard, ctx| shard.retire_worker(ctx, worker)),
         };
-        let market = self.market.as_ref().map(|m| &m.config);
-        let e = self.elastic.as_mut().expect("retire without config");
-        if billed_from == SimTime::MAX {
-            e.revoked_draining[class] -= 1;
-        } else {
-            e.draining[class] -= 1;
-        }
-        e.retired[class] += 1;
-        e.accrue(market, class, billed_from, self.now);
-        self.journal_record(
-            CLUSTER_LANE,
-            JournalKind::Retire {
-                worker: wi as u32,
-                class: class as u32,
-            },
-        );
-        let lane = self.owner[wi].load(Ordering::Relaxed);
-        if lane != FREE {
-            self.owner[wi].store(FREE, Ordering::Relaxed);
-            self.rebuild_owned_lists();
-            self.shards[lane as usize].lane.assignments_epoch += 1;
-            self.shards[lane as usize].rebuild_workers_by_task(&self.fleet);
+        if let Some(r) = retired {
+            self.settle_retirement(r);
         }
     }
 
@@ -1702,9 +1719,9 @@ impl<'a> Engine<'a> {
     /// provider event, never the policy's voluntary-drain accounting.
     fn revoke_worker(&mut self, worker: WorkerId, deadline_us: SimTime) -> Result<(), EngineError> {
         let wi = worker.index();
-        let lane = self.owner[wi].load(Ordering::Relaxed);
+        let lane = self.owner[wi];
         let (class, billed_from) = {
-            let w = self.fleet.get_mut(wi);
+            let w = &self.fleet[wi];
             debug_assert_eq!(w.lifecycle, Lifecycle::Warm);
             (w.class as usize, w.billed_from_us)
         };
@@ -1723,36 +1740,21 @@ impl<'a> Engine<'a> {
         e.warm[class] -= 1;
         e.revoked_draining[class] += 1;
         e.revocations[class] += 1;
-        let orphans: Vec<Query> = {
-            let w = self.fleet.get_mut(wi);
-            w.billed_from_us = SimTime::MAX;
-            w.begin_drain();
-            w.drain_queue()
-        };
-        // Invalidate the lane's routing state *before* re-homing, so the
+        let w = &mut self.fleet[wi];
+        w.billed_from_us = SimTime::MAX;
+        w.begin_drain();
+        let idle = !w.has_in_flight();
+        // A free worker holds no queue; an owned one's queue is re-homed in
+        // its lane, after the lane's routing state is invalidated so the
         // fallback path cannot hand a query back to the revoked worker.
         if lane != FREE {
-            let li = lane as usize;
-            self.shards[li].lane.assignments_epoch += 1;
-            self.shards[li].rebuild_workers_by_task(&self.fleet);
+            let orphans = w.drain_queue();
+            self.with_lane(lane as usize, |shard, ctx| {
+                shard.invalidate_routing(ctx);
+                shard.rehome(ctx, orphans, DropCause::Revoked)
+            })?;
         }
-        for q in orphans {
-            debug_assert_ne!(lane, FREE, "a free worker cannot hold queued queries");
-            let li = lane as usize;
-            match fallback_worker_for_task(&self.shards[li].lane, &self.fleet, q.task) {
-                Some(target) => {
-                    let mut q = q;
-                    q.enqueued_us = self.now;
-                    self.shards[li].trace_marker(q.root, crate::trace::SpanKind::Requeue, target);
-                    self.fleet.get_mut(target.index()).enqueue(q);
-                    self.kick(target);
-                }
-                None => {
-                    self.shards[li].drop_root_child(q.root, crate::shard::DropCause::Revoked)?
-                }
-            }
-        }
-        if !self.fleet.get(wi).has_in_flight() {
+        if idle {
             // Nothing running: the forced drain completes immediately.
             self.retire_worker(worker);
         } else {
@@ -1769,10 +1771,11 @@ impl<'a> Engine<'a> {
     /// batch is aborted — its unfinished work is *lost* — and the queries are
     /// re-queued at the head of a surviving worker's queue (they already
     /// waited their turn once). The stale batch-completion event left on the
-    /// owner shard's heap fires harmlessly against the retired worker.
+    /// owner shard's heap fires harmlessly: the retired worker is lent to no
+    /// lane.
     fn on_revoke_deadline(&mut self, worker: WorkerId) -> Result<(), EngineError> {
         let wi = worker.index();
-        if self.fleet.get(wi).lifecycle != Lifecycle::Draining {
+        if self.fleet[wi].lifecycle != Lifecycle::Draining {
             // The worker retired before the deadline: a clean revocation.
             self.journal_record(
                 CLUSTER_LANE,
@@ -1785,13 +1788,14 @@ impl<'a> Engine<'a> {
             return Ok(());
         }
         debug_assert_eq!(
-            self.fleet.get(wi).billed_from_us,
+            self.fleet[wi].billed_from_us,
             SimTime::MAX,
             "revoke deadlines fire only for revoked workers"
         );
-        let lane = self.owner[wi].load(Ordering::Relaxed);
+        // A mid-batch worker is lane-owned (free workers never batch).
+        let lane = self.owner[wi] as usize;
         let mut lost: Vec<Query> = Vec::new();
-        self.fleet.get_mut(wi).abort_batch_into(&mut lost, self.now);
+        self.fleet[wi].abort_batch_into(&mut lost, self.now);
         self.journal_record(
             CLUSTER_LANE,
             JournalKind::RevokeGrace {
@@ -1801,41 +1805,28 @@ impl<'a> Engine<'a> {
             },
         );
         self.retire_worker(worker);
-        if lost.is_empty() {
+        let Some(task) = lost.first().map(|q| q.task) else {
             return Ok(());
-        }
-        debug_assert_ne!(lane, FREE, "a mid-batch worker must be lane-owned");
-        let li = lane as usize;
-        // One batch serves one variant, so every lost query shares a task —
-        // and therefore a fallback target.
-        let task = lost[0].task;
-        match fallback_worker_for_task(&self.shards[li].lane, &self.fleet, task) {
-            Some(target) => {
-                // Head-of-queue re-queue, reversed so the front-most lost
-                // query ends up at the head: service order is preserved.
-                for q in lost.into_iter().rev() {
-                    self.shards[li].trace_marker(q.root, crate::trace::SpanKind::Requeue, target);
-                    self.fleet.get_mut(target.index()).enqueue_front(q);
-                }
-                self.kick(target);
+        };
+        // Unlike `Shard::rehome`: one batch serves one variant, so every lost
+        // query shares a task — and therefore one fallback target — and the
+        // queries go back at the head of its queue, reversed so the front-most
+        // lost query ends up first (service order is preserved), with one
+        // batch start for all of them.
+        self.with_lane(lane, |shard, ctx| {
+            let pick = fallback_worker_for_task(&shard.lane, ctx, task);
+            let Some((target, w)) = ctx.pick_mut(pick) else {
+                return lost
+                    .iter()
+                    .try_for_each(|q| shard.drop_root_child(q.root, DropCause::Revoked));
+            };
+            for q in lost.into_iter().rev() {
+                shard.trace_marker(q.root, crate::trace::SpanKind::Requeue, target);
+                w.enqueue_front(q);
             }
-            None => {
-                for q in lost {
-                    self.shards[li].drop_root_child(q.root, crate::shard::DropCause::Revoked)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Start the next queued batch on `worker` (barrier-time counterpart of
-    /// `Shard::kick`); the completion goes onto the owner lane's heap.
-    fn kick(&mut self, worker: WorkerId) {
-        if let Some((finish, _)) = self.fleet.get_mut(worker.index()).try_start_batch(self.now) {
-            let lane = self.owner[worker.index()].load(Ordering::Relaxed);
-            debug_assert_ne!(lane, FREE, "a free worker cannot hold queued queries");
-            self.shards[lane as usize].schedule_batch_completion(finish, worker);
-        }
+            shard.kick(ctx, target);
+            Ok(())
+        })
     }
 }
 

@@ -29,6 +29,10 @@
 //! The simulator is fully deterministic for a given seed, which is what makes the
 //! figure-regeneration harness in `loki-bench` reproducible.
 
+// The sharded engine's lanes share no mutable state by construction (see
+// `shard`'s module docs); this keeps it that way.
+#![forbid(unsafe_code)]
+
 pub mod burn;
 pub mod calendar;
 pub mod elastic;

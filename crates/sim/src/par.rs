@@ -5,8 +5,11 @@
 //! `jobs` scoped workers, with results written back by index so the output order is
 //! the input order regardless of scheduling. It runs both the bench harness's
 //! independent simulation points (`loki_bench::runner`) and the engine's per-lane
-//! shards between rebalance epochs (`crate::engine`), which carry the same proof
-//! obligation: parallel output bit-identical to the serial path.
+//! shards between rebalance epochs (`crate::engine`). Items are moved into the
+//! workers (`T: Send`), so an engine epoch hands each thread its shard together
+//! with the `&mut` workers lent to that lane alone: the borrow checker, not a
+//! convention, keeps the threads' mutable state disjoint. Both users carry the
+//! same proof obligation: parallel output bit-identical to the serial path.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

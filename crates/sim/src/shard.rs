@@ -10,27 +10,29 @@
 //! one (per-lane seq streams preserve each lane's internal event order, and
 //! cross-lane interleavings never touch shared mutable state mid-epoch).
 //!
-//! # The fleet aliasing contract
+//! # Lending workers
 //!
-//! Workers live in a shared [`Fleet`] (a `Vec<UnsafeCell<Worker>>`), with the
-//! owning lane of each worker in a shared `AtomicU32` owner map. The safety
-//! contract, relied on by every `Fleet::get`/`Fleet::get_mut` call:
+//! The driver keeps the fleet in a plain `Vec<Worker>` and the owner map in a
+//! plain `Vec<u32>` that only it writes. Before each epoch it splits the
+//! fleet's `iter_mut()` into one table per lane ([`LaneCtx::lend_all`]):
+//! `Some(&mut Worker)` exactly at the lane's own workers, `None` elsewhere. A
+//! shard therefore cannot reach a foreign worker, and the borrow checker, not
+//! a calling convention, proves that lanes running on separate threads touch
+//! disjoint workers. "Is this worker mine?" is "is it in my table?".
 //!
-//! * **Between barriers** a worker is touched only by the thread running its
-//!   owner lane's shard. Every routing path checks `owner[w] == lane` *before*
-//!   dereferencing the worker (short-circuit `&&`), so a stale table entry for
-//!   a worker owned elsewhere is skipped without ever reading its data.
-//! * **At barriers** only the driver thread runs (the scoped pool has joined),
-//!   so migrations, drains, boots, and re-homes may touch any worker.
-//! * Owner reads/writes are `Relaxed`: the only mid-epoch owner write is a
-//!   lane freeing its *own* worker at retirement, and a concurrent reader from
-//!   another lane rejects both the old value (a foreign lane id) and the new
-//!   one (`FREE`) identically, so the race is benign *and* deterministic.
+//! Barrier code that acts on one lane (re-homing queries, starting a batch,
+//! retiring a worker) borrows that lane's table the same way
+//! ([`LaneCtx::lend`]) and calls the shard's own method, so each of those
+//! actions exists once, here. The lane also sees the owner map as it stood at
+//! the last barrier, read-only: a worker it retires mid-epoch leaves its table
+//! at once, and the driver frees the slot in the owner map when it merges the
+//! retirement at the next barrier.
 
 use crate::calendar::CalendarQueue;
 use crate::engine::EngineError;
 use crate::routing::CompiledPlan;
 use crate::slab::{Slab, SlotRef};
+use crate::trace::{Span, SpanKind, NO_ID};
 use crate::types::{
     ms_to_us, secs_to_us, us_to_ms, AllocationPlan, BackupWorker, CompiledLinkDelays, Controller,
     DropPolicy, ObservedState, Query, SimConfig, SimTime, WorkerId, WorkerView,
@@ -40,9 +42,7 @@ use loki_pipeline::{PipelineGraph, TaskId, VariantId};
 use loki_workload::{DemandHistory, EwmaEstimator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Owner tag of a worker no lane currently holds (released by a rebalance and
 /// not yet re-granted).
@@ -58,64 +58,82 @@ const PHASE_ROUTING: u8 = 4;
 const PHASE_METRICS: u8 = 5;
 const PHASE_SWAP: u8 = 6;
 
-/// The shared worker fleet. Interior mutability with *external* synchronization:
-/// see the module docs for the aliasing contract that makes the unsafe `Sync`
-/// impl and the `&self` mutators sound.
-pub(crate) struct Fleet {
-    workers: Vec<UnsafeCell<Worker>>,
+/// What a shard executes against: the run's config, the lane's lent
+/// workers, and the owner map as of the last barrier (see the module docs).
+pub(crate) struct LaneCtx<'e> {
+    pub(crate) config: &'e SimConfig,
+    /// One slot per fleet worker: `Some` exactly at this lane's workers.
+    workers: Vec<Option<&'e mut Worker>>,
+    /// The owner map as of the last barrier; nothing writes it until the
+    /// next one.
+    owner: &'e [u32],
+    pub(crate) end_time_us: SimTime,
 }
 
-// SAFETY: `Worker` is plain owned data (no interior references); cross-thread
-// access is serialized by the ownership discipline in the module docs.
-unsafe impl Sync for Fleet {}
+impl<'e> LaneCtx<'e> {
+    /// Lend every one of `lanes` lanes its own workers for one epoch.
+    pub(crate) fn lend_all(
+        config: &'e SimConfig,
+        fleet: &'e mut [Worker],
+        owner: &'e [u32],
+        end_time_us: SimTime,
+        lanes: usize,
+    ) -> Vec<Self> {
+        let n = fleet.len();
+        let mut ctxs: Vec<Self> = (0..lanes)
+            .map(|_| Self {
+                config,
+                workers: std::iter::repeat_with(|| None).take(n).collect(),
+                owner,
+                end_time_us,
+            })
+            .collect();
+        for (w, (worker, &o)) in fleet.iter_mut().zip(owner).enumerate() {
+            if let Some(ctx) = ctxs.get_mut(o as usize) {
+                ctx.workers[w] = Some(worker);
+            }
+        }
+        ctxs
+    }
 
-impl Fleet {
-    pub(crate) fn new(workers: Vec<Worker>) -> Self {
+    /// Lend one lane its workers (barrier-time actions on a single lane).
+    pub(crate) fn lend(
+        config: &'e SimConfig,
+        fleet: &'e mut [Worker],
+        owner: &'e [u32],
+        end_time_us: SimTime,
+        lane: u32,
+    ) -> Self {
         Self {
-            workers: workers.into_iter().map(UnsafeCell::new).collect(),
+            config,
+            workers: fleet
+                .iter_mut()
+                .zip(owner)
+                .map(|(worker, &o)| (o == lane).then_some(worker))
+                .collect(),
+            owner,
+            end_time_us,
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.workers.len()
-    }
-
-    pub(crate) fn push(&mut self, worker: Worker) {
-        self.workers.push(UnsafeCell::new(worker));
-    }
-
-    /// Shared view of a worker. See the module docs for when this is sound.
+    /// This lane's worker `w`, or `None` when another lane (or nobody) owns it.
     #[inline]
-    pub(crate) fn get(&self, index: usize) -> &Worker {
-        // SAFETY: ownership discipline (module docs) — no thread holds a
-        // conflicting `&mut` to this worker while the reference is live.
-        unsafe { &*self.workers[index].get() }
+    pub(crate) fn worker(&self, w: WorkerId) -> Option<&Worker> {
+        self.workers[w.index()].as_deref()
     }
 
-    /// Exclusive view of a worker. See the module docs for when this is sound;
-    /// callers keep the borrow short (one statement / one scope) and never
-    /// overlap two `get_mut` calls for the same index.
+    /// Mutable [`LaneCtx::worker`].
     #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) fn get_mut(&self, index: usize) -> &mut Worker {
-        // SAFETY: ownership discipline (module docs) — only the owner lane's
-        // thread (or the barrier-time driver) touches this worker.
-        unsafe { &mut *self.workers[index].get() }
+    pub(crate) fn worker_mut(&mut self, w: WorkerId) -> Option<&mut Worker> {
+        self.workers[w.index()].as_deref_mut()
     }
 
-    /// Iterate the fleet (driver thread only — barriers and run setup/teardown).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Worker> + '_ {
-        // SAFETY: as `Fleet::get`.
-        self.workers.iter().map(|c| unsafe { &*c.get() })
+    /// [`LaneCtx::worker_mut`] of an optional pick, keeping its id.
+    #[inline]
+    pub(crate) fn pick_mut(&mut self, pick: Option<WorkerId>) -> Option<(WorkerId, &mut Worker)> {
+        let w = pick?;
+        Some((w, self.worker_mut(w)?))
     }
-}
-
-/// The shared, read-only context a shard executes against between barriers.
-pub(crate) struct LaneCtx<'e> {
-    pub(crate) config: &'e SimConfig,
-    pub(crate) fleet: &'e Fleet,
-    pub(crate) owner: &'e [AtomicU32],
-    pub(crate) end_time_us: SimTime,
 }
 
 /// A scheduled lane event's payload. Deliveries carry the in-flight query
@@ -161,6 +179,32 @@ pub(crate) struct RootState {
     /// Slot in the lane's [`crate::trace::LaneTracer`] when this root is
     /// sampled for tracing; `u32::MAX` otherwise.
     pub(crate) trace_slot: u32,
+}
+
+/// A retired worker, for the driver to settle: free its owner slot, stop its
+/// billing, and journal it.
+pub(crate) struct Retirement {
+    pub(crate) worker: u32,
+    pub(crate) class: u32,
+    /// When billing started. `SimTime::MAX` marks a worker the market revoked:
+    /// its billing already stopped, and its lifecycle count leaves the revoked
+    /// pool, not the voluntary draining pool.
+    pub(crate) billed_from_us: SimTime,
+    pub(crate) at_us: SimTime,
+}
+
+/// Retire a drained worker at `now`: it stops serving for good. Its slot is
+/// never reused, so `WorkerId`s stay stable for the whole run.
+pub(crate) fn retire(w: &mut Worker, now: SimTime) -> Retirement {
+    debug_assert_eq!(w.lifecycle, Lifecycle::Draining);
+    w.lifecycle = Lifecycle::Retired;
+    w.unassign();
+    Retirement {
+        worker: w.id.index() as u32,
+        class: w.class,
+        billed_from_us: w.billed_from_us,
+        at_us: now,
+    }
 }
 
 /// One pipeline to serve: its graph, arrival trace, and initial demand hint.
@@ -380,17 +424,13 @@ pub(crate) struct Shard<'a> {
     /// did (cross-lane ties are immaterial — lanes share no mid-epoch state).
     seq: u64,
     pub(crate) now: SimTime,
-    /// Swap completions that fired while the worker was no longer owned by
-    /// this lane (counted globally, attributed to no lane — mirrors the
-    /// former engine's handling of free workers' swap completions).
+    /// Swap completions that fired for a worker free at the last barrier or
+    /// retired by this lane since (counted globally, attributed to no lane —
+    /// mirrors the former engine's handling of free workers' swap completions).
     pub(crate) unowned_events: u64,
 
-    /// Mid-epoch retirements to merge into the cluster's elastic accounting at
-    /// the next barrier: `(worker, class, billed_from_us, retired_at_us)` per
-    /// retired worker. A `billed_from_us` of `SimTime::MAX` marks a worker the
-    /// market revoked (billing already stopped; lifecycle counts move out of
-    /// the revoked pool, not the voluntary draining pool).
-    pub(crate) retirements: Vec<(u32, u32, SimTime, SimTime)>,
+    /// Mid-epoch retirements for the driver to settle at the next barrier.
+    pub(crate) retirements: Vec<Retirement>,
 
     // Scratch buffers, reused across events/ticks.
     views_scratch: Vec<WorkerView>,
@@ -462,14 +502,10 @@ impl<'a> Shard<'a> {
 
     /// Record that `worker`'s current batch finishes at `time`.
     #[inline]
-    pub(crate) fn schedule_batch_completion(&mut self, time: SimTime, worker: WorkerId) {
+    fn schedule_batch_completion(&mut self, time: SimTime, worker: WorkerId) {
         self.seq += 1;
         self.batch_completions
             .push(std::cmp::Reverse((time, self.seq, worker)));
-    }
-
-    fn push_delivery(&mut self, time: SimTime, query: Query, worker: WorkerId) {
-        self.push(time, LaneEvent::Delivery { worker, query });
     }
 
     /// Advance this lane until its next event would be at `bound` or later
@@ -481,7 +517,7 @@ impl<'a> Shard<'a> {
     pub(crate) fn run_until(
         &mut self,
         bound: SimTime,
-        ctx: &LaneCtx<'_>,
+        ctx: &mut LaneCtx<'_>,
         controller: &mut dyn Controller,
     ) -> Result<(), EngineError> {
         let started = std::time::Instant::now();
@@ -556,16 +592,18 @@ impl<'a> Shard<'a> {
                         LaneEvent::SwapDone(worker) => {
                             phase = PHASE_SWAP;
                             // The worker may have left the lane since the swap
-                            // was scheduled (migrated or retired): only the
-                            // current owner may batch on it.
-                            let owner = ctx.owner[worker.index()].load(Ordering::Relaxed);
-                            if owner == FREE {
+                            // was scheduled (migrated or retired): only a lane
+                            // it is still lent to may batch on it. A worker
+                            // free at the last barrier, or retired by this
+                            // lane since, belongs to no lane.
+                            let owner = ctx.owner[worker.index()];
+                            if ctx.worker(worker).is_some() {
+                                self.lane.events_processed += 1;
+                                self.kick(ctx, worker);
+                            } else if owner == FREE || owner == self.li {
                                 self.unowned_events += 1;
                             } else {
                                 self.lane.events_processed += 1;
-                                if owner == self.li {
-                                    self.kick(ctx, worker);
-                                }
                             }
                         }
                         LaneEvent::ControlTick => {
@@ -612,7 +650,7 @@ impl<'a> Shard<'a> {
 
     // ---- event handlers ----------------------------------------------------------
 
-    fn on_arrival(&mut self, ctx: &LaneCtx<'_>, idx: usize) -> Result<(), EngineError> {
+    fn on_arrival(&mut self, ctx: &mut LaneCtx<'_>, idx: usize) -> Result<(), EngineError> {
         let lane = &mut self.lane;
         // The dispatch loop set `now` from this arrival's `next_arrival` time.
         let arrival_time = self.now;
@@ -654,28 +692,20 @@ impl<'a> Shard<'a> {
                 if trace_slot != u32::MAX {
                     let task = self.lane.root_task as u32;
                     if let Some(t) = self.lane.tracer.as_deref_mut() {
-                        t.span(
-                            trace_slot,
-                            crate::trace::Span {
-                                kind: crate::trace::SpanKind::Frontend,
-                                start_us: self.now,
-                                end_us: deliver_at,
-                                task,
-                                worker: worker.index() as u32,
-                            },
-                        );
+                        let frontend = span(SpanKind::Frontend, self.now, deliver_at, task, worker);
+                        t.span(trace_slot, frontend);
                     }
                 }
-                self.push_delivery(deliver_at, query, worker);
+                self.push(deliver_at, LaneEvent::Delivery { worker, query });
                 Ok(())
             }
-            None => self.drop_query(&query, DropCause::Deadline),
+            None => self.drop_root_child(query.root, DropCause::Deadline),
         }
     }
 
     fn on_delivered(
         &mut self,
-        ctx: &LaneCtx<'_>,
+        ctx: &mut LaneCtx<'_>,
         mut q: Query,
         worker_id: WorkerId,
     ) -> Result<(), EngineError> {
@@ -686,70 +716,72 @@ impl<'a> Shard<'a> {
         // The designated worker may have been re-assigned (or migrated to a
         // different lane) since routing; fall back to any worker of this lane
         // currently serving the task.
-        let target = {
-            let ok = ctx.owner[worker_id.index()].load(Ordering::Relaxed) == self.li
-                && ctx.fleet.get(worker_id.index()).accepts_dispatches()
-                && matches!(
-                    &ctx.fleet.get(worker_id.index()).assignment,
-                    Some(a) if a.variant.task == q.task
-                );
-            if ok {
-                Some(worker_id)
-            } else {
-                fallback_worker_for_task(lane, ctx.fleet, q.task)
-            }
+        let serves = ctx.worker(worker_id).is_some_and(|w| {
+            w.accepts_dispatches() && matches!(&w.assignment, Some(a) if a.variant.task == q.task)
+        });
+        let target = if serves {
+            Some(worker_id)
+        } else {
+            fallback_worker_for_task(lane, ctx, q.task)
         };
-        let Some(target) = target else {
-            return self.drop_query(&q, DropCause::Deadline);
+        let Some((target, worker)) = ctx.pick_mut(target) else {
+            return self.drop_root_child(q.root, DropCause::Deadline);
         };
 
         // Last-task dropping: when the query reaches the final task and its leftover
         // budget cannot cover even the expected processing time, drop it.
         if lane.drop_policy == DropPolicy::LastTask && lane.task_is_sink[q.task] {
-            let expected_ms = ctx
-                .fleet
-                .get(target.index())
-                .profiled_exec_ms()
-                .unwrap_or(0.0);
+            let expected_ms = worker.profiled_exec_ms().unwrap_or(0.0);
             let remaining_ms = if q.deadline_us > self.now {
                 us_to_ms(q.deadline_us - self.now)
             } else {
                 0.0
             };
             if remaining_ms < expected_ms {
-                return self.drop_query(&q, DropCause::Deadline);
+                return self.drop_root_child(q.root, DropCause::Deadline);
             }
         }
 
         q.enqueued_us = self.now;
-        if let Some((finish, _)) = ctx
-            .fleet
-            .get_mut(target.index())
-            .deliver_and_try_start(q, self.now)
-        {
+        if let Some((finish, _)) = worker.deliver_and_try_start(q, self.now) {
             self.schedule_batch_completion(finish, target);
         }
         Ok(())
     }
 
-    fn on_batch_done(&mut self, ctx: &LaneCtx<'_>, worker_id: WorkerId) -> Result<(), EngineError> {
+    fn on_batch_done(
+        &mut self,
+        ctx: &mut LaneCtx<'_>,
+        worker_id: WorkerId,
+    ) -> Result<(), EngineError> {
         let mut batch = std::mem::take(&mut self.batch_scratch);
-        let variant_id = ctx
-            .fleet
-            .get_mut(worker_id.index())
-            .finish_batch_into(&mut batch);
+        // Observability inputs shared by every query of the batch: when it
+        // started executing (splits queue wait from execution) and the
+        // worker's catalog class (per-class histogram bucket).
+        let (variant_id, batch_started_us, worker_class) = match ctx.worker_mut(worker_id) {
+            Some(w) => (
+                w.finish_batch_into(&mut batch),
+                w.batch_started_us,
+                w.class as usize,
+            ),
+            None => (None, 0, 0),
+        };
         let Some(variant_id) = variant_id else {
             // A completion with no in-flight variant: either a stale event
             // for a batch the market's revocation deadline aborted (the
-            // worker is Retired; the batch is empty and nothing happens), or
-            // an unexpected scheduler state — in which case don't lose the
-            // queries.
+            // worker is Retired and no longer lent; the batch is empty and
+            // nothing happens), or an unexpected scheduler state — in which
+            // case don't lose the queries.
             for q in batch.drain(..) {
-                self.drop_query(&q, DropCause::Deadline)?;
+                self.drop_root_child(q.root, DropCause::Deadline)?;
             }
             self.batch_scratch = batch;
-            if ctx.fleet.get(worker_id.index()).lifecycle == Lifecycle::Draining {
-                self.retire_worker(ctx, worker_id);
+            if ctx
+                .worker(worker_id)
+                .is_some_and(|w| w.lifecycle == Lifecycle::Draining)
+            {
+                let retired = self.retire_worker(ctx, worker_id);
+                self.retirements.extend(retired);
             }
             return Ok(());
         };
@@ -769,13 +801,6 @@ impl<'a> Shard<'a> {
         };
         let num_tasks = self.lane.num_tasks;
         let drop_policy = self.lane.drop_policy;
-        // Observability inputs shared by every query of the batch: when it
-        // started executing (splits queue wait from execution) and the
-        // worker's catalog class (per-class histogram bucket).
-        let (batch_started_us, worker_class) = {
-            let w = ctx.fleet.get(worker_id.index());
-            (w.batch_started_us, w.class as usize)
-        };
 
         for q in batch.drain(..) {
             let path_accuracy = q.path_accuracy * variant.accuracy;
@@ -795,27 +820,21 @@ impl<'a> Shard<'a> {
                     .tracer
                     .as_deref_mut()
                     .expect("slot implies tracer");
+                let task = variant_id.task as u32;
                 if batch_started_us > q.enqueued_us {
-                    t.span(
-                        trace_slot,
-                        crate::trace::Span {
-                            kind: crate::trace::SpanKind::Queue,
-                            start_us: q.enqueued_us,
-                            end_us: batch_started_us,
-                            task: variant_id.task as u32,
-                            worker: worker_id.index() as u32,
-                        },
+                    let queue = span(
+                        SpanKind::Queue,
+                        q.enqueued_us,
+                        batch_started_us,
+                        task,
+                        worker_id,
                     );
+                    t.span(trace_slot, queue);
                 }
+                let started = batch_started_us.max(q.enqueued_us);
                 t.span(
                     trace_slot,
-                    crate::trace::Span {
-                        kind: crate::trace::SpanKind::Exec,
-                        start_us: batch_started_us.max(q.enqueued_us),
-                        end_us: self.now,
-                        task: variant_id.task as u32,
-                        worker: worker_id.index() as u32,
-                    },
+                    span(SpanKind::Exec, started, self.now, task, worker_id),
                 );
             }
 
@@ -830,7 +849,7 @@ impl<'a> Shard<'a> {
 
             // Per-task dropping: the query exceeded this task's budget, drop it now.
             if drop_policy == DropPolicy::PerTask && overrun_ms > 0.0 {
-                self.drop_query(&q, DropCause::Deadline)?;
+                self.drop_root_child(q.root, DropCause::Deadline)?;
                 continue;
             }
 
@@ -868,39 +887,31 @@ impl<'a> Shard<'a> {
                                     .tracer
                                     .as_deref_mut()
                                     .expect("slot implies tracer");
+                                let (now, task) = (self.now, child_task as u32);
                                 if matches!(outcome, RouteOutcome::Rerouted(_)) {
                                     t.span(
                                         trace_slot,
-                                        crate::trace::Span {
-                                            kind: crate::trace::SpanKind::Reroute,
-                                            start_us: self.now,
-                                            end_us: self.now,
-                                            task: child_task as u32,
-                                            worker: target.index() as u32,
-                                        },
+                                        span(SpanKind::Reroute, now, now, task, target),
                                     );
                                 }
                                 t.span(
                                     trace_slot,
-                                    crate::trace::Span {
-                                        kind: crate::trace::SpanKind::Hop,
-                                        start_us: self.now,
-                                        end_us: deliver_at,
-                                        task: child_task as u32,
-                                        worker: target.index() as u32,
-                                    },
+                                    span(SpanKind::Hop, now, deliver_at, task, target),
                                 );
                             }
-                            self.push_delivery(
+                            let query = Query {
+                                root: q.root,
+                                task: child_task,
+                                path_accuracy,
+                                deadline_us: q.deadline_us,
+                                enqueued_us: self.now,
+                            };
+                            self.push(
                                 deliver_at,
-                                Query {
-                                    root: q.root,
-                                    task: child_task,
-                                    path_accuracy,
-                                    deadline_us: q.deadline_us,
-                                    enqueued_us: self.now,
+                                LaneEvent::Delivery {
+                                    worker: target,
+                                    query,
                                 },
-                                target,
                             );
                             spawned += 1;
                         }
@@ -914,7 +925,7 @@ impl<'a> Shard<'a> {
             if spawned == 0 {
                 if any_child_dropped {
                     // All children were dropped: the request cannot be fully served.
-                    self.drop_query(&q, DropCause::Deadline)?;
+                    self.drop_root_child(q.root, DropCause::Deadline)?;
                 } else {
                     // The model legitimately produced no downstream work (e.g. no
                     // objects detected): the query completes here.
@@ -934,8 +945,12 @@ impl<'a> Shard<'a> {
         self.batch_scratch = batch;
         // A draining worker retires the moment its last batch completes; warm
         // workers pull the next batch from their queue as before.
-        if ctx.fleet.get(worker_id.index()).lifecycle == Lifecycle::Draining {
-            self.retire_worker(ctx, worker_id);
+        if ctx
+            .worker(worker_id)
+            .is_some_and(|w| w.lifecycle == Lifecycle::Draining)
+        {
+            let retired = self.retire_worker(ctx, worker_id);
+            self.retirements.extend(retired);
         } else {
             self.kick(ctx, worker_id);
         }
@@ -944,7 +959,7 @@ impl<'a> Shard<'a> {
 
     fn on_control_tick(
         &mut self,
-        ctx: &LaneCtx<'_>,
+        ctx: &mut LaneCtx<'_>,
         controller: &mut dyn Controller,
     ) -> Result<(), EngineError> {
         let hint = if self.lane.first_control_tick {
@@ -954,12 +969,10 @@ impl<'a> Shard<'a> {
         };
         self.lane.first_control_tick = false;
 
-        self.refresh_views(ctx.fleet);
-        let plan = {
-            let observed = self.observed_state(hint);
-            controller.plan(&observed)
-        };
+        self.refresh_views(ctx);
+        let plan = controller.plan(&self.observed_state(hint));
         if let Some(plan) = plan {
+            self.check_plan(&plan)?;
             self.apply_allocation(ctx, &plan)?;
             // Journal the install lane-side (the one lane-recorded kind): the
             // end-of-run merge sorts it into the global order.
@@ -970,14 +983,7 @@ impl<'a> Shard<'a> {
         }
         // Refresh routing right after a (possible) re-allocation so it reflects the new
         // worker assignments.
-        self.refresh_views(ctx.fleet);
-        let routing = {
-            let observed = self.observed_state(hint);
-            controller.routing(&observed)
-        };
-        if let Some(routing) = routing {
-            self.set_routing(ctx, routing);
-        }
+        self.refresh_routing(ctx, controller, hint);
 
         let next = self.now + secs_to_us(ctx.config.control_interval_s);
         if next <= ctx.end_time_us {
@@ -987,14 +993,7 @@ impl<'a> Shard<'a> {
     }
 
     fn on_routing_tick(&mut self, ctx: &LaneCtx<'_>, controller: &mut dyn Controller) {
-        self.refresh_views(ctx.fleet);
-        let routing = {
-            let observed = self.observed_state(None);
-            controller.routing(&observed)
-        };
-        if let Some(routing) = routing {
-            self.set_routing(ctx, routing);
-        }
+        self.refresh_routing(ctx, controller, None);
         let next = self.now + secs_to_us(ctx.config.routing_interval_s);
         if next <= ctx.end_time_us {
             self.push(next, LaneEvent::RoutingTick);
@@ -1031,7 +1030,7 @@ impl<'a> Shard<'a> {
             }
         }
 
-        self.flush_interval(ctx.fleet, interval, self.now);
+        self.flush_interval(ctx, interval, self.now);
 
         let next = self.now + secs_to_us(interval);
         if next <= ctx.end_time_us {
@@ -1042,29 +1041,29 @@ impl<'a> Shard<'a> {
     /// Close the current metrics interval at `now`. Called at metrics-tick
     /// cadence mid-run and once more by the driver at the end of the run
     /// (with the run-global last event time, as the serial engine did).
-    pub(crate) fn flush_interval(&mut self, fleet: &Fleet, metrics_interval_s: f64, now: SimTime) {
+    pub(crate) fn flush_interval(
+        &mut self,
+        ctx: &LaneCtx<'_>,
+        metrics_interval_s: f64,
+        now: SimTime,
+    ) {
         let lane = &mut self.lane;
         let mut finished = std::mem::take(&mut lane.current);
         finished.start_s = crate::types::us_to_secs(now) - metrics_interval_s;
         if finished.start_s < 0.0 {
             finished.start_s = 0.0;
         }
-        finished.active_workers = lane
-            .owned
-            .iter()
-            .filter(|w| {
-                let worker = fleet.get(w.index());
-                worker.is_active() && worker.accepts_dispatches()
-            })
-            .count();
         // The lane's capacity is its partition's warm workers, so per-pipeline
         // utilization is active-vs-granted, not active-vs-whole-cluster (and
         // draining workers count toward neither side).
-        let warm = lane
-            .owned
-            .iter()
-            .filter(|w| fleet.get(w.index()).accepts_dispatches())
-            .count();
+        let warm_workers = || {
+            lane.owned
+                .iter()
+                .filter_map(|&w| ctx.worker(w))
+                .filter(|w| w.accepts_dispatches())
+        };
+        finished.active_workers = warm_workers().filter(|w| w.is_active()).count();
+        let warm = warm_workers().count();
         finished.cluster_size = warm;
         lane.intervals.push(finished);
         lane.current.cluster_size = warm;
@@ -1079,7 +1078,7 @@ impl<'a> Shard<'a> {
 
     // ---- controller observation ---------------------------------------------------
 
-    fn refresh_views(&mut self, fleet: &Fleet) {
+    fn refresh_views(&mut self, ctx: &LaneCtx<'_>) {
         let now = self.now;
         let views = &mut self.views_scratch;
         views.clear();
@@ -1089,16 +1088,14 @@ impl<'a> Shard<'a> {
             self.lane
                 .owned
                 .iter()
-                .filter(|id| fleet.get(id.index()).accepts_dispatches())
-                .map(|id| {
-                    let w = fleet.get(id.index());
-                    WorkerView {
-                        id: w.id,
-                        variant: w.assignment.map(|a| a.variant),
-                        max_batch: w.assignment.map(|a| a.max_batch).unwrap_or(1),
-                        queue_len: w.queue_len(),
-                        swapping: w.is_swapping(now),
-                    }
+                .filter_map(|&id| ctx.worker(id))
+                .filter(|w| w.accepts_dispatches())
+                .map(|w| WorkerView {
+                    id: w.id,
+                    variant: w.assignment.map(|a| a.variant),
+                    max_batch: w.assignment.map(|a| a.max_batch).unwrap_or(1),
+                    queue_len: w.queue_len(),
+                    swapping: w.is_swapping(now),
                 }),
         );
     }
@@ -1121,17 +1118,24 @@ impl<'a> Shard<'a> {
 
     // ---- routing and dropping -----------------------------------------------------
 
-    /// Install a controller-emitted compiled plan verbatim. The plan was
-    /// built from the worker views snapshotted in this very control event
-    /// (nothing mutates assignments between the snapshot and this store), so
-    /// its tables need no re-filtering: stamping it with the current
-    /// assignment epoch is the whole hand-off. Any later assignment change
-    /// bumps the epoch and diverts sampling to the validity-checked stale
-    /// scan until the next refresh.
-    fn set_routing(&mut self, ctx: &LaneCtx<'_>, mut plan: CompiledPlan) {
-        let lane = &mut self.lane;
-        plan.finalize(ctx.fleet.len(), lane.assignments_epoch);
-        lane.compiled = plan;
+    /// Ask the controller to route over the lane's current workers and
+    /// install the compiled plan it returns verbatim. The plan is built from
+    /// the worker views snapshotted here (nothing mutates assignments between
+    /// the snapshot and this store), so its tables need no re-filtering:
+    /// stamping it with the current assignment epoch is the whole hand-off.
+    /// Any later assignment change bumps the epoch and diverts sampling to
+    /// the validity-checked stale scan until the next refresh.
+    fn refresh_routing(
+        &mut self,
+        ctx: &LaneCtx<'_>,
+        controller: &mut dyn Controller,
+        hint: Option<f64>,
+    ) {
+        self.refresh_views(ctx);
+        if let Some(mut plan) = controller.routing(&self.observed_state(hint)) {
+            plan.finalize(ctx.workers.len(), self.lane.assignments_epoch);
+            self.lane.compiled = plan;
+        }
     }
 
     fn pick_frontend_worker(&mut self, ctx: &LaneCtx<'_>) -> Option<WorkerId> {
@@ -1141,14 +1145,12 @@ impl<'a> Shard<'a> {
         } else {
             sample_table_scan(
                 lane.compiled.frontend_raw(),
-                ctx.fleet,
-                ctx.owner,
-                self.li,
+                ctx,
                 lane.root_task,
                 &mut lane.rng,
             )
         };
-        choice.or_else(|| fallback_worker_for_task(lane, ctx.fleet, lane.root_task))
+        choice.or_else(|| fallback_worker_for_task(lane, ctx, lane.root_task))
     }
 
     fn route_downstream(
@@ -1170,12 +1172,9 @@ impl<'a> Shard<'a> {
         } else {
             lane.compiled
                 .raw_downstream(upstream, child_task)
-                .and_then(|t| {
-                    sample_table_scan(t, ctx.fleet, ctx.owner, self.li, child_task, &mut lane.rng)
-                })
+                .and_then(|t| sample_table_scan(t, ctx, child_task, &mut lane.rng))
         };
-        let default_choice =
-            sampled.or_else(|| fallback_worker_for_task(lane, ctx.fleet, child_task));
+        let default_choice = sampled.or_else(|| fallback_worker_for_task(lane, ctx, child_task));
 
         let Some(default_choice) = default_choice else {
             self.reroute_scratch = ties;
@@ -1186,9 +1185,8 @@ impl<'a> Shard<'a> {
         // faster backup worker that can make up the deficit.
         if lane.drop_policy == DropPolicy::OpportunisticRerouting && overrun_ms > 0.0 {
             let default_exec_ms = ctx
-                .fleet
-                .get(default_choice.index())
-                .profiled_exec_ms()
+                .worker(default_choice)
+                .and_then(Worker::profiled_exec_ms)
                 .unwrap_or(f64::INFINITY);
             let needed_ms = default_exec_ms - overrun_ms;
             ties.clear();
@@ -1214,9 +1212,7 @@ impl<'a> Shard<'a> {
                 // tie set matches what the raw plan list would have produced.
                 stale_backup_ties(
                     lane.compiled.backup(child_task),
-                    ctx.fleet,
-                    ctx.owner,
-                    self.li,
+                    ctx,
                     child_task,
                     needed_ms,
                     &mut ties,
@@ -1235,10 +1231,6 @@ impl<'a> Shard<'a> {
         RouteOutcome::To(default_choice)
     }
 
-    fn drop_query(&mut self, q: &Query, cause: DropCause) -> Result<(), EngineError> {
-        self.drop_root_child(q.root, cause)
-    }
-
     /// The trace slot of a root, or `u32::MAX` when the root is unsampled (or
     /// tracing is off — the tracer-off path is a `None` check and a return).
     #[inline]
@@ -1254,71 +1246,57 @@ impl<'a> Shard<'a> {
     }
 
     /// Append a zero-length marker span to a sampled root at the current time
-    /// (requeue/reroute annotations from re-home paths — also called by the
-    /// engine's barrier-time handlers).
-    pub(crate) fn trace_marker(
-        &mut self,
-        root_packed: u64,
-        kind: crate::trace::SpanKind,
-        worker: WorkerId,
-    ) {
+    /// (the requeue annotations of re-home paths).
+    pub(crate) fn trace_marker(&mut self, root_packed: u64, kind: SpanKind, worker: WorkerId) {
         let slot = self.trace_slot_of(root_packed);
         if slot != u32::MAX {
             let now = self.now;
             if let Some(t) = self.lane.tracer.as_deref_mut() {
-                t.span(
-                    slot,
-                    crate::trace::Span {
-                        kind,
-                        start_us: now,
-                        end_us: now,
-                        task: crate::trace::NO_ID,
-                        worker: worker.index() as u32,
-                    },
-                );
+                t.span(slot, span(kind, now, now, NO_ID, worker));
             }
         }
     }
 
+    /// A branch of a root was dropped; the root's first drop cause sticks.
     pub(crate) fn drop_root_child(
         &mut self,
         root_packed: u64,
         cause: DropCause,
     ) -> Result<(), EngineError> {
-        let lane = &mut self.lane;
-        let root_ref = SlotRef::unpack(root_packed);
-        if let Some(root) = lane.roots.get_mut(root_ref) {
+        self.end_branch(root_packed, "drop", |root| {
             if root.drop_cause == 0 {
                 root.drop_cause = cause as u8;
             }
-            root.outstanding = root.outstanding.saturating_sub(1);
-            if root.outstanding == 0 {
-                let state = lane
-                    .roots
-                    .remove(root_ref)
-                    .ok_or(EngineError::MissingRoot {
-                        context: "drop",
-                        now_us: self.now,
-                    })?;
-                finalize_root(lane, self.now, state);
-            }
-        }
-        Ok(())
+        })
     }
 
+    /// A branch of a root was served at `accuracy`.
     fn complete_leaf(&mut self, root_packed: u64, accuracy: f64) -> Result<(), EngineError> {
+        self.end_branch(root_packed, "complete", |root| {
+            root.accuracy_sum += accuracy;
+            root.accuracy_count += 1;
+        })
+    }
+
+    /// Close one branch of a root: record its outcome with `outcome`, and
+    /// finalize the root once no branch is outstanding.
+    fn end_branch(
+        &mut self,
+        root_packed: u64,
+        context: &'static str,
+        outcome: impl FnOnce(&mut RootState),
+    ) -> Result<(), EngineError> {
         let lane = &mut self.lane;
         let root_ref = SlotRef::unpack(root_packed);
         if let Some(root) = lane.roots.get_mut(root_ref) {
-            root.accuracy_sum += accuracy;
-            root.accuracy_count += 1;
+            outcome(root);
             root.outstanding = root.outstanding.saturating_sub(1);
             if root.outstanding == 0 {
                 let state = lane
                     .roots
                     .remove(root_ref)
                     .ok_or(EngineError::MissingRoot {
-                        context: "complete",
+                        context,
                         now_us: self.now,
                     })?;
                 finalize_root(lane, self.now, state);
@@ -1329,9 +1307,46 @@ impl<'a> Shard<'a> {
 
     // ---- allocation --------------------------------------------------------------
 
+    /// Reject a plan that names a model variant outside this lane's pipeline.
+    /// Plans come from the public [`Controller`] trait, so they are outside
+    /// input: a bad instance would index past the graph, a bad latency-budget
+    /// key would land in another variant's slot.
+    fn check_plan(&self, plan: &AllocationPlan) -> Result<(), EngineError> {
+        let graph = self.lane.graph;
+        let known = |v: &VariantId| {
+            v.task < graph.num_tasks() && v.variant < graph.task(TaskId(v.task)).variants.len()
+        };
+        let bad_instance = plan
+            .instances
+            .iter()
+            .map(|s| s.variant)
+            .find(|v| !known(v))
+            .map(|v| ("plan instance", v));
+        // The budgets are a hash map: report its smallest bad key, so the
+        // error does not depend on iteration order.
+        let bad_budget = || {
+            plan.latency_budgets_ms
+                .keys()
+                .copied()
+                .filter(|v| !known(v))
+                .min()
+                .map(|v| ("latency budget", v))
+        };
+        match bad_instance.or_else(bad_budget) {
+            Some((input, v)) => Err(EngineError::UnknownVariant {
+                input,
+                lane: self.li,
+                task: v.task,
+                variant: v.variant,
+                now_us: self.now,
+            }),
+            None => Ok(()),
+        }
+    }
+
     fn apply_allocation(
         &mut self,
-        ctx: &LaneCtx<'_>,
+        ctx: &mut LaneCtx<'_>,
         plan: &AllocationPlan,
     ) -> Result<(), EngineError> {
         {
@@ -1352,7 +1367,7 @@ impl<'a> Shard<'a> {
             .owned
             .iter()
             .copied()
-            .filter(|w| ctx.fleet.get(w.index()).accepts_dispatches())
+            .filter(|&w| ctx.worker(w).is_some_and(Worker::accepts_dispatches))
             .collect();
 
         // Desired replica counts per (variant, batch).
@@ -1375,17 +1390,18 @@ impl<'a> Shard<'a> {
             }
         }
 
-        // Step 1: keep workers that already host a desired variant.
-        let mut remaining: Vec<(VariantId, u32, usize)> = desired.clone();
-        let mut keep: Vec<Option<(VariantId, u32)>> = vec![None; ctx.fleet.len()];
-        for &w in &owned {
-            let wi = w.index();
-            if let Some(a) = ctx.fleet.get(wi).assignment {
+        // Step 1: keep workers that already host a desired variant. `keep` is
+        // indexed by position in `owned`.
+        let mut remaining = desired;
+        let mut keep: Vec<Option<(VariantId, u32)>> = vec![None; owned.len()];
+        let assignment = |w: WorkerId| ctx.worker(w).and_then(|w| w.assignment);
+        for (i, &w) in owned.iter().enumerate() {
+            if let Some(a) = assignment(w) {
                 if let Some(slot) = remaining
                     .iter_mut()
                     .find(|(v, _, c)| *v == a.variant && *c > 0)
                 {
-                    keep[wi] = Some((slot.0, slot.1));
+                    keep[i] = Some((slot.0, slot.1));
                     slot.2 -= 1;
                 }
             }
@@ -1393,104 +1409,73 @@ impl<'a> Shard<'a> {
 
         // Step 2: place still-needed instances on unassigned workers first, then on
         // workers whose current variant is no longer needed.
-        let mut to_place: Vec<(VariantId, u32)> = Vec::new();
-        for (v, b, c) in &remaining {
-            for _ in 0..*c {
-                to_place.push((*v, *b));
-            }
-        }
-        if !to_place.is_empty() {
-            // unassigned workers
-            for &w in &owned {
-                if to_place.is_empty() {
-                    break;
-                }
-                let wi = w.index();
-                if ctx.fleet.get(wi).assignment.is_none() && keep[wi].is_none() {
-                    let (v, b) = to_place.remove(0);
-                    keep[wi] = Some((v, b));
-                }
-            }
-            // repurposed workers
-            for &w in &owned {
-                if to_place.is_empty() {
-                    break;
-                }
-                let wi = w.index();
-                if ctx.fleet.get(wi).assignment.is_some() && keep[wi].is_none() {
-                    let (v, b) = to_place.remove(0);
-                    keep[wi] = Some((v, b));
+        let mut to_place = remaining
+            .iter()
+            .flat_map(|&(v, b, c)| std::iter::repeat_n((v, b), c));
+        for repurpose in [false, true] {
+            for (i, &w) in owned.iter().enumerate() {
+                if assignment(w).is_some() == repurpose && keep[i].is_none() {
+                    keep[i] = to_place.next();
                 }
             }
         }
 
         // Step 3: apply the assignment to every owned worker.
+        let swap_us = (ctx.config.model_swap_ms > 0.0).then(|| ms_to_us(ctx.config.model_swap_ms));
         let mut orphaned: Vec<Query> = Vec::new();
-        for &w in &owned {
-            let wi = w.index();
-            match keep[wi] {
+        for (&w, kept) in owned.iter().zip(keep) {
+            let Some(worker) = ctx.worker_mut(w) else {
+                continue;
+            };
+            match kept {
                 Some((variant, batch)) => {
-                    let previous_task = ctx.fleet.get(wi).assignment.map(|a| a.variant.task);
-                    let changed = ctx.fleet.get_mut(wi).assign(variant, batch, graph);
-                    if changed {
+                    let previous_task = worker.assignment.map(|a| a.variant.task);
+                    if worker.assign(variant, batch, graph) {
                         // Queries queued for a different task must be re-routed.
                         if previous_task.is_some() && previous_task != Some(variant.task) {
-                            orphaned.extend(ctx.fleet.get_mut(wi).drain_queue());
+                            orphaned.extend(worker.drain_queue());
                         }
                         // Loading a *different* model onto a previously active worker
                         // stalls it for the swap duration. Powered-down workers are
                         // assumed to be pre-warmed by the cluster bootstrap.
-                        if ctx.config.model_swap_ms > 0.0 && previous_task.is_some() {
-                            let until = self.now + ms_to_us(ctx.config.model_swap_ms);
-                            ctx.fleet.get_mut(wi).begin_swap(until);
-                            self.push(until, LaneEvent::SwapDone(WorkerId(wi)));
+                        if let (Some(swap_us), Some(_)) = (swap_us, previous_task) {
+                            let until = self.now + swap_us;
+                            worker.begin_swap(until);
+                            self.push(until, LaneEvent::SwapDone(w));
                         }
                     }
                 }
                 None => {
-                    if ctx.fleet.get(wi).is_active() {
-                        orphaned.extend(ctx.fleet.get_mut(wi).drain_queue());
-                        ctx.fleet.get_mut(wi).unassign();
+                    if worker.is_active() {
+                        orphaned.extend(worker.drain_queue());
+                        worker.unassign();
                     }
                 }
             }
         }
 
-        // Assignments (possibly) changed: invalidate the compiled routing until the
-        // controller hands down a plan built against the new assignments, and rebuild
-        // the per-task worker lists the fallback path uses.
-        self.lane.assignments_epoch += 1;
-        self.rebuild_workers_by_task(ctx.fleet);
+        // Assignments (possibly) changed.
+        self.invalidate_routing(ctx);
 
         // Step 4: re-home queries that were queued on reconfigured workers.
-        for q in orphaned {
-            match fallback_worker_for_task(&self.lane, ctx.fleet, q.task) {
-                Some(target) => {
-                    let mut q = q;
-                    q.enqueued_us = self.now;
-                    self.trace_marker(q.root, crate::trace::SpanKind::Requeue, target);
-                    ctx.fleet.get_mut(target.index()).enqueue(q);
-                    self.kick(ctx, target);
-                }
-                None => self.drop_query(&q, DropCause::Reclaimed)?,
-            }
-        }
-        Ok(())
+        self.rehome(ctx, orphaned, DropCause::Reclaimed)
     }
 
-    /// Rebuild the lane's per-task worker lists from its owned partition. Only
-    /// warm workers are listed: these lists are the dispatch fallback, and a
-    /// draining worker must never receive a new dispatch.
-    pub(crate) fn rebuild_workers_by_task(&mut self, fleet: &Fleet) {
+    /// The lane's workers or their assignments changed: divert routing to the
+    /// validity-checked stale path until the controller installs a plan built
+    /// against the new state, and rebuild the per-task worker lists of the
+    /// fallback path from the owned partition. Only warm workers are listed:
+    /// a draining worker must never receive a new dispatch.
+    pub(crate) fn invalidate_routing(&mut self, ctx: &LaneCtx<'_>) {
         let lane = &mut self.lane;
+        lane.assignments_epoch += 1;
         for list in lane.workers_by_task.iter_mut() {
             list.clear();
         }
         for &w in &lane.owned {
-            let worker = fleet.get(w.index());
-            if !worker.accepts_dispatches() {
+            let Some(worker) = ctx.worker(w).filter(|w| w.accepts_dispatches()) else {
                 continue;
-            }
+            };
             if let Some(a) = worker.assignment {
                 if a.variant.task < lane.num_tasks {
                     lane.workers_by_task[a.variant.task].push(w);
@@ -1499,45 +1484,56 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Finish one of this lane's drained workers mid-epoch: stop serving, free
-    /// the slot's ownership, drop it from the lane's routing state, and buffer
-    /// the billing delta for the cluster accounting merge at the next barrier.
-    /// The slot itself is never reused, so `WorkerId`s stay stable. (This is
-    /// the shard-local equivalent of the driver's barrier-time retirement: the
-    /// worker appears only in this lane's sorted `owned` list, so the targeted
-    /// removal matches the driver's full owner-map rebuild exactly.)
-    fn retire_worker(&mut self, ctx: &LaneCtx<'_>, worker: WorkerId) {
-        let wi = worker.index();
-        let (class, billed_from) = {
-            let w = ctx.fleet.get_mut(wi);
-            debug_assert_eq!(w.lifecycle, Lifecycle::Draining);
-            let class = w.class;
-            let billed_from = w.billed_from_us;
-            w.lifecycle = Lifecycle::Retired;
-            w.unassign();
-            (class, billed_from)
-        };
-        self.retirements
-            .push((wi as u32, class, billed_from, self.now));
-        let lane = ctx.owner[wi].load(Ordering::Relaxed);
-        debug_assert_eq!(lane, self.li, "a shard retires only its own workers");
-        if lane == self.li {
-            ctx.owner[wi].store(FREE, Ordering::Relaxed);
-            if let Ok(pos) = self.lane.owned.binary_search(&worker) {
-                self.lane.owned.remove(pos);
-            }
-            self.lane.assignments_epoch += 1;
-            self.rebuild_workers_by_task(ctx.fleet);
+    /// Move queries stranded on a worker that left this lane, changed task or
+    /// started draining onto the lane's least-loaded server of each query's
+    /// task, starting a batch there after each; a query with no server left
+    /// is dropped with `cause`. Callers invalidate the lane's routing first,
+    /// so no query goes back to the worker it came from.
+    pub(crate) fn rehome(
+        &mut self,
+        ctx: &mut LaneCtx<'_>,
+        queries: Vec<Query>,
+        cause: DropCause,
+    ) -> Result<(), EngineError> {
+        for mut q in queries {
+            let pick = fallback_worker_for_task(&self.lane, ctx, q.task);
+            let Some((target, worker)) = ctx.pick_mut(pick) else {
+                self.drop_root_child(q.root, cause)?;
+                continue;
+            };
+            q.enqueued_us = self.now;
+            self.trace_marker(q.root, SpanKind::Requeue, target);
+            worker.enqueue(q);
+            self.kick(ctx, target);
         }
+        Ok(())
     }
 
-    fn kick(&mut self, ctx: &LaneCtx<'_>, worker: WorkerId) {
-        if let Some((finish, _)) = ctx.fleet.get_mut(worker.index()).try_start_batch(self.now) {
-            debug_assert_eq!(
-                ctx.owner[worker.index()].load(Ordering::Relaxed),
-                self.li,
-                "a lane batches only on its own workers"
-            );
+    /// Retire one of this lane's drained workers: it leaves the lane's table
+    /// and partition, and its routing state is rebuilt without it. The driver
+    /// settles the returned [`Retirement`] (owner slot, billing, journal) —
+    /// at once at a barrier, at the next barrier mid-epoch. `None` when the
+    /// worker is not lent to this lane.
+    pub(crate) fn retire_worker(
+        &mut self,
+        ctx: &mut LaneCtx<'_>,
+        worker: WorkerId,
+    ) -> Option<Retirement> {
+        let retired = retire(ctx.workers[worker.index()].take()?, self.now);
+        if let Ok(pos) = self.lane.owned.binary_search(&worker) {
+            self.lane.owned.remove(pos);
+        }
+        self.invalidate_routing(ctx);
+        Some(retired)
+    }
+
+    /// Start the next queued batch on `worker` if it can (lent, idle, warm,
+    /// not swapping, with a queue).
+    pub(crate) fn kick(&mut self, ctx: &mut LaneCtx<'_>, worker: WorkerId) {
+        if let Some((finish, _)) = ctx
+            .worker_mut(worker)
+            .and_then(|w| w.try_start_batch(self.now))
+        {
             self.schedule_batch_completion(finish, worker);
         }
     }
@@ -1553,28 +1549,19 @@ pub(crate) fn finalize_root(lane: &mut LaneState<'_>, now: SimTime, state: RootS
             } else {
                 crate::trace::SpanKind::Complete
             };
-            t.span(
-                state.trace_slot,
-                crate::trace::Span {
-                    kind,
-                    start_us: now,
-                    end_us: now,
-                    task: crate::trace::NO_ID,
-                    worker: crate::trace::NO_ID,
-                },
-            );
+            let marker = Span {
+                kind,
+                start_us: now,
+                end_us: now,
+                task: NO_ID,
+                worker: NO_ID,
+            };
+            t.span(state.trace_slot, marker);
             t.finish(state.trace_slot, now, dropped);
         }
     }
     if dropped {
-        lane.current.dropped += 1;
-        match state.drop_cause {
-            c if c == DropCause::Reclaimed as u8 => lane.current.dropped_reclaimed += 1,
-            c if c == DropCause::Revoked as u8 => lane.current.dropped_revoked += 1,
-            // Cause 0 with nothing served (a root whose every branch vanished
-            // without an explicit drop) reads as a deadline loss.
-            _ => lane.current.dropped_deadline += 1,
-        }
+        count_drop(&mut lane.current, state.drop_cause);
         return;
     }
     let accuracy = state.accuracy_sum / state.accuracy_count as f64;
@@ -1598,16 +1585,40 @@ pub(crate) fn finalize_root(lane: &mut LaneState<'_>, now: SimTime, state: RootS
     lane.current.accuracy_count += 1;
 }
 
+/// Count a dropped root under its first [`DropCause`]. Cause 0 (a root whose
+/// every branch vanished without an explicit drop, or one still in flight at
+/// the end of the run) reads as a deadline loss.
+pub(crate) fn count_drop(m: &mut crate::metrics::IntervalMetrics, cause: u8) {
+    m.dropped += 1;
+    match cause {
+        c if c == DropCause::Reclaimed as u8 => m.dropped_reclaimed += 1,
+        c if c == DropCause::Revoked as u8 => m.dropped_revoked += 1,
+        _ => m.dropped_deadline += 1,
+    }
+}
+
+/// A trace span of `kind` over `[start_us, end_us]` at `task` on `worker`.
+fn span(kind: SpanKind, start_us: SimTime, end_us: SimTime, task: u32, worker: WorkerId) -> Span {
+    Span {
+        kind,
+        start_us,
+        end_us,
+        task,
+        worker: worker.index() as u32,
+    }
+}
+
 /// Any worker of the lane serving `task`, preferring the shortest queue.
 pub(crate) fn fallback_worker_for_task(
     lane: &LaneState<'_>,
-    fleet: &Fleet,
+    ctx: &LaneCtx<'_>,
     task: usize,
 ) -> Option<WorkerId> {
     lane.workers_by_task[task]
         .iter()
-        .copied()
-        .min_by_key(|w| fleet.get(w.index()).queue_len())
+        .filter_map(|&w| Some((w, ctx.worker(w)?.queue_len())))
+        .min_by_key(|&(_, queued)| queued)
+        .map(|(w, _)| w)
 }
 
 fn stochastic_round(rng: &mut StdRng, mean: f64) -> usize {
@@ -1624,30 +1635,24 @@ fn stochastic_round(rng: &mut StdRng, mean: f64) -> usize {
     base + extra
 }
 
+/// True when `w` is lent to this lane, warm, and hosts a variant of `task`:
+/// the validity test of the stale-routing slow paths below.
+fn serves_task(ctx: &LaneCtx<'_>, w: WorkerId, task: usize) -> bool {
+    ctx.worker(w).is_some_and(|w| {
+        w.accepts_dispatches() && w.assignment.is_some_and(|a| a.variant.task == task)
+    })
+}
+
 /// Sample a worker from a raw weighted table, skipping entries that no longer
 /// serve the expected task *for this lane*: the slow path used while the
 /// compiled routing is stale. Two passes (sum, then CDF walk) — no allocation.
-/// The `owner` check comes first (short-circuit): a worker owned elsewhere is
-/// rejected without its data ever being read, which is what keeps stale-table
-/// scans sound while other shards run.
 fn sample_table_scan(
     table: &[(WorkerId, f64)],
-    fleet: &Fleet,
-    owner: &[AtomicU32],
-    lane: u32,
+    ctx: &LaneCtx<'_>,
     task: usize,
     rng: &mut StdRng,
 ) -> Option<WorkerId> {
-    let valid = |w: WorkerId, weight: f64| {
-        weight > 0.0
-            && owner[w.index()].load(Ordering::Relaxed) == lane
-            && fleet.get(w.index()).accepts_dispatches()
-            && fleet
-                .get(w.index())
-                .assignment
-                .map(|a| a.variant.task == task)
-                .unwrap_or(false)
-    };
+    let valid = |w: WorkerId, weight: f64| weight > 0.0 && serves_task(ctx, w, task);
     let total: f64 = table
         .iter()
         .filter(|(w, weight)| valid(*w, *weight))
@@ -1671,28 +1676,16 @@ fn sample_table_scan(
 /// Collect the rescue candidates for opportunistic rerouting from a raw backup
 /// table (slow path): filter by execution time, lane ownership, and current
 /// assignment, then keep every candidate whose accuracy ties the best one.
-#[allow(clippy::too_many_arguments)]
 fn stale_backup_ties(
     backup: &[BackupWorker],
-    fleet: &Fleet,
-    owner: &[AtomicU32],
-    lane: u32,
+    ctx: &LaneCtx<'_>,
     task: usize,
     needed_ms: f64,
     ties: &mut Vec<WorkerId>,
 ) {
     let mut candidates: Vec<&BackupWorker> = backup
         .iter()
-        .filter(|b| {
-            b.exec_time_ms <= needed_ms
-                && owner[b.worker.index()].load(Ordering::Relaxed) == lane
-                && fleet.get(b.worker.index()).accepts_dispatches()
-                && fleet
-                    .get(b.worker.index())
-                    .assignment
-                    .map(|a| a.variant.task == task)
-                    .unwrap_or(false)
-        })
+        .filter(|b| b.exec_time_ms <= needed_ms && serves_task(ctx, b.worker, task))
         .collect();
     if candidates.is_empty() {
         return;
