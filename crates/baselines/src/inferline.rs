@@ -17,10 +17,6 @@ use std::collections::HashMap;
 /// Configuration of the InferLine-style baseline.
 #[derive(Debug, Clone)]
 pub struct InferLineConfig {
-    /// Resource-allocation interval (seconds).
-    pub control_interval_s: f64,
-    /// Routing refresh interval (seconds).
-    pub routing_interval_s: f64,
     /// Runtime drop policy (InferLine itself has no accuracy-aware rerouting, so the
     /// default is conservative last-task dropping).
     pub drop_policy: DropPolicy,
@@ -37,8 +33,6 @@ pub struct InferLineConfig {
 impl Default for InferLineConfig {
     fn default() -> Self {
         Self {
-            control_interval_s: 10.0,
-            routing_interval_s: 1.0,
             drop_policy: DropPolicy::LastTask,
             slo_headroom_divisor: 2.0,
             comm_latency_ms: 2.0,
@@ -170,14 +164,6 @@ impl InferLineController {
 impl Controller for InferLineController {
     fn name(&self) -> &str {
         "inferline"
-    }
-
-    fn control_interval_s(&self) -> f64 {
-        self.config.control_interval_s
-    }
-
-    fn routing_interval_s(&self) -> f64 {
-        self.config.routing_interval_s
     }
 
     fn plan(&mut self, observed: &ObservedState<'_>) -> Option<AllocationPlan> {

@@ -22,10 +22,6 @@ use std::collections::HashMap;
 /// Configuration of the Proteus-style baseline.
 #[derive(Debug, Clone)]
 pub struct ProteusConfig {
-    /// Resource-allocation interval (seconds).
-    pub control_interval_s: f64,
-    /// Routing refresh interval (seconds).
-    pub routing_interval_s: f64,
     /// Runtime drop policy.
     pub drop_policy: DropPolicy,
     /// SLO headroom divisor.
@@ -39,8 +35,6 @@ pub struct ProteusConfig {
 impl Default for ProteusConfig {
     fn default() -> Self {
         Self {
-            control_interval_s: 10.0,
-            routing_interval_s: 1.0,
             drop_policy: DropPolicy::LastTask,
             slo_headroom_divisor: 2.0,
             comm_latency_ms: 2.0,
@@ -247,14 +241,6 @@ impl PeakThroughput for loki_pipeline::ModelVariant {
 impl Controller for ProteusController {
     fn name(&self) -> &str {
         "proteus"
-    }
-
-    fn control_interval_s(&self) -> f64 {
-        self.config.control_interval_s
-    }
-
-    fn routing_interval_s(&self) -> f64 {
-        self.config.routing_interval_s
     }
 
     fn plan(&mut self, observed: &ObservedState<'_>) -> Option<AllocationPlan> {

@@ -36,9 +36,9 @@ links (uniform, two-tier, edge-split), elastic (fixed, static-peak,
 static-mean, autoscale), classes (uniform, mixed), spot (true/false),
 revoke (spot revocations per worker-hour), stockout (probability),
 provisioner (reactive, forecast), route (accuracy, link-aware),
-trace (sample every Nth root query; 0 = off), profile (engine phase
-timers, true/false), hist (latency histograms, default true), timeline
-(cluster event journal + windowed histogram deltas, true/false).
+trace (sample every Nth root query; 0 = off), hist (latency histograms,
+default true), timeline (cluster event journal + windowed histogram deltas,
+true/false).
 
 `run --trace PATH` executes the scenario's canonical point with tracing on
 (trace=100 unless overridden) and writes Chrome trace-event JSON to PATH —

@@ -20,7 +20,7 @@ use loki_core::greedy::GreedyAllocator;
 use loki_core::milp_alloc::MilpAllocator;
 use loki_core::perf::{FanoutOverrides, PerfModel};
 use loki_core::{LokiConfig, LokiController, ScalingMode};
-use loki_sim::{CostSummary, DropPolicy, PhaseProfile, RunSummary, SimResult};
+use loki_sim::{CostSummary, DropPolicy, RunSummary, SimResult};
 use loki_workload::TraceSpec;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -53,8 +53,8 @@ pub fn run_scenario(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> S
 }
 
 /// JSON view of a whole-run summary. Every field here is simulated state
-/// (bit-identical across `jobs=` values); host-time measurements live in the
-/// separate profile object.
+/// (bit-identical across `jobs=` values); host-time measurements live
+/// outside it.
 pub fn summary_json(s: &RunSummary) -> Json {
     let row = MetricRow::summary(s);
     let mut obj = Json::object();
@@ -68,45 +68,6 @@ pub fn summary_json(s: &RunSummary) -> Json {
         .push("rerouted", s.total_rerouted.into())
         .push("events_processed", s.events_processed.into());
     obj
-}
-
-/// A dispatch phase of an engine self-profile: name and host seconds.
-type Phase = (&'static str, fn(&PhaseProfile) -> f64);
-
-/// The dispatch phases of an engine self-profile, in report order.
-const PROFILE_PHASES: &[Phase] = &[
-    ("arrival", |p| p.arrival_s),
-    ("delivery", |p| p.delivery_s),
-    ("batch", |p| p.batch_s),
-    ("control", |p| p.control_s),
-    ("routing", |p| p.routing_s),
-    ("metrics", |p| p.metrics_s),
-    ("swap", |p| p.swap_s),
-    ("market", |p| p.market_s),
-    ("elastic", |p| p.elastic_s),
-    ("rebalance", |p| p.rebalance_s),
-];
-
-/// JSON view of an engine self-profile: host wall-clock seconds per dispatch
-/// phase (`profile=true` runs only). Host time, not simulated time — these
-/// fields are excluded from determinism comparisons, like `lane_wall_s`.
-pub fn profile_json(p: &PhaseProfile) -> Json {
-    let mut obj = Json::object();
-    for (phase, seconds) in PROFILE_PHASES {
-        obj.push(&format!("{phase}_s"), seconds(p).into());
-    }
-    obj.push("lane_total_s", p.lane_total_s().into());
-    obj
-}
-
-/// One-line text rendering of an engine self-profile.
-pub fn profile_text(p: &PhaseProfile) -> String {
-    let mut text = String::from("engine profile (host-s):");
-    for (i, (phase, seconds)) in PROFILE_PHASES.iter().enumerate() {
-        let gap = if i == 0 { " " } else { "  " };
-        let _ = write!(text, "{gap}{phase} {:.4}", seconds(p));
-    }
-    text
 }
 
 /// JSON view of the experiment knobs a report was produced with.
@@ -131,7 +92,6 @@ pub fn config_json(cfg: &ExperimentConfig) -> Json {
         .push("provisioner", cfg.provisioner.name().into())
         .push("route", cfg.route.label().into())
         .push("trace", cfg.trace_sample.into())
-        .push("profile", cfg.profile.into())
         .push("hist", cfg.hist.into())
         .push("timeline", cfg.timeline.into());
     obj
@@ -432,15 +392,9 @@ fn throughput(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Scenari
             s.p50_ms, s.p90_ms, s.p99_ms, s.p999_ms
         );
     }
-    if let Some(p) = &results[0].result.profile {
-        let _ = writeln!(text, "{}", profile_text(p));
-    }
 
     let mut json = report_header(sc, cfg);
     json.push("throughput", entry);
-    if let Some(p) = &results[0].result.profile {
-        json.push("profile", profile_json(p));
-    }
     ScenarioReport { text, json }
 }
 
@@ -512,10 +466,6 @@ fn multi_pipeline(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Sce
             .push("lane_wall_s", lane.lane_wall_s.into())
             .push("barrier_wait_s", lane.barrier_wait_s.into())
             .push("summary", summary_json(s));
-        if let Some(p) = &lane.profile {
-            let _ = writeln!(text, "{:<12} {}", "", profile_text(p));
-            row.push("profile", profile_json(p));
-        }
         rows.push(row);
     }
     let agg = &point.result.summary;
@@ -543,10 +493,6 @@ fn multi_pipeline(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Sce
         .push("pipelines", Json::Arr(rows))
         .push("aggregate_slo_attainment", slo_attainment(agg).into())
         .push("aggregate", summary_json(agg));
-    if let Some(p) = &point.result.profile {
-        let _ = writeln!(text, "{}", profile_text(p));
-        json.push("profile", profile_json(p));
-    }
     ScenarioReport { text, json }
 }
 

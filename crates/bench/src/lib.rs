@@ -29,17 +29,12 @@ pub mod scenario;
 pub mod sweep;
 pub mod timeline;
 
-use loki_baselines::{InferLineController, ProteusController};
-use loki_core::{
-    AutoscalerConfig, ForecastConfig, ForecastingProvisioner, LokiConfig, LokiController,
-    ReactiveAutoscaler,
-};
-use loki_pipeline::PipelineGraph;
+use loki_core::{AutoscalerConfig, ForecastConfig, ForecastingProvisioner, ReactiveAutoscaler};
 use loki_sim::{
-    Controller, ElasticPolicy, ElasticSimConfig, IntervalMetrics, LinkDelayModel, MarketConfig,
-    RouteMode, SimConfig, SimResult, Simulation, WorkerClass, WorkerClassCatalog,
+    ElasticPolicy, ElasticSimConfig, IntervalMetrics, LinkDelayModel, MarketConfig, RouteMode,
+    SimConfig, SimResult, WorkerClass, WorkerClassCatalog,
 };
-use loki_workload::{generate_arrivals, generators, ArrivalProcess, Trace};
+use loki_workload::{generators, Trace};
 use std::fmt::Write as _;
 
 /// Named per-link delay profiles for the experiment harness: the CLI's `links=`
@@ -302,10 +297,6 @@ pub struct ExperimentConfig {
     /// root query (`trace=` key; `0` disables tracing). The sample set is
     /// seed-stable and identical for every `jobs=` value.
     pub trace_sample: u64,
-    /// Engine self-profiling: accumulate per-phase wall-clock timers in the
-    /// dispatch loop (`profile=` key, `true`/`false`). Host time only — never
-    /// affects simulated results.
-    pub profile: bool,
     /// Latency histograms (p50/p90/p99/p999) per task, worker class, and
     /// end-to-end (`hist=` key; on by default, `false` to disable).
     pub hist: bool,
@@ -339,7 +330,6 @@ impl Default for ExperimentConfig {
             provisioner: ProvisionerKind::Reactive,
             route: RouteMode::Accuracy,
             trace_sample: 0,
-            profile: false,
             hist: true,
             timeline: false,
         }
@@ -421,12 +411,11 @@ impl ExperimentConfig {
                 })?
             }
             "trace" => self.trace_sample = parse(key, value)?,
-            "profile" => self.profile = parse(key, value)?,
             "hist" => self.hist = parse(key, value)?,
             "timeline" => self.timeline = parse(key, value)?,
             _ => {
                 return Err(format!(
-                    "unknown key {key:?} (known: cluster, slo, duration, peak, base, seed, bucket, drain, runs, jobs, links, elastic, classes, spot, revoke, stockout, provisioner, route, trace, profile, hist, timeline)"
+                    "unknown key {key:?} (known: cluster, slo, duration, peak, base, seed, bucket, drain, runs, jobs, links, elastic, classes, spot, revoke, stockout, provisioner, route, trace, hist, timeline)"
                 ))
             }
         }
@@ -661,47 +650,11 @@ pub fn sim_config(cfg: &ExperimentConfig, trace: &Trace) -> SimConfig {
         link_delays: cfg.links.to_model(),
         observe: loki_sim::ObserveConfig {
             trace_sample: cfg.trace_sample,
-            profile: cfg.profile,
             histograms: cfg.hist,
             timeline: cfg.timeline,
         },
         ..SimConfig::default()
     }
-}
-
-/// Run one controller over a trace and return the simulation result.
-pub fn run_controller<C: Controller>(
-    graph: &PipelineGraph,
-    trace: &Trace,
-    cfg: &ExperimentConfig,
-    controller: C,
-) -> SimResult {
-    let arrivals = generate_arrivals(trace, ArrivalProcess::Poisson, cfg.seed);
-    let mut sim = Simulation::new(graph, sim_config(cfg, trace), controller);
-    sim.run(&arrivals)
-}
-
-/// Run the three systems of the end-to-end comparison (Loki, InferLine-style,
-/// Proteus-style) over the same pipeline and trace.
-pub fn run_comparison(
-    graph: &PipelineGraph,
-    trace: &Trace,
-    cfg: &ExperimentConfig,
-) -> Vec<(String, SimResult)> {
-    let mut out = Vec::new();
-    let loki = LokiController::new(graph.clone(), LokiConfig::with_greedy());
-    out.push(("loki".to_string(), run_controller(graph, trace, cfg, loki)));
-    let inferline = InferLineController::with_defaults(graph.clone());
-    out.push((
-        "inferline".to_string(),
-        run_controller(graph, trace, cfg, inferline),
-    ));
-    let proteus = ProteusController::with_defaults(graph.clone());
-    out.push((
-        "proteus".to_string(),
-        run_controller(graph, trace, cfg, proteus),
-    ));
-    out
 }
 
 /// Aggregate per-second interval metrics into coarser buckets for printing.
@@ -887,7 +840,6 @@ pub fn format_headline_ratios(results: &[(String, SimResult)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loki_pipeline::zoo;
 
     #[test]
     fn bucketize_preserves_totals() {
@@ -917,25 +869,29 @@ mod tests {
 
     #[test]
     fn small_comparison_runs_end_to_end() {
+        let sc = scenario::find("smoke").expect("smoke is registered");
         let cfg = ExperimentConfig {
-            duration_s: 60,
-            peak_qps: 150.0,
-            base_qps: 40.0,
-            bucket_s: 20,
-            ..Default::default()
+            duration_s: 10,
+            drain_s: 5.0,
+            ..(sc.defaults)()
         };
-        let graph = zoo::traffic_analysis_pipeline(cfg.slo_ms);
-        let trace = traffic_trace(&cfg);
-        let results = run_comparison(&graph, &trace, &cfg);
-        assert_eq!(results.len(), 3);
-        for (name, r) in &results {
-            assert!(r.summary.total_arrivals > 0, "{name} saw no arrivals");
+        let report = figures::run_scenario(sc, &cfg, &runner::Runner::serial());
+        let Some(report::Json::Arr(systems)) = report.json.get("systems") else {
+            panic!("comparison report has a systems array");
+        };
+        assert_eq!(systems.len(), 3);
+        for system in systems {
+            let arrivals = system.get("summary").and_then(|s| s.get("total_arrivals"));
+            assert!(
+                matches!(arrivals, Some(report::Json::UInt(n)) if *n > 0),
+                "{system:?} saw no arrivals"
+            );
         }
-        // The formatters must mention every system.
-        let text = format_summary_table(&results) + &format_headline_ratios(&results);
-        for (name, _) in &results {
-            assert!(text.contains(name.as_str()));
+        // The text report names every system and prints the headline ratios.
+        for spec in scenario::ControllerSpec::COMPARISON {
+            assert!(report.text.contains(spec.system_label()), "{}", report.text);
         }
+        assert!(report.text.contains("headline ratios"), "{}", report.text);
     }
 
     #[test]
@@ -950,6 +906,9 @@ mod tests {
         let err = cfg.set("slo", "25o").unwrap_err();
         assert!(err.contains("invalid value"), "{err}");
         let err = cfg.set("slos", "250").unwrap_err();
+        assert!(err.contains("unknown key"), "{err}");
+        // The retired engine self-profiler's key is rejected, not ignored.
+        let err = cfg.apply_overrides(["profile=true"]).unwrap_err();
         assert!(err.contains("unknown key"), "{err}");
         let err = cfg.apply_overrides(["duration"]).unwrap_err();
         assert!(err.contains("key=value"), "{err}");

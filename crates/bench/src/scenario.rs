@@ -204,22 +204,6 @@ impl Controller for AnyController {
         }
     }
 
-    fn control_interval_s(&self) -> f64 {
-        match self {
-            AnyController::Loki(c) => c.control_interval_s(),
-            AnyController::InferLine(c) => c.control_interval_s(),
-            AnyController::Proteus(c) => c.control_interval_s(),
-        }
-    }
-
-    fn routing_interval_s(&self) -> f64 {
-        match self {
-            AnyController::Loki(c) => c.routing_interval_s(),
-            AnyController::InferLine(c) => c.routing_interval_s(),
-            AnyController::Proteus(c) => c.routing_interval_s(),
-        }
-    }
-
     fn plan(&mut self, observed: &ObservedState<'_>) -> Option<AllocationPlan> {
         match self {
             AnyController::Loki(c) => c.plan(observed),
@@ -385,9 +369,6 @@ pub struct PipelineSummary {
     /// The lane's control-plane statistics, when its controller tracks them
     /// (threaded out through `MultiSimulation::into_pipelines`).
     pub controller_stats: Option<ControllerStats>,
-    /// The lane's engine self-profile (host seconds per dispatch phase) —
-    /// `Some` only for `profile=true` runs, next to `lane_wall_s`.
-    pub profile: Option<loki_sim::PhaseProfile>,
     /// The lane's per-interval metrics series (simulated time; feeds the
     /// timeline export's per-lane rows).
     pub intervals: Vec<IntervalMetrics>,
@@ -662,7 +643,6 @@ impl RunPoint {
                         lane_wall_s,
                         barrier_wait_s,
                         controller_stats: stats.clone(),
-                        profile: p.result.profile,
                         intervals: p.result.intervals.clone(),
                         window: p.result.window.clone(),
                         burn: Some(analyze_burn(

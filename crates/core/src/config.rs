@@ -23,10 +23,6 @@ pub enum AllocatorBackend {
 pub struct LokiConfig {
     /// Allocation engine.
     pub backend: AllocatorBackend,
-    /// Resource Manager invocation interval in seconds (10 s in the paper).
-    pub control_interval_s: f64,
-    /// Load Balancer refresh interval in seconds.
-    pub routing_interval_s: f64,
     /// Runtime drop policy pushed to the data plane (opportunistic rerouting is Loki's
     /// full mechanism; the alternatives exist for the Figure 7 ablation).
     pub drop_policy: DropPolicy,
@@ -76,8 +72,6 @@ impl Default for LokiConfig {
     fn default() -> Self {
         Self {
             backend: AllocatorBackend::Greedy,
-            control_interval_s: 10.0,
-            routing_interval_s: 1.0,
             drop_policy: DropPolicy::OpportunisticRerouting,
             slo_headroom_divisor: 2.0,
             comm_latency_ms: 2.0,
@@ -141,7 +135,6 @@ mod tests {
     #[test]
     fn defaults_match_paper_setup() {
         let c = LokiConfig::default();
-        assert!((c.control_interval_s - 10.0).abs() < 1e-12);
         assert!((c.slo_headroom_divisor - 2.0).abs() < 1e-12);
         assert_eq!(c.drop_policy, DropPolicy::OpportunisticRerouting);
     }

@@ -217,14 +217,6 @@ impl Controller for LokiController {
         "loki"
     }
 
-    fn control_interval_s(&self) -> f64 {
-        self.config.control_interval_s
-    }
-
-    fn routing_interval_s(&self) -> f64 {
-        self.config.routing_interval_s
-    }
-
     fn plan(&mut self, observed: &ObservedState<'_>) -> Option<AllocationPlan> {
         // Heartbeat aggregation: adopt the observed multiplicative factors. The
         // generation bump conservatively invalidates the routing cache (adopted

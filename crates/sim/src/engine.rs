@@ -4,7 +4,7 @@
 //! elastic-fleet accounting) and the *cluster-level* event queue (rebalance and
 //! elastic ticks, boot completions, unload cooldowns of free workers). Everything
 //! lane-local — the calendar queue of ticks and deliveries, the arrival cursor,
-//! the batch-completion heap, routing, metrics — lives in one [`Shard`] per
+//! the batch-completion heap, routing, metrics — lives in one `Shard` per
 //! pipeline (see `crate::shard`).
 //!
 //! # Sharded execution with an epoch-barrier merge
@@ -86,10 +86,6 @@ pub struct SimResult {
     pub latency: Option<crate::trace::LatencyStats>,
     /// Sampled query traces — `Some` only when `observe.trace_sample > 0`.
     pub trace: Option<crate::trace::TraceLog>,
-    /// Per-phase wall-clock self-profile of this lane's dispatch loop (plus,
-    /// on single-pipeline runs, the driver's cluster phases) — `Some` only
-    /// when `observe.profile` is on.
-    pub profile: Option<crate::trace::PhaseProfile>,
     /// Per-interval end-to-end latency histogram deltas, index-aligned with
     /// `intervals` — `Some` only when `observe.timeline` is on. Each row is
     /// the exact histogram of the queries that finished inside that interval,
@@ -311,14 +307,6 @@ impl<'a, C: Controller> Simulation<'a, C> {
         let mut result = results.pop().expect("single-lane run yields one result");
         result.cost = engine.take_cost();
         result.journal = engine.take_journal();
-        // Single-pipeline runs fold the driver's cluster phases into the one
-        // lane's profile, so the whole run is accounted in one place.
-        if let Some(cluster) = engine.take_cluster_profile() {
-            result
-                .profile
-                .get_or_insert_with(Default::default)
-                .merge(&cluster);
-        }
         Ok(result)
     }
 
@@ -369,9 +357,6 @@ pub(crate) struct Engine<'a> {
     has_arbiter: bool,
     /// Whole-run cost summary, computed at the end of an elastic run.
     cost: Option<CostSummary>,
-    /// Wall-clock attribution of the driver's barrier-time cluster handlers
-    /// (rebalance, elastic, market) when `observe.profile` is on.
-    cluster_profile: Option<Box<crate::trace::PhaseProfile>>,
     /// The driver-side cluster event journal when `observe.timeline` is on.
     /// Recording is observation-only: no hook consumes RNG draws or schedules
     /// events, so a journaled run is bit-identical to an unjournaled one.
@@ -594,10 +579,6 @@ impl<'a> Engine<'a> {
             market,
             has_arbiter: false,
             cost: None,
-            cluster_profile: config
-                .observe
-                .profile
-                .then(|| Box::new(crate::trace::PhaseProfile::default())),
             journal: config.observe.timeline.then(|| Box::new(Journal::new())),
             last_price: f64::NAN,
         }
@@ -623,11 +604,6 @@ impl<'a> Engine<'a> {
         }
         journal.finish();
         Some(journal)
-    }
-
-    /// The driver's cluster-phase profile (None unless `observe.profile`).
-    pub(crate) fn take_cluster_profile(&mut self) -> Option<crate::trace::PhaseProfile> {
-        self.cluster_profile.take().map(|b| *b)
     }
 
     pub(crate) fn rebalances(&self) -> u64 {
@@ -912,10 +888,6 @@ impl<'a> Engine<'a> {
                             break;
                         }
                         let Reverse((_, _, event)) = self.cluster.pop().expect("peeked above");
-                        let phase_start = self
-                            .cluster_profile
-                            .as_ref()
-                            .map(|_| std::time::Instant::now());
                         match event {
                             ClusterEvent::Rebalance => {
                                 self.cluster_events += 1;
@@ -952,20 +924,6 @@ impl<'a> Engine<'a> {
                                         self.with_lane(li, |shard, ctx| shard.kick(ctx, worker));
                                     }
                                 }
-                            }
-                        }
-                        if let Some(start) = phase_start {
-                            let dt = start.elapsed().as_secs_f64();
-                            let p = self.cluster_profile.as_mut().expect("profile on");
-                            match event {
-                                ClusterEvent::Rebalance => p.rebalance_s += dt,
-                                ClusterEvent::ElasticTick | ClusterEvent::BootDone(_) => {
-                                    p.elastic_s += dt
-                                }
-                                ClusterEvent::MarketTick | ClusterEvent::RevokeDeadline(_) => {
-                                    p.market_s += dt
-                                }
-                                ClusterEvent::SwapDone(_) => p.swap_s += dt,
                             }
                         }
                     }
@@ -1043,7 +1001,6 @@ impl<'a> Engine<'a> {
                     .tracer
                     .take()
                     .map(|t| crate::trace::TraceLog { roots: t.roots }),
-                profile: shard.profile.take().map(|b| *b),
                 window: self
                     .config
                     .observe
@@ -1962,6 +1919,57 @@ mod tests {
         );
         // tiny pipeline max accuracy is 1.0 and the static plan uses the best variants
         assert!(result.summary.system_accuracy > 0.99);
+    }
+
+    /// Counts the engine's controller calls while asking for a 2 s plan
+    /// cadence, which the engine must ignore in favour of [`SimConfig`]'s.
+    struct CountingController {
+        inner: StaticController,
+        plans: usize,
+        routings: usize,
+    }
+
+    impl Controller for CountingController {
+        fn name(&self) -> &str {
+            "counting"
+        }
+
+        fn control_interval_s(&self) -> f64 {
+            2.0
+        }
+
+        fn plan(&mut self, observed: &ObservedState<'_>) -> Option<AllocationPlan> {
+            self.plans += 1;
+            self.inner.plan(observed)
+        }
+
+        fn routing(
+            &mut self,
+            observed: &ObservedState<'_>,
+        ) -> Option<crate::routing::CompiledPlan> {
+            self.routings += 1;
+            self.inner.routing(observed)
+        }
+    }
+
+    #[test]
+    fn tick_cadence_follows_the_sim_config() {
+        let graph = zoo::tiny_pipeline(200.0);
+        // Arrivals every 0.5 s up to 12 s; with the 10 s drain the run ends at 22 s.
+        let arrivals: Vec<f64> = (0..=24).map(|i| f64::from(i) * 0.5).collect();
+        let controller = CountingController {
+            inner: StaticController::new(tiny_plan(2, 2, 4)),
+            plans: 0,
+            routings: 0,
+        };
+        // Control ticks every 5 s, routing ticks every 1 s.
+        let mut sim = Simulation::new(&graph, small_config(8), controller);
+        sim.run(&arrivals);
+        let counted = sim.into_controller();
+        // Plans at 0, 5, 10, 15 and 20 s.
+        assert_eq!(counted.plans, 5);
+        // Routing at each of the 23 ticks 0..=22 s, plus once after each plan.
+        assert_eq!(counted.routings, 23 + 5);
     }
 
     #[test]

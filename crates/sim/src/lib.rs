@@ -67,8 +67,7 @@ pub use par::par_map;
 pub use routing::{AliasTable, CompiledPlan, PlanBuilder};
 pub use slab::{Slab, SlotRef};
 pub use trace::{
-    CriticalPath, Histogram, LatencyStats, ObserveConfig, PhaseProfile, RootTrace, Span, SpanKind,
-    TraceLog,
+    CriticalPath, Histogram, LatencyStats, ObserveConfig, RootTrace, Span, SpanKind, TraceLog,
 };
 pub use types::{
     AllocationPlan, BackupWorker, CompiledLinkDelays, Controller, DropPolicy, HopBudgets,

@@ -218,11 +218,6 @@ pub struct MultiSimResult {
     /// cost lives here and on the [`MultiSimResult::aggregate`] result, not
     /// on the per-pipeline ones).
     pub cost: Option<CostSummary>,
-    /// Cluster-driver self-profile (rebalance/elastic/market/swap phases) —
-    /// `Some` only when `observe.profile` was on. Per-lane dispatch phases
-    /// live on the individual [`PipelineResult`]s; [`MultiSimResult::aggregate`]
-    /// merges both into one profile.
-    pub profile: Option<crate::trace::PhaseProfile>,
     /// The merged cluster event journal — `Some` only when `observe.timeline`
     /// was on. Cluster-level (one journal for the shared fleet);
     /// [`MultiSimResult::aggregate`] clones it onto the aggregate result.
@@ -306,13 +301,6 @@ impl MultiSimResult {
             }
         }
         let trace = (!roots.is_empty()).then_some(crate::trace::TraceLog { roots });
-        // Lane dispatch phases plus the cluster driver's phases, merged.
-        let mut profile = self.profile;
-        for p in &self.pipelines {
-            if let Some(lane) = &p.result.profile {
-                profile.get_or_insert_with(Default::default).merge(lane);
-            }
-        }
         // Windowed histograms merge element-wise across lanes (same fixed
         // bucket layout), row-aligned with the aggregate intervals. A row
         // starts as the first lane's copy, so it stays trimmed to the
@@ -335,7 +323,6 @@ impl MultiSimResult {
             cost: self.cost.clone(),
             latency,
             trace,
-            profile,
             window,
             journal: self.journal.clone(),
         }
@@ -488,7 +475,6 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
             rebalances: engine.rebalances(),
             migrations: engine.migrations(),
             cost: engine.take_cost(),
-            profile: engine.take_cluster_profile(),
             journal: engine.take_journal(),
             metrics_interval_s: self.config.sim.metrics_interval_s,
         })

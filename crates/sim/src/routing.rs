@@ -4,7 +4,7 @@
 //! # The compile-once contract
 //!
 //! Historically controllers handed the engine a
-//! [`RoutingPlan`](crate::types::RoutingPlan) — human-readable weighted tables
+//! [`RoutingPlan`] — human-readable weighted tables
 //! keyed by `HashMap` — and the engine re-lowered it into alias tables on every
 //! routing refresh. That interpreted seam is gone: controllers now emit a
 //! [`CompiledPlan`] directly through [`PlanBuilder`], and the engine installs

@@ -48,16 +48,6 @@ use std::collections::HashMap;
 /// not yet re-granted).
 pub(crate) const FREE: u32 = u32::MAX;
 
-// Phase tags of the dispatch loop's self-profiler (indices into
-// [`crate::trace::PhaseProfile`]'s lane-side fields).
-const PHASE_ARRIVAL: u8 = 0;
-const PHASE_DELIVERY: u8 = 1;
-const PHASE_BATCH: u8 = 2;
-const PHASE_CONTROL: u8 = 3;
-const PHASE_ROUTING: u8 = 4;
-const PHASE_METRICS: u8 = 5;
-const PHASE_SWAP: u8 = 6;
-
 /// What a shard executes against: the run's config, the lane's lent
 /// workers, and the owner map as of the last barrier (see the module docs).
 pub(crate) struct LaneCtx<'e> {
@@ -446,9 +436,6 @@ pub(crate) struct Shard<'a> {
     /// worker threads than lanes this overstates waiting, since queued shards
     /// also accrue the gap).
     pub(crate) barrier_wait_s: f64,
-    /// Per-phase wall-clock attribution of this shard's dispatch loop
-    /// (`observe.profile`; `None` means no timer calls at all).
-    pub(crate) profile: Option<Box<crate::trace::PhaseProfile>>,
 }
 
 impl<'a> Shard<'a> {
@@ -477,10 +464,6 @@ impl<'a> Shard<'a> {
             wall_s: 0.0,
             epoch_wall_s: 0.0,
             barrier_wait_s: 0.0,
-            profile: config
-                .observe
-                .profile
-                .then(|| Box::new(crate::trace::PhaseProfile::default())),
         };
         shard.push(0, LaneEvent::ControlTick);
         shard.push(0, LaneEvent::RoutingTick);
@@ -547,11 +530,6 @@ impl<'a> Shard<'a> {
                 break;
             }
             self.now = time;
-            // Self-profiling: two `Instant::now` calls per event, only when
-            // `observe.profile` is on (`phase_start` is `None` otherwise and
-            // the hot loop pays a single branch).
-            let phase_start = self.profile.as_ref().map(|_| std::time::Instant::now());
-            let mut phase = PHASE_ARRIVAL;
             match source {
                 Source::Arrival => {
                     self.lane.events_processed += 1;
@@ -567,7 +545,6 @@ impl<'a> Shard<'a> {
                     self.on_arrival(ctx, idx)?;
                 }
                 Source::Batch => {
-                    phase = PHASE_BATCH;
                     let worker = match self.batch_completions.pop() {
                         Some(std::cmp::Reverse((_, _, worker))) => worker,
                         None => {
@@ -590,7 +567,6 @@ impl<'a> Shard<'a> {
                         })?;
                     match payload {
                         LaneEvent::SwapDone(worker) => {
-                            phase = PHASE_SWAP;
                             // The worker may have left the lane since the swap
                             // was scheduled (migrated or retired): only a lane
                             // it is still lent to may batch on it. A worker
@@ -607,40 +583,23 @@ impl<'a> Shard<'a> {
                             }
                         }
                         LaneEvent::ControlTick => {
-                            phase = PHASE_CONTROL;
                             self.lane.events_processed += 1;
                             self.on_control_tick(ctx, controller)?;
                         }
                         LaneEvent::RoutingTick => {
-                            phase = PHASE_ROUTING;
                             self.lane.events_processed += 1;
                             self.on_routing_tick(ctx, controller);
                         }
                         LaneEvent::MetricsTick => {
-                            phase = PHASE_METRICS;
                             self.lane.events_processed += 1;
                             self.on_metrics_tick(ctx);
                         }
                         LaneEvent::Delivery { worker, query } => {
-                            phase = PHASE_DELIVERY;
                             self.lane.events_processed += 1;
                             self.on_delivered(ctx, query, worker)?;
                         }
                     }
                 }
-            }
-            if let Some(start) = phase_start {
-                let dt = start.elapsed().as_secs_f64();
-                let p = self.profile.as_mut().expect("profile on when timing");
-                *match phase {
-                    PHASE_ARRIVAL => &mut p.arrival_s,
-                    PHASE_DELIVERY => &mut p.delivery_s,
-                    PHASE_BATCH => &mut p.batch_s,
-                    PHASE_CONTROL => &mut p.control_s,
-                    PHASE_ROUTING => &mut p.routing_s,
-                    PHASE_METRICS => &mut p.metrics_s,
-                    _ => &mut p.swap_s,
-                } += dt;
             }
         }
         self.epoch_wall_s = started.elapsed().as_secs_f64();

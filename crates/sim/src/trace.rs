@@ -1,5 +1,5 @@
-//! The deep-observability layer: log-bucketed latency histograms, deterministic
-//! sampled query tracing, and engine self-profiling.
+//! The deep-observability layer: log-bucketed latency histograms and
+//! deterministic sampled query tracing.
 //!
 //! Everything in this module is *observation-only*: nothing here consumes RNG
 //! draws, schedules events, or perturbs the `(time, seq)` dispatch order, so
@@ -25,31 +25,20 @@
 //! network transfers, rescue/requeue events, and the terminal completion or
 //! drop. [`TraceLog::to_chrome_json`] exports the merged log as Chrome
 //! trace-event JSON loadable in Perfetto (`loki run <scenario> --trace out.json`).
-//!
-//! # Self-profiling
-//!
-//! [`PhaseProfile`] accumulates wall-clock seconds per engine phase (arrival
-//! ingest, dispatch, batch completion, controller, routing, metrics, swaps,
-//! plus the cluster-level market/elastic/rebalance phases), gated by
-//! [`ObserveConfig::profile`] so the timer calls cost nothing when off.
 
 use crate::types::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Observability configuration carried by [`crate::SimConfig`]. The default —
-/// histograms on, tracing and profiling off — adds no timer calls and no trace
-/// allocations to the hot path.
+/// histograms on, tracing and timeline off — adds no trace allocations to the
+/// hot path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObserveConfig {
     /// Trace every Nth root arrival per lane (`0` disables tracing). The
     /// decision uses the lane-local arrival index — never the RNG — so the
     /// sampled set is identical across `jobs` values and unchanged runs.
     pub trace_sample: u64,
-    /// Accumulate per-phase wall-clock timers per lane (plus the cluster
-    /// phases on the driver). Off by default: profiling calls `Instant::now`
-    /// twice per event, which is measurable at 10M+ events/s.
-    pub profile: bool,
     /// Record latency histograms (end-to-end, per task, per worker class).
     /// On by default — recording is a couple of array increments per query;
     /// the reference benchmark reports its cost as
@@ -72,7 +61,6 @@ impl Default for ObserveConfig {
     fn default() -> Self {
         Self {
             trace_sample: 0,
-            profile: false,
             histograms: true,
             timeline: false,
         }
@@ -512,8 +500,8 @@ impl LaneTracer {
         index.is_multiple_of(self.sample_every)
     }
 
-    /// Start a trace for a sampled root; returns its slot for [`RootState`]
-    /// to carry.
+    /// Start a trace for a sampled root; returns its slot for the root's
+    /// engine state to carry.
     pub fn begin_root(&mut self, lane: u32, arrival_index: u64, arrival_us: SimTime) -> u32 {
         let slot = self.roots.len() as u32;
         self.roots.push(RootTrace {
@@ -611,62 +599,6 @@ impl TraceLog {
         }
         out.push_str("]}");
         out
-    }
-}
-
-/// Wall-clock seconds per engine phase, accumulated when
-/// [`ObserveConfig::profile`] is on. Lane phases accumulate inside each
-/// shard's dispatch loop; the cluster phases on the driver thread at epoch
-/// barriers. Surfaced next to `lane_wall_s`/`barrier_wait_s`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct PhaseProfile {
-    /// Root-arrival ingest (frontend routing included).
-    pub arrival_s: f64,
-    /// Query delivery and dispatch (queue admission, batch starts).
-    pub delivery_s: f64,
-    /// Batch completion: accuracy propagation, drop policies, fan-out routing.
-    pub batch_s: f64,
-    /// Controller plan ticks (Resource Manager + plan application).
-    pub control_s: f64,
-    /// Controller routing ticks (Load Balancer + table install).
-    pub routing_s: f64,
-    /// Metrics-interval flushes.
-    pub metrics_s: f64,
-    /// Model-swap completions.
-    pub swap_s: f64,
-    /// Cluster: market ticks and revocation deadlines.
-    pub market_s: f64,
-    /// Cluster: elastic ticks and boot completions.
-    pub elastic_s: f64,
-    /// Cluster: arbiter repartitions.
-    pub rebalance_s: f64,
-}
-
-impl PhaseProfile {
-    /// Sum of the lane-side phases (what a shard's `lane_wall_s` decomposes
-    /// into, up to dispatch-merge overhead).
-    pub fn lane_total_s(&self) -> f64 {
-        self.arrival_s
-            + self.delivery_s
-            + self.batch_s
-            + self.control_s
-            + self.routing_s
-            + self.metrics_s
-            + self.swap_s
-    }
-
-    /// Element-wise accumulate another profile into this one.
-    pub fn merge(&mut self, other: &PhaseProfile) {
-        self.arrival_s += other.arrival_s;
-        self.delivery_s += other.delivery_s;
-        self.batch_s += other.batch_s;
-        self.control_s += other.control_s;
-        self.routing_s += other.routing_s;
-        self.metrics_s += other.metrics_s;
-        self.swap_s += other.swap_s;
-        self.market_s += other.market_s;
-        self.elastic_s += other.elastic_s;
-        self.rebalance_s += other.rebalance_s;
     }
 }
 
@@ -939,23 +871,5 @@ mod tests {
             "unbalanced braces"
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn phase_profile_merges_element_wise() {
-        let mut a = PhaseProfile {
-            arrival_s: 1.0,
-            batch_s: 2.0,
-            ..Default::default()
-        };
-        let b = PhaseProfile {
-            arrival_s: 0.5,
-            market_s: 3.0,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert!((a.arrival_s - 1.5).abs() < 1e-12);
-        assert!((a.market_s - 3.0).abs() < 1e-12);
-        assert!((a.lane_total_s() - 3.5).abs() < 1e-12);
     }
 }

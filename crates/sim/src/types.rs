@@ -708,10 +708,10 @@ pub struct ObservedState<'a> {
 
 /// A serving controller: the control plane plugged into the simulator.
 ///
-/// The engine calls [`Controller::plan`] every `control_interval_s` (the Resource
-/// Manager cadence; 10 s in the paper) and [`Controller::routing`] right after every
-/// plan application as well as every `routing_interval_s` in between (the Load Balancer
-/// cadence).
+/// The engine calls [`Controller::plan`] every [`SimConfig::control_interval_s`]
+/// (the Resource Manager cadence; 10 s in the paper) and [`Controller::routing`]
+/// right after every plan application as well as every
+/// [`SimConfig::routing_interval_s`] in between (the Load Balancer cadence).
 ///
 /// `Send` is a supertrait: in a sharded multi-pipeline run each lane's
 /// controller moves to that lane's worker thread between rebalance epochs
@@ -721,12 +721,16 @@ pub trait Controller: Send {
     /// Name used in metrics and harness output.
     fn name(&self) -> &str;
 
-    /// How often the resource-allocation step runs, in seconds.
+    /// The resource-allocation cadence this controller assumes, in seconds.
+    /// The engine does not call this: it schedules [`Controller::plan`] every
+    /// [`SimConfig::control_interval_s`].
     fn control_interval_s(&self) -> f64 {
         10.0
     }
 
-    /// How often the routing refresh runs, in seconds.
+    /// The routing-refresh cadence this controller assumes, in seconds. The
+    /// engine does not call this: it schedules [`Controller::routing`] every
+    /// [`SimConfig::routing_interval_s`].
     fn routing_interval_s(&self) -> f64 {
         1.0
     }
@@ -804,7 +808,7 @@ pub struct SimConfig {
     /// (and `cluster_size` is ignored in favour of the initial fleet).
     pub elastic: Option<crate::elastic::ElasticSimConfig>,
     /// Observability configuration: latency histograms (on by default),
-    /// sampled query tracing, and per-phase self-profiling (both off by
+    /// sampled query tracing, and the timeline layer (both off by
     /// default). Observation-only — no setting here changes simulated
     /// results (see [`crate::trace`]).
     pub observe: crate::trace::ObserveConfig,

@@ -54,10 +54,6 @@ impl Controller for StaticController {
         "static"
     }
 
-    fn control_interval_s(&self) -> f64 {
-        5.0
-    }
-
     fn plan(&mut self, observed: &ObservedState<'_>) -> Option<AllocationPlan> {
         // Re-plan every tick against the observed capacity: replica counts are
         // clamped by the engine, so a shrunken fleet keeps a valid plan.

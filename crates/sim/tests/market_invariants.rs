@@ -55,10 +55,6 @@ impl Controller for StaticController {
         "static"
     }
 
-    fn control_interval_s(&self) -> f64 {
-        5.0
-    }
-
     fn plan(&mut self, observed: &ObservedState<'_>) -> Option<AllocationPlan> {
         let _ = observed;
         Some(self.plan.clone())

@@ -1,12 +1,12 @@
 //! Observability determinism guards: query tracing records *simulated* time,
 //! so traces must be bit-identical for every `jobs` value, and turning
-//! tracing/profiling on must not perturb the simulation itself.
+//! tracing and the timeline on must not perturb the simulation itself.
 //!
 //! 1. `traces_are_bit_identical_across_jobs`: a four-lane contended run under
 //!    a migration-heavy seesaw arbiter produces identical per-lane span trees
 //!    (same sampled roots, same spans, same timestamps) for `jobs ∈ {1, 2, 4}`.
 //! 2. `observability_does_not_perturb_the_simulation`: the same run with
-//!    tracing + profiling on yields a summary and interval series bit-identical
+//!    tracing + timeline on yields a summary and interval series bit-identical
 //!    to the run with observability off.
 //! 3. `critical_path_is_bounded_by_measured_latency`: for every sampled root,
 //!    `critical_path().total_us <= latency_us()` and the per-kind components
@@ -141,7 +141,6 @@ fn four_lane_run(seed: u64, jobs: usize, observe: ObserveConfig) -> MultiSimResu
 fn dense_tracing() -> ObserveConfig {
     ObserveConfig {
         trace_sample: 3,
-        profile: true,
         histograms: true,
         timeline: true,
     }
@@ -190,17 +189,17 @@ fn observability_does_not_perturb_the_simulation() {
     for (a, b) in plain.pipelines.iter().zip(&observed.pipelines) {
         assert_eq!(
             a.result.summary.total_on_time, b.result.summary.total_on_time,
-            "lane {}: tracing/profiling changed on-time count",
+            "lane {}: tracing/timeline changed on-time count",
             a.name
         );
         assert_eq!(
             a.result.summary.total_dropped, b.result.summary.total_dropped,
-            "lane {}: tracing/profiling changed drop count",
+            "lane {}: tracing/timeline changed drop count",
             a.name
         );
         assert_eq!(
             a.result.intervals, b.result.intervals,
-            "lane {}: tracing/profiling changed the interval series",
+            "lane {}: tracing/timeline changed the interval series",
             a.name
         );
     }

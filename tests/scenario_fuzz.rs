@@ -229,7 +229,7 @@ fn check_invariants(s: &Scenario, seed: u64, r: &MultiSimResult) {
 }
 
 /// Everything simulated a run produced, rendered for a bit-identity check
-/// (host timings and the profile are excluded). `Debug` renderings compare
+/// (host timings are excluded). `Debug` renderings compare
 /// equal exactly when the values are identical, NaN fields included.
 fn simulated(r: &MultiSimResult) -> Vec<(String, String)> {
     let mut out = vec![
