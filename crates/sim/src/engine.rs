@@ -89,8 +89,9 @@ pub struct SimResult {
     /// Per-interval end-to-end latency histogram deltas, index-aligned with
     /// `intervals` — `Some` only when `observe.timeline` is on. Each row is
     /// the exact histogram of the queries that finished inside that interval,
-    /// stored only up to its highest occupied bucket: merging every row
-    /// reproduces `latency.e2e` bit-for-bit.
+    /// stored from its lowest to its highest occupied bucket. `latency.e2e`
+    /// is folded from these rows, so merging every row reproduces it
+    /// bit-for-bit.
     pub window: Option<Vec<crate::trace::Histogram>>,
     /// The cluster event journal — `Some` only when `observe.timeline` is on.
     /// Cluster-level, so in a multi-pipeline run it appears on the aggregate
@@ -159,6 +160,15 @@ pub enum EngineError {
         /// Simulated time of the control tick, µs.
         now_us: SimTime,
     },
+    /// A revoked worker's grace period expired with a batch still running,
+    /// but the worker was in the free pool, so no lane can re-queue the
+    /// aborted queries.
+    UnownedBatch {
+        /// The revoked worker.
+        worker: usize,
+        /// Simulated time of the revocation deadline, µs.
+        now_us: SimTime,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -204,6 +214,11 @@ impl std::fmt::Display for EngineError {
                 f,
                 "controller of lane {lane} named variant {variant} of task {task} \
                  in a {input}, outside its pipeline (now = {now_us} us)"
+            ),
+            EngineError::UnownedBatch { worker, now_us } => write!(
+                f,
+                "engine invariant violated: revoked worker {worker} had a batch \
+                 in flight at its deadline but no owning lane (now = {now_us} us)"
             ),
         }
     }
@@ -1749,10 +1764,16 @@ impl<'a> Engine<'a> {
             SimTime::MAX,
             "revoke deadlines fire only for revoked workers"
         );
-        // A mid-batch worker is lane-owned (free workers never batch).
-        let lane = self.owner[wi] as usize;
+        let lane = self.owner[wi];
         let mut lost: Vec<Query> = Vec::new();
         self.fleet[wi].abort_batch_into(&mut lost, self.now);
+        // A mid-batch worker is lane-owned (free workers never batch).
+        if lane == FREE && !lost.is_empty() {
+            return Err(EngineError::UnownedBatch {
+                worker: wi,
+                now_us: self.now,
+            });
+        }
         self.journal_record(
             CLUSTER_LANE,
             JournalKind::RevokeGrace {
@@ -1770,7 +1791,7 @@ impl<'a> Engine<'a> {
         // queries go back at the head of its queue, reversed so the front-most
         // lost query ends up first (service order is preserved), with one
         // batch start for all of them.
-        self.with_lane(lane, |shard, ctx| {
+        self.with_lane(lane as usize, |shard, ctx| {
             let pick = fallback_worker_for_task(&shard.lane, ctx, task);
             let Some((target, w)) = ctx.pick_mut(pick) else {
                 return lost
@@ -2105,6 +2126,51 @@ mod tests {
         .to_string();
         assert!(rendered.contains("complete"), "{rendered}");
         assert!(rendered.contains("77"), "{rendered}");
+    }
+
+    #[test]
+    fn a_revoke_deadline_on_a_free_mid_batch_worker_is_an_error() {
+        // A state the engine does not build: a revoked worker still running
+        // a batch while it sits in the free pool. Its lost queries
+        // have no lane to go back to, so the deadline reports the worker and
+        // the time instead of indexing a lane with the `FREE` tag.
+        let graph = zoo::tiny_pipeline(200.0);
+        let config = small_config(2);
+        let mut engine = Engine::new(
+            &config,
+            vec![LaneInput {
+                graph: &graph,
+                arrivals_s: &[0.5],
+                initial_demand_hint: None,
+            }],
+        );
+        let w = &mut engine.fleet[1];
+        w.assign(VariantId::new(0, 1), 4, &graph);
+        w.enqueue(Query {
+            root: 0,
+            task: 0,
+            path_accuracy: 1.0,
+            deadline_us: 1_000_000,
+            enqueued_us: 0,
+        });
+        assert!(w.try_start_batch(0).is_some());
+        w.begin_drain();
+        w.billed_from_us = SimTime::MAX;
+        assert_eq!(engine.owner[1], FREE);
+        engine.now = 2_500;
+        let error = engine
+            .on_revoke_deadline(WorkerId(1))
+            .expect_err("a free worker's batch has no lane to re-queue on");
+        assert_eq!(
+            error,
+            EngineError::UnownedBatch {
+                worker: 1,
+                now_us: 2_500
+            }
+        );
+        let rendered = error.to_string();
+        assert!(rendered.contains("worker 1"), "{rendered}");
+        assert!(rendered.contains("2500"), "{rendered}");
     }
 
     #[test]

@@ -303,8 +303,8 @@ impl MultiSimResult {
         let trace = (!roots.is_empty()).then_some(crate::trace::TraceLog { roots });
         // Windowed histograms merge element-wise across lanes (same fixed
         // bucket layout), row-aligned with the aggregate intervals. A row
-        // starts as the first lane's copy, so it stays trimmed to the
-        // occupied buckets of the lanes merged into it.
+        // starts as the first lane's copy and grows to the union of the
+        // occupied bucket ranges of the lanes merged into it.
         let mut window: Option<Vec<crate::trace::Histogram>> = None;
         for p in &self.pipelines {
             if let Some(rows) = &p.result.window {

@@ -260,14 +260,16 @@ pub(crate) struct LaneState<'a> {
 
     // Observability (see `crate::trace`): all observation-only — none of these
     // consume RNG draws or change event ordering.
-    /// Latency histograms (`observe.histograms`, on by default).
+    /// Latency histograms (`observe.histograms`, on by default). With the
+    /// timeline on, `e2e` holds only the closed intervals' rows, so it is
+    /// complete only after the driver's final [`Shard::flush_interval`].
     pub(crate) hists: Option<Box<crate::trace::LatencyStats>>,
     /// Sampled query tracer (`observe.trace_sample > 0`).
     pub(crate) tracer: Option<Box<crate::trace::LaneTracer>>,
     /// The current interval's end-to-end latency histogram
-    /// (`observe.timeline`): records in parallel with `hists.e2e`; each
-    /// metrics flush moves its occupied buckets out as a trimmed row and
-    /// resets it in place, so per-interval deltas are exact.
+    /// (`observe.timeline`). It takes a served root's record in place of
+    /// `hists.e2e`; each metrics flush cuts its occupied bucket range out as
+    /// a row, folds the row into `hists.e2e` and resets it in place.
     pub(crate) window_hist: Option<Box<crate::trace::Histogram>>,
     /// Closed per-interval histogram deltas, index-aligned with `intervals`.
     pub(crate) window_hists: Vec<crate::trace::Histogram>,
@@ -1026,12 +1028,15 @@ impl<'a> Shard<'a> {
         finished.cluster_size = warm;
         lane.intervals.push(finished);
         lane.current.cluster_size = warm;
-        // Close the interval's latency-histogram delta: copy the recorder's
-        // occupied buckets out as the row and reset it in place, so
-        // re-merging the deltas reproduces the whole-run histogram exactly
-        // (reset-based, not snapshot subtraction).
+        // Close the interval's latency-histogram delta: cut the recorder's
+        // occupied buckets out as the row and fold it into the run
+        // histogram, which is therefore the exact sum of the rows.
         if let Some(h) = lane.window_hist.as_deref_mut() {
-            lane.window_hists.push(h.take_row());
+            let row = h.take_row();
+            if let Some(hists) = lane.hists.as_deref_mut() {
+                hists.e2e.merge(&row);
+            }
+            lane.window_hists.push(row);
         }
     }
 
@@ -1498,6 +1503,9 @@ impl<'a> Shard<'a> {
     }
 }
 
+/// Close a root whose last branch ended at `now`: finish its trace, count it
+/// as dropped, on time or late, and record a served root's end-to-end
+/// latency once.
 pub(crate) fn finalize_root(lane: &mut LaneState<'_>, now: SimTime, state: RootState) {
     lane.window_finished += 1;
     let dropped = state.drop_cause != 0 || state.accuracy_count == 0;
@@ -1530,15 +1538,14 @@ pub(crate) fn finalize_root(lane: &mut LaneState<'_>, now: SimTime, state: RootS
     } else {
         lane.current.completed_late += 1;
     }
+    // End-to-end latency of a served root: arrival (deadline − SLO) → now.
+    // Recorded once: with the timeline on, each flush folds the interval's
+    // row into `hists.e2e`.
     let e2e_us = now.saturating_sub(state.deadline_us - lane.slo_us);
-    if let Some(h) = lane.hists.as_deref_mut() {
-        // End-to-end latency of a served root: arrival (deadline − SLO) → now.
-        h.e2e.record(e2e_us);
-    }
-    // The timeline's windowed recorder sees the exact same value, so merging
-    // the per-interval deltas reproduces `hists.e2e` bit-for-bit.
     if let Some(h) = lane.window_hist.as_deref_mut() {
         h.record(e2e_us);
+    } else if let Some(h) = lane.hists.as_deref_mut() {
+        h.e2e.record(e2e_us);
     }
     lane.current.accuracy_sum += accuracy;
     lane.current.accuracy_count += 1;

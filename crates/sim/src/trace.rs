@@ -49,11 +49,11 @@ pub struct ObserveConfig {
     /// latency histograms ([`crate::SimResult::window`]). Off by default.
     /// Observation-only like everything else here: journal recording happens
     /// at hooks that already exist (it consumes no RNG draws and schedules no
-    /// events), and the windowed recorder is a second histogram recorded in
-    /// parallel with the whole-run one. Each interval flush moves its
-    /// occupied buckets out as a trimmed row ([`Histogram::take_row`]) and
-    /// resets it in place, so the per-interval deltas re-merge *exactly* to
-    /// the run histogram.
+    /// events), and a served root's latency is still recorded once: into the
+    /// windowed recorder in place of the whole-run histogram. Each interval
+    /// flush cuts the recorder's occupied bucket range out as a row
+    /// ([`Histogram::take_row`]), resets it in place and merges the row into
+    /// the run histogram, which is therefore the exact sum of the rows.
     pub timeline: bool,
 }
 
@@ -100,35 +100,38 @@ pub fn bucket_low(index: usize) -> u64 {
     }
 }
 
-/// `counts` followed by zero buckets up to `len` buckets in all.
-fn zero_extended(counts: &[u64], len: usize) -> Box<[u64]> {
+/// `counts` placed at bucket `at` of `len` otherwise zero buckets.
+fn relaid(counts: &[u64], at: usize, len: usize) -> Box<[u64]> {
     let mut grown = vec![0; len];
-    grown[..counts.len()].copy_from_slice(counts);
+    grown[at..at + counts.len()].copy_from_slice(counts);
     grown.into_boxed_slice()
 }
 
-/// A trimmed row grown back to the full layout: the cold path of
+/// A row grown back to the full layout: the cold path of
 /// [`Histogram::record`]. It takes and returns the buckets by value, so the
 /// histogram's own address never escapes the hot path, and the array type
 /// tells the caller the new length.
 #[cold]
 #[inline(never)]
-fn expand(counts: Box<[u64]>) -> Box<[u64; HIST_BUCKETS]> {
-    zero_extended(&counts, HIST_BUCKETS)
+fn expand(counts: Box<[u64]>, first: usize) -> Box<[u64; HIST_BUCKETS]> {
+    relaid(&counts, first, HIST_BUCKETS)
         .try_into()
-        .expect("zero_extended returns exactly HIST_BUCKETS buckets")
+        .expect("relaid returns exactly HIST_BUCKETS buckets")
 }
 
 /// An HDR-style log-linear histogram over microsecond values with a fixed
 /// bucket layout, so merges are exact integer additions. [`Histogram::new`]
 /// allocates the full layout, so recording is branch + shift + increment;
-/// rows cut by [`Histogram::take_row`] store only their occupied buckets.
-/// Recording into such a row first grows it back to the full layout.
+/// rows cut by [`Histogram::take_row`] store only the buckets from their
+/// lowest to their highest occupied one. Recording into such a row first
+/// grows it back to the full layout.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Histogram {
-    /// Bucket counts of the fixed layout. May be shorter than
-    /// [`HIST_BUCKETS`]: every bucket past `counts.len()` is zero.
+    /// Buckets `first..first + counts.len()` of the fixed layout; every
+    /// bucket outside that range is zero. Dense histograms have `first == 0`
+    /// and [`HIST_BUCKETS`] buckets.
     counts: Box<[u64]>,
+    first: usize,
     total: u64,
     sum_us: u64,
     min_us: u64,
@@ -141,21 +144,15 @@ impl Default for Histogram {
     }
 }
 
-/// Equal when the recorded values are: trailing zero buckets are storage, not
-/// data, so a trimmed row equals the dense histogram holding the same values.
+/// Equal when the recorded values are: the stored bucket range is storage,
+/// not data, so a row equals the dense histogram holding the same values.
 impl PartialEq for Histogram {
     fn eq(&self, other: &Self) -> bool {
-        let (short, long) = if self.counts.len() <= other.counts.len() {
-            (&self.counts, &other.counts)
-        } else {
-            (&other.counts, &self.counts)
-        };
         self.total == other.total
             && self.sum_us == other.sum_us
             && self.min_us == other.min_us
             && self.max_us == other.max_us
-            && long[..short.len()] == short[..]
-            && long[short.len()..].iter().all(|&c| c == 0)
+            && self.occupied().eq(other.occupied())
     }
 }
 
@@ -164,6 +161,7 @@ impl Histogram {
     pub fn new() -> Self {
         Self {
             counts: vec![0; HIST_BUCKETS].into_boxed_slice(),
+            first: 0,
             total: 0,
             sum_us: 0,
             min_us: u64::MAX,
@@ -175,10 +173,12 @@ impl Histogram {
     #[inline]
     pub fn record(&mut self, us: u64) {
         // Live recorders are dense, so this check never depends on `us` and
-        // is never taken on the hot path. Past it the length is known, which
-        // drops the bounds check on the increment.
+        // is never taken on the hot path. Past it the length is known (and
+        // `first` is 0, so the index needs no offset), which drops the
+        // bounds check on the increment.
         if self.counts.len() != HIST_BUCKETS {
-            self.counts = expand(std::mem::take(&mut self.counts));
+            self.counts = expand(std::mem::take(&mut self.counts), self.first);
+            self.first = 0;
         }
         self.counts[bucket_index(us)] += 1;
         self.total += 1;
@@ -191,28 +191,43 @@ impl Histogram {
         }
     }
 
-    /// Move the recorded values out as a row that stores only the buckets up
-    /// to the highest occupied one, and leave `self` empty. Only that prefix
-    /// is zeroed, and `self` keeps its storage for the next interval.
+    /// Move the recorded values out as a row that stores exactly the buckets
+    /// from the lowest to the highest occupied one, and leave `self` empty.
+    /// Only those buckets are zeroed, and `self` keeps its storage for the
+    /// next interval.
     pub fn take_row(&mut self) -> Histogram {
-        let used = if self.total == 0 {
-            0
+        let (first, end) = if self.total == 0 {
+            (self.first, self.first)
         } else {
-            bucket_index(self.max_us) + 1
+            (bucket_index(self.min_us), bucket_index(self.max_us) + 1)
         };
+        let stored = first - self.first..end - self.first;
         let row = Histogram {
-            counts: self.counts[..used].into(),
+            counts: self.counts[stored.clone()].into(),
+            first,
             total: self.total,
             sum_us: self.sum_us,
             min_us: self.min_us,
             max_us: self.max_us,
         };
-        self.counts[..used].fill(0);
+        self.counts[stored].fill(0);
         self.total = 0;
         self.sum_us = 0;
         self.min_us = u64::MAX;
         self.max_us = 0;
         row
+    }
+
+    /// One past the last stored bucket.
+    fn end(&self) -> usize {
+        self.first + self.counts.len()
+    }
+
+    /// `(bucket, count)` of every non-zero bucket, in bucket order.
+    fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        (self.first..)
+            .zip(self.counts.iter().copied())
+            .filter(|&(_, c)| c != 0)
     }
 
     /// Number of recorded values.
@@ -253,7 +268,7 @@ impl Histogram {
         }
         let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut cumulative = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, c) in self.occupied() {
             cumulative += c;
             if cumulative >= rank {
                 return bucket_low(i);
@@ -269,12 +284,22 @@ impl Histogram {
 
     /// Merge another histogram into this one. Exact: the result is
     /// bit-identical to a histogram that recorded both value streams.
+    /// Storage grows to the union of the two stored ranges.
     pub fn merge(&mut self, other: &Histogram) {
-        if self.counts.len() < other.counts.len() {
-            self.counts = zero_extended(&self.counts, other.counts.len());
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+        if self.counts.is_empty() {
+            self.counts = other.counts.clone();
+            self.first = other.first;
+        } else if !other.counts.is_empty() {
+            let first = self.first.min(other.first);
+            let end = self.end().max(other.end());
+            if (first, end) != (self.first, self.end()) {
+                self.counts = relaid(&self.counts, self.first - first, end - first);
+                self.first = first;
+            }
+            let into = &mut self.counts[other.first - self.first..];
+            for (a, b) in into.iter_mut().zip(other.counts.iter()) {
+                *a += b;
+            }
         }
         self.total += other.total;
         self.sum_us += other.sum_us;
@@ -740,7 +765,7 @@ mod tests {
         assert_eq!(a, b);
         let (both, _) = dense_and_row(&[3, 40, 0, 7, 31, 900, 25_000, 140_000]);
         assert_eq!(a, both);
-        // Two trimmed rows merge to the longer one's length, not the layout's.
+        // Two rows merge to the union of their ranges, not the layout's.
         let (_, wide) = dense_and_row(&SPREAD);
         let mut rows = small.clone();
         rows.merge(&wide);
@@ -750,11 +775,15 @@ mod tests {
 
     #[test]
     fn recording_into_a_trimmed_row_matches_a_dense_one() {
+        // An offset row (values 5 and 600, so its first stored bucket is 5),
+        // recorded into below, inside and above its stored range.
         let (mut dense, mut row) = dense_and_row(&[5, 600]);
+        assert_eq!(row.first, 5);
         for v in [1, 600, 99_999] {
             dense.record(v);
             row.record(v);
             assert_eq!(row, dense, "after recording {v}");
+            assert_eq!((row.first, row.counts.len()), (0, HIST_BUCKETS));
         }
         // The top bucket, into an empty row and a row trimmed to bucket 0
         // (both sum to zero, so adding `u64::MAX` cannot overflow the sum).
@@ -781,13 +810,50 @@ mod tests {
     }
 
     #[test]
-    fn a_row_ends_at_its_highest_occupied_bucket() {
-        for values in [&[0u64][..], &[31], &[32, 5], &SPREAD, &[u64::MAX]] {
+    fn a_row_spans_its_lowest_to_its_highest_occupied_bucket() {
+        let gapped = [40, 25_000];
+        for values in [&[0u64][..], &[31], &[32, 5], &SPREAD, &[u64::MAX], &gapped] {
             let (_, row) = dense_and_row(values);
+            let lowest = values.iter().map(|&v| bucket_index(v)).min().unwrap();
             let highest = values.iter().map(|&v| bucket_index(v)).max().unwrap();
-            assert_eq!(row.counts.len(), highest + 1, "{values:?}");
-            assert_ne!(row.counts[highest], 0);
+            assert_eq!(row.first, lowest, "{values:?}");
+            assert_eq!(row.counts.len(), highest - lowest + 1, "{values:?}");
+            assert_ne!(row.counts[0], 0, "{values:?}");
+            assert_ne!(row.counts[highest - lowest], 0, "{values:?}");
         }
+        // The empty buckets between two values stay stored, as zeros.
+        let (_, row) = dense_and_row(&gapped);
+        assert!(row.counts.len() > 2);
+        assert_eq!(row.counts.iter().filter(|&&c| c != 0).count(), 2);
+    }
+
+    #[test]
+    fn rows_with_disjoint_ranges_merge_like_dense_histograms() {
+        let (dense_low, low) = dense_and_row(&[3, 9, 9]);
+        let (dense_high, high) = dense_and_row(&[900, 25_000]);
+        assert!(low.end() < high.first, "the ranges must be disjoint");
+        let mut dense = dense_low.clone();
+        dense.merge(&dense_high);
+        for (a, b) in [(&low, &high), (&high, &low)] {
+            let mut merged = a.clone();
+            merged.merge(b);
+            assert_eq!(merged, dense);
+            assert_eq!(merged.percentiles_ms(), dense.percentiles_ms());
+            // The merged row spans the union of the ranges, not the layout.
+            assert_eq!((merged.first, merged.end()), (low.first, high.end()));
+        }
+    }
+
+    #[test]
+    fn offset_row_percentiles_equal_the_dense_ones() {
+        let values: Vec<u64> = (0..500u64).map(|i| 18_000 + i * i * 3).collect();
+        let (dense, row) = dense_and_row(&values);
+        assert!(row.first > 0 && row.counts.len() < HIST_BUCKETS);
+        assert_eq!(row.percentiles_ms(), dense.percentiles_ms());
+        for q in [0.0, 0.001, 0.25, 0.5, 0.75, 1.0] {
+            assert_eq!(row.percentile_us(q), dense.percentile_us(q), "q = {q}");
+        }
+        assert_eq!(row.percentile_us(0.0), bucket_low(row.first));
     }
 
     #[test]

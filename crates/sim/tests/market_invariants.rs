@@ -9,14 +9,16 @@
 //!   autoscaler's voluntary-drain hysteresis must not count the market's
 //!   victims), while the cumulative revocation counter is visible;
 //! * a market whose rates are all zero is bit-identical to no market at all;
+//! * the timeline does not change the run's latency histograms, even when
+//!   revocations re-queue queries in the middle of a metrics interval;
 //! * `WorkerClass::memory_gb` is documented vacuous — two catalogs differing
 //!   only in memory run bit-identically.
 
 use loki_pipeline::{zoo, VariantId};
 use loki_sim::{
     AllocationPlan, CompiledPlan, Controller, DropPolicy, ElasticAction, ElasticObservation,
-    ElasticPolicy, ElasticSimConfig, InstanceSpec, MarketConfig, ObservedState, RoutingPlan,
-    SimConfig, Simulation, WorkerClass, WorkerClassCatalog,
+    ElasticPolicy, ElasticSimConfig, InstanceSpec, JournalKind, MarketConfig, ObserveConfig,
+    ObservedState, RoutingPlan, SimConfig, Simulation, WorkerClass, WorkerClassCatalog,
 };
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
 use std::collections::HashMap;
@@ -236,6 +238,56 @@ fn lost_batches_requeue_and_conserve_queries() {
     );
     // Same-seed runs through the storm are bit-identical.
     assert_eq!(result.summary, run().summary);
+}
+
+#[test]
+fn timeline_leaves_the_latency_histograms_unchanged_through_revocations() {
+    // The storm above plus a scripted boot and drain, run with the timeline
+    // off and on. Off, a served root's latency goes straight into the run
+    // histogram; on, it goes into the interval's recorder, and each flush
+    // folds the interval's row into the run histogram. The aborted batches
+    // re-queue their queries at t = 5.001 s, mid-interval, and the two runs
+    // must still agree exactly.
+    let graph = zoo::tiny_pipeline(200.0);
+    let trace = generators::constant(30, 300.0);
+    let arrivals = generate_arrivals(&trace, ArrivalProcess::Poisson, 5);
+    let run = |timeline: bool| {
+        let mut config = base_config(11);
+        config.observe = ObserveConfig {
+            timeline,
+            ..ObserveConfig::default()
+        };
+        config.elastic = Some(elastic_config(
+            vec![(0, 2), (1, 4)],
+            8,
+            Some(shredder(0.001)),
+        ));
+        let mut policy = ScriptedPolicy {
+            script: vec![
+                (10.0, vec![ElasticAction::Provision { class: 0, count: 2 }]),
+                (20.0, vec![ElasticAction::Drain { class: 0, count: 1 }]),
+            ],
+        };
+        let mut sim = Simulation::new(&graph, config, StaticController::tiny(3, 3));
+        sim.run_elastic(&arrivals, &mut policy)
+    };
+    let (off, on) = (run(false), run(true));
+    let cost = on.cost.as_ref().expect("cost");
+    assert_eq!(cost.revocations, 4, "all four spot workers revoked");
+    assert!(cost.per_class[0].retired > 0, "the scripted drain retires");
+    let journal = on.journal.as_ref().expect("timeline journal");
+    assert!(
+        journal.count_matching(|k| matches!(k, JournalKind::RevokeGrace { lost, .. } if *lost > 0))
+            > 0,
+        "a deadline must abort a running batch and re-queue its queries"
+    );
+    assert_eq!(off.summary, on.summary);
+    assert_eq!(off.intervals, on.intervals);
+    let rows = on.window.as_ref().expect("timeline rows");
+    assert_eq!(rows.len(), on.intervals.len());
+    let latency = off.latency.as_ref().expect("latency histograms");
+    assert!(latency.e2e.count() > 0);
+    assert_eq!(off.latency, on.latency);
 }
 
 #[test]

@@ -6,8 +6,10 @@
 //!    a migration-heavy seesaw arbiter produces identical per-lane span trees
 //!    (same sampled roots, same spans, same timestamps) for `jobs ∈ {1, 2, 4}`.
 //! 2. `observability_does_not_perturb_the_simulation`: the same run with
-//!    tracing + timeline on yields a summary and interval series bit-identical
-//!    to the run with observability off.
+//!    tracing + timeline on yields a summary, interval series and latency
+//!    histograms bit-identical to the run with observability off (histograms
+//!    on). With the timeline on, the run's end-to-end histogram is folded from
+//!    the per-interval rows; with it off, it is recorded directly.
 //! 3. `critical_path_is_bounded_by_measured_latency`: for every sampled root,
 //!    `critical_path().total_us <= latency_us()` and the per-kind components
 //!    sum to no more than the total.
@@ -202,6 +204,11 @@ fn observability_does_not_perturb_the_simulation() {
             "lane {}: tracing/timeline changed the interval series",
             a.name
         );
+        assert_eq!(
+            a.result.latency, b.result.latency,
+            "lane {}: the folded latency histograms differ from the direct ones",
+            a.name
+        );
     }
     assert_eq!(plain.total_events, observed.total_events, "event count");
     assert_eq!(plain.migrations, observed.migrations, "migrations");
@@ -236,9 +243,10 @@ fn timeline_is_bit_identical_across_jobs() {
     }
 }
 
-/// The windowed recorder is reset-based: merging every per-interval delta must
-/// reproduce the whole-run end-to-end histogram exactly (same counts, same
-/// min/max), per lane and for the aggregate.
+/// The run histogram is folded from the per-interval deltas, so merging every
+/// delta must reproduce it exactly (same counts, same min/max), per lane and
+/// for the aggregate. `observability_does_not_perturb_the_simulation` checks
+/// the fold against an independent direct record.
 #[test]
 fn window_deltas_remerge_to_the_run_histogram() {
     let run = four_lane_run(11, 2, dense_tracing());
