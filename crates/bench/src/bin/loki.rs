@@ -30,15 +30,17 @@ USAGE:
   loki sweep  <scenario> [axis=v1,v2,...] [key=value ...] [--json] [--csv] [--jobs N] [--serial]
   loki help
 
-Config keys: cluster, slo, duration, peak, base, seed, bucket, drain, runs,
+Config keys: cluster, slo, duration, peak, base, seed, bucket, drain,
 jobs (engine lane threads for multi-pipeline scenarios; bit-identical),
 links (uniform, two-tier, edge-split), elastic (fixed, static-peak,
 static-mean, autoscale), classes (uniform, mixed), spot (true/false),
 revoke (spot revocations per worker-hour), stockout (probability),
 provisioner (reactive, forecast), route (accuracy, link-aware),
-trace (sample every Nth root query; 0 = off), hist (latency histograms,
-default true), timeline (cluster event journal + windowed histogram deltas,
-true/false).
+trace (sample every Nth root query; 0 = off), timeline (cluster event
+journal + windowed histogram deltas, true/false).
+Reports carry simulated values and counts only, so each is a pure function
+of scenario and config; jobs= changes only host speed, which the reference
+benchmark measures (benchmark/README.md).
 
 `run --trace PATH` executes the scenario's canonical point with tracing on
 (trace=100 unless overridden) and writes Chrome trace-event JSON to PATH —
@@ -49,7 +51,7 @@ journal events, plus the SLO burn analysis) to PATH and the flat per-interval
 CSV next to it (.json swapped for .csv). Timeline files record simulated time
 only and are byte-identical for every jobs= value.
 Sweep axes (comma-separated lists): controllers, slo, peak, cluster, links,
-route, elastic, spot, revoke, stockout, provisioner, jobs, seed.
+route, elastic, spot, revoke, stockout, provisioner, seed.
 Multi-seed sweeps report cross-seed mean/stddev per axis point; --csv emits one
 flat CSV (stat=point|mean|stddev) ready for plotting.
 See EXPERIMENTS.md for the invocation reproducing each paper figure.";
@@ -404,7 +406,6 @@ fn cmd_sweep(args: &[String]) {
                         .map(|point| {
                             let mut obj = Json::object();
                             obj.push("label", point.label.as_str().into())
-                                .push("wall_s", point.wall_s.into())
                                 .push("summary", figures::summary_json(&point.result.summary));
                             if let Some(cost) = &point.cost {
                                 obj.push("cost", figures::cost_json(cost));

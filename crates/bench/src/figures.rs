@@ -53,8 +53,7 @@ pub fn run_scenario(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> S
 }
 
 /// JSON view of a whole-run summary. Every field here is simulated state
-/// (bit-identical across `jobs=` values); host-time measurements live
-/// outside it.
+/// (bit-identical across `jobs=` values).
 pub fn summary_json(s: &RunSummary) -> Json {
     let row = MetricRow::summary(s);
     let mut obj = Json::object();
@@ -81,7 +80,6 @@ pub fn config_json(cfg: &ExperimentConfig) -> Json {
         .push("seed", cfg.seed.into())
         .push("bucket_s", cfg.bucket_s.into())
         .push("drain_s", cfg.drain_s.into())
-        .push("runs", cfg.runs.into())
         .push("jobs", cfg.jobs.into())
         .push("links", cfg.links.name().into())
         .push("elastic", cfg.elastic.name().into())
@@ -92,7 +90,6 @@ pub fn config_json(cfg: &ExperimentConfig) -> Json {
         .push("provisioner", cfg.provisioner.name().into())
         .push("route", cfg.route.label().into())
         .push("trace", cfg.trace_sample.into())
-        .push("hist", cfg.hist.into())
         .push("timeline", cfg.timeline.into());
     obj
 }
@@ -361,18 +358,14 @@ fn capacity_table(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Sce
 
 fn throughput(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
     let results = runner.run(vec![base_point(sc, cfg)]);
-    let entry = throughput_json(sc.name, cfg.runs.max(1), &results[0]);
+    let entry = throughput_json(sc.name, &results[0]);
 
     let s = &results[0].result.summary;
-    let mut text = format!("# {}: simulator throughput\n", sc.name);
+    let mut text = format!("# {}: {}\n", sc.name, sc.title);
     let _ = writeln!(
         text,
-        "arrivals {}  best_wall_s {:.6}  events {}  events/s {:.0}  arrivals/s {:.0}",
-        results[0].arrivals,
-        results[0].wall_s,
-        s.events_processed,
-        s.events_processed as f64 / results[0].wall_s,
-        results[0].arrivals as f64 / results[0].wall_s,
+        "arrivals {}  events {}",
+        results[0].arrivals, s.events_processed,
     );
     let _ = writeln!(
         text,
@@ -396,16 +389,6 @@ fn throughput(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Scenari
     let mut json = report_header(sc, cfg);
     json.push("throughput", entry);
     ScenarioReport { text, json }
-}
-
-/// SLO attainment of a summary: on-time completions over finished requests.
-fn slo_attainment(s: &RunSummary) -> f64 {
-    let finished = s.total_on_time + s.total_late + s.total_dropped;
-    if finished == 0 {
-        0.0
-    } else {
-        s.total_on_time as f64 / finished as f64
-    }
 }
 
 fn multi_pipeline(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
@@ -433,38 +416,26 @@ fn multi_pipeline(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Sce
     );
     let _ = writeln!(
         text,
-        "\n{:<12} {:>10} {:>10} {:>8} {:>9} {:>11} {:>10} {:>11} {:>10}",
-        "pipeline",
-        "arrivals",
-        "on_time",
-        "late",
-        "dropped",
-        "slo_attain",
-        "accuracy",
-        "lane_wall_s",
-        "barrier_s"
+        "\n{:<12} {:>10} {:>10} {:>8} {:>9} {:>11} {:>10}",
+        "pipeline", "arrivals", "on_time", "late", "dropped", "slo_attain", "accuracy"
     );
     let mut rows = Vec::new();
     for lane in &point.per_pipeline {
         let s = &lane.summary;
         let _ = writeln!(
             text,
-            "{:<12} {:>10} {:>10} {:>8} {:>9} {:>11.4} {:>10.4} {:>11.4} {:>10.4}",
+            "{:<12} {:>10} {:>10} {:>8} {:>9} {:>11.4} {:>10.4}",
             lane.name,
             s.total_arrivals,
             s.total_on_time,
             s.total_late,
             s.total_dropped,
-            slo_attainment(s),
-            s.system_accuracy,
-            lane.lane_wall_s,
-            lane.barrier_wait_s
+            s.slo_attainment(),
+            s.system_accuracy
         );
         let mut row = Json::object();
         row.push("pipeline", lane.name.as_str().into())
-            .push("slo_attainment", slo_attainment(s).into())
-            .push("lane_wall_s", lane.lane_wall_s.into())
-            .push("barrier_wait_s", lane.barrier_wait_s.into())
+            .push("slo_attainment", s.slo_attainment().into())
             .push("summary", summary_json(s));
         rows.push(row);
     }
@@ -477,7 +448,7 @@ fn multi_pipeline(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Sce
         agg.total_on_time,
         agg.total_late,
         agg.total_dropped,
-        slo_attainment(agg),
+        agg.slo_attainment(),
         agg.system_accuracy
     );
     text.push_str(
@@ -491,7 +462,7 @@ fn multi_pipeline(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Sce
         .push("rebalances", stats.rebalances.into())
         .push("migrations", stats.migrations.into())
         .push("pipelines", Json::Arr(rows))
-        .push("aggregate_slo_attainment", slo_attainment(agg).into())
+        .push("aggregate_slo_attainment", agg.slo_attainment().into())
         .push("aggregate", summary_json(agg));
     ScenarioReport { text, json }
 }
@@ -555,14 +526,14 @@ fn elastic_family(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Sce
             cost.total_dollars,
             cost.cost_per_1k_queries,
             cost.peak_fleet,
-            slo_attainment(s),
+            s.slo_attainment(),
             s.system_accuracy,
             s.total_dropped,
             scaled,
         );
         let mut row = Json::object();
         row.push("mode", point.label.as_str().into())
-            .push("slo_attainment", slo_attainment(s).into())
+            .push("slo_attainment", s.slo_attainment().into())
             .push("cost", cost_json(cost))
             .push("summary", summary_json(s));
         rows.push(row);
@@ -579,7 +550,7 @@ fn elastic_family(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Sce
             0.0
         };
         let attain_delta =
-            slo_attainment(&peak.result.summary) - slo_attainment(&auto.result.summary);
+            peak.result.summary.slo_attainment() - auto.result.summary.slo_attainment();
         let _ = writeln!(
             text,
             "\nautoscale vs static-peak: {saving_pct:.1}% cheaper at {attain_delta:+.4} SLO-attainment delta"
@@ -665,7 +636,7 @@ fn spot_family(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Scenar
             cost.revocations,
             cost.stockouts,
             cost.peak_fleet,
-            slo_attainment(s),
+            s.slo_attainment(),
             cost.cost_per_1k_queries,
             s.total_dropped,
             burn.budget_consumed * 100.0,
@@ -673,7 +644,7 @@ fn spot_family(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Scenar
         );
         let mut row = Json::object();
         row.push("fleet", point.label.as_str().into())
-            .push("slo_attainment", slo_attainment(s).into())
+            .push("slo_attainment", s.slo_attainment().into())
             .push("cost", cost_json(cost))
             .push("summary", summary_json(s))
             .push("burn", crate::timeline::burn_json(burn));
@@ -686,9 +657,9 @@ fn spot_family(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Scenar
     if let (Some(od_cost), Some(re_cost), Some(fc_cost)) =
         (&ondemand.cost, &reactive.cost, &forecast.cost)
     {
-        let fc_attain = slo_attainment(&forecast.result.summary);
-        let re_attain = slo_attainment(&reactive.result.summary);
-        let od_attain = slo_attainment(&ondemand.result.summary);
+        let fc_attain = forecast.result.summary.slo_attainment();
+        let re_attain = reactive.result.summary.slo_attainment();
+        let od_attain = ondemand.result.summary.slo_attainment();
         let spot_saving_pct = if od_cost.total_dollars > 0.0 {
             100.0 * (1.0 - fc_cost.total_dollars / od_cost.total_dollars)
         } else {
@@ -723,41 +694,28 @@ fn spot_family(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Scenar
     ScenarioReport { text, json }
 }
 
-/// The `throughput` object of a Throughput report: run identity and
-/// wall-clock rates around the [`METRICS`] a throughput run is judged by.
-fn throughput_json(name: &str, runs: usize, point: &PointResult) -> Json {
-    let s = &point.result.summary;
+/// The `throughput` object of a Throughput report: run identity, the
+/// control-plane counters and the event count around the [`METRICS`] a
+/// throughput run is judged by.
+fn throughput_json(name: &str, point: &PointResult) -> Json {
     let row = MetricRow::point(point);
-    let controller_s = point.controller_stats.as_ref().map_or(Json::Null, |st| {
-        Json::Num(st.allocation_time_s + st.routing_time_s)
-    });
     let mut entry = Json::object();
     entry
         .push("name", name.into())
-        .push("arrivals", point.arrivals.into())
-        .push("runs", runs.into())
-        .push("best_wall_s", point.wall_s.into())
-        .push("controller_s", controller_s);
+        .push("arrivals", point.arrivals.into());
     push_metrics(
         &mut entry,
         &row,
         &[
-            "plan_build_s",
             "routing_cache_consults",
             "routing_cache_hits",
             "routing_warnings",
         ],
     );
-    entry
-        .push("events_processed", s.events_processed.into())
-        .push(
-            "events_per_sec",
-            (s.events_processed as f64 / point.wall_s).into(),
-        )
-        .push(
-            "arrivals_per_sec",
-            (point.arrivals as f64 / point.wall_s).into(),
-        );
+    entry.push(
+        "events_processed",
+        point.result.summary.events_processed.into(),
+    );
     push_metrics(
         &mut entry,
         &row,
@@ -777,22 +735,6 @@ fn throughput_json(name: &str, runs: usize, point: &PointResult) -> Json {
     );
     if let Some(cost) = &point.cost {
         entry.push("cost", cost_json(cost));
-    }
-    // Shard timings of a multi-pipeline run: how the engine's lane threads
-    // spent the wall-clock (Section 6.5 load-imbalance signal).
-    if !point.per_pipeline.is_empty() {
-        let lanes = point
-            .per_pipeline
-            .iter()
-            .map(|lane| {
-                let mut obj = Json::object();
-                obj.push("name", lane.name.as_str().into());
-                let row = MetricRow::lane(point, lane);
-                push_metrics(&mut obj, &row, &["lane_wall_s", "barrier_wait_s"]);
-                obj
-            })
-            .collect();
-        entry.push("per_pipeline", Json::Arr(lanes));
     }
     entry
 }
@@ -1113,19 +1055,17 @@ mod tests {
 
     #[test]
     fn throughput_and_summary_objects_keep_their_published_keys() {
-        let sc = crate::scenario::find("traffic_300qps_30s").expect("registered");
+        let sc = crate::scenario::find("traffic_hetnet").expect("registered");
         let cfg = ExperimentConfig {
             duration_s: 2,
             drain_s: 1.0,
-            runs: 1,
             ..sc.config()
         };
         let report = run_scenario(sc, &cfg, &Runner::serial());
         assert_eq!(
             keys(report.json.get("throughput")),
-            "name,arrivals,runs,best_wall_s,controller_s,plan_build_s,routing_cache_consults,\
-             routing_cache_hits,routing_warnings,events_processed,events_per_sec,\
-             arrivals_per_sec,on_time,late,dropped,dropped_deadline,dropped_reclaimed,\
+            "name,arrivals,routing_cache_consults,routing_cache_hits,routing_warnings,\
+             events_processed,on_time,late,dropped,dropped_deadline,dropped_reclaimed,\
              dropped_revoked,system_accuracy,p50_ms,p90_ms,p99_ms,p999_ms"
         );
         assert_eq!(

@@ -264,12 +264,9 @@ pub struct ExperimentConfig {
     pub bucket_s: usize,
     /// Post-arrival drain time before unfinished queries count as dropped, in seconds.
     pub drain_s: f64,
-    /// Repetitions per run point, keeping the best wall-clock (throughput scenarios).
-    pub runs: usize,
     /// Engine worker threads for multi-pipeline points (`jobs=` key): each
     /// pipeline lane runs on its own core between rebalance epochs. Results
-    /// are bit-identical for every value; only wall-clock changes. Ignored by
-    /// single-pipeline points.
+    /// are bit-identical for every value. Ignored by single-pipeline points.
     pub jobs: usize,
     /// Per-link network-delay profile (`links=` key; uniform by default).
     pub links: LinkProfile,
@@ -297,9 +294,6 @@ pub struct ExperimentConfig {
     /// root query (`trace=` key; `0` disables tracing). The sample set is
     /// seed-stable and identical for every `jobs=` value.
     pub trace_sample: u64,
-    /// Latency histograms (p50/p90/p99/p999) per task, worker class, and
-    /// end-to-end (`hist=` key; on by default, `false` to disable).
-    pub hist: bool,
     /// Timeline telemetry (`timeline=` key, `true`/`false`): the cluster
     /// event journal plus per-interval windowed histogram deltas. Records
     /// simulated time only, so the channel is bit-identical for every `jobs=`
@@ -319,7 +313,6 @@ impl Default for ExperimentConfig {
             seed: 42,
             bucket_s: 60,
             drain_s: 20.0,
-            runs: 1,
             jobs: 1,
             links: LinkProfile::Uniform,
             elastic: ElasticMode::Fixed,
@@ -330,7 +323,6 @@ impl Default for ExperimentConfig {
             provisioner: ProvisionerKind::Reactive,
             route: RouteMode::Accuracy,
             trace_sample: 0,
-            hist: true,
             timeline: false,
         }
     }
@@ -354,7 +346,6 @@ impl ExperimentConfig {
             "seed" => self.seed = parse(key, value)?,
             "bucket" => self.bucket_s = parse(key, value)?,
             "drain" => self.drain_s = parse(key, value)?,
-            "runs" => self.runs = parse(key, value)?,
             "jobs" => self.jobs = parse::<usize>(key, value)?.max(1),
             "links" => {
                 self.links = LinkProfile::from_name(value).ok_or_else(|| {
@@ -411,11 +402,10 @@ impl ExperimentConfig {
                 })?
             }
             "trace" => self.trace_sample = parse(key, value)?,
-            "hist" => self.hist = parse(key, value)?,
             "timeline" => self.timeline = parse(key, value)?,
             _ => {
                 return Err(format!(
-                    "unknown key {key:?} (known: cluster, slo, duration, peak, base, seed, bucket, drain, runs, jobs, links, elastic, classes, spot, revoke, stockout, provisioner, route, trace, hist, timeline)"
+                    "unknown key {key:?} (known: cluster, slo, duration, peak, base, seed, bucket, drain, jobs, links, elastic, classes, spot, revoke, stockout, provisioner, route, trace, timeline)"
                 ))
             }
         }
@@ -650,8 +640,8 @@ pub fn sim_config(cfg: &ExperimentConfig, trace: &Trace) -> SimConfig {
         link_delays: cfg.links.to_model(),
         observe: loki_sim::ObserveConfig {
             trace_sample: cfg.trace_sample,
-            histograms: cfg.hist,
             timeline: cfg.timeline,
+            ..loki_sim::ObserveConfig::default()
         },
         ..SimConfig::default()
     }
@@ -897,19 +887,22 @@ mod tests {
     #[test]
     fn config_overrides_are_strict() {
         let mut cfg = ExperimentConfig::default();
-        cfg.apply_overrides(["slo=300", "duration=60", "runs=2"])
+        cfg.apply_overrides(["slo=300", "duration=60", "jobs=2"])
             .expect("valid overrides");
         assert_eq!(cfg.slo_ms, 300.0);
         assert_eq!(cfg.duration_s, 60);
-        assert_eq!(cfg.runs, 2);
+        assert_eq!(cfg.jobs, 2);
         // The typo the old parser silently swallowed is now a hard error.
         let err = cfg.set("slo", "25o").unwrap_err();
         assert!(err.contains("invalid value"), "{err}");
         let err = cfg.set("slos", "250").unwrap_err();
         assert!(err.contains("unknown key"), "{err}");
-        // The retired engine self-profiler's key is rejected, not ignored.
-        let err = cfg.apply_overrides(["profile=true"]).unwrap_err();
-        assert!(err.contains("unknown key"), "{err}");
+        // Retired host-speed keys (the engine self-profiler, best-of-N
+        // repetition, the histogram switch) are rejected, not ignored.
+        for retired in ["profile=true", "runs=3", "hist=false"] {
+            let err = cfg.apply_overrides([retired]).unwrap_err();
+            assert!(err.contains("unknown key"), "{retired}: {err}");
+        }
         let err = cfg.apply_overrides(["duration"]).unwrap_err();
         assert!(err.contains("key=value"), "{err}");
         // Failed overrides must not have clobbered earlier state.

@@ -195,20 +195,15 @@ impl From<Value> for Json {
     }
 }
 
-/// Everything a [`Metric`] reads for one report row: a run summary, the run's
-/// wall-clock (shared by every pipeline of a multi-pipeline point), its fleet
-/// billing (elastic runs only), the control-plane statistics of whichever
-/// controller produced the summary, the SLO error-budget analysis of the
-/// summary's interval series, and the lane's shard timings (pipeline rows
-/// only; zero at cluster level).
+/// Everything a [`Metric`] reads for one report row: a run summary, its fleet
+/// billing (elastic runs only), the control-plane counters of whichever
+/// controller produced the summary, and the SLO error-budget analysis of the
+/// summary's interval series.
 pub(crate) struct MetricRow<'a> {
     summary: &'a RunSummary,
-    wall_s: f64,
     cost: Option<&'a CostSummary>,
     stats: Option<&'a ControllerStats>,
     burn: Option<&'a BurnReport>,
-    lane_wall_s: f64,
-    barrier_wait_s: f64,
 }
 
 impl<'a> MetricRow<'a> {
@@ -216,19 +211,15 @@ impl<'a> MetricRow<'a> {
     pub(crate) fn summary(summary: &'a RunSummary) -> Self {
         Self {
             summary,
-            wall_s: 0.0,
             cost: None,
             stats: None,
             burn: None,
-            lane_wall_s: 0.0,
-            barrier_wait_s: 0.0,
         }
     }
 
     /// The cluster-level row of an executed point.
     pub(crate) fn point(point: &'a PointResult) -> Self {
         Self {
-            wall_s: point.wall_s,
             cost: point.cost.as_ref(),
             stats: point.controller_stats.as_ref(),
             burn: point.burn.as_ref(),
@@ -238,13 +229,10 @@ impl<'a> MetricRow<'a> {
 
     /// One pipeline's row of a multi-pipeline point. Cost is cluster-level,
     /// so pipeline rows carry none.
-    pub(crate) fn lane(point: &'a PointResult, lane: &'a PipelineSummary) -> Self {
+    pub(crate) fn lane(lane: &'a PipelineSummary) -> Self {
         Self {
-            wall_s: point.wall_s,
             stats: lane.controller_stats.as_ref(),
             burn: lane.burn.as_ref(),
-            lane_wall_s: lane.lane_wall_s,
-            barrier_wait_s: lane.barrier_wait_s,
             ..Self::summary(&lane.summary)
         }
     }
@@ -254,7 +242,7 @@ impl<'a> MetricRow<'a> {
 pub(crate) struct Metric {
     pub(crate) name: &'static str,
     /// A field of the simulated run summary: part of every `summary` JSON
-    /// object, and bit-identical across `jobs=` values.
+    /// object.
     pub(crate) in_summary: bool,
     pub(crate) value: fn(&MetricRow) -> Value,
 }
@@ -281,11 +269,12 @@ impl Metric {
 /// names the sweep CSV metric columns, the cross-seed aggregates and their
 /// `{name}_mean`/`{name}_stddev` JSON keys, the shared keys of every
 /// `summary` JSON object, and the run metrics of the throughput report.
+/// Every metric is a simulated value or a count, so each row is a pure
+/// function of its point's scenario and config.
 ///
 /// Cost metrics are absent for fixed-fleet points and on pipeline rows; the
-/// percentiles are zero when `hist=false` disabled the latency histograms;
-/// the control-plane metrics are absent for controllers that do not track
-/// [`ControllerStats`]; the shard timings are zero outside pipeline rows.
+/// control-plane metrics are absent for controllers that do not track
+/// [`ControllerStats`].
 pub(crate) const METRICS: &[Metric] = &[
     Metric::summary("on_time", |r| Count(r.summary.total_on_time)),
     Metric::summary("late", |r| Count(r.summary.total_late)),
@@ -308,7 +297,6 @@ pub(crate) const METRICS: &[Metric] = &[
     Metric::summary("p90_ms", |r| Real(r.summary.p90_ms)),
     Metric::summary("p99_ms", |r| Real(r.summary.p99_ms)),
     Metric::summary("p999_ms", |r| Real(r.summary.p999_ms)),
-    Metric::run("wall_s", |r| Real(r.wall_s)),
     Metric::run("gpu_hours", |r| {
         r.cost.map_or(Absent, |c| Real(c.gpu_hours()))
     }),
@@ -329,9 +317,6 @@ pub(crate) const METRICS: &[Metric] = &[
     }),
     Metric::run("ondemand_usd", |r| {
         r.cost.map_or(Absent, |c| Real(c.ondemand_dollars))
-    }),
-    Metric::run("plan_build_s", |r| {
-        r.stats.map_or(Absent, |s| Real(s.plan_build_time_s))
     }),
     Metric::run("routing_cache_consults", |r| {
         r.stats
@@ -354,8 +339,6 @@ pub(crate) const METRICS: &[Metric] = &[
     Metric::run("burn_episodes", |r| {
         r.burn.map_or(Absent, |b| Count(b.episodes.len() as u64))
     }),
-    Metric::run("lane_wall_s", |r| Real(r.lane_wall_s)),
-    Metric::run("barrier_wait_s", |r| Real(r.barrier_wait_s)),
 ];
 
 /// Push the named metrics of `row` onto a JSON object, in the given order.
@@ -516,7 +499,7 @@ pub(crate) fn csv_row(out: &mut String, fields: &[String]) {
 }
 
 /// The axis columns of [`sweep_csv`], ahead of the [`METRICS`] columns.
-const SWEEP_AXIS_COLUMNS: [&str; 18] = [
+const SWEEP_AXIS_COLUMNS: [&str; 19] = [
     "scenario",
     "stat",
     "label",
@@ -528,6 +511,7 @@ const SWEEP_AXIS_COLUMNS: [&str; 18] = [
     "base_qps",
     "cluster",
     "links",
+    "route",
     "elastic",
     "spot",
     "revoke",
@@ -561,6 +545,7 @@ pub fn sweep_csv(scenario: &str, points: &[RunPoint], results: &[PointResult]) -
             format!("{}", point.cfg.base_qps),
             format!("{}", point.cfg.cluster_size),
             point.cfg.links.name().to_string(),
+            point.cfg.route.label().to_string(),
             point.cfg.elastic.name().to_string(),
             format!("{}", point.cfg.spot),
             format!("{}", point.cfg.revoke_per_hour),
@@ -587,7 +572,7 @@ pub fn sweep_csv(scenario: &str, points: &[RunPoint], results: &[PointResult]) -
         row.extend(metric_fields(&MetricRow::point(result)));
         csv_row(&mut out, &row);
         // Multi-pipeline points additionally emit one `stat=pipeline` row per
-        // pipeline on the cluster, same columns (wall_s is the shared run's).
+        // pipeline on the cluster, same columns.
         for lane in &result.per_pipeline {
             let mut row = vec![
                 scenario.to_string(),
@@ -597,7 +582,7 @@ pub fn sweep_csv(scenario: &str, points: &[RunPoint], results: &[PointResult]) -
             row.extend(axis_fields(point));
             row.push(format!("{}", point.cfg.seed));
             row.push(format!("{}", lane.summary.total_arrivals));
-            row.extend(metric_fields(&MetricRow::lane(result, lane)));
+            row.extend(metric_fields(&MetricRow::lane(lane)));
             csv_row(&mut out, &row);
         }
     }
@@ -724,7 +709,7 @@ mod tests {
             drain_s: 5.0,
             ..ExperimentConfig::default()
         };
-        let sc = crate::scenario::find("traffic_300qps_30s").expect("registered");
+        let sc = crate::scenario::find("traffic_hetnet").expect("registered");
         let mut sweep = Sweep::for_scenario(sc, cfg);
         sweep.base.pipeline = PipelineSpec::Tiny;
         sweep.set_axis("seed", "41,42").unwrap();
@@ -762,16 +747,21 @@ mod tests {
 
     #[test]
     fn aggregates_keep_every_non_seed_axis_apart() {
-        for (axis, values) in [("route", "accuracy,link-aware"), ("jobs", "1,2")] {
-            let (points, results) = tiny_sweep_with(&[(axis, values)]);
-            let aggs = aggregate_sweep(&points, &results);
-            assert_eq!(aggs.len(), 2, "one aggregate per {axis} value");
-            for agg in &aggs {
-                assert_eq!(agg.seeds, vec![41, 42], "{}", agg.label);
-                assert!(agg.label.contains(&format!("{axis}=")), "{}", agg.label);
-            }
-            let csv = sweep_csv("unit", &points, &results);
-            assert_eq!(csv.lines().filter(|l| l.contains(",mean,")).count(), 2);
+        let (points, results) = tiny_sweep_with(&[("route", "accuracy,link-aware")]);
+        let aggs = aggregate_sweep(&points, &results);
+        assert_eq!(aggs.len(), 2, "one aggregate per route value");
+        for agg in &aggs {
+            assert_eq!(agg.seeds, vec![41, 42], "{}", agg.label);
+            assert!(agg.label.contains("route="), "{}", agg.label);
+        }
+        let csv = sweep_csv("unit", &points, &results);
+        assert_eq!(csv.lines().filter(|l| l.contains(",mean,")).count(), 2);
+        // The route has its own column, not only a label component.
+        for mode in ["accuracy", "link-aware"] {
+            let rows = csv
+                .lines()
+                .filter(|l| l.contains(&format!(",uniform,{mode},")));
+            assert_eq!(rows.count(), 4, "2 points + mean + stddev for {mode}");
         }
     }
 
@@ -799,12 +789,11 @@ mod tests {
         assert_eq!(
             header,
             "scenario,stat,label,controller,pipeline,trace,slo_ms,peak_qps,base_qps,cluster,\
-             links,elastic,spot,revoke,stockout,provisioner,seed,arrivals,on_time,late,dropped,\
-             dropped_deadline,dropped_reclaimed,dropped_revoked,slo_violation_ratio,\
-             system_accuracy,mean_utilization,p50_ms,p90_ms,p99_ms,p999_ms,wall_s,gpu_hours,\
-             cost_usd,cost_per_1k,revocations,stockouts,spot_usd,ondemand_usd,plan_build_s,\
-             routing_cache_consults,routing_cache_hits,routing_warnings,budget_consumed,\
-             worst_burn_rate,burn_episodes,lane_wall_s,barrier_wait_s"
+             links,route,elastic,spot,revoke,stockout,provisioner,seed,arrivals,on_time,late,\
+             dropped,dropped_deadline,dropped_reclaimed,dropped_revoked,slo_violation_ratio,\
+             system_accuracy,mean_utilization,p50_ms,p90_ms,p99_ms,p999_ms,gpu_hours,cost_usd,\
+             cost_per_1k,revocations,stockouts,spot_usd,ondemand_usd,routing_cache_consults,\
+             routing_cache_hits,routing_warnings,budget_consumed,worst_burn_rate,burn_episodes"
         );
     }
 

@@ -18,7 +18,6 @@ use loki_sim::{
     ObservedState, ResourceArbiter, RouteMode, RunSummary, SimResult, Simulation, StaticPartition,
 };
 use loki_workload::{generate_arrivals, ArrivalProcess, Trace, TraceSpec};
-use std::time::Instant;
 
 /// The pipelines of the evaluation, by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -186,7 +185,7 @@ pub enum AnyController {
 }
 
 impl AnyController {
-    /// Control-plane runtime statistics, when the underlying controller tracks them.
+    /// Control-plane counters, when the underlying controller tracks them.
     pub fn controller_stats(&self) -> Option<&ControllerStats> {
         match self {
             AnyController::Loki(c) => Some(&c.stats),
@@ -311,7 +310,7 @@ pub fn traffic_social_lanes() -> Vec<MultiLane> {
 /// trace with social-media lanes on the bursty trace, the latter with a 20%
 /// looser SLO. The long-tail skew — lane 0 alone carries ~30% of the load —
 /// is what exercises both the contended arbiter and the sharded engine's
-/// barrier-wait accounting (the head lanes dominate each epoch's wall time).
+/// epoch barriers (the head lanes carry most of each epoch's events).
 pub fn zipf_lanes() -> Vec<MultiLane> {
     const LANES: usize = 16;
     let harmonic: f64 = (1..=LANES).map(|k| 1.0 / k as f64).sum();
@@ -360,13 +359,7 @@ pub struct RunPoint {
 pub struct PipelineSummary {
     pub name: String,
     pub summary: RunSummary,
-    /// Wall-clock seconds the lane's execution shard spent processing events
-    /// (host time; from the best run when `runs > 1`).
-    pub lane_wall_s: f64,
-    /// Estimated wall-clock seconds the lane's shard spent waiting on slower
-    /// shards at epoch barriers — the sharded engine's load-imbalance signal.
-    pub barrier_wait_s: f64,
-    /// The lane's control-plane statistics, when its controller tracks them
+    /// The lane's control-plane counters, when its controller tracks them
     /// (threaded out through `MultiSimulation::into_pipelines`).
     pub controller_stats: Option<ControllerStats>,
     /// The lane's per-interval metrics series (simulated time; feeds the
@@ -399,13 +392,11 @@ pub struct PointResult {
     /// executions of the same point — the determinism the figure harness rests
     /// on). For multi-pipeline points this is the cluster-level aggregate.
     pub result: SimResult,
-    /// Best simulation wall-clock over `cfg.runs` repetitions, in seconds.
-    pub wall_s: f64,
     /// Number of generated root arrivals (all pipelines).
     pub arrivals: usize,
-    /// Control-plane statistics of the best run, when the controller tracks
-    /// them. For multi-pipeline points this is the sum over lanes (per-lane
-    /// stats are on [`PointResult::per_pipeline`]).
+    /// Control-plane counters of the run, when the controller tracks them.
+    /// For multi-pipeline points this is the sum over lanes (per-lane stats
+    /// are on [`PointResult::per_pipeline`]).
     pub controller_stats: Option<ControllerStats>,
     /// Per-pipeline summaries (empty for single-pipeline points).
     pub per_pipeline: Vec<PipelineSummary>,
@@ -434,8 +425,7 @@ impl RunPoint {
     }
 
     /// Execute the point: build graph, trace, and arrivals, run the simulator
-    /// `cfg.runs` times (keeping the best wall-clock, the standard way to suppress
-    /// scheduler noise in throughput numbers), and return the result.
+    /// once, and return the result.
     pub fn execute(&self) -> PointResult {
         if let Some(multi) = &self.multi {
             return self.execute_multi(multi);
@@ -446,35 +436,23 @@ impl RunPoint {
         let links = self.cfg.links.to_model();
         let mut config = crate::sim_config(&self.cfg, &trace);
         config.elastic = crate::elastic_sim_config(&self.cfg, graph.num_tasks(), trace.mean_qps());
-        let runs = self.cfg.runs.max(1);
-        let mut best_wall_s = f64::INFINITY;
-        let mut result = None;
-        let mut controller_stats = None;
-        for _ in 0..runs {
-            let controller =
-                self.controller
-                    .build(&graph, self.drop_policy, &links, self.cfg.route);
-            let mut sim = Simulation::new(&graph, config.clone(), controller);
-            let start = Instant::now();
-            let run = match self.cfg.elastic {
-                ElasticMode::Autoscale => {
-                    let mut policy =
-                        crate::provisioner_policy(&self.cfg, graph.num_tasks(), trace.mean_qps());
-                    sim.run_elastic(&arrivals, &mut *policy)
-                }
-                _ => sim.run(&arrivals),
-            };
-            let wall_s = start.elapsed().as_secs_f64();
-            if wall_s < best_wall_s {
-                best_wall_s = wall_s;
-                controller_stats = sim.into_controller().controller_stats().cloned();
+        let controller = self
+            .controller
+            .build(&graph, self.drop_policy, &links, self.cfg.route);
+        let interval_s = config.metrics_interval_s;
+        let mut sim = Simulation::new(&graph, config, controller);
+        let result = match self.cfg.elastic {
+            ElasticMode::Autoscale => {
+                let mut policy =
+                    crate::provisioner_policy(&self.cfg, graph.num_tasks(), trace.mean_qps());
+                sim.run_elastic(&arrivals, &mut *policy)
             }
-            result = Some(run);
-        }
-        let result = result.expect("runs >= 1");
+            _ => sim.run(&arrivals),
+        };
+        let controller_stats = sim.into_controller().controller_stats().cloned();
         let burn = analyze_burn(
             &result.intervals,
-            config.metrics_interval_s,
+            interval_s,
             result.journal.as_ref(),
             &BurnConfig::default(),
         );
@@ -483,7 +461,6 @@ impl RunPoint {
             cost: result.cost.clone(),
             burn: Some(burn),
             result,
-            wall_s: best_wall_s,
             arrivals: arrivals.len(),
             controller_stats,
             per_pipeline: Vec::new(),
@@ -541,72 +518,43 @@ impl RunPoint {
         let total_tasks: usize = graphs.iter().map(|g| g.num_tasks()).sum();
         let offered_total: f64 = offered.iter().sum();
 
-        let runs = cfg.runs.max(1);
-        let mut best_wall_s = f64::INFINITY;
-        let mut outcome = None;
-        let mut lane_stats: Vec<Option<ControllerStats>> = vec![None; spec.lanes.len()];
-        let mut lane_walls: Vec<(f64, f64)> = vec![(0.0, 0.0); spec.lanes.len()];
-        for _ in 0..runs {
-            let mut config = crate::sim_config(cfg, &traces[0]);
-            config.initial_demand_hint = None;
-            config.elastic = crate::elastic_sim_config(cfg, total_tasks, offered_total);
-            let mut sim: MultiSimulation<'_, AnyController> =
-                MultiSimulation::new(MultiSimConfig {
-                    sim: config,
-                    jobs: cfg.jobs.max(1),
-                });
-            for (i, lane) in spec.lanes.iter().enumerate() {
-                sim.add_pipeline(MultiPipeline {
-                    name: lane.name.clone(),
-                    graph: &graphs[i],
-                    controller: self.controller.build(
-                        &graphs[i],
-                        self.drop_policy,
-                        &links,
-                        cfg.route,
-                    ),
-                    arrivals_s: arrivals[i].clone(),
-                    initial_demand_hint: Some(traces[i].qps_at(0).max(1.0)),
-                });
-            }
-            let mut arbiter = spec.mode.arbiter(&offered);
-            let start = Instant::now();
-            let run = match cfg.elastic {
-                ElasticMode::Autoscale => {
-                    let mut policy = crate::provisioner_policy(cfg, total_tasks, offered_total);
-                    sim.run_elastic(&mut *arbiter, &mut *policy)
-                }
-                _ => sim.run(&mut *arbiter),
-            };
-            let wall_s = start.elapsed().as_secs_f64();
-            if wall_s < best_wall_s {
-                best_wall_s = wall_s;
-                // Thread each lane's control-plane statistics and shard
-                // timings out of the best run (Section 6.5 runtime analysis
-                // for contended serving).
-                lane_walls = run
-                    .pipelines
-                    .iter()
-                    .map(|p| (p.lane_wall_s, p.barrier_wait_s))
-                    .collect();
-                lane_stats = sim
-                    .into_pipelines()
-                    .iter()
-                    .map(|p| p.controller.controller_stats().cloned())
-                    .collect();
-            }
-            outcome = Some(run);
+        let mut config = crate::sim_config(cfg, &traces[0]);
+        config.initial_demand_hint = None;
+        config.elastic = crate::elastic_sim_config(cfg, total_tasks, offered_total);
+        let mut sim: MultiSimulation<'_, AnyController> = MultiSimulation::new(MultiSimConfig {
+            sim: config,
+            jobs: cfg.jobs.max(1),
+        });
+        for ((i, lane), arrivals_s) in spec.lanes.iter().enumerate().zip(arrivals) {
+            sim.add_pipeline(MultiPipeline {
+                name: lane.name.clone(),
+                graph: &graphs[i],
+                controller: self
+                    .controller
+                    .build(&graphs[i], self.drop_policy, &links, cfg.route),
+                arrivals_s,
+                initial_demand_hint: Some(traces[i].qps_at(0).max(1.0)),
+            });
         }
-        let outcome = outcome.expect("runs >= 1");
+        let mut arbiter = spec.mode.arbiter(&offered);
+        let outcome = match cfg.elastic {
+            ElasticMode::Autoscale => {
+                let mut policy = crate::provisioner_policy(cfg, total_tasks, offered_total);
+                sim.run_elastic(&mut *arbiter, &mut *policy)
+            }
+            _ => sim.run(&mut *arbiter),
+        };
+        // Thread each lane's control-plane counters out of the run.
+        let lane_stats: Vec<Option<ControllerStats>> = sim
+            .into_pipelines()
+            .iter()
+            .map(|p| p.controller.controller_stats().cloned())
+            .collect();
         // The point-level stats aggregate the lanes (the shared run has one
-        // control-plane cost, paid across every lane's controller).
+        // control plane, spread across every lane's controller).
         let controller_stats = lane_stats.iter().flatten().cloned().reduce(|mut a, b| {
             a.allocations += b.allocations;
-            a.allocation_time_s += b.allocation_time_s;
-            a.last_allocation_time_s = a.last_allocation_time_s.max(b.last_allocation_time_s);
             a.routings += b.routings;
-            a.routing_time_s += b.routing_time_s;
-            a.plan_build_time_s += b.plan_build_time_s;
             a.routing_cache_consults += b.routing_cache_consults;
             a.routing_cache_hits += b.routing_cache_hits;
             a.routing_warnings.extend(b.routing_warnings);
@@ -628,31 +576,25 @@ impl RunPoint {
             label: self.label.clone(),
             cost: outcome.cost.clone(),
             result,
-            wall_s: best_wall_s,
             arrivals: total_arrivals,
             controller_stats,
             per_pipeline: outcome
                 .pipelines
                 .iter()
-                .zip(&lane_stats)
-                .zip(&lane_walls)
-                .map(
-                    |((p, stats), &(lane_wall_s, barrier_wait_s))| PipelineSummary {
-                        name: p.name.clone(),
-                        summary: p.result.summary.clone(),
-                        lane_wall_s,
-                        barrier_wait_s,
-                        controller_stats: stats.clone(),
-                        intervals: p.result.intervals.clone(),
-                        window: p.result.window.clone(),
-                        burn: Some(analyze_burn(
-                            &p.result.intervals,
-                            interval_s,
-                            outcome.journal.as_ref(),
-                            &BurnConfig::default(),
-                        )),
-                    },
-                )
+                .zip(lane_stats)
+                .map(|(p, controller_stats)| PipelineSummary {
+                    name: p.name.clone(),
+                    summary: p.result.summary.clone(),
+                    controller_stats,
+                    intervals: p.result.intervals.clone(),
+                    window: p.result.window.clone(),
+                    burn: Some(analyze_burn(
+                        &p.result.intervals,
+                        interval_s,
+                        outcome.journal.as_ref(),
+                        &BurnConfig::default(),
+                    )),
+                })
                 .collect(),
             multi_stats: Some(MultiStats {
                 arbiter: outcome.arbiter.clone(),
@@ -706,8 +648,9 @@ pub enum ScenarioKind {
     MilpProbe,
     /// Headline capacity/efficiency numbers (abstract / Section 6.2).
     CapacityTable,
-    /// Simulator-throughput run: wall-clock rates next to the simulated
-    /// outcome (the reference benchmark is `benchmark/README.md`).
+    /// One Loki-greedy run at trace scale, reported as its simulated outcome
+    /// (host speed is measured by the reference benchmark,
+    /// `benchmark/README.md`).
     Throughput,
     /// Several pipelines on one shared cluster under a resource arbiter
     /// (Section 7's contended multi-pipeline serving), over a named lane mix.
@@ -820,51 +763,12 @@ fn smoke_cfg() -> ExperimentConfig {
     }
 }
 
-fn throughput_300qps_cfg() -> ExperimentConfig {
-    ExperimentConfig {
-        cluster_size: 20,
-        duration_s: 30,
-        peak_qps: 300.0,
-        base_qps: 300.0,
-        seed: 11,
-        drain_s: 10.0,
-        runs: 3,
-        ..ExperimentConfig::default()
-    }
-}
-
-fn throughput_1m_cfg() -> ExperimentConfig {
-    ExperimentConfig {
-        cluster_size: 100,
-        duration_s: 500,
-        peak_qps: 2000.0,
-        base_qps: 2000.0,
-        seed: 11,
-        drain_s: 10.0,
-        runs: 1,
-        ..ExperimentConfig::default()
-    }
-}
-
-fn stress_diurnal_day_cfg() -> ExperimentConfig {
-    // A full day at diurnal rates averaging ~1150 QPS: ≈100M root arrivals.
-    ExperimentConfig {
-        cluster_size: 100,
-        duration_s: 86_400,
-        peak_qps: 2000.0,
-        base_qps: 300.0,
-        seed: 11,
-        drain_s: 10.0,
-        runs: 1,
-        bucket_s: 3600,
-        ..ExperimentConfig::default()
-    }
-}
-
 fn traffic_hetnet_cfg() -> ExperimentConfig {
-    // The 1M-arrival workload on a two-tier interconnect: PCIe-fast intra-class
-    // hops (0.2 ms) mixed with 5 ms cross-class hops, which exercises the
-    // calendar queue's out-of-order delivery scheduling at trace scale.
+    // One million arrivals (2000 QPS x 500 s) on a two-tier interconnect:
+    // PCIe-fast intra-class hops (0.2 ms) mixed with 5 ms cross-class hops,
+    // which exercises the calendar queue's out-of-order delivery scheduling at
+    // trace scale. `links=uniform` gives the same run on the paper's
+    // homogeneous 2 ms testbed.
     ExperimentConfig {
         cluster_size: 100,
         duration_s: 500,
@@ -872,7 +776,6 @@ fn traffic_hetnet_cfg() -> ExperimentConfig {
         base_qps: 2000.0,
         seed: 11,
         drain_s: 10.0,
-        runs: 1,
         links: LinkProfile::TwoTier,
         ..ExperimentConfig::default()
     }
@@ -967,7 +870,8 @@ fn multi_zipf_cfg() -> ExperimentConfig {
 }
 
 /// The scenario registry: every former figure/ablation/capacity binary, plus the
-/// simulator-throughput scenarios. `loki list` prints this table.
+/// trace-scale, elastic, spot and shared-cluster scenarios. `loki list` prints
+/// this table.
 pub const REGISTRY: &[Scenario] = &[
     Scenario {
         name: "fig1_phases",
@@ -1058,30 +962,6 @@ pub const REGISTRY: &[Scenario] = &[
         defaults: smoke_cfg,
     },
     Scenario {
-        name: "traffic_300qps_30s",
-        title: "Simulator throughput: 300 QPS x 30 s constant trace (best of 3)",
-        kind: ScenarioKind::Throughput,
-        pipeline: PipelineSpec::Traffic,
-        trace: TraceSpec::Constant,
-        defaults: throughput_300qps_cfg,
-    },
-    Scenario {
-        name: "traffic_1m_arrivals",
-        title: "Simulator throughput: one million arrivals (2000 QPS x 500 s)",
-        kind: ScenarioKind::Throughput,
-        pipeline: PipelineSpec::Traffic,
-        trace: TraceSpec::Constant,
-        defaults: throughput_1m_cfg,
-    },
-    Scenario {
-        name: "stress_diurnal_day",
-        title: "Trace-scale stress: day-long diurnal trace, ~100M arrivals",
-        kind: ScenarioKind::Throughput,
-        pipeline: PipelineSpec::Traffic,
-        trace: TraceSpec::AzureDiurnal,
-        defaults: stress_diurnal_day_cfg,
-    },
-    Scenario {
         name: "traffic_hetnet",
         title: "Heterogeneous per-link delays: 1M arrivals on a two-tier interconnect",
         kind: ScenarioKind::Throughput,
@@ -1140,7 +1020,7 @@ pub const REGISTRY: &[Scenario] = &[
     },
     Scenario {
         name: "multi_zipf_16",
-        title: "Shared cluster: 16 Zipf-popularity tenants; sharded-engine throughput scenario",
+        title: "Shared cluster: 16 Zipf-popularity tenants under the contended Resource Manager",
         kind: ScenarioKind::MultiPipeline(MultiMode::Contended, LaneSet::Zipf16),
         pipeline: PipelineSpec::Traffic,
         trace: TraceSpec::AzureDiurnal,

@@ -27,14 +27,13 @@ pub struct Sweep {
     pub revoke: Vec<f64>,
     pub stockout: Vec<f64>,
     pub provisioner: Vec<ProvisionerKind>,
-    pub jobs: Vec<usize>,
     pub seed: Vec<u64>,
 }
 
 impl Sweep {
     /// The axis names [`Sweep::set_axis`] accepts (`controller` is also
     /// accepted as an alias of `controllers`), in grid nesting order.
-    pub const AXES: [&'static str; 13] = [
+    pub const AXES: [&'static str; 12] = [
         "controllers",
         "slo",
         "peak",
@@ -46,7 +45,6 @@ impl Sweep {
         "revoke",
         "stockout",
         "provisioner",
-        "jobs",
         "seed",
     ];
 
@@ -85,7 +83,6 @@ impl Sweep {
             revoke: vec![cfg.revoke_per_hour],
             stockout: vec![cfg.stockout],
             provisioner: vec![cfg.provisioner],
-            jobs: vec![cfg.jobs.max(1)],
             seed: vec![cfg.seed],
         }
     }
@@ -113,11 +110,6 @@ impl Sweep {
             "slo" => self.slo_ms = list(axis, values, "numbers", number)?,
             "peak" => self.peak_qps = list(axis, values, "numbers", number)?,
             "cluster" => self.cluster_size = list(axis, values, "counts", number)?,
-            "jobs" => {
-                self.jobs = list(axis, values, "counts", |v| {
-                    number::<usize>(v).map(|j| j.max(1))
-                })?
-            }
             "seed" => self.seed = list(axis, values, "integers", number)?,
             "controllers" | "controller" => {
                 let known = ControllerSpec::ALL.map(|c| c.name()).join(", ");
@@ -175,7 +167,6 @@ impl Sweep {
             "revoke" => arr(&self.revoke, |&v| v.into()),
             "stockout" => arr(&self.stockout, |&v| v.into()),
             "provisioner" => arr(&self.provisioner, |k| k.name().into()),
-            "jobs" => arr(&self.jobs, |&v| v.into()),
             "seed" => arr(&self.seed, |&v| Json::UInt(v)),
             _ => panic!("unknown sweep axis {axis:?}"),
         }
@@ -194,7 +185,6 @@ impl Sweep {
             * self.revoke.len()
             * self.stockout.len()
             * self.provisioner.len()
-            * self.jobs.len()
             * self.seed.len()
     }
 
@@ -234,7 +224,6 @@ impl Sweep {
         grid = nest(grid, &self.revoke, |c, v| c.revoke_per_hour = v);
         grid = nest(grid, &self.stockout, |c, v| c.stockout = v);
         grid = nest(grid, &self.provisioner, |c, v| c.provisioner = v);
-        grid = nest(grid, &self.jobs, |c, v| c.jobs = v);
         grid = nest(grid, &self.seed, |c, v| c.seed = v);
         grid.into_iter()
             .map(|(controller, cfg)| RunPoint {
@@ -270,7 +259,6 @@ impl Sweep {
                 self.provisioner.len(),
                 format!("provisioner={}", cfg.provisioner.name()),
             ),
-            (self.jobs.len(), format!("jobs={}", cfg.jobs)),
             (self.seed.len(), format!("seed={}", cfg.seed)),
         ] {
             if len > 1 {
@@ -336,6 +324,9 @@ mod tests {
         assert!(sweep.set_axis("warp", "9").is_err());
         assert!(sweep.set_axis("controllers", "loki-greedy,gurobi").is_err());
         assert!(sweep.set_axis("links", "uniform,warp-drive").is_err());
+        // `jobs` is a base key only: it changes no simulated output, so a
+        // sweep over it would repeat one row.
+        assert!(sweep.set_axis("jobs", "1,2").is_err());
         assert!(sweep.set_axis("controllers", "loki-milp,proteus").is_ok());
         assert_eq!(
             sweep.controllers,

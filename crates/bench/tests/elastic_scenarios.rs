@@ -15,16 +15,6 @@
 use loki_bench::report::sweep_csv;
 use loki_bench::scenario::{self, scenario_point, PointResult, ScenarioKind};
 use loki_bench::{ElasticMode, ExperimentConfig, GpuClassProfile};
-use loki_sim::RunSummary;
-
-fn slo_attainment(s: &RunSummary) -> f64 {
-    let finished = s.total_on_time + s.total_late + s.total_dropped;
-    if finished == 0 {
-        0.0
-    } else {
-        s.total_on_time as f64 / finished as f64
-    }
-}
 
 fn run_mode(cfg: &ExperimentConfig, mode: ElasticMode) -> PointResult {
     let sc = scenario::find("elastic_diurnal").expect("elastic_diurnal registered");
@@ -84,8 +74,8 @@ fn autoscaler_cuts_cost_vs_static_peak_at_comparable_attainment() {
         auto_cost.total_dollars,
         peak_cost.total_dollars
     );
-    let peak_attain = slo_attainment(&static_peak.result.summary);
-    let auto_attain = slo_attainment(&autoscale.result.summary);
+    let peak_attain = static_peak.result.summary.slo_attainment();
+    let auto_attain = autoscale.result.summary.slo_attainment();
     assert!(
         peak_attain - auto_attain <= 0.02,
         "autoscaled attainment must stay within 2 points of static-peak: \

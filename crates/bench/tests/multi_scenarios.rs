@@ -21,15 +21,6 @@ fn short_cfg(sc: &scenario::Scenario) -> ExperimentConfig {
     sc.config()
 }
 
-fn slo_attainment(s: &loki_sim::RunSummary) -> f64 {
-    let finished = s.total_on_time + s.total_late + s.total_dropped;
-    if finished == 0 {
-        0.0
-    } else {
-        s.total_on_time as f64 / finished as f64
-    }
-}
-
 #[test]
 fn multi_family_is_registered_with_modes() {
     for (name, mode) in [
@@ -88,8 +79,8 @@ fn contended_beats_static_even_split_on_aggregate_slo_attainment() {
     let contended = scenario_point(contended_sc, &short_cfg(contended_sc)).execute();
     let static_even = scenario_point(static_sc, &short_cfg(static_sc)).execute();
 
-    let contended_attain = slo_attainment(&contended.result.summary);
-    let static_attain = slo_attainment(&static_even.result.summary);
+    let contended_attain = contended.result.summary.slo_attainment();
+    let static_attain = static_even.result.summary.slo_attainment();
     assert!(
         contended_attain > static_attain,
         "contended Resource Manager ({contended_attain:.4}) must beat the naive 50/50 \
@@ -100,13 +91,13 @@ fn contended_beats_static_even_split_on_aggregate_slo_attainment() {
     let static_traffic = &static_even.per_pipeline[0];
     assert_eq!(static_traffic.name, "traffic");
     assert!(
-        slo_attainment(&static_traffic.summary) < 0.8,
+        static_traffic.summary.slo_attainment() < 0.8,
         "the 50/50 split should starve traffic at peak, got {:?}",
         static_traffic.summary
     );
     let contended_traffic = &contended.per_pipeline[0];
     assert!(
-        slo_attainment(&contended_traffic.summary) > 0.85,
+        contended_traffic.summary.slo_attainment() > 0.85,
         "the contended manager should serve traffic, got {:?}",
         contended_traffic.summary
     );

@@ -5,21 +5,19 @@
 //! the engine under synthetic controllers; this test pins the full bench
 //! stack — registry scenario, real Loki controllers per lane, Resource
 //! Manager arbitration — at scaled-down durations, for `jobs ∈ {1, 2, 4}`
-//! across seeds. Wall-clock fields (`wall_s`, `lane_wall_s`,
-//! `barrier_wait_s`, controller timing) are host measurements and excluded.
+//! across seeds. A point result carries no host time, so everything it
+//! reports is compared, the control-plane counters included.
 
 use loki_bench::scenario::{self, scenario_point, PointResult};
 use loki_bench::ExperimentConfig;
 
-/// A scaled-down config for identity runs: short duration, modest load, one
-/// run per point (bit-identity needs no best-of-N).
+/// A scaled-down config for identity runs: short duration, modest load.
 fn short_cfg(sc: &scenario::Scenario, seed: u64) -> ExperimentConfig {
     let mut cfg = sc.config();
     cfg.duration_s = 20;
     cfg.drain_s = 5.0;
     cfg.peak_qps = 300.0;
     cfg.base_qps = 100.0;
-    cfg.runs = 1;
     cfg.seed = seed;
     cfg
 }
@@ -42,6 +40,10 @@ fn assert_identical(a: &PointResult, b: &PointResult, what: &str) {
     );
     assert_eq!(a.arrivals, b.arrivals, "{what}: arrivals");
     assert_eq!(
+        a.controller_stats, b.controller_stats,
+        "{what}: controller stats"
+    );
+    assert_eq!(
         a.per_pipeline.len(),
         b.per_pipeline.len(),
         "{what}: lane count"
@@ -51,6 +53,11 @@ fn assert_identical(a: &PointResult, b: &PointResult, what: &str) {
         assert_eq!(
             lane_a.summary, lane_b.summary,
             "{what}: lane {} summary",
+            lane_a.name
+        );
+        assert_eq!(
+            lane_a.controller_stats, lane_b.controller_stats,
+            "{what}: lane {} controller stats",
             lane_a.name
         );
     }

@@ -8,12 +8,6 @@
 use loki_bench::report::sweep_csv;
 use loki_bench::scenario::{self, scenario_point, PointResult, ScenarioKind};
 use loki_bench::{ExperimentConfig, ProvisionerKind};
-use loki_sim::RunSummary;
-
-fn slo_attainment(s: &RunSummary) -> f64 {
-    let finished = s.total_on_time + s.total_late + s.total_dropped;
-    s.total_on_time as f64 / finished.max(1) as f64
-}
 
 /// One fleet of the `spot_family` comparison (mirrors the executor's triple).
 fn run_fleet(spot: bool, provisioner: ProvisionerKind) -> PointResult {
@@ -105,8 +99,8 @@ fn forecast_beats_reactive_and_spot_undercuts_ondemand() {
 
     // Headline 1: prediction beats reaction under revocations, on attainment
     // AND dollars.
-    let re_attain = slo_attainment(&reactive.result.summary);
-    let fc_attain = slo_attainment(&forecast.result.summary);
+    let re_attain = reactive.result.summary.slo_attainment();
+    let fc_attain = forecast.result.summary.slo_attainment();
     assert!(
         fc_attain > re_attain,
         "forecast must beat reactive on SLO attainment under revocations: \
@@ -121,7 +115,7 @@ fn forecast_beats_reactive_and_spot_undercuts_ondemand() {
 
     // Headline 2: the spot fleet undercuts all-on-demand dollars at
     // attainment within one point.
-    let od_attain = slo_attainment(&ondemand.result.summary);
+    let od_attain = ondemand.result.summary.slo_attainment();
     assert!(
         fc_cost.total_dollars < 0.6 * od_cost.total_dollars,
         "spot must undercut all-on-demand by >= 40%: {} vs {}",

@@ -9,24 +9,15 @@ use crate::perf::FanoutOverrides;
 use loki_pipeline::{BatchSize, PipelineGraph, VariantId};
 use loki_sim::{AllocationPlan, CompiledPlan, Controller, ObservedState, WorkerId, WorkerView};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
-/// Runtime statistics of the control plane, used for the Section 6.5 runtime analysis.
+/// Invocation counts of the control plane. Every field is a count, so the stats of a
+/// run are a pure function of its inputs.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ControllerStats {
     /// Number of Resource-Manager allocations performed.
     pub allocations: usize,
-    /// Total wall-clock time spent in allocation (seconds).
-    pub allocation_time_s: f64,
-    /// Wall-clock time of the most recent allocation (seconds).
-    pub last_allocation_time_s: f64,
     /// Number of Load-Balancer routing computations.
     pub routings: usize,
-    /// Total wall-clock time spent computing routing tables (seconds).
-    pub routing_time_s: f64,
-    /// Of `routing_time_s`, the portion spent emitting the compiled plan itself
-    /// (dense table construction), excluding cache bookkeeping.
-    pub plan_build_time_s: f64,
     /// Routing ticks on which the cache was consulted (every routing tick with a
     /// populated cache). Tracked separately from hits so the hit ratio stays
     /// meaningful even when a controller is driven outside the simulator loop.
@@ -42,24 +33,6 @@ pub struct ControllerStats {
 }
 
 impl ControllerStats {
-    /// Mean allocation time in milliseconds.
-    pub fn mean_allocation_ms(&self) -> f64 {
-        if self.allocations == 0 {
-            0.0
-        } else {
-            1000.0 * self.allocation_time_s / self.allocations as f64
-        }
-    }
-
-    /// Mean routing time in milliseconds.
-    pub fn mean_routing_ms(&self) -> f64 {
-        if self.routings == 0 {
-            0.0
-        } else {
-            1000.0 * self.routing_time_s / self.routings as f64
-        }
-    }
-
     /// Fraction of cache consults that were hits. Falls back to
     /// hits / (rebuilds + hits) for stats that predate consult tracking.
     pub fn routing_cache_hit_ratio(&self) -> f64 {
@@ -117,7 +90,7 @@ pub struct LokiController {
     last_outcome: Option<AllocationOutcome>,
     last_planned_demand: f64,
     routing_cache: Option<RoutingCacheKey>,
-    /// Runtime statistics (allocation / routing latency, invocation counts).
+    /// Control-plane invocation counts.
     pub stats: ControllerStats,
 }
 
@@ -173,12 +146,8 @@ impl LokiController {
             budgets: self.config.hop_budgets(self.graph.num_tasks()),
             upgrade_with_leftover: self.config.upgrade_with_leftover,
         };
-        let start = Instant::now();
         let outcome = self.allocator.allocate(&ctx);
-        let elapsed = start.elapsed().as_secs_f64();
         self.stats.allocations += 1;
-        self.stats.allocation_time_s += elapsed;
-        self.stats.last_allocation_time_s = elapsed;
         self.last_outcome = Some(outcome.clone());
         self.last_planned_demand = demand_qps;
         outcome
@@ -252,7 +221,6 @@ impl Controller for LokiController {
                 return None;
             }
         }
-        let start = Instant::now();
         let plan = self.lb.emit_with_route(
             &self.graph,
             observed.workers,
@@ -262,9 +230,7 @@ impl Controller for LokiController {
             &self.config.link_delays,
             self.config.comm_latency_ms,
         );
-        let build_s = start.elapsed().as_secs_f64();
         self.stats.routings += 1;
-        self.stats.plan_build_time_s += build_s;
         self.stats.routing_warnings = self.lb.warnings().to_vec();
         self.stats.routing_warnings_total += self.lb.warnings().len();
         self.routing_cache = Some(RoutingCacheKey {
@@ -277,7 +243,6 @@ impl Controller for LokiController {
             fanout_generation: self.fanout_generation,
             now_s: observed.now_s,
         });
-        self.stats.routing_time_s += start.elapsed().as_secs_f64();
         Some(plan)
     }
 }
@@ -307,7 +272,6 @@ mod tests {
         let high = ctl.allocate_for_demand(hw_cap * 1.5, 20);
         assert_eq!(high.mode, ScalingMode::Accuracy);
         assert!(ctl.stats.allocations == 2);
-        assert!(ctl.stats.mean_allocation_ms() >= 0.0);
         assert!(ctl.last_outcome().is_some());
     }
 

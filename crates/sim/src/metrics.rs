@@ -193,6 +193,18 @@ impl RunSummary {
             .unwrap_or(0.0);
         s
     }
+
+    /// SLO attainment: on-time completions over finished requests (on time,
+    /// late, or dropped); 0 when nothing finished. The complement of
+    /// [`RunSummary::slo_violation_ratio`] whenever something finished.
+    pub fn slo_attainment(&self) -> f64 {
+        let finished = self.total_on_time + self.total_late + self.total_dropped;
+        if finished == 0 {
+            0.0
+        } else {
+            self.total_on_time as f64 / finished as f64
+        }
+    }
 }
 
 /// Cost accounting of one GPU class over a run (elastic fleets only).
