@@ -160,11 +160,7 @@ fn cmd_list(args: &[String]) {
                 let cfg = sc.config();
                 // The default sweep grid: what `loki sweep <name>` enumerates
                 // before any axis is widened — scripts drive sweeps from this.
-                let sweep = Sweep::for_scenario(sc, cfg.clone());
-                let mut axes = Json::object();
-                for axis in Sweep::AXES {
-                    axes.push(axis, sweep.axis_json(axis));
-                }
+                let axes = Sweep::for_scenario(sc, cfg.clone()).axes_json();
                 let mut obj = Json::object();
                 obj.push("name", sc.name.into())
                     .push("title", sc.title.into())
@@ -387,7 +383,7 @@ fn cmd_sweep(args: &[String]) {
     );
     let points = sweep.points();
     let results = runner.run(points.clone());
-    let multi_seed = sweep.seed.len() > 1;
+    let multi_seed = report::multi_seed(&points);
 
     if flags.csv {
         print!("{}", report::sweep_csv(sc.name, &points, &results));

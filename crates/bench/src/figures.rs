@@ -69,28 +69,14 @@ pub fn summary_json(s: &RunSummary) -> Json {
     obj
 }
 
-/// JSON view of the experiment knobs a report was produced with.
+/// JSON view of the experiment knobs a report was produced with: every
+/// [`ExperimentConfig::KEYS`] entry by name, so the object replays as
+/// `key=value` overrides.
 pub fn config_json(cfg: &ExperimentConfig) -> Json {
     let mut obj = Json::object();
-    obj.push("cluster", cfg.cluster_size.into())
-        .push("slo_ms", cfg.slo_ms.into())
-        .push("duration_s", cfg.duration_s.into())
-        .push("peak_qps", cfg.peak_qps.into())
-        .push("base_qps", cfg.base_qps.into())
-        .push("seed", cfg.seed.into())
-        .push("bucket_s", cfg.bucket_s.into())
-        .push("drain_s", cfg.drain_s.into())
-        .push("jobs", cfg.jobs.into())
-        .push("links", cfg.links.name().into())
-        .push("elastic", cfg.elastic.name().into())
-        .push("classes", cfg.classes.name().into())
-        .push("spot", cfg.spot.into())
-        .push("revoke_per_hour", cfg.revoke_per_hour.into())
-        .push("stockout", cfg.stockout.into())
-        .push("provisioner", cfg.provisioner.name().into())
-        .push("route", cfg.route.label().into())
-        .push("trace", cfg.trace_sample.into())
-        .push("timeline", cfg.timeline.into());
+    for key in ExperimentConfig::KEYS {
+        obj.push(key, cfg.get(key).expect("every key reads").into());
+    }
     obj
 }
 
@@ -177,9 +163,9 @@ fn comparison(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Scenari
 }
 
 fn slo_sweep(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
-    let sweep = Sweep::for_scenario(sc, cfg.clone());
-    let slos = sweep.slo_ms.clone();
-    let results = runner.run(sweep.points());
+    let points = Sweep::for_scenario(sc, cfg.clone()).points();
+    let slos: Vec<f64> = points.iter().map(|p| p.cfg.slo_ms).collect();
+    let results = runner.run(points);
 
     let mut text = format!(
         "# {}: effect of the latency SLO on Loki\n",

@@ -245,7 +245,10 @@ impl ProvisionerKind {
     }
 }
 
-/// Common knobs for an end-to-end comparison experiment.
+/// Common knobs for an end-to-end comparison experiment. Each field is one
+/// `key=value` config key ([`ExperimentConfig::KEYS`]): the CLI, sweeps,
+/// labels and reports name and print keys only through
+/// [`ExperimentConfig::set`] and [`ExperimentConfig::get`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of workers in the cluster (20, as in the paper).
@@ -328,7 +331,59 @@ impl Default for ExperimentConfig {
     }
 }
 
+/// The typed value of one config key, as [`ExperimentConfig::get`] reads it.
+/// Its `Display` form is what sweep labels and CSV cells print, and
+/// [`ExperimentConfig::set`] accepts it back; reports render it as the
+/// matching JSON type.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigValue {
+    /// A count, size or seed.
+    Count(u64),
+    /// A real-valued quantity.
+    Real(f64),
+    /// An on/off switch.
+    Flag(bool),
+    /// One of a key's named choices.
+    Name(&'static str),
+}
+
+impl std::fmt::Display for ConfigValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigValue::Count(v) => write!(f, "{v}"),
+            ConfigValue::Real(v) => write!(f, "{v}"),
+            ConfigValue::Flag(v) => write!(f, "{v}"),
+            ConfigValue::Name(v) => f.write_str(v),
+        }
+    }
+}
+
 impl ExperimentConfig {
+    /// Every `key=value` config key, in report order: what
+    /// [`ExperimentConfig::set`] accepts, [`ExperimentConfig::get`] reads and
+    /// every report's `config` object lists.
+    pub const KEYS: [&'static str; 19] = [
+        "cluster",
+        "slo",
+        "duration",
+        "peak",
+        "base",
+        "seed",
+        "bucket",
+        "drain",
+        "jobs",
+        "links",
+        "elastic",
+        "classes",
+        "spot",
+        "revoke",
+        "stockout",
+        "provisioner",
+        "route",
+        "trace",
+        "timeline",
+    ];
+
     /// Apply one `key=value` override. Unknown keys and unparsable values are hard
     /// errors — a typo like `slo=25o` must never silently fall back to the default.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
@@ -336,6 +391,20 @@ impl ExperimentConfig {
             value
                 .parse()
                 .map_err(|_| format!("invalid value for {key}: {value:?}"))
+        }
+        /// A named choice, or the error listing the key's `known` names.
+        fn choice<T>(
+            key: &str,
+            value: &str,
+            parsed: Option<T>,
+            known: &[&str],
+        ) -> Result<T, String> {
+            parsed.ok_or_else(|| {
+                format!(
+                    "invalid value for {key}: {value:?} (known: {})",
+                    known.join(", ")
+                )
+            })
         }
         match key {
             "cluster" => self.cluster_size = parse(key, value)?,
@@ -348,34 +417,22 @@ impl ExperimentConfig {
             "drain" => self.drain_s = parse(key, value)?,
             "jobs" => self.jobs = parse::<usize>(key, value)?.max(1),
             "links" => {
-                self.links = LinkProfile::from_name(value).ok_or_else(|| {
-                    format!(
-                        "invalid value for links: {value:?} (known: {})",
-                        LinkProfile::ALL.map(|p| p.name()).join(", ")
-                    )
-                })?
+                let known = LinkProfile::ALL.map(LinkProfile::name);
+                self.links = choice(key, value, LinkProfile::from_name(value), &known)?
             }
             "elastic" => {
-                self.elastic = ElasticMode::from_name(value).ok_or_else(|| {
-                    format!(
-                        "invalid value for elastic: {value:?} (known: {})",
-                        ElasticMode::ALL.map(|m| m.name()).join(", ")
-                    )
-                })?
+                let known = ElasticMode::ALL.map(ElasticMode::name);
+                self.elastic = choice(key, value, ElasticMode::from_name(value), &known)?
             }
             "classes" => {
-                self.classes = GpuClassProfile::from_name(value).ok_or_else(|| {
-                    format!(
-                        "invalid value for classes: {value:?} (known: {})",
-                        GpuClassProfile::ALL.map(|p| p.name()).join(", ")
-                    )
-                })?
+                let known = GpuClassProfile::ALL.map(GpuClassProfile::name);
+                self.classes = choice(key, value, GpuClassProfile::from_name(value), &known)?
             }
             "spot" => self.spot = parse(key, value)?,
             "revoke" => {
                 let rate: f64 = parse(key, value)?;
                 if !rate.is_finite() || rate < 0.0 {
-                    return Err(format!("invalid value for revoke: {value:?} (want >= 0)"));
+                    return Err(format!("invalid value for {key}: {value:?} (want >= 0)"));
                 }
                 self.revoke_per_hour = rate;
             }
@@ -383,33 +440,57 @@ impl ExperimentConfig {
                 let p: f64 = parse(key, value)?;
                 if !(0.0..=1.0).contains(&p) {
                     return Err(format!(
-                        "invalid value for stockout: {value:?} (want a probability in [0, 1])"
+                        "invalid value for {key}: {value:?} (want a probability in [0, 1])"
                     ));
                 }
                 self.stockout = p;
             }
             "provisioner" => {
-                self.provisioner = ProvisionerKind::from_name(value).ok_or_else(|| {
-                    format!(
-                        "invalid value for provisioner: {value:?} (known: {})",
-                        ProvisionerKind::ALL.map(|k| k.name()).join(", ")
-                    )
-                })?
+                let known = ProvisionerKind::ALL.map(ProvisionerKind::name);
+                self.provisioner = choice(key, value, ProvisionerKind::from_name(value), &known)?
             }
             "route" => {
-                self.route = RouteMode::parse(value).ok_or_else(|| {
-                    format!("invalid value for route: {value:?} (known: accuracy, link-aware)")
-                })?
+                let known = [RouteMode::Accuracy, RouteMode::LinkAware].map(|r| r.label());
+                self.route = choice(key, value, RouteMode::parse(value), &known)?
             }
             "trace" => self.trace_sample = parse(key, value)?,
             "timeline" => self.timeline = parse(key, value)?,
             _ => {
                 return Err(format!(
-                    "unknown key {key:?} (known: cluster, slo, duration, peak, base, seed, bucket, drain, jobs, links, elastic, classes, spot, revoke, stockout, provisioner, route, trace, timeline)"
+                    "unknown key {key:?} (known: {})",
+                    Self::KEYS.join(", ")
                 ))
             }
         }
         Ok(())
+    }
+
+    /// Read one config key as the typed value [`ExperimentConfig::set`]
+    /// stores; `None` for a name outside [`ExperimentConfig::KEYS`].
+    pub fn get(&self, key: &str) -> Option<ConfigValue> {
+        use ConfigValue::{Count, Flag, Name, Real};
+        Some(match key {
+            "cluster" => Count(self.cluster_size as u64),
+            "slo" => Real(self.slo_ms),
+            "duration" => Count(self.duration_s as u64),
+            "peak" => Real(self.peak_qps),
+            "base" => Real(self.base_qps),
+            "seed" => Count(self.seed),
+            "bucket" => Count(self.bucket_s as u64),
+            "drain" => Real(self.drain_s),
+            "jobs" => Count(self.jobs as u64),
+            "links" => Name(self.links.name()),
+            "elastic" => Name(self.elastic.name()),
+            "classes" => Name(self.classes.name()),
+            "spot" => Flag(self.spot),
+            "revoke" => Real(self.revoke_per_hour),
+            "stockout" => Real(self.stockout),
+            "provisioner" => Name(self.provisioner.name()),
+            "route" => Name(self.route.label()),
+            "trace" => Count(self.trace_sample),
+            "timeline" => Flag(self.timeline),
+            _ => return None,
+        })
     }
 
     /// Apply a sequence of `key=value` overrides, rejecting anything malformed.
@@ -658,16 +739,7 @@ pub fn bucketize(intervals: &[IntervalMetrics], bucket_s: usize) -> Vec<Interval
         };
         let mut active_sum = 0usize;
         for m in chunk {
-            agg.arrivals += m.arrivals;
-            agg.completed_on_time += m.completed_on_time;
-            agg.completed_late += m.completed_late;
-            agg.dropped += m.dropped;
-            agg.dropped_deadline += m.dropped_deadline;
-            agg.dropped_reclaimed += m.dropped_reclaimed;
-            agg.dropped_revoked += m.dropped_revoked;
-            agg.accuracy_sum += m.accuracy_sum;
-            agg.accuracy_count += m.accuracy_count;
-            agg.rerouted += m.rerouted;
+            agg.add_counts(m);
             active_sum += m.active_workers;
         }
         agg.active_workers = (active_sum as f64 / chunk.len() as f64).round() as usize;
@@ -907,6 +979,24 @@ mod tests {
         assert!(err.contains("key=value"), "{err}");
         // Failed overrides must not have clobbered earlier state.
         assert_eq!(cfg.slo_ms, 300.0);
+    }
+
+    #[test]
+    fn every_key_reads_back_through_set() {
+        // Most of spot_diurnal's keys are off their defaults, so replaying its
+        // config onto the defaults exercises nearly every `set` arm.
+        let cfg = scenario::find("spot_diurnal").expect("registered").config();
+        let mut replayed = ExperimentConfig::default();
+        for key in ExperimentConfig::KEYS {
+            let value = cfg.get(key).unwrap_or_else(|| panic!("{key} reads"));
+            replayed
+                .set(key, &value.to_string())
+                .unwrap_or_else(|err| panic!("{key}={value}: {err}"));
+            assert_eq!(replayed.get(key), Some(value), "{key}");
+        }
+        assert_eq!(replayed, cfg);
+        assert_eq!(cfg.get("slo_ms"), None);
+        assert_eq!(cfg.get("controllers"), None);
     }
 
     #[test]

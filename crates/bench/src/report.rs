@@ -13,6 +13,8 @@
 //! [`aggregate_sweep`] exposes the same aggregation programmatically.
 
 use crate::scenario::{PipelineSummary, PointResult, RunPoint};
+use crate::sweep::Sweep;
+use crate::ConfigValue;
 use loki_core::ControllerStats;
 use loki_sim::{BurnReport, CostSummary, RunSummary};
 use std::fmt::Write as _;
@@ -159,6 +161,17 @@ impl From<usize> for Json {
 impl From<bool> for Json {
     fn from(v: bool) -> Json {
         Json::Bool(v)
+    }
+}
+
+impl From<ConfigValue> for Json {
+    fn from(v: ConfigValue) -> Json {
+        match v {
+            ConfigValue::Count(n) => Json::UInt(n),
+            ConfigValue::Real(v) => Json::Num(v),
+            ConfigValue::Flag(b) => Json::Bool(b),
+            ConfigValue::Name(name) => name.into(),
+        }
     }
 }
 
@@ -498,60 +511,62 @@ pub(crate) fn csv_row(out: &mut String, fields: &[String]) {
     out.push('\n');
 }
 
-/// The axis columns of [`sweep_csv`], ahead of the [`METRICS`] columns.
-const SWEEP_AXIS_COLUMNS: [&str; 19] = [
+/// The [`sweep_csv`] columns that describe a row's point rather than its
+/// config: the header is these, then the [`Sweep::AXES`] config columns, then
+/// `arrivals` and the [`METRICS`] columns.
+const POINT_COLUMNS: [&str; 6] = [
     "scenario",
     "stat",
     "label",
     "controller",
     "pipeline",
     "trace",
-    "slo_ms",
-    "peak_qps",
-    "base_qps",
-    "cluster",
-    "links",
-    "route",
-    "elastic",
-    "spot",
-    "revoke",
-    "stockout",
-    "provisioner",
-    "seed",
-    "arrivals",
 ];
 
+/// True when a sweep's points span more than one seed: only then does it
+/// report cross-seed aggregates.
+pub fn multi_seed(points: &[RunPoint]) -> bool {
+    points.iter().any(|p| p.cfg.seed != points[0].cfg.seed)
+}
+
 /// Render a sweep as one flat CSV: a `stat=point` row per grid point (with its
-/// seed), then — when the seed axis has more than one value — `stat=mean` and
+/// seed), then — when the sweep spans several seeds — `stat=mean` and
 /// `stat=stddev` rows per axis point with the seed column empty. Uniform
 /// columns throughout, so a plotting script filters on `stat` and is done.
 pub fn sweep_csv(scenario: &str, points: &[RunPoint], results: &[PointResult]) -> String {
     assert_eq!(points.len(), results.len(), "one result per grid point");
     let mut out = String::new();
-    let header: Vec<String> = SWEEP_AXIS_COLUMNS
+    let header: Vec<String> = POINT_COLUMNS
         .iter()
+        .chain(&Sweep::AXES)
+        .chain(&["arrivals"])
         .chain(METRICS.iter().map(|m| &m.name))
         .map(|name| name.to_string())
         .collect();
     csv_row(&mut out, &header);
 
-    let axis_fields = |point: &RunPoint| -> Vec<String> {
-        vec![
+    // The cells up to the axis columns; each axis cell is the config value
+    // every point of `group` shares, blank where they differ.
+    let lead = |stat: &str, label: &str, group: &[&RunPoint]| -> Vec<String> {
+        let point = group[0];
+        let mut row = vec![
+            scenario.to_string(),
+            stat.to_string(),
+            label.to_string(),
             point.controller.name().to_string(),
             point.pipeline.name().to_string(),
             point.trace.name().to_string(),
-            format!("{}", point.cfg.slo_ms),
-            format!("{}", point.cfg.peak_qps),
-            format!("{}", point.cfg.base_qps),
-            format!("{}", point.cfg.cluster_size),
-            point.cfg.links.name().to_string(),
-            point.cfg.route.label().to_string(),
-            point.cfg.elastic.name().to_string(),
-            format!("{}", point.cfg.spot),
-            format!("{}", point.cfg.revoke_per_hour),
-            format!("{}", point.cfg.stockout),
-            point.cfg.provisioner.name().to_string(),
-        ]
+        ];
+        row.extend(Sweep::AXES.iter().map(|key| {
+            let value = |p: &RunPoint| p.cfg.get(key).expect("every axis is a config key");
+            let first = value(point).to_string();
+            if group.iter().all(|p| value(p).to_string() == first) {
+                first
+            } else {
+                String::new()
+            }
+        }));
+        row
     };
     let metric_fields = |row: &MetricRow| -> Vec<String> {
         METRICS
@@ -561,49 +576,29 @@ pub fn sweep_csv(scenario: &str, points: &[RunPoint], results: &[PointResult]) -
     };
 
     for (point, result) in points.iter().zip(results) {
-        let mut row = vec![
-            scenario.to_string(),
-            "point".to_string(),
-            point.label.clone(),
-        ];
-        row.extend(axis_fields(point));
-        row.push(format!("{}", point.cfg.seed));
+        let mut row = lead("point", &point.label, &[point]);
         row.push(format!("{}", result.arrivals));
         row.extend(metric_fields(&MetricRow::point(result)));
         csv_row(&mut out, &row);
         // Multi-pipeline points additionally emit one `stat=pipeline` row per
         // pipeline on the cluster, same columns.
         for lane in &result.per_pipeline {
-            let mut row = vec![
-                scenario.to_string(),
-                "pipeline".to_string(),
-                format!("{}/{}", point.label, lane.name),
-            ];
-            row.extend(axis_fields(point));
-            row.push(format!("{}", point.cfg.seed));
+            let label = format!("{}/{}", point.label, lane.name);
+            let mut row = lead("pipeline", &label, &[point]);
             row.push(format!("{}", lane.summary.total_arrivals));
             row.extend(metric_fields(&MetricRow::lane(lane)));
             csv_row(&mut out, &row);
         }
     }
 
-    let multi_seed = {
-        let mut seeds: Vec<u64> = points.iter().map(|p| p.cfg.seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        seeds.len() > 1
-    };
-    if multi_seed {
-        // The representative point of each group carries the axis columns.
+    if multi_seed(points) {
         for agg in aggregate_sweep(points, results) {
-            let rep = points
+            let group: Vec<&RunPoint> = points
                 .iter()
-                .position(|p| strip_seed(&p.label) == agg.label)
-                .expect("aggregate label comes from a point");
+                .filter(|p| strip_seed(&p.label) == agg.label)
+                .collect();
             for stat in ["mean", "stddev"] {
-                let mut row = vec![scenario.to_string(), stat.to_string(), agg.label.clone()];
-                row.extend(axis_fields(&points[rep]));
-                row.push(String::new()); // seed
+                let mut row = lead(stat, &agg.label, &group);
                 row.push(String::new()); // arrivals
                 row.extend(agg.metrics.iter().map(|s| {
                     let v = if stat == "mean" { s.mean } else { s.stddev };
@@ -700,7 +695,6 @@ mod tests {
     /// Execute a tiny-pipeline sweep over seeds 41 and 42 plus `axes`.
     fn tiny_sweep_with(axes: &[(&str, &str)]) -> (Vec<RunPoint>, Vec<PointResult>) {
         use crate::scenario::PipelineSpec;
-        use crate::sweep::Sweep;
         use crate::ExperimentConfig;
         let cfg = ExperimentConfig {
             duration_s: 10,
@@ -771,7 +765,11 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), METRICS.len());
-        assert!(SWEEP_AXIS_COLUMNS.iter().all(|c| !names.contains(c)));
+        let mut columns = POINT_COLUMNS
+            .iter()
+            .chain(&crate::ExperimentConfig::KEYS)
+            .chain(&["arrivals"]);
+        assert!(columns.all(|c| !names.contains(c)));
     }
 
     #[test]
@@ -779,8 +777,10 @@ mod tests {
         let (points, results) = tiny_sweep();
         let csv = sweep_csv("unit", &points, &results);
         let header = csv.lines().next().unwrap();
-        let expected: Vec<&str> = SWEEP_AXIS_COLUMNS
+        let expected: Vec<&str> = POINT_COLUMNS
             .iter()
+            .chain(&Sweep::AXES)
+            .chain(&["arrivals"])
             .copied()
             .chain(METRICS.iter().map(|m| m.name))
             .collect();
@@ -788,7 +788,7 @@ mod tests {
         // Published column names: a rename must fail here, loudly.
         assert_eq!(
             header,
-            "scenario,stat,label,controller,pipeline,trace,slo_ms,peak_qps,base_qps,cluster,\
+            "scenario,stat,label,controller,pipeline,trace,slo,peak,cluster,\
              links,route,elastic,spot,revoke,stockout,provisioner,seed,arrivals,on_time,late,\
              dropped,dropped_deadline,dropped_reclaimed,dropped_revoked,slo_violation_ratio,\
              system_accuracy,mean_utilization,p50_ms,p90_ms,p99_ms,p999_ms,gpu_hours,cost_usd,\

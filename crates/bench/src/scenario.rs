@@ -13,9 +13,9 @@ use loki_baselines::{InferLineController, ProteusController};
 use loki_core::{ControllerStats, LokiConfig, LokiController, ResourceManager};
 use loki_pipeline::{zoo, PipelineGraph};
 use loki_sim::{
-    analyze_burn, AllocationPlan, BurnConfig, BurnReport, CompiledPlan, Controller, CostSummary,
-    DropPolicy, IntervalMetrics, LinkDelayModel, MultiPipeline, MultiSimConfig, MultiSimulation,
-    ObservedState, ResourceArbiter, RouteMode, RunSummary, SimResult, Simulation, StaticPartition,
+    analyze_burn, AllocationPlan, BurnReport, CompiledPlan, Controller, CostSummary, DropPolicy,
+    IntervalMetrics, LinkDelayModel, MultiPipeline, MultiSimConfig, MultiSimulation, ObservedState,
+    ResourceArbiter, RouteMode, RunSummary, SimResult, Simulation, StaticPartition,
 };
 use loki_workload::{generate_arrivals, ArrivalProcess, Trace, TraceSpec};
 
@@ -450,12 +450,7 @@ impl RunPoint {
             _ => sim.run(&arrivals),
         };
         let controller_stats = sim.into_controller().controller_stats().cloned();
-        let burn = analyze_burn(
-            &result.intervals,
-            interval_s,
-            result.journal.as_ref(),
-            &BurnConfig::default(),
-        );
+        let burn = analyze_burn(&result.intervals, interval_s, result.journal.as_ref());
         PointResult {
             label: self.label.clone(),
             cost: result.cost.clone(),
@@ -566,12 +561,7 @@ impl RunPoint {
         // each lane's own series against the same (shared) journal — one
         // revocation storm can burn several lanes' budgets at once.
         let interval_s = outcome.metrics_interval_s;
-        let burn = analyze_burn(
-            &result.intervals,
-            interval_s,
-            result.journal.as_ref(),
-            &BurnConfig::default(),
-        );
+        let burn = analyze_burn(&result.intervals, interval_s, result.journal.as_ref());
         PointResult {
             label: self.label.clone(),
             cost: outcome.cost.clone(),
@@ -592,7 +582,6 @@ impl RunPoint {
                         &p.result.intervals,
                         interval_s,
                         outcome.journal.as_ref(),
-                        &BurnConfig::default(),
                     )),
                 })
                 .collect(),

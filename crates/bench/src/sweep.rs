@@ -1,40 +1,33 @@
 //! Declarative sweep grids over scenario axes.
 //!
-//! A [`Sweep`] takes a base scenario configuration and a value list per axis
-//! ([`Sweep::AXES`]: controller, SLO, … , seed) and enumerates the cartesian
-//! product as [`RunPoint`]s in a fixed nesting order — controller outermost, seed
-//! innermost — so grid enumeration is deterministic and parallel execution (which
-//! preserves input order) reports points exactly where a serial loop would.
+//! A [`Sweep`] takes a base scenario configuration, a controller list and a
+//! value list per config axis ([`Sweep::AXES`]: SLO, … , seed) and enumerates
+//! the cartesian product as [`RunPoint`]s in a fixed nesting order — controller
+//! outermost, seed innermost — so grid enumeration is deterministic and
+//! parallel execution (which preserves input order) reports points exactly
+//! where a serial loop would. Axis values are config values: each is checked,
+//! stored and applied through [`ExperimentConfig::set`], and read back through
+//! [`ExperimentConfig::get`] for labels and reports.
 
 use crate::report::Json;
 use crate::scenario::{ControllerSpec, RunPoint, Scenario, ScenarioKind};
-use crate::{ElasticMode, ExperimentConfig, LinkProfile, ProvisionerKind};
-use loki_sim::RouteMode;
+use crate::ExperimentConfig;
 
 /// A grid of experiment points over a base configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sweep {
-    pub scenario_name: String,
     pub base: RunPoint,
     pub controllers: Vec<ControllerSpec>,
-    pub slo_ms: Vec<f64>,
-    pub peak_qps: Vec<f64>,
-    pub cluster_size: Vec<usize>,
-    pub links: Vec<LinkProfile>,
-    pub route: Vec<RouteMode>,
-    pub elastic: Vec<ElasticMode>,
-    pub spot: Vec<bool>,
-    pub revoke: Vec<f64>,
-    pub stockout: Vec<f64>,
-    pub provisioner: Vec<ProvisionerKind>,
-    pub seed: Vec<u64>,
+    /// One value list per [`Sweep::AXES`] key, in that order. Each value is
+    /// the display form [`ExperimentConfig::get`] prints.
+    axes: Vec<(&'static str, Vec<String>)>,
 }
 
 impl Sweep {
-    /// The axis names [`Sweep::set_axis`] accepts (`controller` is also
-    /// accepted as an alias of `controllers`), in grid nesting order.
-    pub const AXES: [&'static str; 12] = [
-        "controllers",
+    /// The config keys a sweep can vary, in grid nesting order (after the
+    /// controller, which is outermost). `jobs` is not one: it changes no
+    /// simulated output, so a sweep over it would repeat one row.
+    pub const AXES: [&'static str; 11] = [
         "slo",
         "peak",
         "cluster",
@@ -48,9 +41,10 @@ impl Sweep {
         "seed",
     ];
 
-    /// True when `key` names a sweep axis.
+    /// True when `key` names a sweep axis: `controllers` (or its alias
+    /// `controller`) or one of [`Sweep::AXES`].
     pub fn is_axis(key: &str) -> bool {
-        key == "controller" || Self::AXES.contains(&key)
+        matches!(key, "controllers" | "controller") || Self::AXES.contains(&key)
     }
 
     /// A sweep whose axes are all singletons taken from `cfg` — `points()` returns
@@ -64,128 +58,85 @@ impl Sweep {
             }
             _ => vec![ControllerSpec::LokiGreedy],
         };
-        let slo_ms = match scenario.kind {
-            ScenarioKind::SloSweep => vec![200.0, 250.0, 300.0, 350.0, 400.0],
-            _ => vec![cfg.slo_ms],
-        };
-        let base = crate::scenario::scenario_point(scenario, &cfg);
-        Self {
-            scenario_name: scenario.name.to_string(),
-            base,
+        let axes = Self::AXES
+            .iter()
+            .map(|&key| (key, vec![config_value(&cfg, key)]))
+            .collect();
+        let mut sweep = Self {
+            base: crate::scenario::scenario_point(scenario, &cfg),
             controllers,
-            slo_ms,
-            peak_qps: vec![cfg.peak_qps],
-            cluster_size: vec![cfg.cluster_size],
-            links: vec![cfg.links],
-            route: vec![cfg.route],
-            elastic: vec![cfg.elastic],
-            spot: vec![cfg.spot],
-            revoke: vec![cfg.revoke_per_hour],
-            stockout: vec![cfg.stockout],
-            provisioner: vec![cfg.provisioner],
-            seed: vec![cfg.seed],
+            axes,
+        };
+        if scenario.kind == ScenarioKind::SloSweep {
+            sweep
+                .set_axis("slo", "200,250,300,350,400")
+                .expect("the canonical SLO axis is valid");
         }
+        sweep
     }
 
     /// Set an axis from a comma-separated value list (CLI surface). Unknown axes and
-    /// unparsable values are hard errors, never silently ignored.
+    /// unparsable values are hard errors, never silently ignored: each value
+    /// must pass [`ExperimentConfig::set`].
     pub fn set_axis(&mut self, axis: &str, values: &str) -> Result<(), String> {
-        /// Parse every comma-separated value with `parse`; `want` describes
-        /// the accepted values in the error.
-        fn list<T>(
-            axis: &str,
-            values: &str,
-            want: &str,
-            parse: impl Fn(&str) -> Option<T>,
-        ) -> Result<Vec<T>, String> {
-            match values.split(',').map(|v| parse(v.trim())).collect() {
-                Some(list) if !Vec::is_empty(&list) => Ok(list),
-                _ => Err(format!("invalid {axis} list {values:?} (want {want})")),
-            }
-        }
-        fn number<T: std::str::FromStr>(v: &str) -> Option<T> {
-            v.parse().ok()
-        }
-        match axis {
-            "slo" => self.slo_ms = list(axis, values, "numbers", number)?,
-            "peak" => self.peak_qps = list(axis, values, "numbers", number)?,
-            "cluster" => self.cluster_size = list(axis, values, "counts", number)?,
-            "seed" => self.seed = list(axis, values, "integers", number)?,
-            "controllers" | "controller" => {
-                let known = ControllerSpec::ALL.map(|c| c.name()).join(", ");
-                self.controllers = list(axis, values, &known, ControllerSpec::from_name)?
-            }
-            "links" => {
-                let known = LinkProfile::ALL.map(|p| p.name()).join(", ");
-                self.links = list(axis, values, &known, LinkProfile::from_name)?
-            }
-            "route" => self.route = list(axis, values, "accuracy, link-aware", RouteMode::parse)?,
-            "elastic" => {
-                let known = ElasticMode::ALL.map(|m| m.name()).join(", ");
-                self.elastic = list(axis, values, &known, ElasticMode::from_name)?
-            }
-            "spot" => self.spot = list(axis, values, "true/false", number)?,
-            "revoke" => {
-                self.revoke = list(axis, values, "rates >= 0", |v| {
-                    number::<f64>(v).filter(|r| r.is_finite() && *r >= 0.0)
-                })?
-            }
-            "stockout" => {
-                self.stockout = list(axis, values, "probabilities in [0, 1]", |v| {
-                    number::<f64>(v).filter(|p| (0.0..=1.0).contains(p))
-                })?
-            }
-            "provisioner" => {
-                let known = ProvisionerKind::ALL.map(|k| k.name()).join(", ");
-                self.provisioner = list(axis, values, &known, ProvisionerKind::from_name)?
-            }
-            _ => {
-                return Err(format!(
-                    "unknown sweep axis {axis:?} (axes: {})",
-                    Self::AXES.join(", ")
-                ))
-            }
+        let values = values.split(',').map(str::trim);
+        if let Some((key, list)) = self.axes.iter_mut().find(|(key, _)| *key == axis) {
+            let mut cfg = self.base.cfg.clone();
+            *list = values
+                .map(|v| {
+                    cfg.set(key, v)?;
+                    Ok(config_value(&cfg, key))
+                })
+                .collect::<Result<_, String>>()?;
+        } else if Self::is_axis(axis) {
+            let known = ControllerSpec::ALL.map(|c| c.name()).join(", ");
+            self.controllers = values
+                .map(|v| {
+                    ControllerSpec::from_name(v).ok_or_else(|| {
+                        format!("invalid value for controllers: {v:?} (known: {known})")
+                    })
+                })
+                .collect::<Result<_, _>>()?;
+        } else {
+            return Err(format!(
+                "unknown sweep axis {axis:?} (axes: controllers, {})",
+                Self::AXES.join(", ")
+            ));
         }
         Ok(())
     }
 
-    /// The values of one axis as JSON (`loki list --json`). Panics on a name
-    /// outside [`Sweep::AXES`].
-    pub fn axis_json(&self, axis: &str) -> Json {
-        fn arr<T>(values: &[T], f: impl Fn(&T) -> Json) -> Json {
-            Json::Arr(values.iter().map(f).collect())
+    /// The values of one axis, in the display form [`ExperimentConfig::get`]
+    /// prints. Panics on a name outside [`Sweep::AXES`].
+    pub fn axis(&self, axis: &str) -> &[String] {
+        match self.axes.iter().find(|(key, _)| *key == axis) {
+            Some((_, values)) => values,
+            None => panic!("unknown sweep axis {axis:?}"),
         }
-        match axis {
-            "controllers" => arr(&self.controllers, |c| c.name().into()),
-            "slo" => arr(&self.slo_ms, |&v| v.into()),
-            "peak" => arr(&self.peak_qps, |&v| v.into()),
-            "cluster" => arr(&self.cluster_size, |&v| v.into()),
-            "links" => arr(&self.links, |l| l.name().into()),
-            "route" => arr(&self.route, |r| r.label().into()),
-            "elastic" => arr(&self.elastic, |m| m.name().into()),
-            "spot" => arr(&self.spot, |&v| v.into()),
-            "revoke" => arr(&self.revoke, |&v| v.into()),
-            "stockout" => arr(&self.stockout, |&v| v.into()),
-            "provisioner" => arr(&self.provisioner, |k| k.name().into()),
-            "seed" => arr(&self.seed, |&v| Json::UInt(v)),
-            _ => panic!("unknown sweep axis {axis:?}"),
+    }
+
+    /// The grid's axes as JSON (`loki list --json`): `controllers`, then each
+    /// of [`Sweep::AXES`] with its values as typed config values.
+    pub fn axes_json(&self) -> Json {
+        let mut obj = Json::object();
+        obj.push(
+            "controllers",
+            Json::Arr(self.controllers.iter().map(|c| c.name().into()).collect()),
+        );
+        for (key, values) in &self.axes {
+            let mut cfg = self.base.cfg.clone();
+            let typed = values.iter().map(|v| {
+                cfg.set(key, v).expect("axis values pass `set`");
+                cfg.get(key).expect("every axis is a config key").into()
+            });
+            obj.push(key, Json::Arr(typed.collect()));
         }
+        obj
     }
 
     /// Number of grid points.
     pub fn len(&self) -> usize {
-        self.controllers.len()
-            * self.slo_ms.len()
-            * self.peak_qps.len()
-            * self.cluster_size.len()
-            * self.links.len()
-            * self.route.len()
-            * self.elastic.len()
-            * self.spot.len()
-            * self.revoke.len()
-            * self.stockout.len()
-            * self.provisioner.len()
-            * self.seed.len()
+        self.controllers.len() * self.axes.iter().map(|(_, v)| v.len()).product::<usize>()
     }
 
     /// True when the grid is empty (some axis has no values).
@@ -196,35 +147,24 @@ impl Sweep {
     /// Enumerate the grid in its fixed nesting order: controller outermost,
     /// then each axis in [`Sweep::AXES`] order, seed innermost.
     pub fn points(&self) -> Vec<RunPoint> {
-        type Grid = Vec<(ControllerSpec, ExperimentConfig)>;
-        /// Replace every grid point by one point per value of the next axis.
-        fn nest<T: Copy>(grid: Grid, values: &[T], set: fn(&mut ExperimentConfig, T)) -> Grid {
-            grid.into_iter()
-                .flat_map(|(controller, cfg)| {
-                    values.iter().map(move |&v| {
-                        let mut cfg = cfg.clone();
-                        set(&mut cfg, v);
-                        (controller, cfg)
-                    })
-                })
-                .collect()
-        }
-        let mut grid: Grid = self
+        let mut grid: Vec<(ControllerSpec, ExperimentConfig)> = self
             .controllers
             .iter()
             .map(|&c| (c, self.base.cfg.clone()))
             .collect();
-        grid = nest(grid, &self.slo_ms, |c, v| c.slo_ms = v);
-        grid = nest(grid, &self.peak_qps, |c, v| c.peak_qps = v);
-        grid = nest(grid, &self.cluster_size, |c, v| c.cluster_size = v);
-        grid = nest(grid, &self.links, |c, v| c.links = v);
-        grid = nest(grid, &self.route, |c, v| c.route = v);
-        grid = nest(grid, &self.elastic, |c, v| c.elastic = v);
-        grid = nest(grid, &self.spot, |c, v| c.spot = v);
-        grid = nest(grid, &self.revoke, |c, v| c.revoke_per_hour = v);
-        grid = nest(grid, &self.stockout, |c, v| c.stockout = v);
-        grid = nest(grid, &self.provisioner, |c, v| c.provisioner = v);
-        grid = nest(grid, &self.seed, |c, v| c.seed = v);
+        // Replace every grid point by one point per value of the next axis.
+        for (key, values) in &self.axes {
+            grid = grid
+                .into_iter()
+                .flat_map(|(controller, cfg)| {
+                    values.iter().map(move |v| {
+                        let mut cfg = cfg.clone();
+                        cfg.set(key, v).expect("axis values pass `set`");
+                        (controller, cfg)
+                    })
+                })
+                .collect();
+        }
         grid.into_iter()
             .map(|(controller, cfg)| RunPoint {
                 label: self.label(controller, &cfg),
@@ -239,41 +179,27 @@ impl Sweep {
     /// actually varies, so single-axis sweeps stay readable.
     fn label(&self, controller: ControllerSpec, cfg: &ExperimentConfig) -> String {
         let mut label = controller.name().to_string();
-        for (len, part) in [
-            (self.slo_ms.len(), format!("slo={}", cfg.slo_ms)),
-            (self.peak_qps.len(), format!("peak={}", cfg.peak_qps)),
-            (
-                self.cluster_size.len(),
-                format!("cluster={}", cfg.cluster_size),
-            ),
-            (self.links.len(), format!("links={}", cfg.links.name())),
-            (self.route.len(), format!("route={}", cfg.route.label())),
-            (
-                self.elastic.len(),
-                format!("elastic={}", cfg.elastic.name()),
-            ),
-            (self.spot.len(), format!("spot={}", cfg.spot)),
-            (self.revoke.len(), format!("revoke={}", cfg.revoke_per_hour)),
-            (self.stockout.len(), format!("stockout={}", cfg.stockout)),
-            (
-                self.provisioner.len(),
-                format!("provisioner={}", cfg.provisioner.name()),
-            ),
-            (self.seed.len(), format!("seed={}", cfg.seed)),
-        ] {
-            if len > 1 {
-                label.push(' ');
-                label.push_str(&part);
+        for (key, values) in &self.axes {
+            if values.len() > 1 {
+                label.push_str(&format!(" {key}={}", config_value(cfg, key)));
             }
         }
         label
     }
 }
 
+/// The display form of one axis key's value in `cfg`.
+fn config_value(cfg: &ExperimentConfig, key: &str) -> String {
+    cfg.get(key)
+        .expect("every axis is a config key")
+        .to_string()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario;
+    use crate::{scenario, LinkProfile};
+    use loki_sim::RouteMode;
 
     fn fig8() -> &'static Scenario {
         scenario::find("fig8_slo_sweep").expect("fig8 registered")
@@ -291,7 +217,9 @@ mod tests {
     #[test]
     fn slo_scenario_defaults_to_canonical_axis() {
         let sweep = Sweep::for_scenario(fig8(), fig8().config());
-        assert_eq!(sweep.slo_ms, vec![200.0, 250.0, 300.0, 350.0, 400.0]);
+        assert_eq!(sweep.axis("slo"), ["200", "250", "300", "350", "400"]);
+        let slos: Vec<f64> = sweep.points().iter().map(|p| p.cfg.slo_ms).collect();
+        assert_eq!(slos, vec![200.0, 250.0, 300.0, 350.0, 400.0]);
         assert_eq!(sweep.len(), 5);
     }
 
@@ -320,7 +248,8 @@ mod tests {
     #[test]
     fn axis_errors_are_loud() {
         let mut sweep = Sweep::for_scenario(fig8(), fig8().config());
-        assert!(sweep.set_axis("slo", "200,25o").is_err());
+        let err = sweep.set_axis("slo", "200,25o").unwrap_err();
+        assert_eq!(err, "invalid value for slo: \"25o\"");
         assert!(sweep.set_axis("warp", "9").is_err());
         assert!(sweep.set_axis("controllers", "loki-greedy,gurobi").is_err());
         assert!(sweep.set_axis("links", "uniform,warp-drive").is_err());
@@ -337,10 +266,18 @@ mod tests {
     #[test]
     fn every_axis_is_settable_and_listed() {
         let mut sweep = Sweep::for_scenario(fig8(), fig8().config());
-        for axis in Sweep::AXES {
+        let listed = sweep.axes_json();
+        let Json::Obj(entries) = &listed else {
+            panic!("axes_json builds an object")
+        };
+        let names: Vec<&str> = entries.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names[0], "controllers");
+        assert_eq!(names[1..], Sweep::AXES);
+        for axis in std::iter::once("controllers").chain(Sweep::AXES) {
             assert!(Sweep::is_axis(axis));
-            let current = match sweep.axis_json(axis) {
-                Json::Arr(values) => values[0].clone(),
+            assert!(axis == "controllers" || ExperimentConfig::KEYS.contains(&axis));
+            let current = match listed.get(axis) {
+                Some(Json::Arr(values)) => values[0].clone(),
                 other => panic!("axis {axis} lists {other:?}"),
             };
             // Round-trip each axis's default back through `set_axis`.
@@ -361,7 +298,7 @@ mod tests {
     fn route_axis_enumerates_and_labels_modes() {
         let sc = scenario::find("traffic_hetnet").unwrap();
         let mut sweep = Sweep::for_scenario(sc, sc.config());
-        assert_eq!(sweep.route, vec![RouteMode::Accuracy]);
+        assert_eq!(sweep.axis("route"), ["accuracy"]);
         sweep.set_axis("route", "accuracy,link-aware").unwrap();
         assert_eq!(sweep.len(), 2);
         let points = sweep.points();
@@ -375,7 +312,7 @@ mod tests {
     fn links_axis_enumerates_and_labels_profiles() {
         let sc = scenario::find("traffic_hetnet").unwrap();
         let mut sweep = Sweep::for_scenario(sc, sc.config());
-        assert_eq!(sweep.links, vec![LinkProfile::TwoTier]);
+        assert_eq!(sweep.axis("links"), ["two-tier"]);
         sweep.set_axis("links", "uniform,two-tier").unwrap();
         sweep.set_axis("seed", "1,2").unwrap();
         assert_eq!(sweep.len(), 4);

@@ -47,7 +47,7 @@ fn elastic_family_is_registered_with_config_keys_and_axis() {
 
     // The elastic sweep axis enumerates and labels modes.
     let mut sweep = loki_bench::sweep::Sweep::for_scenario(sc, sc.config());
-    assert_eq!(sweep.elastic, vec![ElasticMode::Autoscale]);
+    assert_eq!(sweep.axis("elastic"), ["autoscale"]);
     sweep
         .set_axis("elastic", "static-peak,autoscale")
         .expect("valid axis");

@@ -58,7 +58,7 @@ fn spot_family_is_registered_with_config_keys_and_axes() {
 
     // The market sweep axes enumerate with deterministic labels.
     let mut sweep = loki_bench::sweep::Sweep::for_scenario(sc, sc.config());
-    assert_eq!(sweep.provisioner, vec![ProvisionerKind::Forecast]);
+    assert_eq!(sweep.axis("provisioner"), ["forecast"]);
     sweep.set_axis("revoke", "0,6,12").expect("valid axis");
     sweep
         .set_axis("provisioner", "reactive,forecast")

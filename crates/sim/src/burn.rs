@@ -9,9 +9,9 @@
 //! the budget exactly at the sustainable pace, rate 10 exhausts it ten times
 //! too fast. Alerting on a single window is noisy (short spikes) or sluggish
 //! (long windows); the multi-window rule opens a *burn episode* only when both
-//! a fast window (default 5 s — catches the onset quickly) and a slow window
-//! (default 60 s — proves it is sustained) exceed the threshold, and closes
-//! it when the fast window recovers.
+//! a fast window (5 s — catches the onset quickly) and a slow window (60 s —
+//! proves it is sustained) exceed the threshold, and closes it when the fast
+//! window recovers.
 //!
 //! Each closed episode is then attributed to a cause by correlating it with
 //! the [`crate::journal::Journal`] (when the run recorded one) and the
@@ -26,33 +26,17 @@
 use crate::journal::{Journal, JournalKind};
 use crate::metrics::IntervalMetrics;
 
-/// Configuration of the burn-rate monitor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BurnConfig {
-    /// The SLO attainment target; the error budget is `1 - slo_target`.
-    pub slo_target: f64,
-    /// Fast alerting window, seconds (episode onset detection).
-    pub fast_window_s: f64,
-    /// Slow alerting window, seconds (sustained-burn confirmation).
-    pub slow_window_s: f64,
-    /// Burn-rate threshold both windows must exceed to open an episode.
-    pub threshold: f64,
-    /// How far before an episode's start the attributor scans the journal for
-    /// a triggering incident (control-plane damage precedes the visible burn).
-    pub lookback_s: f64,
-}
-
-impl Default for BurnConfig {
-    fn default() -> Self {
-        Self {
-            slo_target: 0.99,
-            fast_window_s: 5.0,
-            slow_window_s: 60.0,
-            threshold: 2.0,
-            lookback_s: 15.0,
-        }
-    }
-}
+/// The SLO attainment target; the error budget is `1 - SLO_TARGET`.
+const SLO_TARGET: f64 = 0.99;
+/// Fast alerting window, seconds (episode onset detection).
+const FAST_WINDOW_S: f64 = 5.0;
+/// Slow alerting window, seconds (sustained-burn confirmation).
+const SLOW_WINDOW_S: f64 = 60.0;
+/// Burn-rate threshold both windows must exceed to open an episode.
+const THRESHOLD: f64 = 2.0;
+/// How far before an episode's start the attributor scans the journal for a
+/// triggering incident (control-plane damage precedes the visible burn).
+const LOOKBACK_S: f64 = 15.0;
 
 /// The attributed root cause of one burn episode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,15 +141,14 @@ pub fn analyze(
     intervals: &[IntervalMetrics],
     interval_s: f64,
     journal: Option<&Journal>,
-    config: &BurnConfig,
 ) -> BurnReport {
-    let budget = (1.0 - config.slo_target).max(f64::EPSILON);
-    let mut report = BurnReport::empty(config.slo_target);
+    let budget = (1.0 - SLO_TARGET).max(f64::EPSILON);
+    let mut report = BurnReport::empty(SLO_TARGET);
     if intervals.is_empty() || interval_s <= 0.0 {
         return report;
     }
-    let fast_n = ((config.fast_window_s / interval_s).ceil() as usize).max(1);
-    let slow_n = ((config.slow_window_s / interval_s).ceil() as usize).max(fast_n);
+    let fast_n = ((FAST_WINDOW_S / interval_s).ceil() as usize).max(1);
+    let slow_n = ((SLOW_WINDOW_S / interval_s).ceil() as usize).max(fast_n);
 
     let total_finished: u64 = intervals.iter().map(|m| m.finished()).sum();
     let total_bad: u64 = intervals.iter().map(|m| m.completed_late + m.dropped).sum();
@@ -190,7 +173,7 @@ pub fn analyze(
         report.worst_burn_rate = report.worst_burn_rate.max(fast);
         let interval_bad = intervals[i].completed_late + intervals[i].dropped;
         match open.as_mut() {
-            Some(ep) if fast < config.threshold => {
+            Some(ep) if fast < THRESHOLD => {
                 closed.push((ep.start_idx, i - 1, ep.peak, ep.bad));
                 open = None;
             }
@@ -198,7 +181,7 @@ pub fn analyze(
                 ep.peak = ep.peak.max(fast);
                 ep.bad += interval_bad;
             }
-            None if fast >= config.threshold && slow >= config.threshold => {
+            None if fast >= THRESHOLD && slow >= THRESHOLD => {
                 open = Some(Open {
                     start_idx: i,
                     peak: fast,
@@ -215,13 +198,7 @@ pub fn analyze(
     for (start_idx, end_idx, peak, bad) in closed {
         let start_s = intervals[start_idx].start_s;
         let end_s = intervals[end_idx].start_s + interval_s;
-        let (cause, evidence) = attribute(
-            &intervals[start_idx..=end_idx],
-            start_s,
-            end_s,
-            journal,
-            config,
-        );
+        let (cause, evidence) = attribute(&intervals[start_idx..=end_idx], start_s, end_s, journal);
         report.episodes.push(BurnEpisode {
             start_s,
             end_s,
@@ -247,7 +224,6 @@ fn attribute(
     start_s: f64,
     end_s: f64,
     journal: Option<&Journal>,
-    config: &BurnConfig,
 ) -> (BurnCause, String) {
     let revoked_drops: u64 = episode.iter().map(|m| m.dropped_revoked).sum();
     let reclaimed_drops: u64 = episode.iter().map(|m| m.dropped_reclaimed).sum();
@@ -260,7 +236,7 @@ fn attribute(
     let mut installed_before = false;
     let mut any_install = false;
     if let Some(j) = journal {
-        let from_s = start_s - config.lookback_s;
+        let from_s = start_s - LOOKBACK_S;
         for e in &j.events {
             match &e.kind {
                 JournalKind::PlanInstall { .. } => {
@@ -360,7 +336,7 @@ mod tests {
     #[test]
     fn quiet_run_burns_nothing() {
         let intervals: Vec<_> = (0..60).map(|i| quiet(i as f64)).collect();
-        let report = analyze(&intervals, 1.0, None, &BurnConfig::default());
+        let report = analyze(&intervals, 1.0, None);
         assert!(report.episodes.is_empty());
         assert_eq!(report.budget_consumed, 0.0);
         assert_eq!(report.worst_burn_rate, 0.0);
@@ -371,7 +347,7 @@ mod tests {
     fn sustained_burn_opens_and_closes_one_episode() {
         // 20% bad for 30 s in a 1% budget: burn rate 20 — far over threshold.
         let intervals = series(40, 30, false);
-        let report = analyze(&intervals, 1.0, None, &BurnConfig::default());
+        let report = analyze(&intervals, 1.0, None);
         assert_eq!(report.episodes.len(), 1, "{:?}", report.episodes);
         let ep = &report.episodes[0];
         assert!(ep.start_s >= 40.0 && ep.start_s < 46.0, "{}", ep.start_s);
@@ -389,7 +365,7 @@ mod tests {
         // 3 bad seconds: the fast window fires but the 60 s window stays
         // under threshold, so no episode opens.
         let intervals = series(40, 3, false);
-        let report = analyze(&intervals, 1.0, None, &BurnConfig::default());
+        let report = analyze(&intervals, 1.0, None);
         assert!(report.episodes.is_empty(), "{:?}", report.episodes);
         assert!(report.worst_burn_rate > 2.0);
     }
@@ -397,7 +373,7 @@ mod tests {
     #[test]
     fn drop_causes_attribute_without_a_journal() {
         let intervals = series(40, 30, true);
-        let report = analyze(&intervals, 1.0, None, &BurnConfig::default());
+        let report = analyze(&intervals, 1.0, None);
         assert_eq!(report.episodes.len(), 1);
         assert_eq!(report.episodes[0].cause, BurnCause::RevocationStorm);
         assert!(report.episodes[0].evidence.contains("revoked drops"));
@@ -417,7 +393,7 @@ mod tests {
                 lane: 0,
             },
         );
-        let report = analyze(&intervals, 1.0, Some(&journal), &BurnConfig::default());
+        let report = analyze(&intervals, 1.0, Some(&journal));
         assert_eq!(report.episodes.len(), 1);
         assert_eq!(report.episodes[0].cause, BurnCause::RevocationStorm);
         assert!(report.episodes[0].evidence.starts_with("1 revocations"));
@@ -429,7 +405,7 @@ mod tests {
         let intervals = series(0, 30, false);
         let mut journal = Journal::new();
         journal.record(secs_to_us(50.0), 0, JournalKind::PlanInstall { epoch: 2 });
-        let report = analyze(&intervals, 1.0, Some(&journal), &BurnConfig::default());
+        let report = analyze(&intervals, 1.0, Some(&journal));
         assert_eq!(report.episodes.len(), 1);
         assert_eq!(report.episodes[0].cause, BurnCause::PlanInstallGap);
     }
@@ -457,14 +433,14 @@ mod tests {
                 class: 0,
             },
         );
-        let report = analyze(&intervals, 1.0, Some(&journal), &BurnConfig::default());
+        let report = analyze(&intervals, 1.0, Some(&journal));
         assert_eq!(report.episodes.len(), 1);
         assert_eq!(report.episodes[0].cause, BurnCause::BootLag);
     }
 
     #[test]
     fn empty_series_is_safe() {
-        let report = analyze(&[], 1.0, None, &BurnConfig::default());
+        let report = analyze(&[], 1.0, None);
         assert!(report.episodes.is_empty());
         assert_eq!(report.budget_queries, 0.0);
     }

@@ -113,10 +113,12 @@ pub const DEFAULT_BUCKETS: usize = 128;
 pub const MAX_AUTO_BUCKETS: usize = 8192;
 
 /// The wheel geometry of a [`CalendarQueue`]: bucket width (`2^shift` µs) ×
-/// bucket count. Exposed through `SimConfig::calendar` so scenarios whose hop
-/// delays fall outside the tuned default range (sub-µs NVLink, 100 ms WAN) can
-/// size the wheel, and `Auto` derives a geometry from the link-delay model's
-/// hop range so they usually don't have to.
+/// bucket count. The engine always resolves `Auto`, which derives a geometry
+/// from the link-delay model's hop range, so hop delays far outside the tuned
+/// default range (sub-µs NVLink, 100 ms WAN) still stay on the bucket path.
+/// `Fixed` pins an explicit geometry. Geometry never changes event
+/// *ordering* (the queue's contract is geometry-independent), only its
+/// constant factors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CalendarGeometry {
     /// Size the wheel from the link-delay model's hop range (see

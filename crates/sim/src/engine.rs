@@ -51,6 +51,7 @@
 //! (lane 0 uses `SimConfig::seed` exactly). The reference benchmark
 //! (`benchmark/README.md`) measures the resulting throughput.
 
+use crate::calendar::CalendarGeometry;
 use crate::elastic::{ElasticAction, ElasticObservation, ElasticPolicy, WorkerClassCatalog};
 use crate::journal::{Journal, JournalKind, CLUSTER_LANE};
 use crate::metrics::{ClassCost, CostSummary, IntervalMetrics, RunSummary};
@@ -566,9 +567,8 @@ impl<'a> Engine<'a> {
                 deadline_us: secs_to_us(m.revocation_deadline_s),
             });
         let (min_hop_ms, max_hop_ms) = config.link_delays.hop_range_ms(config.network_delay_ms);
-        let (shift, num_buckets) = config
-            .calendar
-            .resolve_for_range(ms_to_us(min_hop_ms), ms_to_us(max_hop_ms));
+        let (shift, num_buckets) =
+            CalendarGeometry::Auto.resolve_for_range(ms_to_us(min_hop_ms), ms_to_us(max_hop_ms));
         // Each shard seeds its own periodic events and first arrival from its
         // lane-local seq stream; the per-lane relative order (control tick,
         // routing tick, metrics tick, first arrival) matches the historical
@@ -1817,7 +1817,6 @@ fn even_partition(lanes: usize, cluster: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calendar::CalendarGeometry;
     use crate::types::{
         AllocationPlan, DropPolicy, InstanceSpec, LinkDelayModel, ObservedState, RoutingPlan,
         SimConfig,
@@ -1904,7 +1903,6 @@ mod tests {
             cluster_size: cluster,
             network_delay_ms: 1.0,
             link_delays: LinkDelayModel::Uniform,
-            calendar: CalendarGeometry::Auto,
             model_swap_ms: 0.0,
             control_interval_s: 5.0,
             routing_interval_s: 1.0,

@@ -49,7 +49,7 @@ pub mod trace;
 pub mod types;
 pub mod worker;
 
-pub use burn::{analyze as analyze_burn, BurnCause, BurnConfig, BurnEpisode, BurnReport};
+pub use burn::{analyze as analyze_burn, BurnCause, BurnEpisode, BurnReport};
 pub use calendar::{CalendarGeometry, CalendarQueue};
 pub use elastic::{
     cheapest_effective, DecisionReason, ElasticAction, ElasticObservation, ElasticPolicy,

@@ -79,6 +79,23 @@ impl IntervalMetrics {
     pub fn goodput(&self) -> u64 {
         self.completed_on_time
     }
+
+    /// Add `other`'s query counters and accuracy sums into `self`: every field
+    /// except `start_s`, `active_workers` and `cluster_size`, whose merge rule
+    /// each caller picks (a time bucket averages workers, a cluster row sums
+    /// them).
+    pub fn add_counts(&mut self, other: &IntervalMetrics) {
+        self.arrivals += other.arrivals;
+        self.completed_on_time += other.completed_on_time;
+        self.completed_late += other.completed_late;
+        self.dropped += other.dropped;
+        self.dropped_deadline += other.dropped_deadline;
+        self.dropped_reclaimed += other.dropped_reclaimed;
+        self.dropped_revoked += other.dropped_revoked;
+        self.accuracy_sum += other.accuracy_sum;
+        self.accuracy_count += other.accuracy_count;
+        self.rerouted += other.rerouted;
+    }
 }
 
 /// Whole-run summary derived from the interval metrics.

@@ -253,16 +253,7 @@ impl MultiSimResult {
                     continue;
                 };
                 agg.start_s = m.start_s;
-                agg.arrivals += m.arrivals;
-                agg.completed_on_time += m.completed_on_time;
-                agg.completed_late += m.completed_late;
-                agg.dropped += m.dropped;
-                agg.dropped_deadline += m.dropped_deadline;
-                agg.dropped_reclaimed += m.dropped_reclaimed;
-                agg.dropped_revoked += m.dropped_revoked;
-                agg.accuracy_sum += m.accuracy_sum;
-                agg.accuracy_count += m.accuracy_count;
-                agg.rerouted += m.rerouted;
+                agg.add_counts(m);
                 agg.active_workers += m.active_workers;
                 granted += m.cluster_size;
             }

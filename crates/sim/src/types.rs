@@ -780,12 +780,6 @@ pub struct SimConfig {
     pub network_delay_ms: f64,
     /// Per-link delay model (uniform by default; see [`LinkDelayModel`]).
     pub link_delays: LinkDelayModel,
-    /// Calendar-queue wheel geometry. `Auto` (the default) sizes the wheel
-    /// from `link_delays`' hop range so sub-millisecond and WAN-scale hops
-    /// both stay on the O(1) bucket path; `Fixed` pins an explicit bucket
-    /// width and count. Geometry never changes event *ordering* (the queue's
-    /// contract is geometry-independent), only its constant factors.
-    pub calendar: crate::calendar::CalendarGeometry,
     /// Time to load a different model variant onto a worker, in milliseconds.
     pub model_swap_ms: f64,
     /// Interval between Resource-Manager invocations, in seconds.
@@ -820,7 +814,6 @@ impl Default for SimConfig {
             cluster_size: 20,
             network_delay_ms: 2.0,
             link_delays: LinkDelayModel::Uniform,
-            calendar: crate::calendar::CalendarGeometry::Auto,
             model_swap_ms: 500.0,
             control_interval_s: 10.0,
             routing_interval_s: 1.0,

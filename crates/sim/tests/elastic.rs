@@ -11,98 +11,21 @@
 //!   with an elastic single-class fleet of the same size and a no-op policy —
 //!   the billing layer observes, it never perturbs.
 
-use loki_pipeline::{zoo, VariantId};
+use loki_pipeline::zoo;
 use loki_sim::{
-    AllocationPlan, CompiledPlan, Controller, DropPolicy, ElasticAction, ElasticObservation,
-    ElasticPolicy, ElasticSimConfig, InstanceSpec, ObservedState, RoutingPlan, RunSummary,
-    SimConfig, Simulation, StaticFleet, WorkerClass, WorkerClassCatalog,
+    ElasticAction, ElasticSimConfig, RunSummary, SimConfig, Simulation, StaticFleet, WorkerClass,
+    WorkerClassCatalog,
 };
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
-use std::collections::HashMap;
 
-/// A fixed controller (static allocation, uniform routing) so the tests
-/// exercise the fleet mechanics without control-plane intelligence.
-struct StaticController {
-    plan: AllocationPlan,
-}
+#[path = "common/static_controller.rs"]
+mod static_controller;
 
-impl StaticController {
-    fn tiny(replicas_a: usize, replicas_b: usize) -> Self {
-        Self {
-            plan: AllocationPlan {
-                instances: vec![
-                    InstanceSpec {
-                        variant: VariantId::new(0, 1),
-                        max_batch: 4,
-                        count: replicas_a,
-                    },
-                    InstanceSpec {
-                        variant: VariantId::new(1, 1),
-                        max_batch: 4,
-                        count: replicas_b,
-                    },
-                ],
-                latency_budgets_ms: HashMap::new(),
-                drop_policy: DropPolicy::NoEarlyDropping,
-            },
-        }
-    }
-}
+#[path = "common/scripted_policy.rs"]
+mod scripted_policy;
 
-impl Controller for StaticController {
-    fn name(&self) -> &str {
-        "static"
-    }
-
-    fn plan(&mut self, observed: &ObservedState<'_>) -> Option<AllocationPlan> {
-        // Re-plan every tick against the observed capacity: replica counts are
-        // clamped by the engine, so a shrunken fleet keeps a valid plan.
-        let _ = observed;
-        Some(self.plan.clone())
-    }
-
-    fn routing(&mut self, observed: &ObservedState<'_>) -> Option<CompiledPlan> {
-        let mut plan = RoutingPlan::default();
-        let mut num_tasks = 0;
-        for w in observed.workers {
-            if let Some(v) = w.variant {
-                if v.task == 0 {
-                    plan.frontend.push((w.id, 1.0));
-                }
-                plan.downstream_default
-                    .entry(v.task)
-                    .or_default()
-                    .push((w.id, 1.0));
-                num_tasks = num_tasks.max(v.task + 1);
-            }
-        }
-        Some(CompiledPlan::from_routing_plan(&plan, num_tasks))
-    }
-}
-
-/// A policy that replays a fixed script of `(tick_time_s, actions)` entries.
-struct ScriptedPolicy {
-    script: Vec<(f64, Vec<ElasticAction>)>,
-}
-
-impl ElasticPolicy for ScriptedPolicy {
-    fn name(&self) -> &str {
-        "scripted"
-    }
-
-    fn decide(&mut self, observation: &ElasticObservation<'_>) -> Vec<ElasticAction> {
-        let mut out = Vec::new();
-        self.script.retain(|(when, actions)| {
-            if *when <= observation.now_s {
-                out.extend(actions.iter().copied());
-                false
-            } else {
-                true
-            }
-        });
-        out
-    }
-}
+use scripted_policy::ScriptedPolicy;
+use static_controller::StaticController;
 
 fn catalog(boot_delay_s: f64) -> WorkerClassCatalog {
     WorkerClassCatalog::single(WorkerClass {
@@ -152,7 +75,7 @@ fn billing_starts_at_boot_not_at_provisioning() {
     let mut policy = ScriptedPolicy {
         script: vec![(10.0, vec![ElasticAction::Provision { class: 0, count: 1 }])],
     };
-    let mut sim = Simulation::new(&graph, config, StaticController::tiny(1, 1));
+    let mut sim = Simulation::new(&graph, config, StaticController::tiny(1));
     let result = sim.run_elastic(&arrivals, &mut policy);
     let cost = result.cost.expect("elastic runs report cost");
     // The run ends at last arrival + drain; the provisioned worker is billed
@@ -187,7 +110,7 @@ fn draining_workers_finish_but_never_take_new_work() {
     let mut policy = ScriptedPolicy {
         script: vec![(10.0, vec![ElasticAction::Drain { class: 0, count: 2 }])],
     };
-    let mut sim = Simulation::new(&graph, config, StaticController::tiny(2, 2));
+    let mut sim = Simulation::new(&graph, config, StaticController::tiny(2));
     let result = sim.run_elastic(&arrivals, &mut policy);
     let s = &result.summary;
     assert_eq!(
@@ -223,7 +146,7 @@ fn same_seed_elastic_runs_are_deterministic_and_scaling_changes_execution() {
         let mut config = base_config(13);
         config.elastic = Some(elastic_config(2, 6, 3.0));
         let mut policy = ScriptedPolicy { script };
-        let mut sim = Simulation::new(&graph, config, StaticController::tiny(2, 2));
+        let mut sim = Simulation::new(&graph, config, StaticController::tiny(2));
         sim.run_elastic(&arrivals, &mut policy).summary
     };
     let grow = || vec![(10.0, vec![ElasticAction::Provision { class: 0, count: 2 }])];
@@ -249,7 +172,7 @@ fn noop_policy_on_an_elastic_fleet_matches_the_fixed_fleet_run() {
     let trace = generators::constant(20, 40.0);
     let arrivals = generate_arrivals(&trace, ArrivalProcess::Uniform, 4);
     let fixed = {
-        let mut sim = Simulation::new(&graph, base_config(21), StaticController::tiny(2, 2));
+        let mut sim = Simulation::new(&graph, base_config(21), StaticController::tiny(2));
         sim.run(&arrivals)
     };
     assert!(fixed.cost.is_none(), "fixed fleets have no billing");
@@ -257,7 +180,7 @@ fn noop_policy_on_an_elastic_fleet_matches_the_fixed_fleet_run() {
         let mut config = base_config(21);
         config.elastic = Some(elastic_config(4, 4, 5.0));
         let mut policy = StaticFleet;
-        let mut sim = Simulation::new(&graph, config, StaticController::tiny(2, 2));
+        let mut sim = Simulation::new(&graph, config, StaticController::tiny(2));
         sim.run_elastic(&arrivals, &mut policy)
     };
     assert_eq!(fixed.summary, elastic.summary);
@@ -285,7 +208,7 @@ fn provisioning_is_clamped_to_the_fleet_bound() {
             }],
         )],
     };
-    let mut sim = Simulation::new(&graph, config, StaticController::tiny(1, 1));
+    let mut sim = Simulation::new(&graph, config, StaticController::tiny(1));
     let result = sim.run_elastic(&arrivals, &mut policy);
     let cost = result.cost.expect("cost");
     assert_eq!(

@@ -14,96 +14,21 @@
 //! * `WorkerClass::memory_gb` is documented vacuous — two catalogs differing
 //!   only in memory run bit-identically.
 
-use loki_pipeline::{zoo, VariantId};
+use loki_pipeline::zoo;
 use loki_sim::{
-    AllocationPlan, CompiledPlan, Controller, DropPolicy, ElasticAction, ElasticObservation,
-    ElasticPolicy, ElasticSimConfig, InstanceSpec, JournalKind, MarketConfig, ObserveConfig,
-    ObservedState, RoutingPlan, SimConfig, Simulation, WorkerClass, WorkerClassCatalog,
+    ElasticAction, ElasticObservation, ElasticPolicy, ElasticSimConfig, JournalKind, MarketConfig,
+    ObserveConfig, SimConfig, Simulation, WorkerClass, WorkerClassCatalog,
 };
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
-use std::collections::HashMap;
 
-/// A fixed controller (static allocation, uniform routing) so the tests
-/// exercise the market mechanics without control-plane intelligence.
-struct StaticController {
-    plan: AllocationPlan,
-}
+#[path = "common/static_controller.rs"]
+mod static_controller;
 
-impl StaticController {
-    fn tiny(replicas_a: usize, replicas_b: usize) -> Self {
-        Self {
-            plan: AllocationPlan {
-                instances: vec![
-                    InstanceSpec {
-                        variant: VariantId::new(0, 1),
-                        max_batch: 4,
-                        count: replicas_a,
-                    },
-                    InstanceSpec {
-                        variant: VariantId::new(1, 1),
-                        max_batch: 4,
-                        count: replicas_b,
-                    },
-                ],
-                latency_budgets_ms: HashMap::new(),
-                drop_policy: DropPolicy::NoEarlyDropping,
-            },
-        }
-    }
-}
+#[path = "common/scripted_policy.rs"]
+mod scripted_policy;
 
-impl Controller for StaticController {
-    fn name(&self) -> &str {
-        "static"
-    }
-
-    fn plan(&mut self, observed: &ObservedState<'_>) -> Option<AllocationPlan> {
-        let _ = observed;
-        Some(self.plan.clone())
-    }
-
-    fn routing(&mut self, observed: &ObservedState<'_>) -> Option<CompiledPlan> {
-        let mut plan = RoutingPlan::default();
-        let mut num_tasks = 0;
-        for w in observed.workers {
-            if let Some(v) = w.variant {
-                if v.task == 0 {
-                    plan.frontend.push((w.id, 1.0));
-                }
-                plan.downstream_default
-                    .entry(v.task)
-                    .or_default()
-                    .push((w.id, 1.0));
-                num_tasks = num_tasks.max(v.task + 1);
-            }
-        }
-        Some(CompiledPlan::from_routing_plan(&plan, num_tasks))
-    }
-}
-
-/// A policy that replays a fixed script of `(tick_time_s, actions)` entries.
-struct ScriptedPolicy {
-    script: Vec<(f64, Vec<ElasticAction>)>,
-}
-
-impl ElasticPolicy for ScriptedPolicy {
-    fn name(&self) -> &str {
-        "scripted"
-    }
-
-    fn decide(&mut self, observation: &ElasticObservation<'_>) -> Vec<ElasticAction> {
-        let mut out = Vec::new();
-        self.script.retain(|(when, actions)| {
-            if *when <= observation.now_s {
-                out.extend(actions.iter().copied());
-                false
-            } else {
-                true
-            }
-        });
-        out
-    }
-}
+use scripted_policy::ScriptedPolicy;
+use static_controller::StaticController;
 
 /// On-demand reference class plus a spot twin, `0.001 $/s` each so billed
 /// dollars are easy to eyeball.
@@ -183,7 +108,7 @@ fn billing_stops_exactly_at_revocation() {
     let mut config = base_config(7);
     config.elastic = Some(elastic_config(vec![(0, 2), (1, 1)], 8, Some(shredder(2.0))));
     let mut policy = ScriptedPolicy { script: vec![] };
-    let mut sim = Simulation::new(&graph, config, StaticController::tiny(1, 1));
+    let mut sim = Simulation::new(&graph, config, StaticController::tiny(1));
     let result = sim.run_elastic(&arrivals, &mut policy);
     let cost = result.cost.expect("elastic runs report cost");
     let spot = cost.per_class.iter().find(|c| c.spot).expect("spot class");
@@ -220,7 +145,7 @@ fn lost_batches_requeue_and_conserve_queries() {
             Some(shredder(0.001)),
         ));
         let mut policy = ScriptedPolicy { script: vec![] };
-        let mut sim = Simulation::new(&graph, config, StaticController::tiny(3, 3));
+        let mut sim = Simulation::new(&graph, config, StaticController::tiny(3));
         sim.run_elastic(&arrivals, &mut policy)
     };
     let result = run();
@@ -268,7 +193,7 @@ fn timeline_leaves_the_latency_histograms_unchanged_through_revocations() {
                 (20.0, vec![ElasticAction::Drain { class: 0, count: 1 }]),
             ],
         };
-        let mut sim = Simulation::new(&graph, config, StaticController::tiny(3, 3));
+        let mut sim = Simulation::new(&graph, config, StaticController::tiny(3));
         sim.run_elastic(&arrivals, &mut policy)
     };
     let (off, on) = (run(false), run(true));
@@ -324,7 +249,7 @@ fn forced_drains_are_invisible_to_the_policy() {
         max_draining_seen: 0,
         revocations_seen: 0,
     };
-    let mut sim = Simulation::new(&graph, config, StaticController::tiny(2, 2));
+    let mut sim = Simulation::new(&graph, config, StaticController::tiny(2));
     let result = sim.run_elastic(&arrivals, &mut policy);
     assert_eq!(result.cost.expect("cost").revocations, 3);
     assert_eq!(
@@ -356,7 +281,7 @@ fn zero_rate_market_is_bit_identical_to_no_market() {
                 (18.0, vec![ElasticAction::Drain { class: 1, count: 1 }]),
             ],
         };
-        let mut sim = Simulation::new(&graph, config, StaticController::tiny(2, 2));
+        let mut sim = Simulation::new(&graph, config, StaticController::tiny(2));
         sim.run_elastic(&arrivals, &mut policy)
     };
     let friendly = run(None);
@@ -389,7 +314,7 @@ fn memory_capacity_is_vacuous() {
             market: Some(shredder(2.0)),
         });
         let mut policy = ScriptedPolicy { script: vec![] };
-        let mut sim = Simulation::new(&graph, config, StaticController::tiny(2, 2));
+        let mut sim = Simulation::new(&graph, config, StaticController::tiny(2));
         sim.run_elastic(&arrivals, &mut policy)
     };
     let small = run(16.0);

@@ -21,107 +21,18 @@
 //! Wall-clock fields (`lane_wall_s`, `barrier_wait_s`) are host measurements
 //! and deliberately excluded from every comparison.
 
-use loki_pipeline::{zoo, PipelineGraph, VariantId};
-use loki_sim::{
-    apportion, AllocationPlan, ArbiterObservation, CompiledPlan, Controller, DropPolicy,
-    InstanceSpec, MultiPipeline, MultiSimConfig, MultiSimResult, MultiSimulation, ObservedState,
-    ResourceArbiter, RoutingPlan, SimConfig,
-};
+use loki_pipeline::{zoo, PipelineGraph};
+use loki_sim::{MultiPipeline, MultiSimConfig, MultiSimResult, MultiSimulation, SimConfig};
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
-use std::collections::HashMap;
 
-/// A controller that re-asserts a fixed allocation every control tick and
-/// routes uniformly over whatever instances its partition currently holds.
-/// Re-planning each tick (rather than once) matters here: it makes the lane
-/// reconcile instances after every migration, exercising the model-swap path
-/// under the seesaw arbiter.
-struct StaticController {
-    plan: AllocationPlan,
-}
+#[path = "common/static_controller.rs"]
+mod static_controller;
 
-impl StaticController {
-    fn tiny(replicas: usize, batch: u32) -> Self {
-        Self {
-            plan: AllocationPlan {
-                instances: vec![
-                    InstanceSpec {
-                        variant: VariantId::new(0, 1),
-                        max_batch: batch,
-                        count: replicas,
-                    },
-                    InstanceSpec {
-                        variant: VariantId::new(1, 1),
-                        max_batch: batch,
-                        count: replicas,
-                    },
-                ],
-                latency_budgets_ms: HashMap::new(),
-                drop_policy: DropPolicy::NoEarlyDropping,
-            },
-        }
-    }
-}
+#[path = "common/seesaw_arbiter.rs"]
+mod seesaw_arbiter;
 
-impl Controller for StaticController {
-    fn name(&self) -> &str {
-        "static"
-    }
-
-    fn plan(&mut self, _observed: &ObservedState<'_>) -> Option<AllocationPlan> {
-        Some(self.plan.clone())
-    }
-
-    fn routing(&mut self, observed: &ObservedState<'_>) -> Option<CompiledPlan> {
-        let mut plan = RoutingPlan::default();
-        let mut num_tasks = 0;
-        for w in observed.workers {
-            if let Some(v) = w.variant {
-                if v.task == 0 {
-                    plan.frontend.push((w.id, 1.0));
-                }
-                plan.downstream_default
-                    .entry(v.task)
-                    .or_default()
-                    .push((w.id, 1.0));
-                num_tasks = num_tasks.max(v.task + 1);
-            }
-        }
-        Some(CompiledPlan::from_routing_plan(&plan, num_tasks))
-    }
-}
-
-/// An arbiter that flips the cluster split every epoch: odd epochs favour the
-/// low-index lanes, even epochs the high-index ones. Every tick moves workers,
-/// which is exactly the behaviour the epoch-barrier migration path must absorb
-/// without perturbing lane-local event order.
-struct SeesawArbiter {
-    epoch: u64,
-}
-
-impl ResourceArbiter for SeesawArbiter {
-    fn name(&self) -> &str {
-        "seesaw"
-    }
-
-    fn rebalance_interval_s(&self) -> f64 {
-        2.0
-    }
-
-    fn partition(&mut self, observation: &ArbiterObservation<'_>) -> Option<Vec<usize>> {
-        self.epoch += 1;
-        let lanes = observation.partition.len();
-        let weights: Vec<f64> = (0..lanes)
-            .map(|i| {
-                if i.is_multiple_of(2) == self.epoch.is_multiple_of(2) {
-                    3.0
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        Some(apportion(&weights, observation.cluster_size))
-    }
-}
+use seesaw_arbiter::SeesawArbiter;
+use static_controller::StaticController;
 
 fn base_config(seed: u64) -> SimConfig {
     SimConfig {
@@ -145,7 +56,7 @@ fn four_lane_run(seed: u64, jobs: usize) -> MultiSimResult {
         multi.add_pipeline(MultiPipeline {
             name: format!("lane{i}"),
             graph,
-            controller: Box::new(StaticController::tiny(2, 4)),
+            controller: Box::new(StaticController::tiny(2)),
             arrivals_s: generate_arrivals(&trace, ArrivalProcess::Poisson, seed + i as u64),
             initial_demand_hint: Some(30.0),
         });
@@ -214,7 +125,7 @@ fn single_lane_parallel_path_matches_dedicated_simulation() {
 
     let mut config = base_config(42);
     config.initial_demand_hint = Some(40.0);
-    let single = loki_sim::Simulation::new(&graph, config, StaticController::tiny(3, 4))
+    let single = loki_sim::Simulation::new(&graph, config, StaticController::tiny(3))
         .run(&arrivals)
         .summary;
 
@@ -226,7 +137,7 @@ fn single_lane_parallel_path_matches_dedicated_simulation() {
         multi.add_pipeline(MultiPipeline {
             name: "only".to_string(),
             graph: &graph,
-            controller: Box::new(StaticController::tiny(3, 4)),
+            controller: Box::new(StaticController::tiny(3)),
             arrivals_s: arrivals.clone(),
             initial_demand_hint: Some(40.0),
         });

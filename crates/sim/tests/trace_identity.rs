@@ -14,101 +14,20 @@
 //!    `critical_path().total_us <= latency_us()` and the per-kind components
 //!    sum to no more than the total.
 
-use loki_pipeline::{zoo, PipelineGraph, VariantId};
+use loki_pipeline::{zoo, PipelineGraph};
 use loki_sim::{
-    apportion, AllocationPlan, ArbiterObservation, CompiledPlan, Controller, DropPolicy,
-    InstanceSpec, MultiPipeline, MultiSimConfig, MultiSimResult, MultiSimulation, ObserveConfig,
-    ObservedState, ResourceArbiter, RoutingPlan, SimConfig,
+    MultiPipeline, MultiSimConfig, MultiSimResult, MultiSimulation, ObserveConfig, SimConfig,
 };
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
-use std::collections::HashMap;
 
-struct StaticController {
-    plan: AllocationPlan,
-}
+#[path = "common/static_controller.rs"]
+mod static_controller;
 
-impl StaticController {
-    fn tiny(replicas: usize, batch: u32) -> Self {
-        Self {
-            plan: AllocationPlan {
-                instances: vec![
-                    InstanceSpec {
-                        variant: VariantId::new(0, 1),
-                        max_batch: batch,
-                        count: replicas,
-                    },
-                    InstanceSpec {
-                        variant: VariantId::new(1, 1),
-                        max_batch: batch,
-                        count: replicas,
-                    },
-                ],
-                latency_budgets_ms: HashMap::new(),
-                drop_policy: DropPolicy::NoEarlyDropping,
-            },
-        }
-    }
-}
+#[path = "common/seesaw_arbiter.rs"]
+mod seesaw_arbiter;
 
-impl Controller for StaticController {
-    fn name(&self) -> &str {
-        "static"
-    }
-
-    fn plan(&mut self, _observed: &ObservedState<'_>) -> Option<AllocationPlan> {
-        Some(self.plan.clone())
-    }
-
-    fn routing(&mut self, observed: &ObservedState<'_>) -> Option<CompiledPlan> {
-        let mut plan = RoutingPlan::default();
-        let mut num_tasks = 0;
-        for w in observed.workers {
-            if let Some(v) = w.variant {
-                if v.task == 0 {
-                    plan.frontend.push((w.id, 1.0));
-                }
-                plan.downstream_default
-                    .entry(v.task)
-                    .or_default()
-                    .push((w.id, 1.0));
-                num_tasks = num_tasks.max(v.task + 1);
-            }
-        }
-        Some(CompiledPlan::from_routing_plan(&plan, num_tasks))
-    }
-}
-
-/// Flips the cluster split every epoch so workers migrate constantly — the
-/// requeue/re-home paths leave `Requeue` trace markers, which must land
-/// identically regardless of lane parallelism.
-struct SeesawArbiter {
-    epoch: u64,
-}
-
-impl ResourceArbiter for SeesawArbiter {
-    fn name(&self) -> &str {
-        "seesaw"
-    }
-
-    fn rebalance_interval_s(&self) -> f64 {
-        2.0
-    }
-
-    fn partition(&mut self, observation: &ArbiterObservation<'_>) -> Option<Vec<usize>> {
-        self.epoch += 1;
-        let lanes = observation.partition.len();
-        let weights: Vec<f64> = (0..lanes)
-            .map(|i| {
-                if i.is_multiple_of(2) == self.epoch.is_multiple_of(2) {
-                    3.0
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        Some(apportion(&weights, observation.cluster_size))
-    }
-}
+use seesaw_arbiter::SeesawArbiter;
+use static_controller::StaticController;
 
 fn observed_config(seed: u64, observe: ObserveConfig) -> SimConfig {
     SimConfig {
@@ -131,7 +50,7 @@ fn four_lane_run(seed: u64, jobs: usize, observe: ObserveConfig) -> MultiSimResu
         multi.add_pipeline(MultiPipeline {
             name: format!("lane{i}"),
             graph,
-            controller: Box::new(StaticController::tiny(2, 4)),
+            controller: Box::new(StaticController::tiny(2)),
             arrivals_s: generate_arrivals(&trace, ArrivalProcess::Poisson, seed + i as u64),
             initial_demand_hint: Some(30.0),
         });
