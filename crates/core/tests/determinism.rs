@@ -11,14 +11,16 @@
 //!    the constants. The slab-arena/alias-table rewrite of the event core was
 //!    validated against the seed engine on these same scenarios (on-time /
 //!    late / dropped within 0.1%, identical accuracy) before this snapshot was
-//!    taken.
+//!    taken. `golden_hetnet_trace_is_stable` pins the order in which every
+//!    root's spans are recorded, which a change to delivery order moves even
+//!    when the totals happen to agree.
 
 use loki_core::{LokiConfig, LokiController};
 use loki_pipeline::zoo;
-use loki_sim::{LinkDelayModel, RunSummary, SimConfig, Simulation};
+use loki_sim::{LinkDelayModel, ObserveConfig, RunSummary, SimConfig, SimResult, Simulation};
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
 
-fn run_with_links(seed: u64, link_delays: LinkDelayModel) -> RunSummary {
+fn run_observed(seed: u64, link_delays: LinkDelayModel, observe: ObserveConfig) -> SimResult {
     let graph = zoo::traffic_analysis_pipeline(250.0);
     let trace = generators::constant(30, 300.0);
     let arrivals = generate_arrivals(&trace, ArrivalProcess::Poisson, 11);
@@ -31,10 +33,15 @@ fn run_with_links(seed: u64, link_delays: LinkDelayModel) -> RunSummary {
         drain_s: 10.0,
         seed,
         link_delays,
+        observe,
         ..SimConfig::default()
     };
     let mut sim = Simulation::new(&graph, config, controller);
-    sim.run(&arrivals).summary
+    sim.run(&arrivals)
+}
+
+fn run_with_links(seed: u64, link_delays: LinkDelayModel) -> RunSummary {
+    run_observed(seed, link_delays, ObserveConfig::default()).summary
 }
 
 fn run_once(seed: u64) -> RunSummary {
@@ -151,3 +158,60 @@ const GOLDEN_HETNET_LATE: u64 = 4;
 const GOLDEN_HETNET_DROPPED: u64 = 2;
 const GOLDEN_HETNET_EVENTS: u64 = 51638;
 const GOLDEN_HETNET_ACCURACY: f64 = 1.0;
+
+/// FNV-1a (64 bit) over a stream of `u64` words, little-endian bytes.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn golden_hetnet_trace_is_stable() {
+    // The two-tier workload above with every root traced. On two-tier links
+    // one batch's children go out at two delivery times (a fast intra-class
+    // hop and a slow cross-class one), so this pins the order in which the
+    // engine delivers them: every span of every root, in recording order.
+    let observe = ObserveConfig {
+        trace_sample: 1,
+        ..ObserveConfig::default()
+    };
+    let result = run_observed(42, two_tier(), observe);
+    assert_eq!(result.summary.events_processed, GOLDEN_HETNET_EVENTS);
+    let log = result.trace.expect("tracing is on");
+    assert_eq!(log.roots.len(), 8981, "every root is sampled");
+    let digest = fnv1a(log.roots.iter().flat_map(|root| {
+        let head = [
+            root.lane as u64,
+            root.arrival_index,
+            root.arrival_us,
+            root.end_us,
+            root.dropped as u64,
+            root.spans.len() as u64,
+        ];
+        let spans = root.spans.iter().flat_map(|s| {
+            [
+                s.kind as u64,
+                s.start_us,
+                s.end_us,
+                s.task as u64,
+                s.worker as u64,
+            ]
+        });
+        head.into_iter().chain(spans)
+    }));
+    println!(
+        "hetnet trace golden candidate: spans {} digest {digest:#018x}",
+        log.num_spans()
+    );
+    assert_eq!(log.num_spans(), GOLDEN_HETNET_SPANS);
+    assert_eq!(digest, GOLDEN_HETNET_TRACE_DIGEST);
+}
+
+// Pinned before deliveries of one handler were grouped into one calendar
+// entry, which must leave every span where it was.
+const GOLDEN_HETNET_SPANS: usize = 85_541;
+const GOLDEN_HETNET_TRACE_DIGEST: u64 = 0xe4ea_2d5e_badd_72f3;

@@ -1,11 +1,13 @@
 //! A hierarchical calendar queue (timer wheel) for simulation events.
 //!
 //! The engine schedules three classes of future work: network deliveries (now +
-//! a per-link delay, microseconds-to-milliseconds ahead), model-swap completions
-//! (hundreds of milliseconds ahead), and periodic control/routing/metrics ticks
-//! (seconds ahead). A binary heap handles all of them in O(log n) per operation;
-//! this queue exploits the fact that event horizons are short and times only move
-//! forward to get O(1) amortized insert and pop:
+//! a per-link delay, microseconds-to-milliseconds ahead; one entry carries all
+//! the deliveries one event handler sends for the same time), model-swap
+//! completions (hundreds of milliseconds ahead), and periodic
+//! control/routing/metrics ticks (seconds ahead). A binary heap handles all of
+//! them in O(log n) per operation; this queue exploits the fact that event
+//! horizons are short and times only move forward to get O(1) amortized insert
+//! and pop:
 //!
 //! * The near future is a circular array of `num_buckets` buckets, each covering
 //!   `2^shift` microseconds of simulated time. An event at time `t` lands in
@@ -22,11 +24,11 @@
 //!   insert — the lazy head removes that entire class of slow-path traffic.)
 //! * The slot being drained lives in `ready`, sorted by `(time, seq)` descending
 //!   and popped from the back, so same-slot events come out in exactly the order
-//!   a global heap would produce them. Buckets are small (a 1 ms bucket holds
-//!   about 11 events at 2000 QPS) and filled almost in ascending order, so the
-//!   per-slot sort (ascending, then reversed) is near-linear and amortizes to
-//!   O(1) per event. Events scheduled *into the slot currently being drained*
-//!   are spliced into `ready` at their ordered position.
+//!   a global heap would produce them. Buckets are small (a drained 1 ms
+//!   bucket holds about 3 entries at 2000 QPS) and filled almost in ascending
+//!   order, so the per-slot sort (ascending, then reversed) is near-linear and
+//!   amortizes to O(1) per event. Events scheduled *into the slot currently
+//!   being drained* are spliced into `ready` at their ordered position.
 //! * Events beyond the wheel's horizon (`num_buckets << shift` microseconds) go
 //!   to an unsorted `overflow` list — in practice only the sparse periodic ticks
 //!   and swap completions — and are redistributed onto the wheel each time it
@@ -92,10 +94,10 @@ pub struct CalendarQueue<T> {
     floor: SimTime,
 }
 
-/// Default bucket width: `2^10` ≈ 1 ms. Wide enough that a whole burst of
-/// same-batch fan-out deliveries shares one bucket (one sort), narrow enough
-/// that sub-millisecond PCIe-class hops still usually cross into the next slot
-/// instead of splicing into the live drain buffer. Tuned on the
+/// Default bucket width: `2^10` ≈ 1 ms. Wide enough that the delivery entries
+/// of neighbouring batch completions share one bucket (one sort), narrow
+/// enough that sub-millisecond PCIe-class hops still usually cross into the
+/// next slot instead of splicing into the live drain buffer. Tuned on the
 /// million-arrival `traffic_hetnet` workload with uniform and two-tier links
 /// (the reference benchmark in `benchmark/README.md` measures the same data
 /// plane).
@@ -385,11 +387,11 @@ impl<T> CalendarQueue<T> {
         std::mem::swap(bucket, &mut self.ready);
         self.wheel_len -= self.ready.len();
         // Sparse slots hold one or two events, so those cases skip the
-        // sort-call overhead entirely. Busy ones hold more (about 11 per 1 ms
-        // bucket at 2000 QPS), pushed almost in ascending `(time, seq)`
-        // order: sorting ascending keeps insertion sort near its best case,
-        // and keys are unique, so reversing gives the same order as a
-        // descending sort.
+        // sort-call overhead entirely. Busier ones (a drained 1 ms bucket
+        // holds about 3 at 2000 QPS) are pushed almost in ascending
+        // `(time, seq)` order: sorting ascending keeps insertion sort near its
+        // best case, and keys are unique, so reversing gives the same order as
+        // a descending sort.
         match self.ready.len() {
             1 => {}
             2 => {

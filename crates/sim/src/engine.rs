@@ -82,16 +82,16 @@ pub struct SimResult {
     /// ([`SimConfig::elastic`]); cluster-level, so in a multi-pipeline run it
     /// appears on the aggregate result, not the per-pipeline ones.
     pub cost: Option<CostSummary>,
-    /// Latency histograms (end-to-end, per task, per worker class) — `Some`
-    /// unless `observe.histograms` was turned off.
-    pub latency: Option<crate::trace::LatencyStats>,
+    /// End-to-end latency histogram of served roots — `Some` unless
+    /// `observe.histograms` was turned off.
+    pub latency: Option<crate::trace::Histogram>,
     /// Sampled query traces — `Some` only when `observe.trace_sample > 0`.
     pub trace: Option<crate::trace::TraceLog>,
     /// Per-interval end-to-end latency histogram deltas, index-aligned with
     /// `intervals` — `Some` only when `observe.timeline` is on. Each row is
     /// the exact histogram of the queries that finished inside that interval,
-    /// stored from its lowest to its highest occupied bucket. `latency.e2e`
-    /// is folded from these rows, so merging every row reproduces it
+    /// stored from its lowest to its highest occupied bucket. `latency` is
+    /// folded from these rows, so merging every row reproduces it
     /// bit-for-bit.
     pub window: Option<Vec<crate::trace::Histogram>>,
     /// The cluster event journal — `Some` only when `observe.timeline` is on.
@@ -997,14 +997,14 @@ impl<'a> Engine<'a> {
                 self.config.metrics_interval_s,
             );
             summary.events_processed = shard.lane.events_processed;
-            let latency = shard.lane.hists.take().map(|b| *b);
+            let latency = shard.lane.latency.take().map(|b| *b);
             if let Some(l) = &latency {
                 [
                     summary.p50_ms,
                     summary.p90_ms,
                     summary.p99_ms,
                     summary.p999_ms,
-                ] = l.e2e.percentiles_ms();
+                ] = l.percentiles_ms();
             }
             out.push(SimResult {
                 intervals: std::mem::take(&mut shard.lane.intervals),

@@ -66,9 +66,7 @@ pub use multi::{
 pub use par::par_map;
 pub use routing::{AliasTable, CompiledPlan, PlanBuilder};
 pub use slab::{Slab, SlotRef};
-pub use trace::{
-    CriticalPath, Histogram, LatencyStats, ObserveConfig, RootTrace, Span, SpanKind, TraceLog,
-};
+pub use trace::{CriticalPath, Histogram, ObserveConfig, RootTrace, Span, SpanKind, TraceLog};
 pub use types::{
     AllocationPlan, BackupWorker, CompiledLinkDelays, Controller, DropPolicy, HopBudgets,
     InstanceSpec, LinkDelayModel, ObservedState, Query, RouteMode, RoutingPlan, SimConfig,

@@ -139,8 +139,8 @@ pub struct RunSummary {
     pub events_processed: u64,
     /// Median end-to-end latency of served roots, milliseconds (0 when the
     /// latency histograms were disabled or nothing was served). Set by the
-    /// engine from the run's [`crate::trace::LatencyStats`], not derived from
-    /// intervals.
+    /// engine from the run's latency histogram
+    /// ([`crate::SimResult::latency`]), not derived from intervals.
     pub p50_ms: f64,
     /// 90th-percentile end-to-end latency, milliseconds.
     pub p90_ms: f64,

@@ -266,7 +266,7 @@ impl MultiSimResult {
         // Latency histograms merge exactly (fixed bucket layout), so the
         // aggregate percentiles are the true cluster-level percentiles, not an
         // average of per-pipeline ones.
-        let mut latency: Option<crate::trace::LatencyStats> = None;
+        let mut latency: Option<crate::trace::Histogram> = None;
         for p in &self.pipelines {
             if let Some(l) = &p.result.latency {
                 match &mut latency {
@@ -281,7 +281,7 @@ impl MultiSimResult {
                 summary.p90_ms,
                 summary.p99_ms,
                 summary.p999_ms,
-            ] = l.e2e.percentiles_ms();
+            ] = l.percentiles_ms();
         }
         // Sampled traces concatenate in registration order (each root records
         // its lane, so provenance survives the merge).

@@ -126,18 +126,22 @@ impl<'e> LaneCtx<'e> {
     }
 }
 
-/// A scheduled lane event's payload. Deliveries carry the in-flight query
-/// inline — its lifetime is exactly the queue entry's, so the delivery path
-/// needs no lookup structure at all. (Cluster-level events — rebalance and
-/// elastic ticks, boot completions — live on the driver's queue instead.)
+/// A scheduled lane event's payload. `Deliveries` names one of the shard's
+/// delivery buffers: the in-flight queries one handler sent out for the same
+/// time, in send order (see [`Shard::schedule_delivery`]). (Cluster-level
+/// events — rebalance and elastic ticks, boot completions — live on the
+/// driver's queue instead.)
 #[derive(Debug, Clone)]
 pub(crate) enum LaneEvent {
     ControlTick,
     RoutingTick,
     MetricsTick,
     SwapDone(WorkerId),
-    Delivery { worker: WorkerId, query: Query },
+    Deliveries(usize),
 }
+
+// The wheel's retained bucket buffers scale with the entry size.
+const _: () = assert!(std::mem::size_of::<LaneEvent>() <= 16);
 
 /// Why a root (or one of its branches) was dropped. The *first* cause sticks:
 /// a root that loses a branch to a revocation and later expires is a
@@ -260,16 +264,17 @@ pub(crate) struct LaneState<'a> {
 
     // Observability (see `crate::trace`): all observation-only — none of these
     // consume RNG draws or change event ordering.
-    /// Latency histograms (`observe.histograms`, on by default). With the
-    /// timeline on, `e2e` holds only the closed intervals' rows, so it is
-    /// complete only after the driver's final [`Shard::flush_interval`].
-    pub(crate) hists: Option<Box<crate::trace::LatencyStats>>,
+    /// The run's end-to-end latency histogram (`observe.histograms`, on by
+    /// default). With the timeline on, it holds only the closed intervals'
+    /// rows, so it is complete only after the driver's final
+    /// [`Shard::flush_interval`].
+    pub(crate) latency: Option<Box<crate::trace::Histogram>>,
     /// Sampled query tracer (`observe.trace_sample > 0`).
     pub(crate) tracer: Option<Box<crate::trace::LaneTracer>>,
     /// The current interval's end-to-end latency histogram
     /// (`observe.timeline`). It takes a served root's record in place of
-    /// `hists.e2e`; each metrics flush cuts its occupied bucket range out as
-    /// a row, folds the row into `hists.e2e` and resets it in place.
+    /// `latency`; each metrics flush cuts its occupied bucket range out as a
+    /// row, folds the row into `latency` and resets it in place.
     pub(crate) window_hist: Option<Box<crate::trace::Histogram>>,
     /// Closed per-interval histogram deltas, index-aligned with `intervals`.
     pub(crate) window_hists: Vec<crate::trace::Histogram>,
@@ -345,14 +350,10 @@ impl<'a> LaneState<'a> {
             first_control_tick: true,
             window_on_time: 0,
             window_finished: 0,
-            hists: config.observe.histograms.then(|| {
-                let num_classes = config
-                    .elastic
-                    .as_ref()
-                    .map(|e| e.catalog.len())
-                    .unwrap_or(1);
-                Box::new(crate::trace::LatencyStats::new(num_tasks, num_classes))
-            }),
+            latency: config
+                .observe
+                .histograms
+                .then(|| Box::new(crate::trace::Histogram::new())),
             tracer: (config.observe.trace_sample > 0)
                 .then(|| Box::new(crate::trace::LaneTracer::new(config.observe.trace_sample))),
             window_hist: config
@@ -407,6 +408,14 @@ pub(crate) struct Shard<'a> {
     /// Calendar-queue scheduler for this lane's ticks, swap completions, and
     /// network deliveries.
     events: CalendarQueue<LaneEvent>,
+    /// Delivery buffers, indexed by [`LaneEvent::Deliveries`]: each holds the
+    /// `(worker, query)` pairs of one scheduled entry, in send order.
+    deliveries: Vec<Vec<(WorkerId, Query)>>,
+    /// Indices of `deliveries` whose entry has been delivered, for reuse.
+    free_deliveries: Vec<usize>,
+    /// `(time, buffer)` of each buffer the running handler opened. Emptied
+    /// before every handler, so a buffer never outlives its handler.
+    open_deliveries: Vec<(SimTime, usize)>,
     /// Pending batch completions of this lane's workers: each worker has at
     /// most one batch in flight, so this min-heap never exceeds the partition
     /// size and stays cache-resident.
@@ -455,6 +464,9 @@ impl<'a> Shard<'a> {
             li,
             lane,
             events: CalendarQueue::new(shift, num_buckets),
+            deliveries: Vec::new(),
+            free_deliveries: Vec::new(),
+            open_deliveries: Vec::new(),
             batch_completions: std::collections::BinaryHeap::new(),
             seq: 0,
             now: 0,
@@ -483,6 +495,29 @@ impl<'a> Shard<'a> {
     pub(crate) fn push(&mut self, time: SimTime, payload: LaneEvent) {
         self.seq += 1;
         self.events.push(time, self.seq, payload);
+    }
+
+    /// Deliver `query` to `worker` at `at`. The running handler's first
+    /// delivery for `at` opens a buffer and pushes it as one calendar entry
+    /// with the next `seq`; its later deliveries for `at` join that buffer.
+    /// This keeps the merged order: every push of one handler takes the next
+    /// `seq`, so its same-time deliveries would pop back to back anyway, in
+    /// send order, which is the order their buffer replays them in.
+    fn schedule_delivery(&mut self, at: SimTime, worker: WorkerId, query: Query) {
+        let open = self.open_deliveries.iter().find(|&&(t, _)| t == at);
+        let buf = match open {
+            Some(&(_, buf)) => buf,
+            None => {
+                let buf = self.free_deliveries.pop().unwrap_or_else(|| {
+                    self.deliveries.push(Vec::new());
+                    self.deliveries.len() - 1
+                });
+                self.open_deliveries.push((at, buf));
+                self.push(at, LaneEvent::Deliveries(buf));
+                buf
+            }
+        };
+        self.deliveries[buf].push((worker, query));
     }
 
     /// Record that `worker`'s current batch finishes at `time`.
@@ -532,6 +567,7 @@ impl<'a> Shard<'a> {
                 break;
             }
             self.now = time;
+            self.open_deliveries.clear();
             match source {
                 Source::Arrival => {
                     self.lane.events_processed += 1;
@@ -596,9 +632,16 @@ impl<'a> Shard<'a> {
                             self.lane.events_processed += 1;
                             self.on_metrics_tick(ctx);
                         }
-                        LaneEvent::Delivery { worker, query } => {
-                            self.lane.events_processed += 1;
-                            self.on_delivered(ctx, query, worker)?;
+                        LaneEvent::Deliveries(buf) => {
+                            // One event per query, as when each had its own
+                            // entry: the determinism goldens pin the count.
+                            let mut queries = std::mem::take(&mut self.deliveries[buf]);
+                            for (worker, query) in queries.drain(..) {
+                                self.lane.events_processed += 1;
+                                self.on_delivered(ctx, query, worker)?;
+                            }
+                            self.deliveries[buf] = queries;
+                            self.free_deliveries.push(buf);
                         }
                     }
                 }
@@ -627,8 +670,10 @@ impl<'a> Shard<'a> {
         // draw, and the index stream is identical for every `jobs` value, so
         // serial and parallel runs sample (and trace) the same roots.
         let trace_slot = match lane.tracer.as_deref_mut() {
-            Some(t) if t.samples(idx as u64) => t.begin_root(self.li, idx as u64, arrival_time),
-            _ => u32::MAX,
+            Some(t) if t.samples(idx as u64) => {
+                Some(t.begin_root(self.li, idx as u64, arrival_time))
+            }
+            _ => None,
         };
 
         let deadline = arrival_time + lane.slo_us;
@@ -638,7 +683,7 @@ impl<'a> Shard<'a> {
             accuracy_sum: 0.0,
             accuracy_count: 0,
             drop_cause: 0,
-            trace_slot,
+            trace_slot: trace_slot.unwrap_or(u32::MAX),
         });
         let query = Query {
             root: root_ref.pack(),
@@ -650,14 +695,10 @@ impl<'a> Shard<'a> {
         match self.pick_frontend_worker(ctx) {
             Some(worker) => {
                 let deliver_at = self.now + self.lane.link.frontend_us(worker);
-                if trace_slot != u32::MAX {
-                    let task = self.lane.root_task as u32;
-                    if let Some(t) = self.lane.tracer.as_deref_mut() {
-                        let frontend = span(SpanKind::Frontend, self.now, deliver_at, task, worker);
-                        t.span(trace_slot, frontend);
-                    }
-                }
-                self.push(deliver_at, LaneEvent::Delivery { worker, query });
+                let task = self.lane.root_task as u32;
+                let frontend = span(SpanKind::Frontend, self.now, deliver_at, task, worker);
+                self.trace_span(trace_slot, frontend);
+                self.schedule_delivery(deliver_at, worker, query);
                 Ok(())
             }
             None => self.drop_root_child(query.root, DropCause::Deadline),
@@ -716,16 +757,11 @@ impl<'a> Shard<'a> {
         worker_id: WorkerId,
     ) -> Result<(), EngineError> {
         let mut batch = std::mem::take(&mut self.batch_scratch);
-        // Observability inputs shared by every query of the batch: when it
-        // started executing (splits queue wait from execution) and the
-        // worker's catalog class (per-class histogram bucket).
-        let (variant_id, batch_started_us, worker_class) = match ctx.worker_mut(worker_id) {
-            Some(w) => (
-                w.finish_batch_into(&mut batch),
-                w.batch_started_us,
-                w.class as usize,
-            ),
-            None => (None, 0, 0),
+        // When the batch started executing: splits each sampled query's queue
+        // wait from its execution.
+        let (variant_id, batch_started_us) = match ctx.worker_mut(worker_id) {
+            Some(w) => (w.finish_batch_into(&mut batch), w.batch_started_us),
+            None => (None, 0),
         };
         let Some(variant_id) = variant_id else {
             // A completion with no in-flight variant: either a stale event
@@ -766,21 +802,9 @@ impl<'a> Shard<'a> {
         for q in batch.drain(..) {
             let path_accuracy = q.path_accuracy * variant.accuracy;
 
-            // Per-task / per-class latency histograms: the query's whole stay
-            // at this worker (queue wait + execution).
-            if let Some(h) = self.lane.hists.as_deref_mut() {
-                let at_task_us = self.now - q.enqueued_us;
-                h.per_task[variant_id.task].record(at_task_us);
-                h.per_class[worker_class].record(at_task_us);
-            }
             // Queue-wait and execution spans of sampled roots.
             let trace_slot = self.trace_slot_of(q.root);
-            if trace_slot != u32::MAX {
-                let t = self
-                    .lane
-                    .tracer
-                    .as_deref_mut()
-                    .expect("slot implies tracer");
+            if trace_slot.is_some() {
                 let task = variant_id.task as u32;
                 if batch_started_us > q.enqueued_us {
                     let queue = span(
@@ -790,13 +814,11 @@ impl<'a> Shard<'a> {
                         task,
                         worker_id,
                     );
-                    t.span(trace_slot, queue);
+                    self.trace_span(trace_slot, queue);
                 }
                 let started = batch_started_us.max(q.enqueued_us);
-                t.span(
-                    trace_slot,
-                    span(SpanKind::Exec, started, self.now, task, worker_id),
-                );
+                let exec = span(SpanKind::Exec, started, self.now, task, worker_id);
+                self.trace_span(trace_slot, exec);
             }
 
             // Sink queries need no budget bookkeeping — they complete here.
@@ -815,10 +837,10 @@ impl<'a> Shard<'a> {
             }
 
             // Fan out into intermediate queries for each child edge. Children go
-            // onto the scheduler as they are routed, each with the delay of its
-            // own link — nothing reads the root's bookkeeping until this handler
-            // returns, so `outstanding` can be settled after the loop from the
-            // spawn count.
+            // out as they are routed, each with the delay of its own link —
+            // nothing reads the root's bookkeeping until this handler returns,
+            // so `outstanding` can be settled after the loop from the spawn
+            // count.
             let mut spawned = 0usize;
             let mut any_child_dropped = false;
             for edge in children {
@@ -832,7 +854,8 @@ impl<'a> Shard<'a> {
                     let outcome = self.route_downstream(ctx, worker_id, child_task, overrun_ms);
                     match outcome {
                         RouteOutcome::To(target) | RouteOutcome::Rerouted(target) => {
-                            if matches!(outcome, RouteOutcome::Rerouted(_)) {
+                            let rerouted = matches!(outcome, RouteOutcome::Rerouted(_));
+                            if rerouted {
                                 self.lane.current.rerouted += 1;
                             }
                             let deliver_at = self.now
@@ -842,23 +865,14 @@ impl<'a> Shard<'a> {
                                     target,
                                     child_task,
                                 );
-                            if trace_slot != u32::MAX {
-                                let t = self
-                                    .lane
-                                    .tracer
-                                    .as_deref_mut()
-                                    .expect("slot implies tracer");
+                            if trace_slot.is_some() {
                                 let (now, task) = (self.now, child_task as u32);
-                                if matches!(outcome, RouteOutcome::Rerouted(_)) {
-                                    t.span(
-                                        trace_slot,
-                                        span(SpanKind::Reroute, now, now, task, target),
-                                    );
+                                if rerouted {
+                                    let reroute = span(SpanKind::Reroute, now, now, task, target);
+                                    self.trace_span(trace_slot, reroute);
                                 }
-                                t.span(
-                                    trace_slot,
-                                    span(SpanKind::Hop, now, deliver_at, task, target),
-                                );
+                                let hop = span(SpanKind::Hop, now, deliver_at, task, target);
+                                self.trace_span(trace_slot, hop);
                             }
                             let query = Query {
                                 root: q.root,
@@ -867,13 +881,7 @@ impl<'a> Shard<'a> {
                                 deadline_us: q.deadline_us,
                                 enqueued_us: self.now,
                             };
-                            self.push(
-                                deliver_at,
-                                LaneEvent::Delivery {
-                                    worker: target,
-                                    query,
-                                },
-                            );
+                            self.schedule_delivery(deliver_at, target, query);
                             spawned += 1;
                         }
                         RouteOutcome::Drop => {
@@ -1033,8 +1041,8 @@ impl<'a> Shard<'a> {
         // histogram, which is therefore the exact sum of the rows.
         if let Some(h) = lane.window_hist.as_deref_mut() {
             let row = h.take_row();
-            if let Some(hists) = lane.hists.as_deref_mut() {
-                hists.e2e.merge(&row);
+            if let Some(latency) = lane.latency.as_deref_mut() {
+                latency.merge(&row);
             }
             lane.window_hists.push(row);
         }
@@ -1195,30 +1203,34 @@ impl<'a> Shard<'a> {
         RouteOutcome::To(default_choice)
     }
 
-    /// The trace slot of a root, or `u32::MAX` when the root is unsampled (or
+    /// The trace slot of a root, or `None` when the root is unsampled (or
     /// tracing is off — the tracer-off path is a `None` check and a return).
     #[inline]
-    fn trace_slot_of(&self, root_packed: u64) -> u32 {
-        if self.lane.tracer.is_none() {
-            return u32::MAX;
-        }
-        self.lane
+    fn trace_slot_of(&self, root_packed: u64) -> Option<u32> {
+        self.lane.tracer.as_ref()?;
+        let slot = self
+            .lane
             .roots
-            .get(SlotRef::unpack(root_packed))
-            .map(|r| r.trace_slot)
-            .unwrap_or(u32::MAX)
+            .get(SlotRef::unpack(root_packed))?
+            .trace_slot;
+        (slot != u32::MAX).then_some(slot)
+    }
+
+    /// Append `span` to the trace in `slot`: a no-op for an unsampled root
+    /// (`None`) or with tracing off.
+    #[inline]
+    fn trace_span(&mut self, slot: Option<u32>, span: Span) {
+        if let (Some(slot), Some(t)) = (slot, self.lane.tracer.as_deref_mut()) {
+            t.span(slot, span);
+        }
     }
 
     /// Append a zero-length marker span to a sampled root at the current time
     /// (the requeue annotations of re-home paths).
     pub(crate) fn trace_marker(&mut self, root_packed: u64, kind: SpanKind, worker: WorkerId) {
         let slot = self.trace_slot_of(root_packed);
-        if slot != u32::MAX {
-            let now = self.now;
-            if let Some(t) = self.lane.tracer.as_deref_mut() {
-                t.span(slot, span(kind, now, now, NO_ID, worker));
-            }
-        }
+        let now = self.now;
+        self.trace_span(slot, span(kind, now, now, NO_ID, worker));
     }
 
     /// A branch of a root was dropped; the root's first drop cause sticks.
@@ -1540,12 +1552,12 @@ pub(crate) fn finalize_root(lane: &mut LaneState<'_>, now: SimTime, state: RootS
     }
     // End-to-end latency of a served root: arrival (deadline − SLO) → now.
     // Recorded once: with the timeline on, each flush folds the interval's
-    // row into `hists.e2e`.
+    // row into `latency`.
     let e2e_us = now.saturating_sub(state.deadline_us - lane.slo_us);
     if let Some(h) = lane.window_hist.as_deref_mut() {
         h.record(e2e_us);
-    } else if let Some(h) = lane.hists.as_deref_mut() {
-        h.e2e.record(e2e_us);
+    } else if let Some(h) = lane.latency.as_deref_mut() {
+        h.record(e2e_us);
     }
     lane.current.accuracy_sum += accuracy;
     lane.current.accuracy_count += 1;
@@ -1676,4 +1688,80 @@ enum RouteOutcome {
     To(WorkerId),
     Rerouted(WorkerId),
     Drop,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A controller that never plans or routes: the lane's ticks run and
+    /// change nothing.
+    struct Idle;
+
+    impl Controller for Idle {
+        fn name(&self) -> &str {
+            "idle"
+        }
+
+        fn plan(&mut self, _observed: &ObservedState<'_>) -> Option<AllocationPlan> {
+            None
+        }
+
+        fn routing(&mut self, _observed: &ObservedState<'_>) -> Option<CompiledPlan> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_handler_sends_one_entry_per_delivery_time() {
+        let graph = loki_pipeline::zoo::tiny_pipeline(200.0);
+        let config = SimConfig::default();
+        let input = LaneInput {
+            graph: &graph,
+            arrivals_s: &[],
+            initial_demand_hint: None,
+        };
+        let mut shard = Shard::new(LaneState::new(&input, &config, 0, 1), 0, &config, 10, 128);
+        // The lane's first ticks: control and routing at 0, metrics at 1 s.
+        assert_eq!(shard.events.len(), 3);
+        let query = Query {
+            root: 0,
+            task: 0,
+            path_accuracy: 1.0,
+            deadline_us: 0,
+            enqueued_us: 0,
+        };
+        // One handler's deliveries: three queries due at two times.
+        for at in [500, 700, 500] {
+            shard.schedule_delivery(at, WorkerId(0), query);
+        }
+        assert_eq!(shard.events.len(), 5);
+
+        // Run the ticks at 0: each is a handler of its own, so a delivery
+        // sent for 500 afterwards starts a new entry rather than joining
+        // the earlier handler's buffer.
+        let mut fleet = vec![Worker::new(WorkerId(0))];
+        let owner = [FREE];
+        let mut ctx = LaneCtx::lend_all(&config, &mut fleet, &owner, SimTime::MAX, 1)
+            .pop()
+            .expect("one lane");
+        shard.run_until(1, &mut ctx, &mut Idle).expect("ticks run");
+        assert_eq!(shard.lane.events_processed, 2);
+        shard.schedule_delivery(500, WorkerId(0), query);
+        assert_eq!(shard.events.len(), 6);
+
+        // Every query still counts as one event. Worker 0 belongs to no lane,
+        // so each query is dropped; its root is unknown, so nothing else
+        // happens.
+        shard
+            .run_until(600, &mut ctx, &mut Idle)
+            .expect("deliveries run");
+        assert_eq!(shard.lane.events_processed, 2 + 3);
+        shard
+            .run_until(800, &mut ctx, &mut Idle)
+            .expect("deliveries run");
+        assert_eq!(shard.lane.events_processed, 2 + 3 + 1);
+        // All three delivered buffers wait for reuse.
+        assert_eq!(shard.free_deliveries.len(), 3);
+    }
 }

@@ -39,8 +39,8 @@ pub struct ObserveConfig {
     /// decision uses the lane-local arrival index — never the RNG — so the
     /// sampled set is identical across `jobs` values and unchanged runs.
     pub trace_sample: u64,
-    /// Record latency histograms (end-to-end, per task, per worker class).
-    /// On by default — recording is a couple of array increments per query;
+    /// Record the end-to-end latency histogram of served roots. On by
+    /// default — recording is a couple of array increments per served root;
     /// the reference benchmark reports its cost as
     /// `observe.hist_overhead_pct` (see `benchmark/README.md`).
     pub histograms: bool,
@@ -315,52 +315,6 @@ impl Histogram {
             self.percentile_ms(0.99),
             self.percentile_ms(0.999),
         ]
-    }
-}
-
-/// The latency histograms of one run (or one pipeline lane of a multi run),
-/// all in microseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyStats {
-    /// End-to-end latency of served (on-time or late) root queries.
-    pub e2e: Histogram,
-    /// Time at each task per processed query: queue wait plus batch execution,
-    /// indexed by task.
-    pub per_task: Vec<Histogram>,
-    /// The same per-query task times, bucketed by the executing worker's
-    /// class (one entry for fixed fleets; catalog order for elastic fleets).
-    pub per_class: Vec<Histogram>,
-}
-
-impl LatencyStats {
-    /// Empty stats preallocated for `num_tasks` tasks and `num_classes`
-    /// worker classes.
-    pub fn new(num_tasks: usize, num_classes: usize) -> Self {
-        Self {
-            e2e: Histogram::new(),
-            per_task: (0..num_tasks).map(|_| Histogram::new()).collect(),
-            per_class: (0..num_classes.max(1)).map(|_| Histogram::new()).collect(),
-        }
-    }
-
-    /// Merge another lane's stats into this one (exact; tasks/classes beyond
-    /// this side's layout are appended).
-    pub fn merge(&mut self, other: &LatencyStats) {
-        self.e2e.merge(&other.e2e);
-        for (i, h) in other.per_task.iter().enumerate() {
-            if i < self.per_task.len() {
-                self.per_task[i].merge(h);
-            } else {
-                self.per_task.push(h.clone());
-            }
-        }
-        for (i, h) in other.per_class.iter().enumerate() {
-            if i < self.per_class.len() {
-                self.per_class[i].merge(h);
-            } else {
-                self.per_class.push(h.clone());
-            }
-        }
     }
 }
 
@@ -854,19 +808,6 @@ mod tests {
             assert_eq!(row.percentile_us(q), dense.percentile_us(q), "q = {q}");
         }
         assert_eq!(row.percentile_us(0.0), bucket_low(row.first));
-    }
-
-    #[test]
-    fn latency_stats_merge_appends_unknown_tasks() {
-        let mut a = LatencyStats::new(2, 1);
-        let mut b = LatencyStats::new(3, 1);
-        a.e2e.record(100);
-        b.e2e.record(200);
-        b.per_task[2].record(5);
-        a.merge(&b);
-        assert_eq!(a.e2e.count(), 2);
-        assert_eq!(a.per_task.len(), 3);
-        assert_eq!(a.per_task[2].count(), 1);
     }
 
     #[test]

@@ -181,7 +181,7 @@ fn window_deltas_remerge_to_the_run_histogram() {
         for row in rows {
             merged.merge(row);
         }
-        let e2e = &lane.result.latency.as_ref().expect("lane histograms").e2e;
+        let e2e = lane.result.latency.as_ref().expect("lane histogram");
         assert_eq!(
             &merged, e2e,
             "lane {}: re-merged deltas differ from the run histogram",
@@ -196,7 +196,7 @@ fn window_deltas_remerge_to_the_run_histogram() {
     }
     assert_eq!(
         &merged,
-        &agg.latency.as_ref().expect("aggregate histograms").e2e,
+        agg.latency.as_ref().expect("aggregate histogram"),
         "aggregate: re-merged deltas differ from the merged run histogram"
     );
 }
