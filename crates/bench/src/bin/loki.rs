@@ -6,10 +6,12 @@
 //! loki sweep  <scenario> [axis=v1,v2,…] [key=value …] [--json] [--csv] [--jobs N] [--serial]
 //! ```
 //!
-//! `run` executes one scenario with its kind-specific executor (the former
-//! `fig*`/`ablation_*`/`capacity_table` binaries); `sweep` enumerates a grid over
-//! the [`Sweep::AXES`] and fans the points out across cores, reporting cross-seed
-//! mean/stddev per axis point (with a `--csv` emitter for figure plotting).
+//! `run` executes one scenario: an analytic kind computes its table, and a
+//! simulator-driven kind runs its labelled point set and adds its headlines.
+//! `sweep` crosses the same point set with a grid over the [`Sweep::AXES`] and
+//! fans the points out across cores, reporting cross-seed mean/stddev per axis
+//! point (with a `--csv` emitter for figure plotting). Both print through one
+//! renderer, so every column and JSON key is a metric name.
 //! Unknown keys and unparsable values exit with a clear error (exit code 2)
 //! instead of being silently ignored. Performance is measured by the reference
 //! benchmark, not by this CLI: see `benchmark/README.md`.
@@ -19,7 +21,6 @@ use loki_bench::report::{self, Json};
 use loki_bench::runner::Runner;
 use loki_bench::scenario::{self, Scenario};
 use loki_bench::sweep::Sweep;
-use loki_sim::{BurnReport, RunSummary};
 use std::fmt::Write as _;
 
 const USAGE: &str = "loki — the Loki evaluation harness
@@ -52,8 +53,17 @@ CSV next to it (.json swapped for .csv). Timeline files record simulated time
 only and are byte-identical for every jobs= value.
 Sweep axes (comma-separated lists): controllers, slo, peak, cluster, links,
 route, elastic, spot, revoke, stockout, provisioner, seed.
-Multi-seed sweeps report cross-seed mean/stddev per axis point; --csv emits one
-flat CSV (stat=point|mean|stddev) ready for plotting.
+A simulator-driven scenario runs a labelled point set: the three systems of a
+comparison (on both pipelines for capacity_table), Figure 8's five SLOs,
+Figure 7's four drop policies, the three elastic modes, the three spot fleets,
+or one point. `run` executes it and adds
+the scenario's headline values; `sweep` crosses it with the axes given, seed
+innermost, except that an axis over a setting the set varies replaces it
+(controllers on comparisons and capacity_table, slo on fig8_slo_sweep, elastic
+on elastic_diurnal, elastic/spot/revoke/stockout/provisioner on spot_diurnal).
+Every table column and JSON point key is a metric name (EXPERIMENTS.md lists
+them). Multi-seed sweeps report cross-seed mean/stddev per axis point; --csv
+emits one flat CSV (stat=point|mean|stddev) ready for plotting.
 See EXPERIMENTS.md for the invocation reproducing each paper figure.";
 
 fn fail(message: &str) -> ! {
@@ -219,7 +229,7 @@ fn cmd_run(args: &[String]) {
 
 /// `run --trace PATH`: execute the scenario's canonical point once with query
 /// tracing enabled and write the Chrome trace-event JSON to `path`. Skips the
-/// kind-specific executor — the trace is the deliverable, not the figure.
+/// kind's point set and report — the trace is the deliverable, not the figure.
 fn cmd_run_traced(sc: &Scenario, mut cfg: loki_bench::ExperimentConfig, path: &str, flags: &Flags) {
     if cfg.trace_sample == 0 {
         cfg.trace_sample = 100;
@@ -273,8 +283,8 @@ fn timeline_csv_path(path: &str) -> String {
 /// `run --timeline PATH`: execute the scenario's canonical point once with the
 /// timeline channel on and write the windowed time-series export — JSON at
 /// PATH (interval rows interleaved with journal events + the burn analysis)
-/// and the flat per-interval CSV next to it. Skips the kind-specific executor:
-/// the timeline is the deliverable, not the figure.
+/// and the flat per-interval CSV next to it. Skips the kind's point set and
+/// report: the timeline is the deliverable, not the figure.
 fn cmd_run_timeline(
     sc: &Scenario,
     mut cfg: loki_bench::ExperimentConfig,
@@ -383,147 +393,14 @@ fn cmd_sweep(args: &[String]) {
     );
     let points = sweep.points();
     let results = runner.run(points.clone());
-    let multi_seed = report::multi_seed(&points);
-
     if flags.csv {
         print!("{}", report::sweep_csv(sc.name, &points, &results));
         return;
     }
-    if flags.json {
-        let mut out = Json::object();
-        out.push("scenario", sc.name.into())
-            .push("config", figures::config_json(&cfg))
-            .push("jobs", runner.jobs.into())
-            .push(
-                "points",
-                Json::Arr(
-                    results
-                        .iter()
-                        .map(|point| {
-                            let mut obj = Json::object();
-                            obj.push("label", point.label.as_str().into())
-                                .push("summary", figures::summary_json(&point.result.summary));
-                            if let Some(cost) = &point.cost {
-                                obj.push("cost", figures::cost_json(cost));
-                            }
-                            if let Some(burn) = &point.burn {
-                                obj.push("burn", loki_bench::timeline::burn_json(burn));
-                            }
-                            if !point.per_pipeline.is_empty() {
-                                obj.push(
-                                    "pipelines",
-                                    Json::Arr(
-                                        point
-                                            .per_pipeline
-                                            .iter()
-                                            .map(|lane| {
-                                                let mut entry = Json::object();
-                                                entry.push("name", lane.name.as_str().into()).push(
-                                                    "summary",
-                                                    figures::summary_json(&lane.summary),
-                                                );
-                                                entry
-                                            })
-                                            .collect(),
-                                    ),
-                                );
-                            }
-                            obj
-                        })
-                        .collect(),
-                ),
-            );
-        if multi_seed {
-            let aggregates = report::aggregate_sweep(&points, &results);
-            out.push(
-                "aggregates",
-                Json::Arr(aggregates.iter().map(|agg| agg.to_json()).collect()),
-            );
-        }
-        print!("{}", out.render());
-        return;
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<40} {:>10} {:>10} {:>8} {:>8} {:>10} {:>10} {:>8} {:>9}",
-        "point",
-        "arrivals",
-        "on_time",
-        "late",
-        "dropped",
-        "slo_viol",
-        "accuracy",
-        "budget%",
-        "max_burn"
+    emit(
+        &figures::render(sc, &cfg, &points, &results, &[]),
+        flags.json,
     );
-    // One row per point, plus an indented row per pipeline of a
-    // multi-pipeline point. The SLO error-budget columns are the fraction of
-    // the (1 - slo_target) budget the run consumed and the worst fast-window
-    // burn rate (see loki_sim::burn).
-    let row = |out: &mut String, label: &str, s: &RunSummary, burn: Option<&BurnReport>| {
-        let (budget, worst) = match burn {
-            Some(b) => (
-                format!("{:.1}", b.budget_consumed * 100.0),
-                format!("{:.2}", b.worst_burn_rate),
-            ),
-            None => (String::from("-"), String::from("-")),
-        };
-        let _ = writeln!(
-            out,
-            "{:<40} {:>10} {:>10} {:>8} {:>8} {:>10.4} {:>10.4} {:>8} {:>9}",
-            label,
-            s.total_arrivals,
-            s.total_on_time,
-            s.total_late,
-            s.total_dropped,
-            s.slo_violation_ratio,
-            s.system_accuracy,
-            budget,
-            worst
-        );
-    };
-    for point in &results {
-        row(
-            &mut out,
-            &point.label,
-            &point.result.summary,
-            point.burn.as_ref(),
-        );
-        for lane in &point.per_pipeline {
-            let label = format!("  └ {}", lane.name);
-            row(&mut out, &label, &lane.summary, lane.burn.as_ref());
-        }
-    }
-    if multi_seed {
-        let _ = writeln!(
-            out,
-            "\ncross-seed aggregates (mean ± stddev per axis point):"
-        );
-        let _ = writeln!(
-            out,
-            "{:<34} {:>7} {:>22} {:>22} {:>20}",
-            "axis point", "seeds", "slo_viol", "accuracy", "on_time"
-        );
-        for agg in report::aggregate_sweep(&points, &results) {
-            let viol = agg.get("slo_violation_ratio");
-            let accuracy = agg.get("system_accuracy");
-            let on_time = agg.get("on_time");
-            let _ = writeln!(
-                out,
-                "{:<34} {:>7} {:>12.4} ± {:>7.4} {:>12.4} ± {:>7.4} {:>11.1} ± {:>6.1}",
-                agg.label,
-                agg.seeds.len(),
-                viol.mean,
-                viol.stddev,
-                accuracy.mean,
-                accuracy.stddev,
-                on_time.mean,
-                on_time.stddev,
-            );
-        }
-    }
-    print!("{out}");
 }
 
 fn emit(report: &ScenarioReport, json: bool) {

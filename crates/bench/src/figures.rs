@@ -1,72 +1,73 @@
-//! Kind-specific scenario executors and renderers.
+//! Scenario executors and the one renderer of simulator-driven reports.
 //!
-//! Each [`ScenarioKind`] maps to one function that turns a scenario + configuration
-//! into a [`ScenarioReport`]: the human-readable text the former figure binaries
-//! printed, plus a machine-readable [`Json`] tree. Simulator-driven kinds express
-//! their work as [`RunPoint`]s and execute through the (possibly parallel)
-//! [`Runner`]; analytic kinds (phase diagram, trade-off tables, allocator probes)
-//! compute in place.
+//! Every simulator-driven [`ScenarioKind`] is a piece of data: its labelled
+//! point set (what `loki run` executes and `loki sweep` crosses with its
+//! axes), the metric names its tables show, and its named headline values.
+//! [`render`] turns executed points into the text and `--json` forms of both
+//! commands, so every header cell and every JSON point key is a metric name
+//! (`crate::report::METRICS`). The analytic kinds (phase diagram, trade-off
+//! table, allocator probes) compute in place and keep their own layouts.
 
-use crate::report::{push_metrics, Json, MetricRow, METRICS};
-use crate::runner::Runner;
-use crate::scenario::{ControllerSpec, PointResult, RunPoint, Scenario, ScenarioKind};
-use crate::sweep::Sweep;
-use crate::{
-    bucketize, format_comparison_timeseries, format_headline_ratios, format_summary_table,
+use crate::report::{
+    aggregate_sweep, multi_seed, text_table, AxisAggregate, Json, MetricRow, Value,
 };
-use crate::{ElasticMode, ExperimentConfig, ProvisionerKind};
-use loki_core::allocator::{AllocationContext, Allocator};
+use crate::runner::Runner;
+use crate::scenario::{PipelineSpec, PointResult, RunPoint, Scenario, ScenarioKind};
+use crate::sweep::{Sweep, Variant};
+use crate::timeline::episodes_json;
+use crate::{bucketize, ElasticMode, ExperimentConfig};
+use loki_core::allocator::{AllocationContext, AllocationOutcome, Allocator};
 use loki_core::greedy::GreedyAllocator;
 use loki_core::milp_alloc::MilpAllocator;
 use loki_core::perf::{FanoutOverrides, PerfModel};
 use loki_core::{LokiConfig, LokiController, ScalingMode};
-use loki_sim::{CostSummary, DropPolicy, RunSummary, SimResult};
+use loki_sim::{CostSummary, DropPolicy, RunSummary};
 use loki_workload::TraceSpec;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+use Value::{Count, Real};
 
 /// The rendered outcome of running one scenario.
 pub struct ScenarioReport {
-    /// Human-readable report (what the former figure binaries printed).
+    /// Human-readable report.
     pub text: String,
-    /// Machine-readable report (`loki run <scenario> --json`).
+    /// Machine-readable report (`--json`).
     pub json: Json,
 }
 
-/// Run a scenario with its kind-specific executor.
+/// Run a scenario: an analytic kind computes its report in place; a
+/// simulator-driven kind executes its default sweep and renders it with its
+/// headlines.
 pub fn run_scenario(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
     match sc.kind {
-        ScenarioKind::Comparison => comparison(sc, cfg, runner),
-        ScenarioKind::SloSweep => slo_sweep(sc, cfg, runner),
-        ScenarioKind::DropPolicyAblation => drop_policy_ablation(sc, cfg, runner),
-        ScenarioKind::PhaseDiagram => phase_diagram(sc, cfg),
-        ScenarioKind::TradeoffTable => tradeoff_table(sc, cfg),
-        ScenarioKind::AllocatorAblation => allocator_ablation(sc, cfg),
-        ScenarioKind::MultFactorAblation => multfactor_ablation(sc, cfg),
-        ScenarioKind::MilpProbe => milp_probe(sc, cfg),
-        ScenarioKind::CapacityTable => capacity_table(sc, cfg, runner),
-        ScenarioKind::Throughput => throughput(sc, cfg, runner),
-        ScenarioKind::MultiPipeline(..) => multi_pipeline(sc, cfg, runner),
-        ScenarioKind::Elastic => elastic_family(sc, cfg, runner),
-        ScenarioKind::Spot => spot_family(sc, cfg, runner),
+        ScenarioKind::PhaseDiagram => return phase_diagram(sc, cfg),
+        ScenarioKind::TradeoffTable => return tradeoff_table(sc, cfg),
+        ScenarioKind::AllocatorAblation => return allocator_ablation(sc, cfg),
+        ScenarioKind::MultFactorAblation => return multfactor_ablation(sc, cfg),
+        ScenarioKind::MilpProbe => return milp_probe(sc, cfg),
+        _ => {}
     }
-}
-
-/// JSON view of a whole-run summary. Every field here is simulated state
-/// (bit-identical across `jobs=` values).
-pub fn summary_json(s: &RunSummary) -> Json {
-    let row = MetricRow::summary(s);
-    let mut obj = Json::object();
-    obj.push("total_arrivals", s.total_arrivals.into());
-    for metric in METRICS.iter().filter(|m| m.in_summary) {
-        obj.push(metric.name, (metric.value)(&row).into());
+    let points = Sweep::for_scenario(sc, cfg.clone()).points();
+    let results = runner.run(points.clone());
+    let family = family(sc.kind);
+    let mut headlines = Vec::new();
+    if sc.kind == ScenarioKind::CapacityTable {
+        // The analytic half: Figure 1's capacity gain.
+        let gain = Phases::new(sc, cfg).capacity_gain();
+        headlines.extend(gain.map(|g| ("capacity_gain".to_string(), g)));
     }
-    obj.push("min_active_workers", s.min_active_workers.into())
-        .push("max_active_workers", s.max_active_workers.into())
-        .push("peak_goodput", s.peak_goodput.into())
-        .push("rerouted", s.total_rerouted.into())
-        .push("events_processed", s.events_processed.into());
-    obj
+    for prefix in family.groups {
+        let lookup = Lookup {
+            results: &results,
+            prefix,
+        };
+        for (name, value) in family.headlines {
+            if let Some(value) = value(&lookup) {
+                headlines.push((format!("{prefix}{name}"), value));
+            }
+        }
+    }
+    render(sc, cfg, &points, &results, &headlines)
 }
 
 /// JSON view of the experiment knobs a report was produced with: every
@@ -77,43 +78,6 @@ pub fn config_json(cfg: &ExperimentConfig) -> Json {
     for key in ExperimentConfig::KEYS {
         obj.push(key, cfg.get(key).expect("every key reads").into());
     }
-    obj
-}
-
-/// JSON view of an elastic run's fleet-cost accounting.
-pub fn cost_json(cost: &CostSummary) -> Json {
-    let mut obj = Json::object();
-    obj.push("gpu_seconds", cost.total_gpu_seconds.into())
-        .push("gpu_hours", cost.gpu_hours().into())
-        .push("dollars", cost.total_dollars.into())
-        .push("served_queries", cost.served_queries.into())
-        .push("cost_per_1k_queries", cost.cost_per_1k_queries.into())
-        .push("peak_fleet", cost.peak_fleet.into())
-        .push("revocations", cost.revocations.into())
-        .push("stockouts", cost.stockouts.into())
-        .push("spot_dollars", cost.spot_dollars.into())
-        .push("ondemand_dollars", cost.ondemand_dollars.into())
-        .push(
-            "per_class",
-            Json::Arr(
-                cost.per_class
-                    .iter()
-                    .map(|c| {
-                        let mut row = Json::object();
-                        row.push("class", c.class.as_str().into())
-                            .push("spot", c.spot.into())
-                            .push("gpu_seconds", c.gpu_seconds.into())
-                            .push("dollars", c.dollars.into())
-                            .push("peak_warm", c.peak_warm.into())
-                            .push("provisioned", c.provisioned.into())
-                            .push("retired", c.retired.into())
-                            .push("revocations", c.revocations.into())
-                            .push("stockouts", c.stockouts.into());
-                        row
-                    })
-                    .collect(),
-            ),
-        );
     obj
 }
 
@@ -128,609 +92,531 @@ fn report_header(sc: &Scenario, cfg: &ExperimentConfig) -> Json {
     obj
 }
 
-fn base_point(sc: &Scenario, cfg: &ExperimentConfig) -> RunPoint {
-    crate::scenario::scenario_point(sc, cfg)
+// ---- simulator-driven kinds as data -------------------------------------------
+
+/// How a kind's point set is written down.
+pub(crate) enum PointSet {
+    /// The scenario's canonical point alone.
+    Canonical,
+    /// One point per value of a sweep axis (`controllers` or one of
+    /// [`Sweep::AXES`], values comma-separated as on the command line); the
+    /// points are labelled like any sweep point.
+    Axis(&'static str, &'static str),
+    /// Named points, each applying its own settings.
+    Named(fn() -> Vec<Variant>),
 }
 
-// ---- simulator-driven kinds ----------------------------------------------------
+/// A point value beyond the metric table that one kind reports: its name
+/// and how to read it.
+type Extra = (&'static str, fn(&RunPoint, &PointResult) -> Value);
 
-fn comparison(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
-    let points: Vec<RunPoint> = ControllerSpec::COMPARISON
-        .into_iter()
-        .map(|controller| RunPoint {
-            label: controller.system_label().to_string(),
-            controller,
-            ..base_point(sc, cfg)
-        })
-        .collect();
-    let trace = points[0].build_trace();
-    let results = runner.run(points);
-    let named: Vec<(String, SimResult)> =
-        results.into_iter().map(|r| (r.label, r.result)).collect();
+/// A named headline value, read from points looked up by label.
+type Headline = (&'static str, fn(&Lookup) -> Option<f64>);
 
-    let mut text = format_comparison_timeseries(
-        &format!("{}: {}", sc.name.to_uppercase(), sc.title),
-        &trace,
-        &named,
-        cfg.bucket_s,
-    );
-    text.push_str(&format_summary_table(&named));
-    text.push_str(&format_headline_ratios(&named));
-
-    let mut json = report_header(sc, cfg);
-    json.push("systems", systems_json(&named));
-    ScenarioReport { text, json }
+/// A run's results by label, within one headline group's label prefix.
+struct Lookup<'a> {
+    results: &'a [PointResult],
+    prefix: &'a str,
 }
 
-fn slo_sweep(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
-    let points = Sweep::for_scenario(sc, cfg.clone()).points();
-    let slos: Vec<f64> = points.iter().map(|p| p.cfg.slo_ms).collect();
-    let results = runner.run(points);
-
-    let mut text = format!(
-        "# {}: effect of the latency SLO on Loki\n",
-        sc.name.to_uppercase()
-    );
-    let _ = writeln!(
-        text,
-        "{:>8} {:>14} {:>16} {:>16}",
-        "slo_ms", "avg_accuracy", "max_acc_drop_%", "avg_slo_viol"
-    );
-    let mut rows = Vec::new();
-    for (slo, point) in slos.iter().zip(&results) {
-        let max_drop = max_accuracy_drop_pct(sc, *slo, &point.result);
-        let s = &point.result.summary;
-        let _ = writeln!(
-            text,
-            "{:>8.0} {:>14.4} {:>16.2} {:>16.4}",
-            slo, s.system_accuracy, max_drop, s.slo_violation_ratio
-        );
-        let mut row = Json::object();
-        row.push("slo_ms", (*slo).into())
-            .push("max_accuracy_drop_pct", max_drop.into())
-            .push("summary", summary_json(s));
-        rows.push(row);
+impl Lookup<'_> {
+    fn get(&self, label: &str) -> Option<&PointResult> {
+        let mut results = self.results.iter();
+        results.find(|r| r.label.strip_prefix(self.prefix) == Some(label))
     }
-    text.push_str(
-        "\n(The paper reports sharp improvements up to ~300 ms and diminishing returns beyond.)\n",
-    );
 
-    let mut json = report_header(sc, cfg);
-    json.push("points", Json::Arr(rows));
-    ScenarioReport { text, json }
+    fn summary(&self, label: &str) -> Option<&RunSummary> {
+        self.get(label).map(|r| &r.result.summary)
+    }
+
+    fn cost(&self, label: &str) -> Option<&CostSummary> {
+        self.get(label)?.cost.as_ref()
+    }
 }
 
-/// The `systems` array of a comparison: each system's name and summary.
-fn systems_json(named: &[(String, SimResult)]) -> Json {
-    Json::Arr(
-        named
-            .iter()
-            .map(|(name, r)| {
-                let mut obj = Json::object();
-                obj.push("name", name.as_str().into())
-                    .push("summary", summary_json(&r.summary));
-                obj
+/// A simulator-driven scenario kind.
+pub(crate) struct Family {
+    /// The labelled points `loki run` executes and `loki sweep` crosses.
+    pub(crate) points: PointSet,
+    /// The metric names its tables show after the label, space-separated.
+    columns: &'static str,
+    /// Its per-point values beyond the metric table.
+    extras: &'static [Extra],
+    /// Its named headline values, evaluated once per group.
+    headlines: &'static [Headline],
+    /// Label prefixes the headlines are evaluated under; each headline key
+    /// carries its group's prefix.
+    groups: &'static [&'static str],
+    /// What to read the report against (the paper's finding).
+    note: &'static str,
+}
+
+/// The defaults a family overrides: the canonical point, no extras and no
+/// headlines.
+const ONE_POINT: Family = Family {
+    points: PointSet::Canonical,
+    columns: "",
+    extras: &[],
+    headlines: &[],
+    groups: &[""],
+    note: "",
+};
+
+/// The family of a scenario kind. An analytic kind's family is the
+/// canonical simulated point its sweeps run.
+pub(crate) fn family(kind: ScenarioKind) -> &'static Family {
+    match kind {
+        ScenarioKind::Comparison => &COMPARISON,
+        ScenarioKind::SloSweep => &SLO_SWEEP,
+        ScenarioKind::DropPolicyAblation => &DROP_POLICIES,
+        ScenarioKind::CapacityTable => &CAPACITY,
+        ScenarioKind::MultiPipeline(..) => &MULTI,
+        ScenarioKind::Elastic => &ELASTIC,
+        ScenarioKind::Spot => &SPOT,
+        _ => &CANONICAL,
+    }
+}
+
+/// The three-system panel of Figures 5/6.
+const PANEL: &str = "loki-greedy,inferline,proteus";
+
+const COMPARISON: Family = Family {
+    points: PointSet::Axis("controllers", PANEL),
+    columns: "arrivals on_time late dropped slo_violation_ratio system_accuracy \
+              mean_utilization p50_ms p99_ms p999_ms",
+    headlines: &[
+        ("peak_goodput_gain_vs_inferline", |l| {
+            let (loki, inferline) = (l.summary("loki-greedy")?, l.summary("inferline")?);
+            Some(loki.peak_goodput as f64 / inferline.peak_goodput.max(1) as f64)
+        }),
+        ("violation_reduction_vs_proteus", |l| {
+            let (loki, proteus) = (l.summary("loki-greedy")?, l.summary("proteus")?);
+            let loki_viol = loki.slo_violation_ratio;
+            Some(if loki_viol > 0.0 {
+                proteus.slo_violation_ratio / loki_viol
+            } else {
+                f64::INFINITY
             })
-            .collect(),
-    )
-}
+        }),
+        ("offpeak_server_saving_vs_proteus", |l| {
+            let (loki, proteus) = (l.summary("loki-greedy")?, l.summary("proteus")?);
+            Some(proteus.max_active_workers as f64 / loki.min_active_workers.max(1) as f64)
+        }),
+    ],
+    note: "(Paper: Loki's peak goodput is ~2.5-2.7x the hardware-scaling-only \
+           (InferLine-style) system's; against pipeline-agnostic accuracy scaling \
+           (Proteus-style) it has ~10x fewer SLO violations, ~2.67x fewer off-peak servers and \
+           up to ~20% less accuracy drop.)",
+    ..ONE_POINT
+};
 
-/// Maximum accuracy drop of a run: the worst 30 s-bucket accuracy vs the pipeline
-/// maximum at this SLO.
-fn max_accuracy_drop_pct(sc: &Scenario, slo_ms: f64, result: &SimResult) -> f64 {
-    let graph = sc.pipeline.build(slo_ms);
-    let buckets = bucketize(&result.intervals, 30);
+const SLO_SWEEP: Family = Family {
+    points: PointSet::Axis("slo", "200,250,300,350,400"),
+    columns: "system_accuracy slo_violation_ratio",
+    extras: &[("max_accuracy_drop_pct", max_accuracy_drop_pct)],
+    note: "(The paper reports sharp improvements up to ~300 ms and diminishing returns beyond.)",
+    ..ONE_POINT
+};
+
+/// Maximum accuracy drop of a run, in percent: the worst 30 s-bucket
+/// accuracy vs the pipeline maximum at the point's SLO.
+fn max_accuracy_drop_pct(point: &RunPoint, result: &PointResult) -> Value {
+    let graph = point.pipeline.build(point.cfg.slo_ms);
+    let buckets = bucketize(&result.result.intervals, 30);
     let min_acc = buckets
         .iter()
         .filter(|b| b.accuracy_count > 0)
         .map(|b| b.mean_accuracy())
         .fold(f64::INFINITY, f64::min);
-    if min_acc.is_finite() {
+    Real(if min_acc.is_finite() {
         100.0 * (graph.max_accuracy() - min_acc) / graph.max_accuracy()
     } else {
         100.0
-    }
+    })
 }
 
-fn drop_policy_ablation(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
-    let points: Vec<RunPoint> = DropPolicy::all()
-        .into_iter()
-        .map(|policy| RunPoint {
-            label: policy.label().to_string(),
-            drop_policy: Some(policy),
-            ..base_point(sc, cfg)
-        })
-        .collect();
-    let results = runner.run(points);
-
-    let mut text = format!(
-        "# {}: load-balancer ablation (traffic pipeline, overload segment)\n",
-        sc.name.to_uppercase()
-    );
-    let _ = writeln!(
-        text,
-        "{:<28} {:>14} {:>12} {:>12}",
-        "policy", "slo_violation", "accuracy", "rerouted"
-    );
-    let mut rows = Vec::new();
-    for point in &results {
-        let s = &point.result.summary;
-        let _ = writeln!(
-            text,
-            "{:<28} {:>14.4} {:>12.4} {:>12}",
-            point.label, s.slo_violation_ratio, s.system_accuracy, s.total_rerouted
-        );
-        let mut row = Json::object();
-        row.push("policy", point.label.as_str().into())
-            .push("summary", summary_json(s));
-        rows.push(row);
-    }
-    text.push_str(
-        "\n(The paper's Figure 7 shows opportunistic rerouting with the lowest violation ratio.)\n",
-    );
-
-    let mut json = report_header(sc, cfg);
-    json.push("points", Json::Arr(rows));
-    ScenarioReport { text, json }
-}
-
-fn capacity_table(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
-    let mut text = String::from("# T-CAP: headline numbers (paper-reported vs measured)\n");
-
-    // Capacity gain from accuracy scaling (analytical, matches Figure 1).
-    let graph = sc.pipeline.build(cfg.slo_ms);
-    let mut controller = LokiController::new(graph.clone(), LokiConfig::with_greedy());
-    let mut hw_cap = 0.0f64;
-    let mut max_cap = 0.0f64;
-    let mut demand = 25.0;
-    while demand <= 3200.0 {
-        let out = controller.allocate_for_demand(demand, cfg.cluster_size);
-        match out.mode {
-            ScalingMode::Hardware => hw_cap = out.servable_demand,
-            _ => max_cap = max_cap.max(out.servable_demand),
-        }
-        demand += 25.0;
-    }
-    let capacity_gain = max_cap / f64::max(hw_cap, 1.0);
-    let _ = writeln!(
-        text,
-        "effective capacity gain (accuracy vs hardware scaling): measured {capacity_gain:.2}x, paper >2.7x"
-    );
-
-    let mut json = report_header(sc, cfg);
-    json.push("capacity_gain", capacity_gain.into());
-
-    // End-to-end comparison ratios on both pipelines.
-    let mut pipelines_json = Vec::new();
-    for (label, pipeline, trace) in [
-        (
-            "traffic_analysis",
-            crate::scenario::PipelineSpec::Traffic,
-            TraceSpec::AzureDiurnal,
-        ),
-        (
-            "social_media",
-            crate::scenario::PipelineSpec::Social,
-            TraceSpec::TwitterBursty,
-        ),
-    ] {
-        let _ = writeln!(text, "\n## {label}");
-        let points: Vec<RunPoint> = ControllerSpec::COMPARISON
-            .into_iter()
-            .map(|controller| RunPoint {
-                label: controller.system_label().to_string(),
-                pipeline,
-                trace,
-                controller,
-                drop_policy: None,
-                multi: None,
-                cfg: cfg.clone(),
+const DROP_POLICIES: Family = Family {
+    points: PointSet::Named(|| {
+        let policies = DropPolicy::all().into_iter();
+        policies
+            .map(|p| Variant {
+                drop_policy: Some(p),
+                ..Variant::new(p.label(), "")
             })
-            .collect();
-        let results = runner.run(points);
-        let named: Vec<(String, SimResult)> =
-            results.into_iter().map(|r| (r.label, r.result)).collect();
-        text.push_str(&format_summary_table(&named));
-        text.push_str(&format_headline_ratios(&named));
-        let mut entry = Json::object();
-        entry
-            .push("pipeline", label.into())
-            .push("systems", systems_json(&named));
-        pipelines_json.push(entry);
-    }
-    json.push("pipelines", Json::Arr(pipelines_json));
-    ScenarioReport { text, json }
-}
+            .collect()
+    }),
+    columns: "slo_violation_ratio system_accuracy rerouted",
+    note: "(The paper's Figure 7 shows opportunistic rerouting with the lowest violation ratio.)",
+    ..ONE_POINT
+};
 
-fn throughput(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
-    let results = runner.run(vec![base_point(sc, cfg)]);
-    let entry = throughput_json(sc.name, &results[0]);
+const CAPACITY: Family = Family {
+    // The Figure 5/6 panel on both pipelines, each on its own trace.
+    points: PointSet::Named(|| {
+        let workloads = [
+            (PipelineSpec::Traffic, TraceSpec::AzureDiurnal),
+            (PipelineSpec::Social, TraceSpec::TwitterBursty),
+        ];
+        let points = workloads.into_iter().flat_map(|(pipeline, trace)| {
+            PANEL.split(',').map(move |c| Variant {
+                workload: Some((pipeline, trace)),
+                ..Variant::new(
+                    &format!("{}/{c}", pipeline.name()),
+                    &format!("controllers={c}"),
+                )
+            })
+        });
+        points.collect()
+    }),
+    groups: &["traffic/", "social/"],
+    note: "(Paper: capacity gain from accuracy scaling >2.7x; the ratios read as in \
+           fig5_traffic, per pipeline.)",
+    ..COMPARISON
+};
 
-    let s = &results[0].result.summary;
-    let mut text = format!("# {}: {}\n", sc.name, sc.title);
-    let _ = writeln!(
-        text,
-        "arrivals {}  events {}",
-        results[0].arrivals, s.events_processed,
-    );
-    let _ = writeln!(
-        text,
-        "on_time {}  late {}  dropped {} (deadline {}, reclaimed {}, revoked {})  accuracy {:.4}",
-        s.total_on_time,
-        s.total_late,
-        s.total_dropped,
-        s.total_dropped_deadline,
-        s.total_dropped_reclaimed,
-        s.total_dropped_revoked,
-        s.system_accuracy
-    );
-    if results[0].result.latency.is_some() {
-        let _ = writeln!(
-            text,
-            "latency_ms p50 {:.1}  p90 {:.1}  p99 {:.1}  p999 {:.1}",
-            s.p50_ms, s.p90_ms, s.p99_ms, s.p999_ms
-        );
-    }
+const CANONICAL: Family = Family {
+    columns: "arrivals events_processed on_time late dropped dropped_deadline \
+              dropped_reclaimed dropped_revoked system_accuracy p50_ms p90_ms p99_ms p999_ms",
+    ..ONE_POINT
+};
 
-    let mut json = report_header(sc, cfg);
-    json.push("throughput", entry);
-    ScenarioReport { text, json }
-}
+const MULTI: Family = Family {
+    columns: "arrivals on_time late dropped slo_violation_ratio system_accuracy rebalances \
+              migrations events_processed",
+    note: "(Compare multi_traffic_social against multi_static_split / multi_oracle_split: under \
+           the skewed mix the contended Resource Manager beats the 50/50 split on aggregate SLO \
+           attainment.)",
+    ..ONE_POINT
+};
 
-fn multi_pipeline(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
-    let results = runner.run(vec![base_point(sc, cfg)]);
-    let point = &results[0];
-    let stats = point
-        .multi_stats
-        .as_ref()
-        .expect("multi scenario yields arbitration stats");
-
-    let mut text = format!(
-        "# {}: {} pipelines on one {}-worker cluster\n",
-        sc.name.to_uppercase(),
-        point.per_pipeline.len(),
-        cfg.cluster_size
-    );
-    let _ = writeln!(
-        text,
-        "arbiter {}  rebalances {}  migrations {}  events {}  jobs {}",
-        stats.arbiter,
-        stats.rebalances,
-        stats.migrations,
-        point.result.summary.events_processed,
-        cfg.jobs.max(1)
-    );
-    let _ = writeln!(
-        text,
-        "\n{:<12} {:>10} {:>10} {:>8} {:>9} {:>11} {:>10}",
-        "pipeline", "arrivals", "on_time", "late", "dropped", "slo_attain", "accuracy"
-    );
-    let mut rows = Vec::new();
-    for lane in &point.per_pipeline {
-        let s = &lane.summary;
-        let _ = writeln!(
-            text,
-            "{:<12} {:>10} {:>10} {:>8} {:>9} {:>11.4} {:>10.4}",
-            lane.name,
-            s.total_arrivals,
-            s.total_on_time,
-            s.total_late,
-            s.total_dropped,
-            s.slo_attainment(),
-            s.system_accuracy
-        );
-        let mut row = Json::object();
-        row.push("pipeline", lane.name.as_str().into())
-            .push("slo_attainment", s.slo_attainment().into())
-            .push("summary", summary_json(s));
-        rows.push(row);
-    }
-    let agg = &point.result.summary;
-    let _ = writeln!(
-        text,
-        "{:<12} {:>10} {:>10} {:>8} {:>9} {:>11.4} {:>10.4}",
-        "aggregate",
-        agg.total_arrivals,
-        agg.total_on_time,
-        agg.total_late,
-        agg.total_dropped,
-        agg.slo_attainment(),
-        agg.system_accuracy
-    );
-    text.push_str(
-        "\n(Compare multi_traffic_social against multi_static_split / multi_oracle_split: \
-         under the skewed mix the contended Resource Manager beats the 50/50 split on \
-         aggregate SLO attainment.)\n",
-    );
-
-    let mut json = report_header(sc, cfg);
-    json.push("arbiter", stats.arbiter.as_str().into())
-        .push("rebalances", stats.rebalances.into())
-        .push("migrations", stats.migrations.into())
-        .push("pipelines", Json::Arr(rows))
-        .push("aggregate_slo_attainment", agg.slo_attainment().into())
-        .push("aggregate", summary_json(agg));
-    ScenarioReport { text, json }
-}
-
-/// The elastic provisioning family: the scenario's workload under static-peak,
-/// static-mean, and autoscaled fleets, side by side with dollar costs. The
-/// headline is cost at comparable SLO attainment: the autoscaler must approach
-/// static-peak's attainment at a fraction of its cost, while static-mean shows
-/// why "just provision for the average" is not an answer.
-fn elastic_family(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
-    let modes = [
-        ElasticMode::StaticPeak,
-        ElasticMode::StaticMean,
-        ElasticMode::Autoscale,
-    ];
-    let points: Vec<RunPoint> = modes
-        .into_iter()
-        .map(|mode| RunPoint {
-            label: mode.name().to_string(),
-            cfg: ExperimentConfig {
-                elastic: mode,
-                ..cfg.clone()
-            },
-            ..base_point(sc, cfg)
-        })
-        .collect();
-    let results = runner.run(points);
-
-    let mut text = format!(
-        "# {}: provisioning modes on the diurnal trace ({} classes catalog)\n",
-        sc.name.to_uppercase(),
-        cfg.classes.name()
-    );
-    let _ = writeln!(
-        text,
-        "{:<14} {:>10} {:>10} {:>10} {:>9} {:>11} {:>10} {:>10} {:>9}",
-        "mode",
-        "gpu_hours",
-        "cost_usd",
-        "cost/1k",
-        "fleet",
-        "slo_attain",
-        "accuracy",
-        "dropped",
-        "scaled"
-    );
-    let mut rows = Vec::new();
-    for point in &results {
-        let s = &point.result.summary;
-        let cost = point.cost.as_ref().expect("elastic modes report cost");
-        let scaled = cost
-            .per_class
-            .iter()
-            .map(|c| c.provisioned + c.retired)
-            .sum::<u64>();
-        let _ = writeln!(
-            text,
-            "{:<14} {:>10.2} {:>10.2} {:>10.4} {:>9} {:>11.4} {:>10.4} {:>10} {:>9}",
-            point.label,
-            cost.gpu_hours(),
-            cost.total_dollars,
-            cost.cost_per_1k_queries,
-            cost.peak_fleet,
-            s.slo_attainment(),
-            s.system_accuracy,
-            s.total_dropped,
-            scaled,
-        );
-        let mut row = Json::object();
-        row.push("mode", point.label.as_str().into())
-            .push("slo_attainment", s.slo_attainment().into())
-            .push("cost", cost_json(cost))
-            .push("summary", summary_json(s));
-        rows.push(row);
-    }
-
-    let mut json = report_header(sc, cfg);
-    json.push("modes", Json::Arr(rows));
-    let peak = &results[0];
-    let auto = &results[2];
-    if let (Some(peak_cost), Some(auto_cost)) = (&peak.cost, &auto.cost) {
-        let saving_pct = if peak_cost.total_dollars > 0.0 {
-            100.0 * (1.0 - auto_cost.total_dollars / peak_cost.total_dollars)
-        } else {
-            0.0
-        };
-        let attain_delta =
-            peak.result.summary.slo_attainment() - auto.result.summary.slo_attainment();
-        let _ = writeln!(
-            text,
-            "\nautoscale vs static-peak: {saving_pct:.1}% cheaper at {attain_delta:+.4} SLO-attainment delta"
-        );
-        text.push_str(
-            "(Static-mean is the cautionary baseline: cheapest fleet, but it melts at peak.)\n",
-        );
-        json.push("autoscale_saving_pct", saving_pct.into())
-            .push("attainment_delta_vs_peak", attain_delta.into());
-    }
-    ScenarioReport { text, json }
-}
+/// The elastic provisioning family: the scenario's workload under
+/// static-peak, static-mean, and autoscaled fleets, side by side with dollar
+/// costs. The headline is cost at comparable SLO attainment: the autoscaler
+/// should approach static-peak's attainment at a fraction of its cost, while
+/// static-mean shows why "just provision for the average" is not an answer.
+const ELASTIC: Family = Family {
+    points: PointSet::Named(|| {
+        let modes = [
+            ElasticMode::StaticPeak,
+            ElasticMode::StaticMean,
+            ElasticMode::Autoscale,
+        ];
+        let variant = |m: ElasticMode| Variant::new(m.name(), &format!("elastic={}", m.name()));
+        modes.into_iter().map(variant).collect()
+    }),
+    columns: "gpu_hours cost_usd cost_per_1k peak_fleet slo_violation_ratio system_accuracy \
+              dropped",
+    headlines: &[
+        ("autoscale_saving_pct", |l| {
+            Some(saving_pct(l.cost("static-peak")?, l.cost("autoscale")?))
+        }),
+        ("attainment_delta_vs_peak", |l| {
+            l.cost("static-peak").and(l.cost("autoscale"))?;
+            Some(attainment(l, "static-peak")? - attainment(l, "autoscale")?)
+        }),
+    ],
+    note: "(Static-mean is the cautionary baseline: cheapest fleet, but it melts at peak.)",
+    ..ONE_POINT
+};
 
 /// The adversarial-cloud family: the scenario's workload on the same
 /// autoscaled cluster under three fleets — all-on-demand with the reactive
-/// autoscaler (the friendly-cloud baseline), spot-enabled with the reactive
+/// autoscaler (the friendly-cloud baseline: no spot classes means no
+/// revocations or stockouts to survive), spot-enabled with the reactive
 /// autoscaler (cheap but naive about revocations), and spot-enabled with the
 /// forecasting provisioner (pre-boots ahead of the ramp, hedges the spot mix
 /// against observed revocations). The headline is adversity survival: under
-/// nonzero revocations the forecasting provisioner must beat the reactive
+/// nonzero revocations the forecasting provisioner should beat the reactive
 /// autoscaler on SLO attainment at equal-or-lower dollars, and the spot fleet
-/// must undercut all-on-demand cost at comparable attainment.
-fn spot_family(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
-    let variants: [(&str, bool, ProvisionerKind); 3] = [
-        ("ondemand-reactive", false, ProvisionerKind::Reactive),
-        ("spot-reactive", true, ProvisionerKind::Reactive),
-        ("spot-forecast", true, ProvisionerKind::Forecast),
-    ];
-    let points: Vec<RunPoint> = variants
-        .into_iter()
-        .map(|(label, spot, provisioner)| RunPoint {
-            label: label.to_string(),
-            cfg: ExperimentConfig {
-                elastic: ElasticMode::Autoscale,
-                spot,
-                provisioner,
-                // The on-demand baseline lives on the friendly cloud: no spot
-                // classes means no revocations or stockouts to survive.
-                revoke_per_hour: if spot { cfg.revoke_per_hour } else { 0.0 },
-                stockout: if spot { cfg.stockout } else { 0.0 },
-                ..cfg.clone()
-            },
-            ..base_point(sc, cfg)
-        })
-        .collect();
-    let results = runner.run(points);
+/// should undercut all-on-demand cost at comparable attainment.
+const SPOT: Family = Family {
+    points: PointSet::Named(|| {
+        vec![
+            Variant::new(
+                "ondemand-reactive",
+                "elastic=autoscale spot=false provisioner=reactive revoke=0 stockout=0",
+            ),
+            Variant::new(
+                "spot-reactive",
+                "elastic=autoscale spot=true provisioner=reactive",
+            ),
+            Variant::new(
+                "spot-forecast",
+                "elastic=autoscale spot=true provisioner=forecast",
+            ),
+        ]
+    }),
+    columns: "cost_usd spot_usd ondemand_usd revocations stockouts peak_fleet \
+              slo_violation_ratio cost_per_1k dropped budget_consumed burn_episodes",
+    headlines: &[
+        ("forecast_attainment_gain", |l| {
+            spot_costs(l)?;
+            Some(attainment(l, "spot-forecast")? - attainment(l, "spot-reactive")?)
+        }),
+        ("forecast_cost_delta_usd", |l| {
+            let (_, reactive, forecast) = spot_costs(l)?;
+            Some(forecast.total_dollars - reactive.total_dollars)
+        }),
+        ("spot_saving_pct_vs_ondemand", |l| {
+            let (ondemand, _, forecast) = spot_costs(l)?;
+            Some(saving_pct(ondemand, forecast))
+        }),
+        ("attainment_delta_vs_ondemand", |l| {
+            spot_costs(l)?;
+            Some(attainment(l, "spot-forecast")? - attainment(l, "ondemand-reactive")?)
+        }),
+    ],
+    note: "(Revocations force-drain warm spot workers on a short deadline; billing stops at \
+           revocation and lost batches re-queue at the lane head.)",
+    ..ONE_POINT
+};
 
-    let mut text = format!(
-        "# {}: adversarial cloud (revoke={}/h, stockout={}, {} classes catalog)\n",
-        sc.name.to_uppercase(),
-        cfg.revoke_per_hour,
-        cfg.stockout,
-        cfg.classes.name()
-    );
-    let _ = writeln!(
-        text,
-        "{:<18} {:>9} {:>9} {:>9} {:>8} {:>9} {:>7} {:>11} {:>9} {:>8} {:>8} {:>7}",
-        "fleet",
-        "cost_usd",
-        "spot_usd",
-        "od_usd",
-        "revoked",
-        "stockout",
-        "fleet",
-        "slo_attain",
-        "cost/1k",
-        "dropped",
-        "budget%",
-        "burn_ep"
-    );
-    let mut rows = Vec::new();
-    for point in &results {
-        let s = &point.result.summary;
-        let cost = point.cost.as_ref().expect("spot modes report cost");
-        let burn = point.burn.as_ref().expect("burn analysis always runs");
-        let _ = writeln!(
-            text,
-            "{:<18} {:>9.2} {:>9.2} {:>9.2} {:>8} {:>9} {:>7} {:>11.4} {:>9.4} {:>8} {:>8.1} {:>7}",
-            point.label,
-            cost.total_dollars,
-            cost.spot_dollars,
-            cost.ondemand_dollars,
-            cost.revocations,
-            cost.stockouts,
-            cost.peak_fleet,
-            s.slo_attainment(),
-            cost.cost_per_1k_queries,
-            s.total_dropped,
-            burn.budget_consumed * 100.0,
-            burn.episodes.len(),
-        );
-        let mut row = Json::object();
-        row.push("fleet", point.label.as_str().into())
-            .push("slo_attainment", s.slo_attainment().into())
-            .push("cost", cost_json(cost))
-            .push("summary", summary_json(s))
-            .push("burn", crate::timeline::burn_json(burn));
-        rows.push(row);
+/// The three spot fleets' billing, when every fleet reported one.
+fn spot_costs<'a>(l: &'a Lookup) -> Option<(&'a CostSummary, &'a CostSummary, &'a CostSummary)> {
+    let fleet = |label| l.cost(label);
+    Some((
+        fleet("ondemand-reactive")?,
+        fleet("spot-reactive")?,
+        fleet("spot-forecast")?,
+    ))
+}
+
+/// A labelled point's SLO attainment (on-time share of finished queries).
+fn attainment(l: &Lookup, label: &str) -> Option<f64> {
+    l.summary(label).map(RunSummary::slo_attainment)
+}
+
+/// How much cheaper `cheap` is than `baseline`, in percent (0 when the
+/// baseline cost nothing).
+fn saving_pct(baseline: &CostSummary, cheap: &CostSummary) -> f64 {
+    if baseline.total_dollars > 0.0 {
+        100.0 * (1.0 - cheap.total_dollars / baseline.total_dollars)
+    } else {
+        0.0
+    }
+}
+
+// ---- the renderer --------------------------------------------------------------
+
+/// The columns of the comparison's per-bucket series, after the label: one
+/// row per bucket and system.
+pub(crate) const SERIES_COLUMNS: &str =
+    "time_s demand_qps system_accuracy mean_utilization slo_violation_ratio";
+
+/// Render executed points as one report, for `loki run` (with `headlines`)
+/// and `loki sweep` (without): one table of the kind's metric columns with a
+/// `label/lane` row per pipeline of a multi-pipeline point, cross-seed mean
+/// and stddev per axis point when the points span several seeds, and the
+/// headline values. The JSON form carries every metric of each point (lanes
+/// under `pipelines`, per-class billing under `per_class`, burn episodes
+/// under `episodes`), the aggregates, and each headline as a top-level key.
+pub fn render(
+    sc: &Scenario,
+    cfg: &ExperimentConfig,
+    points: &[RunPoint],
+    results: &[PointResult],
+    headlines: &[(String, f64)],
+) -> ScenarioReport {
+    let family = family(sc.kind);
+    let columns: Vec<&str> = family.columns.split_whitespace().collect();
+    let mut text = format!("# {}: {}\n\n", sc.name.to_uppercase(), sc.title);
+    // `run` only: a sweep's points need not share one trace.
+    if sc.kind == ScenarioKind::Comparison && !headlines.is_empty() {
+        text.push_str(&series(points, results, cfg.bucket_s));
+        text.push('\n');
     }
 
+    let header = std::iter::once("label").chain(columns.iter().copied());
+    let header: Vec<String> = header
+        .chain(family.extras.iter().map(|e| e.0))
+        .map(String::from)
+        .collect();
+    let mut rows = vec![header];
+    let mut json_points = Vec::new();
+    for (point, result) in points.iter().zip(results) {
+        let row = MetricRow::point(result);
+        let mut obj = row.to_json(&result.label);
+        let mut cells = row.cells(&result.label, &columns);
+        for (name, value) in family.extras {
+            let value = value(point, result);
+            obj.push(name, value.into());
+            cells.push(value.cell());
+        }
+        rows.push(cells);
+        if let Some(cost) = &result.cost {
+            obj.push("per_class", per_class_json(cost));
+        }
+        if let Some(burn) = &result.burn {
+            obj.push("episodes", episodes_json(burn));
+        }
+        if !result.per_pipeline.is_empty() {
+            let lanes = result.per_pipeline.iter().map(|lane| {
+                let row = MetricRow::lane(lane);
+                rows.push(row.cells(&format!("{}/{}", result.label, lane.name), &columns));
+                row.to_json(&lane.name)
+            });
+            obj.push("pipelines", Json::Arr(lanes.collect()));
+        }
+        json_points.push(obj);
+    }
+    text.push_str(&text_table(&rows));
     let mut json = report_header(sc, cfg);
-    json.push("fleets", Json::Arr(rows));
-    let (ondemand, reactive, forecast) = (&results[0], &results[1], &results[2]);
-    if let (Some(od_cost), Some(re_cost), Some(fc_cost)) =
-        (&ondemand.cost, &reactive.cost, &forecast.cost)
-    {
-        let fc_attain = forecast.result.summary.slo_attainment();
-        let re_attain = reactive.result.summary.slo_attainment();
-        let od_attain = ondemand.result.summary.slo_attainment();
-        let spot_saving_pct = if od_cost.total_dollars > 0.0 {
-            100.0 * (1.0 - fc_cost.total_dollars / od_cost.total_dollars)
-        } else {
-            0.0
-        };
+    json.push("points", Json::Arr(json_points));
+
+    if multi_seed(points) {
+        let aggregates = aggregate_sweep(points, results);
+        let mut rows = vec![rows[0][..=columns.len()].to_vec()];
+        for agg in &aggregates {
+            let stats = columns.iter().map(|name| {
+                let stats = agg.get(name);
+                format!(
+                    "{} ± {}",
+                    Real(stats.mean).cell(),
+                    Real(stats.stddev).cell()
+                )
+            });
+            rows.push(std::iter::once(agg.label.clone()).chain(stats).collect());
+        }
+        let seeds: Vec<String> = aggregates[0].seeds.iter().map(u64::to_string).collect();
         let _ = writeln!(
             text,
-            "\nforecast vs reactive on spot: {:+.4} SLO-attainment at {:+.2} USD",
-            fc_attain - re_attain,
-            fc_cost.total_dollars - re_cost.total_dollars,
+            "\ncross-seed mean ± stddev over seeds {}:",
+            seeds.join(", ")
         );
-        let _ = writeln!(
-            text,
-            "spot-forecast vs all-on-demand: {spot_saving_pct:.1}% cheaper at {:+.4} attainment delta",
-            fc_attain - od_attain,
-        );
-        text.push_str(
-            "(Revocations force-drain warm spot workers on a short deadline; billing stops \
-             at revocation and lost batches re-queue at the lane head.)\n",
-        );
-        json.push("forecast_attainment_gain", (fc_attain - re_attain).into())
-            .push(
-                "forecast_cost_delta_usd",
-                (fc_cost.total_dollars - re_cost.total_dollars).into(),
-            )
-            .push("spot_saving_pct_vs_ondemand", spot_saving_pct.into())
-            .push(
-                "attainment_delta_vs_ondemand",
-                (fc_attain - od_attain).into(),
-            );
+        text.push_str(&text_table(&rows));
+        let aggregates = aggregates.iter().map(AxisAggregate::to_json);
+        json.push("aggregates", Json::Arr(aggregates.collect()));
+    }
+
+    if !headlines.is_empty() {
+        let rows: Vec<Vec<String>> = headlines
+            .iter()
+            .map(|(name, value)| vec![name.clone(), Real(*value).cell()])
+            .collect();
+        text.push('\n');
+        text.push_str(&text_table(&rows));
+        for (name, value) in headlines {
+            json.push(name, (*value).into());
+        }
+    }
+    if !family.note.is_empty() {
+        let _ = writeln!(text, "\n{}", family.note);
     }
     ScenarioReport { text, json }
 }
 
-/// The `throughput` object of a Throughput report: run identity, the
-/// control-plane counters and the event count around the [`METRICS`] a
-/// throughput run is judged by.
-fn throughput_json(name: &str, point: &PointResult) -> Json {
-    let row = MetricRow::point(point);
-    let mut entry = Json::object();
-    entry
-        .push("name", name.into())
-        .push("arrivals", point.arrivals.into());
-    push_metrics(
-        &mut entry,
-        &row,
-        &[
-            "routing_cache_consults",
-            "routing_cache_hits",
-            "routing_warnings",
-        ],
-    );
-    entry.push(
-        "events_processed",
-        point.result.summary.events_processed.into(),
-    );
-    push_metrics(
-        &mut entry,
-        &row,
-        &[
-            "on_time",
-            "late",
-            "dropped",
-            "dropped_deadline",
-            "dropped_reclaimed",
-            "dropped_revoked",
-            "system_accuracy",
-            "p50_ms",
-            "p90_ms",
-            "p99_ms",
-            "p999_ms",
-        ],
-    );
-    if let Some(cost) = &point.cost {
-        entry.push("cost", cost_json(cost));
+/// The per-class billing rows of an elastic point.
+fn per_class_json(cost: &CostSummary) -> Json {
+    Json::Arr(
+        cost.per_class
+            .iter()
+            .map(|c| {
+                let mut row = Json::object();
+                row.push("class", c.class.as_str().into())
+                    .push("spot", c.spot.into())
+                    .push("gpu_seconds", c.gpu_seconds.into())
+                    .push("dollars", c.dollars.into())
+                    .push("peak_warm", c.peak_warm.into())
+                    .push("provisioned", c.provisioned.into())
+                    .push("retired", c.retired.into())
+                    .push("revocations", c.revocations.into())
+                    .push("stockouts", c.stockouts.into());
+                row
+            })
+            .collect(),
+    )
+}
+
+/// The comparison's stacked time series (Figures 5/6): per bucket and
+/// system, the offered demand and the bucket's accuracy, utilization and
+/// SLO-violation ratio.
+fn series(points: &[RunPoint], results: &[PointResult], bucket_s: usize) -> String {
+    let trace = points[0].build_trace();
+    let buckets: Vec<_> = results
+        .iter()
+        .map(|r| bucketize(&r.result.intervals, bucket_s))
+        .collect();
+    let header = std::iter::once("label").chain(SERIES_COLUMNS.split_whitespace());
+    let mut rows = vec![header.map(String::from).collect()];
+    let len = buckets.iter().map(Vec::len).min().unwrap_or(0);
+    for i in 0..len {
+        let t = buckets[0][i].start_s;
+        let demand = (0..bucket_s)
+            .map(|s| trace.qps_at(t as usize + s))
+            .sum::<f64>()
+            / bucket_s as f64;
+        for (result, b) in results.iter().zip(&buckets) {
+            let values = [
+                Count(t as u64),
+                Real(demand),
+                Real(b[i].mean_accuracy()),
+                Real(b[i].cluster_utilization()),
+                Real(b[i].slo_violation_ratio()),
+            ];
+            rows.push(
+                std::iter::once(result.label.clone())
+                    .chain(values.map(Value::cell))
+                    .collect(),
+            );
+        }
     }
-    entry
+    text_table(&rows)
 }
 
 // ---- analytic kinds ------------------------------------------------------------
 
-fn phase_diagram(sc: &Scenario, cfg: &ExperimentConfig) -> ScenarioReport {
-    let graph = sc.pipeline.build(cfg.slo_ms);
-    let mut controller = LokiController::new(graph.clone(), LokiConfig::with_greedy());
+/// The greedy controller's allocation at every demand from 25 to 3200 QPS in
+/// 25 QPS steps, and the two limits Figure 1 reads off the phases: the
+/// hardware-scaling capacity (the servable demand of the last
+/// hardware-scaling step) and the accuracy-scaling capacity (that of the last
+/// step before saturation, or of the last step when the sweep never
+/// saturates).
+struct Phases {
+    steps: Vec<(f64, AllocationOutcome)>,
+    hardware_qps: Option<f64>,
+    accuracy_qps: Option<f64>,
+}
 
+impl Phases {
+    fn new(sc: &Scenario, cfg: &ExperimentConfig) -> Self {
+        let mut controller =
+            LokiController::new(sc.pipeline.build(cfg.slo_ms), LokiConfig::with_greedy());
+        let steps: Vec<(f64, AllocationOutcome)> = (1..=128)
+            .map(|k| {
+                let demand = 25.0 * k as f64;
+                (
+                    demand,
+                    controller.allocate_for_demand(demand, cfg.cluster_size),
+                )
+            })
+            .collect();
+        let mut hardware_qps = None;
+        let mut accuracy_qps = None;
+        for pair in steps.windows(2) {
+            let (prev, next) = (&pair[0].1, &pair[1].1);
+            if prev.mode == ScalingMode::Hardware && next.mode != ScalingMode::Hardware {
+                hardware_qps = Some(prev.servable_demand);
+            }
+            if prev.mode != ScalingMode::Saturated && next.mode == ScalingMode::Saturated {
+                accuracy_qps = Some(prev.servable_demand);
+            }
+        }
+        let accuracy_qps = accuracy_qps.or(steps.last().map(|(_, o)| o.servable_demand));
+        Self {
+            steps,
+            hardware_qps,
+            accuracy_qps,
+        }
+    }
+
+    /// The effective capacity gain from accuracy scaling.
+    fn capacity_gain(&self) -> Option<f64> {
+        Some(self.accuracy_qps? / self.hardware_qps?)
+    }
+}
+
+fn phase_diagram(sc: &Scenario, cfg: &ExperimentConfig) -> ScenarioReport {
+    let phases = Phases::new(sc, cfg);
     let mut text = format!(
         "# {}: traffic-analysis pipeline, {} workers, SLO {} ms\n",
         sc.name.to_uppercase(),
@@ -744,12 +630,7 @@ fn phase_diagram(sc: &Scenario, cfg: &ExperimentConfig) -> ScenarioReport {
     );
 
     let mut rows = Vec::new();
-    let mut hw_limit: Option<f64> = None;
-    let mut acc_limit: Option<f64> = None;
-    let mut last: Option<loki_core::AllocationOutcome> = None;
-    let mut demand = 25.0;
-    while demand <= 3200.0 {
-        let out = controller.allocate_for_demand(demand, cfg.cluster_size);
+    for (demand, out) in &phases.steps {
         let _ = writeln!(
             text,
             "{:>8.0} {:>12} {:>9} {:>11.4} {:>12.0}",
@@ -760,30 +641,23 @@ fn phase_diagram(sc: &Scenario, cfg: &ExperimentConfig) -> ScenarioReport {
             out.servable_demand
         );
         let mut row = Json::object();
-        row.push("demand_qps", demand.into())
+        row.push("demand_qps", (*demand).into())
             .push("mode", format!("{:?}", out.mode).into())
             .push("servers_used", out.servers_used.into())
             .push("expected_accuracy", out.expected_accuracy.into())
             .push("servable_demand", out.servable_demand.into());
         rows.push(row);
-        if let Some(prev) = &last {
-            if prev.mode == ScalingMode::Hardware && out.mode != ScalingMode::Hardware {
-                hw_limit = Some(prev.servable_demand);
-            }
-            if prev.mode != ScalingMode::Saturated && out.mode == ScalingMode::Saturated {
-                acc_limit = Some(prev.servable_demand);
-            }
-        }
-        last = Some(out);
-        demand += 25.0;
-    }
-    if acc_limit.is_none() {
-        acc_limit = last.as_ref().map(|o| o.servable_demand);
     }
 
     text.push('\n');
-    match (hw_limit, acc_limit) {
-        (Some(hw), Some(acc)) => {
+    let mut json = report_header(sc, cfg);
+    json.push("points", Json::Arr(rows));
+    match (
+        phases.hardware_qps,
+        phases.accuracy_qps,
+        phases.capacity_gain(),
+    ) {
+        (Some(hw), Some(acc), Some(gain)) => {
             let _ = writeln!(
                 text,
                 "phase 1 -> 2 transition (hardware-scaling capacity): {hw:.0} QPS (paper: ~560 QPS)"
@@ -794,21 +668,15 @@ fn phase_diagram(sc: &Scenario, cfg: &ExperimentConfig) -> ScenarioReport {
             );
             let _ = writeln!(
                 text,
-                "effective capacity gain from accuracy scaling:       {:.2}x (paper: ~2.7-3.1x)",
-                acc / hw
+                "effective capacity gain from accuracy scaling:       {gain:.2}x (paper: ~2.7-3.1x)"
             );
+            json.push("hardware_capacity_qps", hw.into())
+                .push("max_capacity_qps", acc.into())
+                .push("capacity_gain", gain.into());
         }
         _ => {
             text.push_str("could not identify both phase transitions; widen the demand sweep\n");
         }
-    }
-
-    let mut json = report_header(sc, cfg);
-    json.push("points", Json::Arr(rows));
-    if let (Some(hw), Some(acc)) = (hw_limit, acc_limit) {
-        json.push("hardware_capacity_qps", hw.into())
-            .push("max_capacity_qps", acc.into())
-            .push("capacity_gain", (acc / hw).into());
     }
     ScenarioReport { text, json }
 }
@@ -1028,6 +896,7 @@ fn milp_probe(sc: &Scenario, cfg: &ExperimentConfig) -> ScenarioReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::METRICS;
 
     fn keys(json: Option<&Json>) -> String {
         match json {
@@ -1036,6 +905,13 @@ mod tests {
                 keys.join(",")
             }
             other => panic!("expected an object, got {other:?}"),
+        }
+    }
+
+    fn first_point(report: &ScenarioReport) -> Option<&Json> {
+        match report.json.get("points") {
+            Some(Json::Arr(points)) => points.first(),
+            _ => None,
         }
     }
 
@@ -1049,17 +925,126 @@ mod tests {
         };
         let report = run_scenario(sc, &cfg, &Runner::serial());
         assert_eq!(
-            keys(report.json.get("throughput")),
-            "name,arrivals,routing_cache_consults,routing_cache_hits,routing_warnings,\
-             events_processed,on_time,late,dropped,dropped_deadline,dropped_reclaimed,\
-             dropped_revoked,system_accuracy,p50_ms,p90_ms,p99_ms,p999_ms"
+            keys(Some(&report.json)),
+            "scenario,title,kind,pipeline,trace,config,points"
         );
         assert_eq!(
-            keys(Some(&summary_json(&RunSummary::default()))),
-            "total_arrivals,on_time,late,dropped,dropped_deadline,dropped_reclaimed,\
-             dropped_revoked,slo_violation_ratio,system_accuracy,mean_utilization,p50_ms,\
-             p90_ms,p99_ms,p999_ms,min_active_workers,max_active_workers,peak_goodput,\
-             rerouted,events_processed"
+            keys(first_point(&report)),
+            "label,arrivals,on_time,late,dropped,dropped_deadline,dropped_reclaimed,\
+             dropped_revoked,rerouted,slo_violation_ratio,system_accuracy,mean_utilization,\
+             p50_ms,p90_ms,p99_ms,p999_ms,events_processed,min_active_workers,\
+             max_active_workers,peak_goodput,routing_cache_consults,routing_cache_hits,\
+             routing_warnings,budget_consumed,worst_burn_rate,burn_episodes,episodes"
         );
+    }
+
+    /// The scalar keys of a JSON point (and of its lanes) that are neither
+    /// `label`, a metric nor one of `extras`.
+    fn unnamed_keys(point: &Json, extras: &[&str], out: &mut Vec<String>) {
+        let Json::Obj(entries) = point else {
+            panic!("a point is an object: {point:?}")
+        };
+        for (key, value) in entries {
+            match value {
+                Json::Arr(items) if key == "pipelines" => {
+                    for lane in items {
+                        unnamed_keys(lane, extras, out);
+                    }
+                }
+                Json::Arr(_) if key == "per_class" || key == "episodes" => {}
+                _ if key == "label"
+                    || extras.contains(&key.as_str())
+                    || METRICS.iter().any(|m| m.name == key) => {}
+                _ => out.push(key.clone()),
+            }
+        }
+    }
+
+    #[test]
+    fn every_simulated_report_names_its_cells_by_metric() {
+        let mut covered = 0;
+        for sc in crate::scenario::REGISTRY {
+            let analytic = matches!(
+                sc.kind,
+                ScenarioKind::PhaseDiagram
+                    | ScenarioKind::TradeoffTable
+                    | ScenarioKind::AllocatorAblation
+                    | ScenarioKind::MultFactorAblation
+                    | ScenarioKind::MilpProbe
+            );
+            if analytic {
+                continue;
+            }
+            let cfg = ExperimentConfig {
+                duration_s: 2,
+                drain_s: 1.0,
+                ..sc.config()
+            };
+            let report = run_scenario(sc, &cfg, &Runner::serial());
+            let family = family(sc.kind);
+            let mut extras: Vec<&str> = family.extras.iter().map(|e| e.0).collect();
+            if sc.kind == ScenarioKind::Comparison {
+                extras.extend(SERIES_COLUMNS.split_whitespace());
+            }
+            let headers: Vec<&str> = report
+                .text
+                .lines()
+                .filter(|line| line.split_whitespace().next() == Some("label"))
+                .collect();
+            assert!(
+                !headers.is_empty(),
+                "{}: no table\n{}",
+                sc.name,
+                report.text
+            );
+            for header in headers {
+                for cell in header.split_whitespace() {
+                    assert!(
+                        cell == "label"
+                            || extras.contains(&cell)
+                            || METRICS.iter().any(|m| m.name == cell),
+                        "{}: header cell {cell:?} is not a metric",
+                        sc.name
+                    );
+                }
+            }
+            let Some(Json::Arr(points)) = report.json.get("points") else {
+                panic!("{}: no points", sc.name)
+            };
+            assert!(!points.is_empty(), "{}", sc.name);
+            let mut unnamed = Vec::new();
+            for point in points {
+                unnamed_keys(point, &extras, &mut unnamed);
+            }
+            assert!(unnamed.is_empty(), "{}: keys {unnamed:?}", sc.name);
+            covered += 1;
+        }
+        assert_eq!(covered, 14, "every simulator-driven scenario is covered");
+    }
+
+    #[test]
+    fn headlines_are_named_report_keys() {
+        let run = |name: &str| {
+            let sc = crate::scenario::find(name).expect("registered");
+            let cfg = ExperimentConfig {
+                duration_s: 10,
+                drain_s: 2.0,
+                ..sc.config()
+            };
+            run_scenario(sc, &cfg, &Runner::serial()).json
+        };
+        let spot = run("spot_diurnal");
+        for name in [
+            "forecast_attainment_gain",
+            "forecast_cost_delta_usd",
+            "spot_saving_pct_vs_ondemand",
+            "attainment_delta_vs_ondemand",
+        ] {
+            assert!(matches!(spot.get(name), Some(Json::Num(_))), "{name}");
+        }
+        // capacity_table and fig1_phases read one capacity gain.
+        let gain = run("capacity_table").get("capacity_gain").cloned();
+        assert_eq!(gain, run("fig1_phases").get("capacity_gain").cloned());
+        assert!(matches!(gain, Some(Json::Num(g)) if g > 2.7), "{gain:?}");
     }
 }

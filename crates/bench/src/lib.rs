@@ -10,9 +10,11 @@
 //!   deterministic enumeration.
 //! * [`runner`] — a hand-rolled scoped-thread pool that fans independent runs out
 //!   across cores; parallel results are bit-identical to serial execution.
-//! * [`figures`] — kind-specific executors producing text + JSON reports.
+//! * [`figures`] — each simulator-driven scenario kind as data (its labelled
+//!   point set, table columns and headlines), the one renderer of their text
+//!   and JSON reports, and the analytic kinds' executors.
 //! * [`report`] — the hand-rolled JSON writer (the vendored serde is a no-op stub)
-//!   and the named metric table every sweep and summary output derives from.
+//!   and the named metric table every report column and key derives from.
 //! * [`timeline`] — the windowed time-series export of one run.
 //!
 //! The single `loki` binary (`src/bin/loki.rs`) exposes all of it: `loki list`,
@@ -32,10 +34,9 @@ pub mod timeline;
 use loki_core::{AutoscalerConfig, ForecastConfig, ForecastingProvisioner, ReactiveAutoscaler};
 use loki_sim::{
     ElasticPolicy, ElasticSimConfig, IntervalMetrics, LinkDelayModel, MarketConfig, RouteMode,
-    SimConfig, SimResult, WorkerClass, WorkerClassCatalog,
+    SimConfig, WorkerClass, WorkerClassCatalog,
 };
-use loki_workload::{generators, Trace};
-use std::fmt::Write as _;
+use loki_workload::Trace;
 
 /// Named per-link delay profiles for the experiment harness: the CLI's `links=`
 /// key (and sweep axis) selects one by name, and [`LinkProfile::to_model`]
@@ -519,21 +520,6 @@ pub fn trace_seed(trace: loki_workload::TraceSpec, seed: u64) -> u64 {
     }
 }
 
-/// The Azure-Functions-like diurnal trace used for the traffic-analysis pipeline.
-pub fn traffic_trace(cfg: &ExperimentConfig) -> Trace {
-    generators::azure_like_diurnal(cfg.seed, cfg.duration_s, cfg.base_qps, cfg.peak_qps)
-}
-
-/// The Twitter-like bursty trace used for the social-media pipeline.
-pub fn social_trace(cfg: &ExperimentConfig) -> Trace {
-    generators::twitter_like_bursty(
-        trace_seed(loki_workload::TraceSpec::TwitterBursty, cfg.seed),
-        cfg.duration_s,
-        cfg.base_qps,
-        cfg.peak_qps,
-    )
-}
-
 /// Fleet sizes an elastic experiment derives from its knobs: the peak fleet
 /// is the experiment's `cluster` (what the fixed-fleet scenarios provision),
 /// the mean fleet scales it by the trace's mean-to-peak demand ratio, and
@@ -673,12 +659,6 @@ pub fn autoscaler_config(
     }
 }
 
-/// The reactive Provisioner an autoscaled experiment runs (see
-/// [`autoscaler_config`] for the sizing).
-pub fn autoscaler(cfg: &ExperimentConfig, num_tasks: usize, mean_qps: f64) -> ReactiveAutoscaler {
-    ReactiveAutoscaler::new(autoscaler_config(cfg, num_tasks, mean_qps))
-}
-
 /// The [`ElasticPolicy`] an autoscaled experiment runs: the experiment's
 /// `provisioner=` choice over the shared [`autoscaler_config`] sizing. The
 /// forecasting provisioner fits one seasonal period per compressed day (the
@@ -748,160 +728,10 @@ pub fn bucketize(intervals: &[IntervalMetrics], bucket_s: usize) -> Vec<Interval
     out
 }
 
-/// Render the end-to-end comparison as the four stacked time series of Figures 5/6:
-/// demand, system accuracy, cluster utilization, and SLO-violation ratio.
-pub fn format_comparison_timeseries(
-    title: &str,
-    trace: &Trace,
-    results: &[(String, SimResult)],
-    bucket_s: usize,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# {title}");
-    let _ = writeln!(
-        out,
-        "# one row per {bucket_s}s bucket; acc/util/viol reported per system"
-    );
-    let header: Vec<String> = results.iter().map(|(n, _)| n.clone()).collect();
-    let _ = writeln!(
-        out,
-        "{:>7} {:>9}  {}  {}  {}",
-        "time_s",
-        "demand",
-        header
-            .iter()
-            .map(|n| format!("{:>9}", format!("acc_{n}")))
-            .collect::<Vec<_>>()
-            .join(" "),
-        header
-            .iter()
-            .map(|n| format!("{:>10}", format!("util_{n}")))
-            .collect::<Vec<_>>()
-            .join(" "),
-        header
-            .iter()
-            .map(|n| format!("{:>10}", format!("viol_{n}")))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    let buckets: Vec<Vec<IntervalMetrics>> = results
-        .iter()
-        .map(|(_, r)| bucketize(&r.intervals, bucket_s))
-        .collect();
-    let rows = buckets.iter().map(|b| b.len()).min().unwrap_or(0);
-    for row in 0..rows {
-        let t = buckets[0][row].start_s;
-        let demand: f64 = (0..bucket_s)
-            .map(|i| trace.qps_at(t as usize + i))
-            .sum::<f64>()
-            / bucket_s as f64;
-        let accs: Vec<String> = buckets
-            .iter()
-            .map(|b| format!("{:>9.4}", b[row].mean_accuracy()))
-            .collect();
-        let utils: Vec<String> = buckets
-            .iter()
-            .map(|b| format!("{:>10.3}", b[row].cluster_utilization()))
-            .collect();
-        let viols: Vec<String> = buckets
-            .iter()
-            .map(|b| format!("{:>10.4}", b[row].slo_violation_ratio()))
-            .collect();
-        let _ = writeln!(
-            out,
-            "{:>7.0} {:>9.1}  {}  {}  {}",
-            t,
-            demand,
-            accs.join(" "),
-            utils.join(" "),
-            viols.join(" ")
-        );
-    }
-    out
-}
-
-/// Render the whole-run summary rows (the numbers quoted in the paper's text).
-pub fn format_summary_table(results: &[(String, SimResult)]) -> String {
-    let mut out = String::from("\n");
-    let _ = writeln!(
-        out,
-        "{:<12} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12} {:>10} {:>8} {:>8} {:>8}",
-        "system",
-        "arrivals",
-        "on_time",
-        "late",
-        "dropped",
-        "slo_viol",
-        "accuracy",
-        "mean_util",
-        "p50_ms",
-        "p99_ms",
-        "p999_ms"
-    );
-    for (name, r) in results {
-        let s = &r.summary;
-        let _ = writeln!(
-            out,
-            "{:<12} {:>10} {:>10} {:>10} {:>10} {:>12.4} {:>12.4} {:>10.3} {:>8.1} {:>8.1} {:>8.1}",
-            name,
-            s.total_arrivals,
-            s.total_on_time,
-            s.total_late,
-            s.total_dropped,
-            s.slo_violation_ratio,
-            s.system_accuracy,
-            s.mean_utilization,
-            s.p50_ms,
-            s.p99_ms,
-            s.p999_ms
-        );
-    }
-    out
-}
-
-/// Render the derived headline ratios comparing Loki with the baselines (capacity,
-/// violation reduction, off-peak server saving).
-pub fn format_headline_ratios(results: &[(String, SimResult)]) -> String {
-    let get = |name: &str| results.iter().find(|(n, _)| n == name).map(|(_, r)| r);
-    let (Some(loki), Some(inferline), Some(proteus)) =
-        (get("loki"), get("inferline"), get("proteus"))
-    else {
-        return String::new();
-    };
-    let viol_reduction = if loki.summary.slo_violation_ratio > 0.0 {
-        proteus.summary.slo_violation_ratio / loki.summary.slo_violation_ratio
-    } else {
-        f64::INFINITY
-    };
-    let capacity_gain =
-        loki.summary.peak_goodput as f64 / inferline.summary.peak_goodput.max(1) as f64;
-    let server_saving =
-        proteus.summary.max_active_workers as f64 / loki.summary.min_active_workers.max(1) as f64;
-    let mut out = String::from("\n");
-    let _ = writeln!(out, "headline ratios (Loki vs baselines):");
-    let _ = writeln!(
-        out,
-        "  peak goodput vs hardware-scaling-only (InferLine-style): {capacity_gain:.2}x (paper: ~2.5-2.7x)"
-    );
-    let _ = writeln!(
-        out,
-        "  SLO-violation reduction vs pipeline-agnostic accuracy scaling (Proteus-style): {viol_reduction:.1}x (paper: ~10x)"
-    );
-    let _ = writeln!(
-        out,
-        "  off-peak active servers, Proteus-style vs Loki: {server_saving:.2}x fewer with Loki (paper: ~2.67x)"
-    );
-    let _ = writeln!(
-        out,
-        "  Loki accuracy {:.3} vs Proteus-style {:.3} (paper: Loki drops up to ~20% less accuracy)",
-        loki.summary.system_accuracy, proteus.summary.system_accuracy
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loki_workload::generators;
 
     #[test]
     fn bucketize_preserves_totals() {
@@ -938,22 +768,32 @@ mod tests {
             ..(sc.defaults)()
         };
         let report = figures::run_scenario(sc, &cfg, &runner::Runner::serial());
-        let Some(report::Json::Arr(systems)) = report.json.get("systems") else {
-            panic!("comparison report has a systems array");
+        let Some(report::Json::Arr(points)) = report.json.get("points") else {
+            panic!("comparison report has a points array");
         };
-        assert_eq!(systems.len(), 3);
-        for system in systems {
-            let arrivals = system.get("summary").and_then(|s| s.get("total_arrivals"));
+        let systems = ["loki-greedy", "inferline", "proteus"];
+        let labels: Vec<_> = points.iter().map(|p| p.get("label").cloned()).collect();
+        assert_eq!(labels, systems.map(|s| Some(s.into())));
+        for point in points {
+            let arrivals = point.get("arrivals");
             assert!(
                 matches!(arrivals, Some(report::Json::UInt(n)) if *n > 0),
-                "{system:?} saw no arrivals"
+                "{point:?} saw no arrivals"
             );
         }
-        // The text report names every system and prints the headline ratios.
-        for spec in scenario::ControllerSpec::COMPARISON {
-            assert!(report.text.contains(spec.system_label()), "{}", report.text);
+        // The text report names every system and prints the headline ratios,
+        // which the JSON report carries by the same names.
+        for name in systems {
+            assert!(report.text.contains(name), "{}", report.text);
         }
-        assert!(report.text.contains("headline ratios"), "{}", report.text);
+        for headline in [
+            "peak_goodput_gain_vs_inferline",
+            "violation_reduction_vs_proteus",
+            "offpeak_server_saving_vs_proteus",
+        ] {
+            assert!(report.text.contains(headline), "{}", report.text);
+            assert!(report.json.get(headline).is_some(), "{headline}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Hand-rolled JSON values and writer, the named metric table, and the sweep
-//! CSV emitter and cross-seed aggregation it drives.
+//! Hand-rolled JSON values and writer, the named metric table, the text-table
+//! writer, and the sweep CSV emitter and cross-seed aggregation it drives.
 //!
 //! The vendored `serde` is a no-op stub (crates.io is unreachable in the build
 //! container), so machine-readable reports are built from this small tree type
@@ -7,12 +7,13 @@
 //! reports diff-friendly across runs.
 //!
 //! `METRICS` defines each reported run metric once, by name, with the
-//! extractor that reads it. [`sweep_csv`] renders a `loki sweep` result as one
+//! extractor that reads it; every text column, JSON point key and CSV metric
+//! column of a simulator-driven report is one of its names. [`sweep_csv`] renders a `loki sweep` result as one
 //! flat CSV (per-point rows tagged `stat=point`, cross-seed aggregates as
 //! `stat=mean` / `stat=stddev`), so figure plotting needs no post-processing;
 //! [`aggregate_sweep`] exposes the same aggregation programmatically.
 
-use crate::scenario::{PipelineSummary, PointResult, RunPoint};
+use crate::scenario::{MultiStats, PipelineSummary, PointResult, RunPoint};
 use crate::sweep::Sweep;
 use crate::ConfigValue;
 use loki_core::ControllerStats;
@@ -178,7 +179,8 @@ impl From<ConfigValue> for Json {
 // ---- the metric table ----------------------------------------------------------
 
 /// One report cell: a count (a JSON integer), a real (a JSON number), or
-/// absent because the row lacks the input it reads (JSON `null`).
+/// absent because the row lacks the input it reads (left out of JSON
+/// points).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Value {
     Count(u64),
@@ -196,6 +198,16 @@ impl Value {
             Absent => 0.0,
         }
     }
+
+    /// The cell as text-table content: counts as integers, reals to four
+    /// decimals, absent values as `-`.
+    pub(crate) fn cell(self) -> String {
+        match self {
+            Count(n) => n.to_string(),
+            Real(v) => format!("{v:.4}"),
+            Absent => "-".to_string(),
+        }
+    }
 }
 
 impl From<Value> for Json {
@@ -209,162 +221,213 @@ impl From<Value> for Json {
 }
 
 /// Everything a [`Metric`] reads for one report row: a run summary, its fleet
-/// billing (elastic runs only), the control-plane counters of whichever
+/// billing (elastic runs only), its cluster arbitration counts
+/// (multi-pipeline points only), the control-plane counters of whichever
 /// controller produced the summary, and the SLO error-budget analysis of the
 /// summary's interval series.
 pub(crate) struct MetricRow<'a> {
     summary: &'a RunSummary,
     cost: Option<&'a CostSummary>,
+    multi: Option<&'a MultiStats>,
     stats: Option<&'a ControllerStats>,
     burn: Option<&'a BurnReport>,
 }
 
 impl<'a> MetricRow<'a> {
-    /// A row that has a run summary and nothing else.
-    pub(crate) fn summary(summary: &'a RunSummary) -> Self {
-        Self {
-            summary,
-            cost: None,
-            stats: None,
-            burn: None,
-        }
-    }
-
     /// The cluster-level row of an executed point.
     pub(crate) fn point(point: &'a PointResult) -> Self {
         Self {
+            summary: &point.result.summary,
             cost: point.cost.as_ref(),
+            multi: point.multi_stats.as_ref(),
             stats: point.controller_stats.as_ref(),
             burn: point.burn.as_ref(),
-            ..Self::summary(&point.result.summary)
         }
     }
 
-    /// One pipeline's row of a multi-pipeline point. Cost is cluster-level,
-    /// so pipeline rows carry none.
+    /// One pipeline's row of a multi-pipeline point. Cost and arbitration
+    /// are cluster-level, so pipeline rows carry neither.
     pub(crate) fn lane(lane: &'a PipelineSummary) -> Self {
         Self {
+            summary: &lane.summary,
+            cost: None,
+            multi: None,
             stats: lane.controller_stats.as_ref(),
             burn: lane.burn.as_ref(),
-            ..Self::summary(&lane.summary)
         }
+    }
+
+    /// The row's value of the named metric. Panics on an unknown name:
+    /// report layouts name metrics statically, so this is a programming
+    /// error.
+    pub(crate) fn get(&self, name: &str) -> Value {
+        let metric = METRICS
+            .iter()
+            .find(|m| m.name == name)
+            .unwrap_or_else(|| panic!("unknown metric {name:?}"));
+        (metric.value)(self)
+    }
+
+    /// A text-table row: the label, then the named metrics' cells.
+    pub(crate) fn cells(&self, label: &str, names: &[&str]) -> Vec<String> {
+        let values = names.iter().map(|name| self.get(name).cell());
+        std::iter::once(label.to_string()).chain(values).collect()
+    }
+
+    /// The row as JSON: `label`, then every metric the row has, in table
+    /// order.
+    pub(crate) fn to_json(&self, label: &str) -> Json {
+        let mut obj = Json::object();
+        obj.push("label", label.into());
+        for metric in METRICS {
+            let value = (metric.value)(self);
+            if value != Absent {
+                obj.push(metric.name, value.into());
+            }
+        }
+        obj
     }
 }
 
 /// A named report metric and how to read it from a [`MetricRow`].
 pub(crate) struct Metric {
     pub(crate) name: &'static str,
-    /// A field of the simulated run summary: part of every `summary` JSON
-    /// object.
-    pub(crate) in_summary: bool,
     pub(crate) value: fn(&MetricRow) -> Value,
 }
 
 impl Metric {
-    const fn summary(name: &'static str, value: fn(&MetricRow) -> Value) -> Self {
-        Self {
-            name,
-            in_summary: true,
-            value,
-        }
-    }
-
-    const fn run(name: &'static str, value: fn(&MetricRow) -> Value) -> Self {
-        Self {
-            name,
-            in_summary: false,
-            value,
-        }
+    const fn new(name: &'static str, value: fn(&MetricRow) -> Value) -> Self {
+        Self { name, value }
     }
 }
 
-/// Every metric a run reports, in sweep CSV column order. This one table
-/// names the sweep CSV metric columns, the cross-seed aggregates and their
-/// `{name}_mean`/`{name}_stddev` JSON keys, the shared keys of every
-/// `summary` JSON object, and the run metrics of the throughput report.
-/// Every metric is a simulated value or a count, so each row is a pure
-/// function of its point's scenario and config.
+/// Every scalar a simulator-driven report prints, in sweep CSV column order.
+/// This one table names every text-table header cell, every scalar key of a
+/// JSON point, the sweep CSV metric columns, and the cross-seed aggregates
+/// with their `{name}_mean`/`{name}_stddev` JSON keys. Every metric is a
+/// simulated value or a count, so each row is a pure function of its point's
+/// scenario and config.
 ///
-/// Cost metrics are absent for fixed-fleet points and on pipeline rows; the
-/// control-plane metrics are absent for controllers that do not track
+/// Cost metrics are absent for fixed-fleet points and on pipeline rows, the
+/// arbitration counts outside multi-pipeline points and on pipeline rows,
+/// and the control-plane metrics for controllers that do not track
 /// [`ControllerStats`].
 pub(crate) const METRICS: &[Metric] = &[
-    Metric::summary("on_time", |r| Count(r.summary.total_on_time)),
-    Metric::summary("late", |r| Count(r.summary.total_late)),
-    Metric::summary("dropped", |r| Count(r.summary.total_dropped)),
-    Metric::summary("dropped_deadline", |r| {
+    Metric::new("arrivals", |r| Count(r.summary.total_arrivals)),
+    Metric::new("on_time", |r| Count(r.summary.total_on_time)),
+    Metric::new("late", |r| Count(r.summary.total_late)),
+    Metric::new("dropped", |r| Count(r.summary.total_dropped)),
+    Metric::new("dropped_deadline", |r| {
         Count(r.summary.total_dropped_deadline)
     }),
-    Metric::summary("dropped_reclaimed", |r| {
+    Metric::new("dropped_reclaimed", |r| {
         Count(r.summary.total_dropped_reclaimed)
     }),
-    Metric::summary("dropped_revoked", |r| {
+    Metric::new("dropped_revoked", |r| {
         Count(r.summary.total_dropped_revoked)
     }),
-    Metric::summary("slo_violation_ratio", |r| {
+    Metric::new("rerouted", |r| Count(r.summary.total_rerouted)),
+    Metric::new("slo_violation_ratio", |r| {
         Real(r.summary.slo_violation_ratio)
     }),
-    Metric::summary("system_accuracy", |r| Real(r.summary.system_accuracy)),
-    Metric::summary("mean_utilization", |r| Real(r.summary.mean_utilization)),
-    Metric::summary("p50_ms", |r| Real(r.summary.p50_ms)),
-    Metric::summary("p90_ms", |r| Real(r.summary.p90_ms)),
-    Metric::summary("p99_ms", |r| Real(r.summary.p99_ms)),
-    Metric::summary("p999_ms", |r| Real(r.summary.p999_ms)),
-    Metric::run("gpu_hours", |r| {
+    Metric::new("system_accuracy", |r| Real(r.summary.system_accuracy)),
+    Metric::new("mean_utilization", |r| Real(r.summary.mean_utilization)),
+    Metric::new("p50_ms", |r| Real(r.summary.p50_ms)),
+    Metric::new("p90_ms", |r| Real(r.summary.p90_ms)),
+    Metric::new("p99_ms", |r| Real(r.summary.p99_ms)),
+    Metric::new("p999_ms", |r| Real(r.summary.p999_ms)),
+    Metric::new("events_processed", |r| Count(r.summary.events_processed)),
+    Metric::new("min_active_workers", |r| {
+        Count(r.summary.min_active_workers as u64)
+    }),
+    Metric::new("max_active_workers", |r| {
+        Count(r.summary.max_active_workers as u64)
+    }),
+    Metric::new("peak_goodput", |r| Count(r.summary.peak_goodput)),
+    Metric::new("gpu_hours", |r| {
         r.cost.map_or(Absent, |c| Real(c.gpu_hours()))
     }),
-    Metric::run("cost_usd", |r| {
+    Metric::new("cost_usd", |r| {
         r.cost.map_or(Absent, |c| Real(c.total_dollars))
     }),
-    Metric::run("cost_per_1k", |r| {
+    Metric::new("cost_per_1k", |r| {
         r.cost.map_or(Absent, |c| Real(c.cost_per_1k_queries))
     }),
-    Metric::run("revocations", |r| {
+    Metric::new("peak_fleet", |r| {
+        r.cost.map_or(Absent, |c| Count(c.peak_fleet as u64))
+    }),
+    Metric::new("revocations", |r| {
         r.cost.map_or(Absent, |c| Count(c.revocations))
     }),
-    Metric::run("stockouts", |r| {
+    Metric::new("stockouts", |r| {
         r.cost.map_or(Absent, |c| Count(c.stockouts))
     }),
-    Metric::run("spot_usd", |r| {
+    Metric::new("spot_usd", |r| {
         r.cost.map_or(Absent, |c| Real(c.spot_dollars))
     }),
-    Metric::run("ondemand_usd", |r| {
+    Metric::new("ondemand_usd", |r| {
         r.cost.map_or(Absent, |c| Real(c.ondemand_dollars))
     }),
-    Metric::run("routing_cache_consults", |r| {
+    Metric::new("rebalances", |r| {
+        r.multi.map_or(Absent, |m| Count(m.rebalances))
+    }),
+    Metric::new("migrations", |r| {
+        r.multi.map_or(Absent, |m| Count(m.migrations))
+    }),
+    Metric::new("routing_cache_consults", |r| {
         r.stats
             .map_or(Absent, |s| Count(s.routing_cache_consults as u64))
     }),
-    Metric::run("routing_cache_hits", |r| {
+    Metric::new("routing_cache_hits", |r| {
         r.stats
             .map_or(Absent, |s| Count(s.routing_cache_hits as u64))
     }),
-    Metric::run("routing_warnings", |r| {
+    Metric::new("routing_warnings", |r| {
         r.stats
             .map_or(Absent, |s| Count(s.routing_warnings_total as u64))
     }),
-    Metric::run("budget_consumed", |r| {
+    Metric::new("budget_consumed", |r| {
         r.burn.map_or(Absent, |b| Real(b.budget_consumed))
     }),
-    Metric::run("worst_burn_rate", |r| {
+    Metric::new("worst_burn_rate", |r| {
         r.burn.map_or(Absent, |b| Real(b.worst_burn_rate))
     }),
-    Metric::run("burn_episodes", |r| {
+    Metric::new("burn_episodes", |r| {
         r.burn.map_or(Absent, |b| Count(b.episodes.len() as u64))
     }),
 ];
 
-/// Push the named metrics of `row` onto a JSON object, in the given order.
-/// Panics on an unknown name: callers name metrics statically, so this is a
-/// programming error.
-pub(crate) fn push_metrics(obj: &mut Json, row: &MetricRow, names: &[&str]) {
-    for name in names {
-        let metric = METRICS
-            .iter()
-            .find(|m| m.name == *name)
-            .unwrap_or_else(|| panic!("unknown metric {name:?}"));
-        obj.push(name, (metric.value)(row).into());
+/// Render rows of cells as aligned text columns, each as wide as its widest
+/// cell: the first (the label) left-aligned, the rest right-aligned.
+pub(crate) fn text_table(rows: &[Vec<String>]) -> String {
+    let columns = rows.iter().map(Vec::len).max().unwrap_or(0);
+    let widths: Vec<usize> = (0..columns)
+        .map(|c| {
+            rows.iter()
+                .filter_map(|row| row.get(c))
+                .map(|cell| cell.chars().count())
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    let mut out = String::new();
+    for row in rows {
+        let mut line = String::new();
+        for (c, cell) in row.iter().enumerate() {
+            let pad = " ".repeat(widths[c] - cell.chars().count());
+            if c == 0 {
+                line.push_str(cell);
+                line.push_str(&pad);
+            } else {
+                line.push_str("  ");
+                line.push_str(&pad);
+                line.push_str(cell);
+            }
+        }
+        out.push_str(line.trim_end());
+        out.push('\n');
     }
+    out
 }
 
 // ---- sweep aggregation and CSV -------------------------------------------------
@@ -513,7 +576,7 @@ pub(crate) fn csv_row(out: &mut String, fields: &[String]) {
 
 /// The [`sweep_csv`] columns that describe a row's point rather than its
 /// config: the header is these, then the [`Sweep::AXES`] config columns, then
-/// `arrivals` and the [`METRICS`] columns.
+/// the [`METRICS`] columns.
 const POINT_COLUMNS: [&str; 6] = [
     "scenario",
     "stat",
@@ -525,7 +588,7 @@ const POINT_COLUMNS: [&str; 6] = [
 
 /// True when a sweep's points span more than one seed: only then does it
 /// report cross-seed aggregates.
-pub fn multi_seed(points: &[RunPoint]) -> bool {
+pub(crate) fn multi_seed(points: &[RunPoint]) -> bool {
     points.iter().any(|p| p.cfg.seed != points[0].cfg.seed)
 }
 
@@ -539,7 +602,6 @@ pub fn sweep_csv(scenario: &str, points: &[RunPoint], results: &[PointResult]) -
     let header: Vec<String> = POINT_COLUMNS
         .iter()
         .chain(&Sweep::AXES)
-        .chain(&["arrivals"])
         .chain(METRICS.iter().map(|m| &m.name))
         .map(|name| name.to_string())
         .collect();
@@ -577,7 +639,6 @@ pub fn sweep_csv(scenario: &str, points: &[RunPoint], results: &[PointResult]) -
 
     for (point, result) in points.iter().zip(results) {
         let mut row = lead("point", &point.label, &[point]);
-        row.push(format!("{}", result.arrivals));
         row.extend(metric_fields(&MetricRow::point(result)));
         csv_row(&mut out, &row);
         // Multi-pipeline points additionally emit one `stat=pipeline` row per
@@ -585,7 +646,6 @@ pub fn sweep_csv(scenario: &str, points: &[RunPoint], results: &[PointResult]) -
         for lane in &result.per_pipeline {
             let label = format!("{}/{}", point.label, lane.name);
             let mut row = lead("pipeline", &label, &[point]);
-            row.push(format!("{}", lane.summary.total_arrivals));
             row.extend(metric_fields(&MetricRow::lane(lane)));
             csv_row(&mut out, &row);
         }
@@ -599,7 +659,6 @@ pub fn sweep_csv(scenario: &str, points: &[RunPoint], results: &[PointResult]) -
                 .collect();
             for stat in ["mean", "stddev"] {
                 let mut row = lead(stat, &agg.label, &group);
-                row.push(String::new()); // arrivals
                 row.extend(agg.metrics.iter().map(|s| {
                     let v = if stat == "mean" { s.mean } else { s.stddev };
                     format!("{v}")
@@ -765,10 +824,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), METRICS.len());
-        let mut columns = POINT_COLUMNS
-            .iter()
-            .chain(&crate::ExperimentConfig::KEYS)
-            .chain(&["arrivals"]);
+        let mut columns = POINT_COLUMNS.iter().chain(&crate::ExperimentConfig::KEYS);
         assert!(columns.all(|c| !names.contains(c)));
     }
 
@@ -780,7 +836,6 @@ mod tests {
         let expected: Vec<&str> = POINT_COLUMNS
             .iter()
             .chain(&Sweep::AXES)
-            .chain(&["arrivals"])
             .copied()
             .chain(METRICS.iter().map(|m| m.name))
             .collect();
@@ -790,10 +845,12 @@ mod tests {
             header,
             "scenario,stat,label,controller,pipeline,trace,slo,peak,cluster,\
              links,route,elastic,spot,revoke,stockout,provisioner,seed,arrivals,on_time,late,\
-             dropped,dropped_deadline,dropped_reclaimed,dropped_revoked,slo_violation_ratio,\
-             system_accuracy,mean_utilization,p50_ms,p90_ms,p99_ms,p999_ms,gpu_hours,cost_usd,\
-             cost_per_1k,revocations,stockouts,spot_usd,ondemand_usd,routing_cache_consults,\
-             routing_cache_hits,routing_warnings,budget_consumed,worst_burn_rate,burn_episodes"
+             dropped,dropped_deadline,dropped_reclaimed,dropped_revoked,rerouted,\
+             slo_violation_ratio,system_accuracy,mean_utilization,p50_ms,p90_ms,p99_ms,p999_ms,\
+             events_processed,min_active_workers,max_active_workers,peak_goodput,gpu_hours,\
+             cost_usd,cost_per_1k,peak_fleet,revocations,stockouts,spot_usd,ondemand_usd,\
+             rebalances,migrations,routing_cache_consults,routing_cache_hits,routing_warnings,\
+             budget_consumed,worst_burn_rate,burn_episodes"
         );
     }
 

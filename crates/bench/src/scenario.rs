@@ -87,29 +87,11 @@ impl ControllerSpec {
         ControllerSpec::Proteus,
     ];
 
-    /// The default three-system comparison of Figures 5/6.
-    pub const COMPARISON: [ControllerSpec; 3] = [
-        ControllerSpec::LokiGreedy,
-        ControllerSpec::InferLine,
-        ControllerSpec::Proteus,
-    ];
-
-    /// Stable name used by the CLI (`controllers=` axis) and sweep labels.
+    /// Stable name used by the CLI (`controllers=` axis), point labels and
+    /// headlines.
     pub fn name(self) -> &'static str {
         match self {
             ControllerSpec::LokiGreedy => "loki-greedy",
-            ControllerSpec::LokiMilp => "loki-milp",
-            ControllerSpec::InferLine => "inferline",
-            ControllerSpec::Proteus => "proteus",
-        }
-    }
-
-    /// The system label used in comparison tables and headline ratios ("loki",
-    /// "inferline", "proteus"); distinct Loki allocators share the "loki" label
-    /// only for the greedy default.
-    pub fn system_label(self) -> &'static str {
-        match self {
-            ControllerSpec::LokiGreedy => "loki",
             ControllerSpec::LokiMilp => "loki-milp",
             ControllerSpec::InferLine => "inferline",
             ControllerSpec::Proteus => "proteus",
@@ -392,8 +374,6 @@ pub struct PointResult {
     /// executions of the same point — the determinism the figure harness rests
     /// on). For multi-pipeline points this is the cluster-level aggregate.
     pub result: SimResult,
-    /// Number of generated root arrivals (all pipelines).
-    pub arrivals: usize,
     /// Control-plane counters of the run, when the controller tracks them.
     /// For multi-pipeline points this is the sum over lanes (per-lane stats
     /// are on [`PointResult::per_pipeline`]).
@@ -456,7 +436,6 @@ impl RunPoint {
             cost: result.cost.clone(),
             burn: Some(burn),
             result,
-            arrivals: arrivals.len(),
             controller_stats,
             per_pipeline: Vec::new(),
             multi_stats: None,
@@ -507,7 +486,6 @@ impl RunPoint {
             })
             .collect();
         let offered: Vec<f64> = traces.iter().map(Trace::mean_qps).collect();
-        let total_arrivals: usize = arrivals.iter().map(Vec::len).sum();
         // Elastic sizing for the shared cluster: the combined footprint and
         // offered load across lanes.
         let total_tasks: usize = graphs.iter().map(|g| g.num_tasks()).sum();
@@ -566,7 +544,6 @@ impl RunPoint {
             label: self.label.clone(),
             cost: outcome.cost.clone(),
             result,
-            arrivals: total_arrivals,
             controller_stats,
             per_pipeline: outcome
                 .pipelines
@@ -689,7 +666,8 @@ impl Scenario {
 
 /// The canonical [`RunPoint`] of a scenario: Loki-greedy controllers, default
 /// drop policy, and the scenario's multi-pipeline spec when it has one. The
-/// figure executors and sweeps all start from this.
+/// sweeps behind every simulator-driven report, `--trace` and `--timeline`
+/// all start from this.
 pub fn scenario_point(sc: &Scenario, cfg: &ExperimentConfig) -> RunPoint {
     RunPoint {
         label: sc.name.to_string(),

@@ -1,17 +1,75 @@
 //! Declarative sweep grids over scenario axes.
 //!
-//! A [`Sweep`] takes a base scenario configuration, a controller list and a
-//! value list per config axis ([`Sweep::AXES`]: SLO, … , seed) and enumerates
-//! the cartesian product as [`RunPoint`]s in a fixed nesting order — controller
-//! outermost, seed innermost — so grid enumeration is deterministic and
-//! parallel execution (which preserves input order) reports points exactly
-//! where a serial loop would. Axis values are config values: each is checked,
-//! stored and applied through [`ExperimentConfig::set`], and read back through
-//! [`ExperimentConfig::get`] for labels and reports.
+//! A [`Sweep`] takes a base scenario configuration, the scenario kind's
+//! labelled point set, a controller list and a value list per config axis
+//! ([`Sweep::AXES`]: SLO, … , seed) and enumerates their cartesian product as
+//! [`RunPoint`]s in a fixed nesting order — point set outermost, then the
+//! controller, then the axes, seed innermost — so grid enumeration is
+//! deterministic and parallel execution (which preserves input order) reports
+//! points exactly where a serial loop would. Axis values are config values:
+//! each is checked, stored and applied through [`ExperimentConfig::set`], and
+//! read back through [`ExperimentConfig::get`] for labels and reports.
 
+use crate::figures::{family, PointSet};
 use crate::report::Json;
-use crate::scenario::{ControllerSpec, RunPoint, Scenario, ScenarioKind};
+use crate::scenario::{ControllerSpec, PipelineSpec, RunPoint, Scenario};
 use crate::ExperimentConfig;
+use loki_sim::DropPolicy;
+use loki_workload::TraceSpec;
+
+/// One named point of a kind's point set: the settings it applies on top of
+/// each grid point it is crossed with.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Variant {
+    pub(crate) label: String,
+    /// Space-separated `key=value` settings, as on the command line:
+    /// `controllers=` picks the controller, every other key goes through
+    /// [`ExperimentConfig::set`].
+    pub(crate) settings: String,
+    /// Override of the controller's runtime drop policy.
+    pub(crate) drop_policy: Option<DropPolicy>,
+    /// Override of the scenario's pipeline and trace.
+    pub(crate) workload: Option<(PipelineSpec, TraceSpec)>,
+}
+
+impl Variant {
+    /// A variant that applies `settings` and nothing else.
+    pub(crate) fn new(label: &str, settings: &str) -> Self {
+        Self {
+            label: label.to_string(),
+            settings: settings.to_string(),
+            drop_policy: None,
+            workload: None,
+        }
+    }
+
+    /// The setting keys this variant varies.
+    fn keys(&self) -> impl Iterator<Item = &str> {
+        self.settings
+            .split_whitespace()
+            .filter_map(|kv| kv.split('=').next())
+    }
+
+    fn apply(&self, point: &mut RunPoint) {
+        for setting in self.settings.split_whitespace() {
+            let (key, value) = setting.split_once('=').expect("settings are key=value");
+            if key == "controllers" {
+                point.controller =
+                    ControllerSpec::from_name(value).expect("a registered controller");
+            } else {
+                point
+                    .cfg
+                    .set(key, value)
+                    .expect("variant settings are valid");
+            }
+        }
+        point.drop_policy = self.drop_policy.or(point.drop_policy);
+        if let Some((pipeline, trace)) = self.workload {
+            point.pipeline = pipeline;
+            point.trace = trace;
+        }
+    }
+}
 
 /// A grid of experiment points over a base configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,6 +79,10 @@ pub struct Sweep {
     /// One value list per [`Sweep::AXES`] key, in that order. Each value is
     /// the display form [`ExperimentConfig::get`] prints.
     axes: Vec<(&'static str, Vec<String>)>,
+    /// The kind's named points, crossed with everything else; empty for a
+    /// kind without them, or once an axis over a setting they vary replaced
+    /// them.
+    variants: Vec<Variant>,
 }
 
 impl Sweep {
@@ -47,40 +109,38 @@ impl Sweep {
         matches!(key, "controllers" | "controller") || Self::AXES.contains(&key)
     }
 
-    /// A sweep whose axes are all singletons taken from `cfg` — `points()` returns
-    /// exactly the scenario's canonical runs until axes are widened. Comparison
-    /// scenarios default to the three-system panel, the SLO-sensitivity scenario to
-    /// its canonical 200–400 ms axis, everything else to Loki-greedy alone.
+    /// The scenario kind's default sweep: its labelled point set, every axis a
+    /// singleton taken from `cfg`. `points()` returns exactly the points
+    /// `loki run` executes until axes are set.
     pub fn for_scenario(scenario: &Scenario, cfg: ExperimentConfig) -> Self {
-        let controllers = match scenario.kind {
-            ScenarioKind::Comparison | ScenarioKind::CapacityTable => {
-                ControllerSpec::COMPARISON.to_vec()
-            }
-            _ => vec![ControllerSpec::LokiGreedy],
-        };
         let axes = Self::AXES
             .iter()
             .map(|&key| (key, vec![config_value(&cfg, key)]))
             .collect();
         let mut sweep = Self {
             base: crate::scenario::scenario_point(scenario, &cfg),
-            controllers,
+            controllers: vec![ControllerSpec::LokiGreedy],
             axes,
+            variants: Vec::new(),
         };
-        if scenario.kind == ScenarioKind::SloSweep {
-            sweep
-                .set_axis("slo", "200,250,300,350,400")
-                .expect("the canonical SLO axis is valid");
+        match family(scenario.kind).points {
+            PointSet::Canonical => {}
+            PointSet::Axis(axis, values) => sweep
+                .set_axis(axis, values)
+                .expect("a point-set axis is valid"),
+            PointSet::Named(variants) => sweep.variants = variants(),
         }
         sweep
     }
 
     /// Set an axis from a comma-separated value list (CLI surface). Unknown axes and
     /// unparsable values are hard errors, never silently ignored: each value
-    /// must pass [`ExperimentConfig::set`].
+    /// must pass [`ExperimentConfig::set`]. An axis over a setting the kind's
+    /// named points vary replaces them.
     pub fn set_axis(&mut self, axis: &str, values: &str) -> Result<(), String> {
         let values = values.split(',').map(str::trim);
-        if let Some((key, list)) = self.axes.iter_mut().find(|(key, _)| *key == axis) {
+        let setting = if let Some((key, list)) = self.axes.iter_mut().find(|(key, _)| *key == axis)
+        {
             let mut cfg = self.base.cfg.clone();
             *list = values
                 .map(|v| {
@@ -88,6 +148,7 @@ impl Sweep {
                     Ok(config_value(&cfg, key))
                 })
                 .collect::<Result<_, String>>()?;
+            *key
         } else if Self::is_axis(axis) {
             let known = ControllerSpec::ALL.map(|c| c.name()).join(", ");
             self.controllers = values
@@ -97,11 +158,19 @@ impl Sweep {
                     })
                 })
                 .collect::<Result<_, _>>()?;
+            "controllers"
         } else {
             return Err(format!(
                 "unknown sweep axis {axis:?} (axes: controllers, {})",
                 Self::AXES.join(", ")
             ));
+        };
+        if self
+            .variants
+            .iter()
+            .any(|v| v.keys().any(|key| key == setting))
+        {
+            self.variants.clear();
         }
         Ok(())
     }
@@ -136,7 +205,9 @@ impl Sweep {
 
     /// Number of grid points.
     pub fn len(&self) -> usize {
-        self.controllers.len() * self.axes.iter().map(|(_, v)| v.len()).product::<usize>()
+        self.variants.len().max(1)
+            * self.controllers.len()
+            * self.axes.iter().map(|(_, v)| v.len()).product::<usize>()
     }
 
     /// True when the grid is empty (some axis has no values).
@@ -144,41 +215,65 @@ impl Sweep {
         self.len() == 0
     }
 
-    /// Enumerate the grid in its fixed nesting order: controller outermost,
-    /// then each axis in [`Sweep::AXES`] order, seed innermost.
+    /// Enumerate the grid in its fixed nesting order: the named points
+    /// outermost, then the controller, then each axis in [`Sweep::AXES`]
+    /// order, seed innermost.
     pub fn points(&self) -> Vec<RunPoint> {
-        let mut grid: Vec<(ControllerSpec, ExperimentConfig)> = self
-            .controllers
+        let variants: Vec<Option<&Variant>> = if self.variants.is_empty() {
+            vec![None]
+        } else {
+            self.variants.iter().map(Some).collect()
+        };
+        let mut grid: Vec<(Option<&Variant>, ControllerSpec, ExperimentConfig)> = variants
             .iter()
-            .map(|&c| (c, self.base.cfg.clone()))
+            .flat_map(|&v| {
+                self.controllers
+                    .iter()
+                    .map(move |&c| (v, c, self.base.cfg.clone()))
+            })
             .collect();
         // Replace every grid point by one point per value of the next axis.
         for (key, values) in &self.axes {
             grid = grid
                 .into_iter()
-                .flat_map(|(controller, cfg)| {
+                .flat_map(|(variant, controller, cfg)| {
                     values.iter().map(move |v| {
                         let mut cfg = cfg.clone();
                         cfg.set(key, v).expect("axis values pass `set`");
-                        (controller, cfg)
+                        (variant, controller, cfg)
                     })
                 })
                 .collect();
         }
         grid.into_iter()
-            .map(|(controller, cfg)| RunPoint {
-                label: self.label(controller, &cfg),
-                controller,
-                cfg,
-                ..self.base.clone()
+            .map(|(variant, controller, cfg)| {
+                let mut point = RunPoint {
+                    label: self.label(variant, controller, &cfg),
+                    controller,
+                    cfg,
+                    ..self.base.clone()
+                };
+                if let Some(variant) = variant {
+                    variant.apply(&mut point);
+                }
+                point
             })
             .collect()
     }
 
-    /// A point's label: the controller, then `axis=value` for every axis that
-    /// actually varies, so single-axis sweeps stay readable.
-    fn label(&self, controller: ControllerSpec, cfg: &ExperimentConfig) -> String {
-        let mut label = controller.name().to_string();
+    /// A point's label: its named point's label (else its controller), then
+    /// `axis=value` for every axis that actually varies, so single-axis
+    /// sweeps stay readable.
+    fn label(
+        &self,
+        variant: Option<&Variant>,
+        controller: ControllerSpec,
+        cfg: &ExperimentConfig,
+    ) -> String {
+        let mut label = variant.map_or(controller.name(), |v| &v.label).to_string();
+        if variant.is_some() && self.controllers.len() > 1 {
+            label.push_str(&format!(" controllers={}", controller.name()));
+        }
         for (key, values) in &self.axes {
             if values.len() > 1 {
                 label.push_str(&format!(" {key}={}", config_value(cfg, key)));
@@ -306,6 +401,87 @@ mod tests {
         assert_eq!(points[1].cfg.route, RouteMode::LinkAware);
         assert!(points[1].label.contains("route=link-aware"));
         assert!(sweep.set_axis("route", "telepathy").is_err());
+    }
+
+    #[test]
+    fn family_sweeps_aggregate_each_named_point_across_seeds() {
+        for (name, labels) in [
+            (
+                "spot_diurnal",
+                &["ondemand-reactive", "spot-reactive", "spot-forecast"][..],
+            ),
+            (
+                "fig7_ablation",
+                &[
+                    "no-early-dropping",
+                    "last-task-dropping",
+                    "per-task-dropping",
+                    "opportunistic-rerouting",
+                ],
+            ),
+            (
+                "elastic_diurnal",
+                &["static-peak", "static-mean", "autoscale"],
+            ),
+        ] {
+            let sc = scenario::find(name).unwrap();
+            let cfg = ExperimentConfig {
+                duration_s: 10,
+                drain_s: 2.0,
+                ..sc.config()
+            };
+            let mut sweep = Sweep::for_scenario(sc, cfg);
+            sweep.set_axis("seed", "1,2").unwrap();
+            assert_eq!(sweep.len(), 2 * labels.len(), "{name}");
+            let points = sweep.points();
+            let results = crate::runner::Runner::serial().run(points.clone());
+            let aggregates = crate::report::aggregate_sweep(&points, &results);
+            let got: Vec<&str> = aggregates.iter().map(|a| a.label.as_str()).collect();
+            assert_eq!(got, labels, "{name}: one aggregate per named point");
+            for agg in &aggregates {
+                assert_eq!(agg.seeds, [1, 2], "{name} {}", agg.label);
+            }
+        }
+    }
+
+    #[test]
+    fn an_axis_over_a_family_setting_replaces_its_points() {
+        let spot = scenario::find("spot_diurnal").unwrap();
+        let sweep = Sweep::for_scenario(spot, spot.config());
+        let points = sweep.points();
+        // The on-demand fleet lives on the friendly cloud.
+        assert_eq!(points[0].label, "ondemand-reactive");
+        assert!(!points[0].cfg.spot);
+        assert_eq!(points[0].cfg.revoke_per_hour, 0.0);
+        assert_eq!(points[0].cfg.stockout, 0.0);
+        assert_eq!(points[2].label, "spot-forecast");
+        assert_eq!(points[2].cfg, spot.config());
+
+        let mut sweep = Sweep::for_scenario(spot, spot.config());
+        sweep.set_axis("provisioner", "reactive,forecast").unwrap();
+        let labels: Vec<_> = sweep.points().into_iter().map(|p| p.label).collect();
+        assert_eq!(
+            labels,
+            [
+                "loki-greedy provisioner=reactive",
+                "loki-greedy provisioner=forecast"
+            ]
+        );
+
+        let elastic = scenario::find("elastic_diurnal").unwrap();
+        let mut sweep = Sweep::for_scenario(elastic, elastic.config());
+        sweep.set_axis("elastic", "static-peak,autoscale").unwrap();
+        sweep.set_axis("seed", "1,2").unwrap();
+        let labels: Vec<_> = sweep.points().into_iter().map(|p| p.label).collect();
+        assert_eq!(
+            labels,
+            [
+                "loki-greedy elastic=static-peak seed=1",
+                "loki-greedy elastic=static-peak seed=2",
+                "loki-greedy elastic=autoscale seed=1",
+                "loki-greedy elastic=autoscale seed=2",
+            ]
+        );
     }
 
     #[test]

@@ -334,7 +334,13 @@ pub fn burn_json(report: &BurnReport) -> Json {
     obj.push("slo_target", report.slo_target.into())
         .push("budget_queries", report.budget_queries.into())
         .push("budget_consumed", report.budget_consumed.into())
-        .push("worst_burn_rate", report.worst_burn_rate.into());
+        .push("worst_burn_rate", report.worst_burn_rate.into())
+        .push("episodes", episodes_json(report));
+    obj
+}
+
+/// The burn episodes of a [`BurnReport`] as a JSON array.
+pub fn episodes_json(report: &BurnReport) -> Json {
     let episodes = report
         .episodes
         .iter()
@@ -350,8 +356,7 @@ pub fn burn_json(report: &BurnReport) -> Json {
             ep
         })
         .collect();
-    obj.push("episodes", Json::Arr(episodes));
-    obj
+    Json::Arr(episodes)
 }
 
 /// Render the timeline as JSON: run identity (simulated quantities only), the

@@ -38,7 +38,6 @@ fn assert_identical(a: &PointResult, b: &PointResult, what: &str) {
         a.result.intervals, b.result.intervals,
         "{what}: aggregate interval series"
     );
-    assert_eq!(a.arrivals, b.arrivals, "{what}: arrivals");
     assert_eq!(
         a.controller_stats, b.controller_stats,
         "{what}: controller stats"
