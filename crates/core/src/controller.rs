@@ -7,7 +7,9 @@ use crate::config::LokiConfig;
 use crate::load_balancer::{MostAccurateFirst, PlannerWarning};
 use crate::perf::FanoutOverrides;
 use loki_pipeline::{BatchSize, PipelineGraph, VariantId};
-use loki_sim::{AllocationPlan, CompiledPlan, Controller, ObservedState, WorkerId, WorkerView};
+use loki_sim::{
+    AllocationPlan, CompiledPlan, Controller, HopBudgets, ObservedState, WorkerId, WorkerView,
+};
 use serde::{Deserialize, Serialize};
 
 /// Invocation counts of the control plane. Every field is a count, so the stats of a
@@ -52,7 +54,7 @@ impl ControllerStats {
 /// The routing inputs that produced the last built routing plan. A routing tick whose
 /// inputs still match (demand within the deadband, identical worker assignments, same
 /// adopted fan-out) keeps the engine's current tables instead of rebuilding.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct RoutingCacheKey {
     demand_qps: f64,
     /// Assignment fields of each worker view; `queue_len` is deliberately excluded
@@ -82,6 +84,9 @@ fn worker_assignments_match(
 pub struct LokiController {
     graph: PipelineGraph,
     config: LokiConfig,
+    /// The planner's per-hop budgets: a function of `config` and `graph`, both fixed
+    /// for the controller's lifetime, so derived once and lent to every allocation.
+    budgets: HopBudgets,
     allocator: AllocatorKind,
     /// The Load Balancer's plan emitter (owns the reusable emission scratch).
     lb: MostAccurateFirst,
@@ -100,6 +105,7 @@ impl LokiController {
         graph.validate().expect("pipeline graph must be valid");
         let allocator = AllocatorKind::from_config(&config);
         Self {
+            budgets: config.hop_budgets(graph.num_tasks()),
             graph,
             config,
             allocator,
@@ -136,6 +142,9 @@ impl LokiController {
         demand_qps: f64,
         cluster_size: usize,
     ) -> AllocationOutcome {
+        // The context owns its budgets, so lend it the cached ones and take them
+        // back afterwards (an empty table stands in meanwhile).
+        let budgets = std::mem::replace(&mut self.budgets, HopBudgets::uniform(0.0, 0));
         let ctx = AllocationContext {
             graph: &self.graph,
             cluster_size,
@@ -143,10 +152,11 @@ impl LokiController {
             fanout: &self.fanout,
             drop_policy: self.config.drop_policy,
             slo_divisor: self.config.slo_headroom_divisor,
-            budgets: self.config.hop_budgets(self.graph.num_tasks()),
+            budgets,
             upgrade_with_leftover: self.config.upgrade_with_leftover,
         };
         let outcome = self.allocator.allocate(&ctx);
+        self.budgets = ctx.budgets;
         self.stats.allocations += 1;
         self.last_outcome = Some(outcome.clone());
         self.last_planned_demand = demand_qps;
@@ -191,7 +201,7 @@ impl Controller for LokiController {
         // generation bump conservatively invalidates the routing cache (adopted
         // aggregates usually differ between control ticks).
         if !observed.observed_fanout.is_empty() {
-            self.fanout = observed.observed_fanout.clone();
+            self.fanout.clone_from(observed.observed_fanout);
             self.fanout_generation += 1;
         }
         // Provision for the estimate times the margin so workers run below saturation.
@@ -231,18 +241,25 @@ impl Controller for LokiController {
             self.config.comm_latency_ms,
         );
         self.stats.routings += 1;
-        self.stats.routing_warnings = self.lb.warnings().to_vec();
+        self.stats.routing_warnings.clear();
+        self.stats
+            .routing_warnings
+            .extend_from_slice(self.lb.warnings());
         self.stats.routing_warnings_total += self.lb.warnings().len();
-        self.routing_cache = Some(RoutingCacheKey {
-            demand_qps: demand,
-            workers: observed
+        // Refill the previous key in place, keeping its worker buffer.
+        let cache = self
+            .routing_cache
+            .get_or_insert_with(RoutingCacheKey::default);
+        cache.demand_qps = demand;
+        cache.workers.clear();
+        cache.workers.extend(
+            observed
                 .workers
                 .iter()
-                .map(|w| (w.id, w.variant, w.max_batch, w.swapping))
-                .collect(),
-            fanout_generation: self.fanout_generation,
-            now_s: observed.now_s,
-        });
+                .map(|w| (w.id, w.variant, w.max_batch, w.swapping)),
+        );
+        cache.fanout_generation = self.fanout_generation;
+        cache.now_s = observed.now_s;
         Some(plan)
     }
 }

@@ -21,14 +21,26 @@
 //! used as the warm-start incumbent for the exact MILP.
 
 use crate::allocator::{AllocationContext, AllocationOutcome, Allocator, ScalingMode};
-use crate::perf::{ChoicePlan, PerfModel};
-use loki_pipeline::{BatchSize, VariantId};
+use crate::perf::{effective_fanout, ChoicePlan, PerfModel};
+use loki_pipeline::{BatchSize, TaskId, VariantId};
 use loki_sim::{AllocationPlan, InstanceSpec};
 use std::collections::HashMap;
 
 /// The greedy allocation engine.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyAllocator;
+
+/// A loaded task's one-rank accuracy upgrade, as priced for leftover servers.
+struct Upgrade {
+    /// The next more accurate variant of the task.
+    variant: VariantId,
+    /// The largest batch that keeps every path feasible with that variant.
+    batch: BatchSize,
+    /// Throughput (QPS) one replica of it adds.
+    added: f64,
+    /// End-to-end accuracy gained if it served all of the task's traffic.
+    gain: f64,
+}
 
 impl GreedyAllocator {
     /// Create a greedy allocator.
@@ -44,16 +56,16 @@ impl GreedyAllocator {
             .collect()
     }
 
-    /// Greedy accuracy degradation: starting from `choice`, repeatedly apply the
-    /// downgrade with the best servers-saved-per-accuracy-lost ratio until the plan
-    /// fits in the cluster or no further downgrade exists. Returns the final choice and
-    /// its plan (if any plan is latency-feasible at all).
+    /// Greedy accuracy degradation: starting from `choice` and its plan `current_plan`,
+    /// repeatedly apply the downgrade with the best servers-saved-per-accuracy-lost
+    /// ratio until the plan fits in the cluster or no further downgrade exists.
+    /// Returns the final choice and its plan (if any plan is latency-feasible at all).
     fn degrade_until_feasible(
         perf: &PerfModel<'_>,
         ctx: &AllocationContext<'_>,
         mut choice: Vec<usize>,
+        mut current_plan: Option<ChoicePlan>,
     ) -> (Vec<usize>, Option<ChoicePlan>) {
-        let mut current_plan = perf.plan_for_choice(&choice, ctx.demand_qps, ctx.fanout);
         let max_steps: usize = ctx.graph.tasks().map(|(_, t)| t.variants.len()).sum();
         for _ in 0..max_steps {
             if let Some(p) = &current_plan {
@@ -70,29 +82,34 @@ impl GreedyAllocator {
                 .as_ref()
                 .map(|p| p.accuracy)
                 .unwrap_or_else(|| perf.choice_accuracy(&choice));
-            let mut best: Option<(f64, Vec<usize>, ChoicePlan)> = None;
             // Among downgrades that already make the plan fit the cluster, prefer the
             // one losing the least accuracy; otherwise fall back to the best
-            // servers-saved-per-accuracy-lost ratio.
-            let mut best_feasible: Option<(f64, Vec<usize>, ChoicePlan)> = None;
-            for (task_id, task) in ctx.graph.tasks() {
-                let t = task_id.index();
-                let order = task.variants_by_accuracy_desc();
+            // servers-saved-per-accuracy-lost ratio. Each candidate is planned on
+            // `choice` in place, and only the leader's plan is kept.
+            let mut best: Option<(f64, ChoicePlan)> = None;
+            let mut best_feasible: Option<(f64, ChoicePlan)> = None;
+            for t in 0..ctx.graph.num_tasks() {
+                let order = ctx.graph.accuracy_order(TaskId(t));
                 let pos = order.iter().position(|&k| k == choice[t]).unwrap();
-                if pos + 1 >= order.len() {
+                let Some(&down) = order.get(pos + 1) else {
                     continue; // already at the least accurate variant
-                }
-                let mut cand = choice.clone();
-                cand[t] = order[pos + 1];
-                let Some(plan) = perf.plan_for_choice(&cand, ctx.demand_qps, ctx.fanout) else {
+                };
+                let current = choice[t];
+                choice[t] = down;
+                let plan = perf.plan_for_choice(&choice, ctx.demand_qps, ctx.fanout);
+                choice[t] = current;
+                let Some(plan) = plan else {
                     continue;
                 };
-                if plan.servers <= ctx.cluster_size
-                    && best_feasible
+                if plan.servers <= ctx.cluster_size {
+                    // A fitting downgrade always wins over the ratio fallback.
+                    if best_feasible
                         .as_ref()
-                        .is_none_or(|(a, _, _)| plan.accuracy > *a)
-                {
-                    best_feasible = Some((plan.accuracy, cand.clone(), plan.clone()));
+                        .is_none_or(|(a, _)| plan.accuracy > *a)
+                    {
+                        best_feasible = Some((plan.accuracy, plan));
+                    }
+                    continue;
                 }
                 let saved = if current_servers.is_finite() {
                     current_servers - plan.servers as f64
@@ -102,13 +119,13 @@ impl GreedyAllocator {
                 };
                 let lost = (current_accuracy - plan.accuracy).max(1e-6);
                 let score = saved / lost;
-                if best.as_ref().is_none_or(|(s, _, _)| score > *s) {
-                    best = Some((score, cand, plan));
+                if best.as_ref().is_none_or(|(s, _)| score > *s) {
+                    best = Some((score, plan));
                 }
             }
             match best_feasible.or(best) {
-                Some((_, cand, plan)) => {
-                    choice = cand;
+                Some((_, plan)) => {
+                    choice.copy_from_slice(&plan.choice);
                     current_plan = Some(plan);
                 }
                 None => break,
@@ -119,10 +136,10 @@ impl GreedyAllocator {
 
     /// Convert a single-choice plan into the data-plane allocation plan.
     fn plan_to_alloc(
+        perf: &PerfModel<'_>,
         ctx: &AllocationContext<'_>,
         plan: &ChoicePlan,
-    ) -> (AllocationPlan, HashMap<VariantId, f64>) {
-        let perf = PerfModel::with_budgets(ctx.graph, ctx.slo_divisor, ctx.budgets.clone());
+    ) -> AllocationPlan {
         let mut instances = Vec::new();
         let mut budgets = HashMap::new();
         for (t, &k) in plan.choice.iter().enumerate() {
@@ -138,14 +155,11 @@ impl GreedyAllocator {
             });
             budgets.insert(variant, perf.runtime_budget_ms(variant, batch));
         }
-        (
-            AllocationPlan {
-                instances,
-                latency_budgets_ms: budgets.clone(),
-                drop_policy: ctx.drop_policy,
-            },
-            budgets,
-        )
+        AllocationPlan {
+            instances,
+            latency_budgets_ms: budgets,
+            drop_policy: ctx.drop_policy,
+        }
     }
 
     /// Spend leftover servers on replicas of more accurate variants so that part of the
@@ -161,83 +175,173 @@ impl GreedyAllocator {
         if leftover == 0 {
             return plan.accuracy;
         }
-        let mut upgraded_capacity: HashMap<usize, f64> = HashMap::new();
-        let mut remaining = leftover;
-        let mut expected_accuracy = plan.accuracy;
-        while remaining > 0 {
-            let mut best: Option<(f64, usize, usize, BatchSize, f64)> = None; // (gain, task, variant, batch, fraction)
-            for (task_id, task) in ctx.graph.tasks() {
-                let t = task_id.index();
+        let graph = ctx.graph;
+        // A task's upgrade does not depend on which replicas were added before it, so
+        // each is priced once, on copies of the plan's choice and batches.
+        let base_accuracy = perf.choice_accuracy(&plan.choice);
+        let mut choice = plan.choice.clone();
+        let mut batches = plan.batches.clone();
+        let upgrades: Vec<Option<Upgrade>> = (0..graph.num_tasks())
+            .map(|t| {
                 if plan.task_demands[t] <= 1e-9 {
-                    continue;
+                    return None;
                 }
-                let order = task.variants_by_accuracy_desc();
+                let order = graph.accuracy_order(TaskId(t));
                 let pos = order.iter().position(|&k| k == plan.choice[t]).unwrap();
-                if pos == 0 {
-                    continue; // already the most accurate
-                }
-                let up = order[pos - 1];
+                // `None` when the task already runs its most accurate variant.
+                let up = *order[..pos].last()?;
                 // The upgraded variant is slower; find the largest batch that keeps
                 // every path feasible when this task runs the upgraded variant.
-                let mut cand_choice = plan.choice.clone();
-                cand_choice[t] = up;
+                choice[t] = up;
                 let mut best_batch = None;
-                for &b in ctx.graph.batch_sizes() {
-                    let mut batches = plan.batches.clone();
+                for &b in graph.batch_sizes() {
                     batches[t] = b;
-                    if perf.batches_fit(&cand_choice, &batches) {
+                    if perf.batches_fit(&choice, &batches) {
                         best_batch = Some(match best_batch {
                             Some(prev) if prev >= b => prev,
                             _ => b,
                         });
                     }
                 }
-                let Some(batch) = best_batch else { continue };
-                let up_variant = VariantId::new(t, up);
-                let added = ctx.graph.variant(up_variant).throughput_qps(batch);
-                let already = upgraded_capacity.get(&t).copied().unwrap_or(0.0);
-                let coverable = ((already + added).min(plan.task_demands[t]) - already).max(0.0);
+                batches[t] = plan.batches[t];
+                let gain = (perf.choice_accuracy(&choice) - base_accuracy).max(0.0);
+                choice[t] = plan.choice[t];
+                let batch = best_batch?;
+                let variant = VariantId::new(t, up);
+                Some(Upgrade {
+                    variant,
+                    batch,
+                    added: graph.variant(variant).throughput_qps(batch),
+                    gain,
+                })
+            })
+            .collect();
+
+        let mut upgraded_capacity = vec![0.0; graph.num_tasks()];
+        let mut remaining = leftover;
+        let mut expected_accuracy = plan.accuracy;
+        while remaining > 0 {
+            let mut best: Option<(f64, usize, &Upgrade)> = None; // (gain, task, upgrade)
+            for (t, up) in upgrades.iter().enumerate() {
+                let Some(up) = up else { continue };
+                let demand = plan.task_demands[t];
+                let already = upgraded_capacity[t];
+                let coverable = ((already + up.added).min(demand) - already).max(0.0);
                 if coverable <= 1e-9 {
                     continue;
                 }
-                let fraction = coverable / plan.task_demands[t];
-                let mut up_choice = plan.choice.clone();
-                up_choice[t] = up;
-                let acc_gain = (perf.choice_accuracy(&up_choice)
-                    - perf.choice_accuracy(&plan.choice))
-                .max(0.0)
-                    * fraction;
-                if acc_gain > 1e-9 && best.as_ref().is_none_or(|(g, ..)| acc_gain > *g) {
-                    best = Some((acc_gain, t, up, batch, fraction));
+                let acc_gain = up.gain * (coverable / demand);
+                if acc_gain > 1e-9 && best.is_none_or(|(g, ..)| acc_gain > g) {
+                    best = Some((acc_gain, t, up));
                 }
             }
-            let Some((gain, t, up, batch, _fraction)) = best else {
+            let Some((gain, t, up)) = best else {
                 break;
             };
-            let up_variant = VariantId::new(t, up);
-            let added = ctx.graph.variant(up_variant).throughput_qps(batch);
-            *upgraded_capacity.entry(t).or_insert(0.0) += added;
+            upgraded_capacity[t] += up.added;
             expected_accuracy += gain;
             if let Some(existing) = alloc
                 .instances
                 .iter_mut()
-                .find(|i| i.variant == up_variant && i.max_batch == batch)
+                .find(|i| i.variant == up.variant && i.max_batch == up.batch)
             {
                 existing.count += 1;
             } else {
                 alloc.instances.push(InstanceSpec {
-                    variant: up_variant,
-                    max_batch: batch,
+                    variant: up.variant,
+                    max_batch: up.batch,
                     count: 1,
                 });
             }
             alloc
                 .latency_budgets_ms
-                .entry(up_variant)
-                .or_insert_with(|| perf.runtime_budget_ms(up_variant, batch));
+                .entry(up.variant)
+                .or_insert_with(|| perf.runtime_budget_ms(up.variant, up.batch));
             remaining -= 1;
         }
         expected_accuracy.min(ctx.graph.max_accuracy())
+    }
+
+    /// Steps 1 and 2: the most accurate plan that fits the cluster, by hardware
+    /// scaling if the most accurate variants fit and by accuracy scaling otherwise.
+    /// `None` if no plan the degradation reaches fits.
+    fn scale_to_fit(
+        perf: &PerfModel<'_>,
+        ctx: &AllocationContext<'_>,
+        demand: f64,
+    ) -> Option<AllocationOutcome> {
+        let best_choice = Self::most_accurate_choice(ctx);
+        // Step 1: hardware scaling with the most accurate variants.
+        let best_plan = perf.plan_for_choice(&best_choice, demand, ctx.fanout);
+        if let Some(plan) = &best_plan {
+            if plan.servers <= ctx.cluster_size {
+                let alloc = Self::plan_to_alloc(perf, ctx, plan);
+                let servable =
+                    perf.max_servable_demand(&best_choice, plan.servers.max(1), ctx.fanout);
+                return Some(AllocationOutcome {
+                    expected_accuracy: plan.accuracy,
+                    servers_used: plan.servers,
+                    demand_planned: demand,
+                    servable_demand: servable,
+                    mode: ScalingMode::Hardware,
+                    plan: alloc,
+                });
+            }
+        }
+
+        // Step 2: accuracy scaling, from the step-1 plan. It was planned for the
+        // clamped demand, which differs from `ctx.demand_qps` only when that is
+        // negative, and a negative demand needs no server, so step 1 took it.
+        let (choice, plan) = Self::degrade_until_feasible(perf, ctx, best_choice, best_plan);
+        if let Some(plan) = plan {
+            if plan.servers <= ctx.cluster_size {
+                let mut alloc = Self::plan_to_alloc(perf, ctx, &plan);
+                let leftover = ctx.cluster_size - plan.servers;
+                let expected_accuracy = if ctx.upgrade_with_leftover {
+                    Self::upgrade_with_leftover(perf, ctx, &plan, leftover, &mut alloc)
+                } else {
+                    plan.accuracy
+                };
+                let servers_used = alloc.total_workers();
+                let servable = perf.max_servable_demand(&choice, ctx.cluster_size, ctx.fanout);
+                return Some(AllocationOutcome {
+                    plan: alloc,
+                    mode: ScalingMode::Accuracy,
+                    servers_used,
+                    expected_accuracy,
+                    demand_planned: demand,
+                    servable_demand: servable,
+                });
+            }
+        }
+        None
+    }
+
+    /// Whether every variant choice sends demand to every task, so that any plan
+    /// needs at least one server per task. Follows `PerfModel::task_demands` with
+    /// each edge's least fan-out over its parent's variants, which bounds every
+    /// choice's task demands from below.
+    fn loads_every_task(ctx: &AllocationContext<'_>, demand: f64) -> bool {
+        let graph = ctx.graph;
+        let mut least_demand = vec![0.0; graph.num_tasks()];
+        least_demand[graph.root().index()] = demand;
+        for &task_id in graph.topological_order() {
+            let t = task_id.index();
+            let task = graph.task(task_id);
+            for edge in &task.children {
+                let mut least = f64::INFINITY;
+                for k in 0..task.variants.len() {
+                    let f = effective_fanout(graph, VariantId::new(t, k), edge.child, ctx.fanout);
+                    if f.is_nan() || f < 0.0 {
+                        return false; // a negative or NaN fan-out bounds nothing
+                    }
+                    least = least.min(f);
+                }
+                least_demand[edge.child.index()] += least_demand[t] * least;
+            }
+        }
+        // `plan_for_choice` gives a task no replica at or below this demand.
+        least_demand.iter().all(|&d| d > 1e-9)
     }
 
     /// The least accurate (highest throughput) variant choice.
@@ -255,48 +359,15 @@ impl Allocator for GreedyAllocator {
     }
 
     fn allocate(&self, ctx: &AllocationContext<'_>) -> AllocationOutcome {
-        let perf = PerfModel::with_budgets(ctx.graph, ctx.slo_divisor, ctx.budgets.clone());
-        let best_choice = Self::most_accurate_choice(ctx);
+        let perf = PerfModel::with_budgets(ctx.graph, ctx.slo_divisor, &ctx.budgets);
         let demand = ctx.demand_qps.max(0.0);
-
-        // Step 1: hardware scaling with the most accurate variants.
-        if let Some(plan) = perf.plan_for_choice(&best_choice, demand, ctx.fanout) {
-            if plan.servers <= ctx.cluster_size {
-                let (alloc, _) = Self::plan_to_alloc(ctx, &plan);
-                let servable =
-                    perf.max_servable_demand(&best_choice, plan.servers.max(1), ctx.fanout);
-                return AllocationOutcome {
-                    expected_accuracy: plan.accuracy,
-                    servers_used: plan.servers,
-                    demand_planned: demand,
-                    servable_demand: servable,
-                    mode: ScalingMode::Hardware,
-                    plan: alloc,
-                };
-            }
-        }
-
-        // Step 2: accuracy scaling.
-        let (choice, plan) = Self::degrade_until_feasible(&perf, ctx, best_choice);
-        if let Some(plan) = plan {
-            if plan.servers <= ctx.cluster_size {
-                let (mut alloc, _) = Self::plan_to_alloc(ctx, &plan);
-                let leftover = ctx.cluster_size - plan.servers;
-                let expected_accuracy = if ctx.upgrade_with_leftover {
-                    Self::upgrade_with_leftover(&perf, ctx, &plan, leftover, &mut alloc)
-                } else {
-                    plan.accuracy
-                };
-                let servers_used = alloc.total_workers();
-                let servable = perf.max_servable_demand(&choice, ctx.cluster_size, ctx.fanout);
-                return AllocationOutcome {
-                    plan: alloc,
-                    mode: ScalingMode::Accuracy,
-                    servers_used,
-                    expected_accuracy,
-                    demand_planned: demand,
-                    servable_demand: servable,
-                };
+        // A cluster with fewer servers than the tasks every choice loads fits no
+        // plan, so steps 1 and 2 would search in vain.
+        let fits_none =
+            ctx.cluster_size < ctx.graph.num_tasks() && Self::loads_every_task(ctx, demand);
+        if !fits_none {
+            if let Some(outcome) = Self::scale_to_fit(&perf, ctx, demand) {
+                return outcome;
             }
         }
 
@@ -321,7 +392,7 @@ impl Allocator for GreedyAllocator {
                 servable_demand: 0.0,
             },
             Some(plan) => {
-                let (mut alloc, _) = Self::plan_to_alloc(ctx, &plan);
+                let mut alloc = Self::plan_to_alloc(&perf, ctx, &plan);
                 let leftover = ctx.cluster_size.saturating_sub(plan.servers);
                 let expected_accuracy = if ctx.upgrade_with_leftover {
                     Self::upgrade_with_leftover(&perf, ctx, &plan, leftover, &mut alloc)

@@ -31,7 +31,7 @@
 //! with no routable workers — traffic the engine can only drop — instead of
 //! leaving those tasks silently unroutable.
 
-use crate::perf::{FanoutOverrides, PerfModel};
+use crate::perf::{effective_fanout, FanoutOverrides};
 use loki_pipeline::{PipelineGraph, TaskId, VariantId};
 use loki_sim::{
     BackupWorker, CompiledPlan, LinkDelayModel, PlanBuilder, RouteMode, RoutingPlan, WorkerId,
@@ -147,7 +147,6 @@ impl MostAccurateFirst {
         links: &LinkDelayModel,
         uniform_ms: f64,
     ) -> CompiledPlan {
-        let perf = PerfModel::new(graph, 1.0, 0.0);
         let num_tasks = graph.num_tasks();
         self.warnings.clear();
         self.group_by_task(graph, workers, num_tasks);
@@ -189,7 +188,7 @@ impl MostAccurateFirst {
         // traffic to downstream workers most-accurate-first.
         self.unrouted_scratch.clear();
         self.unrouted_scratch.resize(num_tasks, 0.0);
-        for task_id in graph.topological_order() {
+        for &task_id in graph.topological_order() {
             let t = task_id.index();
             let children = &graph.task(task_id).children;
             if children.is_empty() {
@@ -204,7 +203,7 @@ impl MostAccurateFirst {
                 let (worker_id, variant, incoming) = self.upstream_scratch[i];
                 for edge in children {
                     let child = edge.child.index();
-                    let outgoing = incoming * perf.fanout(variant, edge.child, fanout);
+                    let outgoing = incoming * effective_fanout(graph, variant, edge.child, fanout);
                     let Some(child_states) = self.by_task.get_mut(child) else {
                         continue;
                     };
@@ -355,7 +354,6 @@ impl MostAccurateFirst {
         demand_qps: f64,
         fanout: &FanoutOverrides,
     ) -> RoutingPlan {
-        let perf = PerfModel::new(graph, 1.0, 0.0);
         // Group workers by task, sorted most-accurate-first (ties by id for
         // determinism).
         let mut by_task: HashMap<usize, Vec<WorkerState>> = HashMap::new();
@@ -400,7 +398,7 @@ impl MostAccurateFirst {
 
         // Walk tasks in topological order, assigning each worker's outgoing traffic to
         // downstream workers most-accurate-first.
-        for task_id in graph.topological_order() {
+        for &task_id in graph.topological_order() {
             let t = task_id.index();
             let children: Vec<TaskId> = graph
                 .task(task_id)
@@ -422,7 +420,7 @@ impl MostAccurateFirst {
                 .unwrap_or_default();
             for (worker_id, variant, incoming) in upstream {
                 for &child in &children {
-                    let outgoing = incoming * perf.fanout(variant, child, fanout);
+                    let outgoing = incoming * effective_fanout(graph, variant, child, fanout);
                     let Some(child_states) = by_task.get_mut(&child.index()) else {
                         continue;
                     };

@@ -73,7 +73,7 @@ impl MilpAllocator {
         restrict_to_most_accurate: bool,
     ) -> (Model, MilpVars) {
         let graph = ctx.graph;
-        let perf = PerfModel::with_budgets(graph, ctx.slo_divisor, ctx.budgets.clone());
+        let perf = PerfModel::with_budgets(graph, ctx.slo_divisor, &ctx.budgets);
         let s = ctx.cluster_size as f64;
         let demand = ctx.demand_qps.max(0.0);
 
@@ -350,7 +350,7 @@ impl MilpAllocator {
         vars: &MilpVars,
         solution: &loki_milp::Solution,
     ) -> (AllocationPlan, usize) {
-        let perf = PerfModel::with_budgets(ctx.graph, ctx.slo_divisor, ctx.budgets.clone());
+        let perf = PerfModel::with_budgets(ctx.graph, ctx.slo_divisor, &ctx.budgets);
         let mut instances = Vec::new();
         let mut budgets = HashMap::new();
         let mut servers = 0usize;
@@ -416,7 +416,7 @@ impl Allocator for MilpAllocator {
 
     fn allocate(&self, ctx: &AllocationContext<'_>) -> AllocationOutcome {
         let aug = AugmentedGraph::new(ctx.graph);
-        let perf = PerfModel::with_budgets(ctx.graph, ctx.slo_divisor, ctx.budgets.clone());
+        let perf = PerfModel::with_budgets(ctx.graph, ctx.slo_divisor, &ctx.budgets);
         let greedy = GreedyAllocator::new().allocate(ctx);
 
         // ---- Step 1: hardware scaling ---------------------------------------------

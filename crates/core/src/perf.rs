@@ -7,12 +7,31 @@
 use loki_pipeline::{BatchSize, PipelineGraph, TaskId, VariantId};
 use loki_sim::HopBudgets;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Observed fan-out overrides: (upstream variant, downstream task) -> average number of
 /// intermediate queries generated per processed query (already including the branch
 /// ratio). Reported by workers through heartbeats and aggregated by the controller.
 pub type FanoutOverrides = HashMap<(VariantId, usize), f64>;
+
+/// The effective fan-out from `variant` to `child` task: the observed value if the
+/// controller has heartbeat data, otherwise the profiled multiplicative factor
+/// times the edge's branch ratio.
+pub fn effective_fanout(
+    graph: &PipelineGraph,
+    variant: VariantId,
+    child: TaskId,
+    overrides: &FanoutOverrides,
+) -> f64 {
+    if let Some(&v) = overrides.get(&(variant, child.index())) {
+        return v;
+    }
+    let ratio = graph
+        .branch_ratio(TaskId(variant.task), child)
+        .unwrap_or(0.0);
+    graph.variant(variant).mult_factor * ratio
+}
 
 /// The latency/throughput/accuracy model for one pipeline under one SLO policy.
 #[derive(Debug, Clone)]
@@ -21,7 +40,11 @@ pub struct PerfModel<'a> {
     /// Divisor applied to the SLO to reserve queueing headroom (2.0 in the paper).
     slo_divisor: f64,
     /// Per-hop one-way network latency budgets, charged once per hop on a path.
-    budgets: HopBudgets,
+    budgets: Cow<'a, HopBudgets>,
+    /// Processing budget (ms) of each of the graph's task paths, in
+    /// [`PipelineGraph::task_paths`] order: the SLO divided by the headroom
+    /// divisor, minus the path's network charge.
+    path_budgets: Vec<f64>,
 }
 
 /// The provisioning implied by choosing one specific model variant per task.
@@ -48,23 +71,38 @@ impl<'a> PerfModel<'a> {
     /// historical behaviour.
     pub fn new(graph: &'a PipelineGraph, slo_divisor: f64, comm_ms: f64) -> Self {
         assert!(comm_ms >= 0.0);
-        Self::with_budgets(
+        Self::build(
             graph,
             slo_divisor,
-            HopBudgets::uniform(comm_ms, graph.num_tasks()),
+            Cow::Owned(HopBudgets::uniform(comm_ms, graph.num_tasks())),
         )
     }
 
-    /// Create a performance model with explicit per-hop latency budgets (e.g. from
-    /// `LinkDelayModel::hop_budgets`), so paths that stay on cheap links are not
-    /// charged the cluster's worst-case hop.
-    pub fn with_budgets(graph: &'a PipelineGraph, slo_divisor: f64, budgets: HopBudgets) -> Self {
+    /// Create a performance model that borrows explicit per-hop latency budgets
+    /// (e.g. from `LinkDelayModel::hop_budgets`), so paths that stay on cheap links
+    /// are not charged the cluster's worst-case hop.
+    pub fn with_budgets(
+        graph: &'a PipelineGraph,
+        slo_divisor: f64,
+        budgets: &'a HopBudgets,
+    ) -> Self {
+        Self::build(graph, slo_divisor, Cow::Borrowed(budgets))
+    }
+
+    fn build(graph: &'a PipelineGraph, slo_divisor: f64, budgets: Cow<'a, HopBudgets>) -> Self {
         assert!(slo_divisor >= 1.0, "the SLO divisor must be at least 1");
-        Self {
+        let mut perf = Self {
             graph,
             slo_divisor,
             budgets,
-        }
+            path_budgets: Vec::new(),
+        };
+        perf.path_budgets = graph
+            .task_paths()
+            .iter()
+            .map(|p| graph.slo_ms() / slo_divisor - perf.path_comm_ms(&p.tasks))
+            .collect();
+        perf
     }
 
     /// The underlying pipeline graph.
@@ -96,20 +134,6 @@ impl<'a> PerfModel<'a> {
         self.graph.slo_ms() / self.slo_divisor - self.budgets.worst_path_comm_ms(num_tasks)
     }
 
-    /// The effective fan-out from `variant` to `child` task: the observed value if the
-    /// controller has heartbeat data, otherwise the profiled multiplicative factor
-    /// times the edge's branch ratio.
-    pub fn fanout(&self, variant: VariantId, child: TaskId, overrides: &FanoutOverrides) -> f64 {
-        if let Some(&v) = overrides.get(&(variant, child.index())) {
-            return v;
-        }
-        let ratio = self
-            .graph
-            .branch_ratio(TaskId(variant.task), child)
-            .unwrap_or(0.0);
-        self.graph.variant(variant).mult_factor * ratio
-    }
-
     /// Demand (QPS) arriving at each task when the root receives `demand` QPS and each
     /// task uses the variant given by `choice` (the workload-multiplication model of
     /// Section 2.2.1).
@@ -122,13 +146,13 @@ impl<'a> PerfModel<'a> {
         assert_eq!(choice.len(), self.graph.num_tasks());
         let mut demands = vec![0.0; self.graph.num_tasks()];
         demands[self.graph.root().index()] = demand;
-        for task_id in self.graph.topological_order() {
+        for &task_id in self.graph.topological_order() {
             let t = task_id.index();
             let variant = VariantId::new(t, choice[t]);
             let incoming = demands[t];
             for edge in &self.graph.task(task_id).children {
                 demands[edge.child.index()] +=
-                    incoming * self.fanout(variant, edge.child, overrides);
+                    incoming * effective_fanout(self.graph, variant, edge.child, overrides);
             }
         }
         demands
@@ -152,8 +176,7 @@ impl<'a> PerfModel<'a> {
     /// True if the given per-task batch sizes keep the processing latency of every
     /// root-to-sink path within its budget.
     pub fn batches_fit(&self, choice: &[usize], batches: &[BatchSize]) -> bool {
-        for path in self.graph.task_paths() {
-            let budget = self.graph.slo_ms() / self.slo_divisor - self.path_comm_ms(&path.tasks);
+        for (path, &budget) in self.graph.task_paths().iter().zip(&self.path_budgets) {
             let total: f64 = path
                 .tasks
                 .iter()
@@ -176,7 +199,7 @@ impl<'a> PerfModel<'a> {
     /// Batch sizes are chosen greedily: start at 1 everywhere and repeatedly enlarge
     /// the batch of the task that currently needs the most replicas, as long as every
     /// path still fits its latency budget and the enlargement reduces the total server
-    /// count.
+    /// count. Candidates are tried in place, so only the returned plan allocates.
     pub fn plan_for_choice(
         &self,
         choice: &[usize],
@@ -185,7 +208,7 @@ impl<'a> PerfModel<'a> {
     ) -> Option<ChoicePlan> {
         let n = self.graph.num_tasks();
         assert_eq!(choice.len(), n);
-        let allowed = self.graph.batch_sizes().to_vec();
+        let allowed = self.graph.batch_sizes();
         let min_batch = *allowed.iter().min().expect("batch size set is non-empty");
         let mut batches = vec![min_batch; n];
         if !self.batches_fit(choice, &batches) {
@@ -193,51 +216,61 @@ impl<'a> PerfModel<'a> {
         }
         let demands = self.task_demands(choice, demand, overrides);
 
-        let replicas_for = |batches: &[BatchSize]| -> Vec<usize> {
-            (0..n)
-                .map(|t| {
-                    if demands[t] <= 1e-9 {
-                        0
-                    } else {
-                        let q = self.graph.task(TaskId(t)).variants[choice[t]]
-                            .throughput_qps(batches[t]);
-                        (demands[t] / q).ceil().max(1.0) as usize
-                    }
-                })
-                .collect()
+        // Replicas task `t` needs to absorb its demand at maximum batch `batch`.
+        let replicas_at = |t: usize, batch: BatchSize| -> usize {
+            if demands[t] <= 1e-9 {
+                0
+            } else {
+                let q = self.graph.task(TaskId(t)).variants[choice[t]].throughput_qps(batch);
+                (demands[t] / q).ceil().max(1.0) as usize
+            }
         };
 
-        let mut replicas = replicas_for(&batches);
+        let mut replicas: Vec<usize> = (0..n).map(|t| replicas_at(t, batches[t])).collect();
+        let mut servers: usize = replicas.iter().sum();
+        // A task whose batch latency grows with the batch size cannot fit a larger
+        // batch than one that failed, so when the sizes ascend its search stops at
+        // the first failure.
+        let ascending = allowed.is_sorted();
         // Greedy batch enlargement: at each step apply the single-task batch increase
         // (to any larger allowed size) that reduces the total server count the most,
-        // while keeping every path within its latency budget.
+        // while keeping every path within its latency budget. A candidate changes one
+        // task's batch, so only that task's replica count changes.
         loop {
-            let total: usize = replicas.iter().sum();
-            let mut best: Option<(usize, BatchSize, Vec<usize>, usize)> = None;
+            // (task, batch, its replicas, total servers)
+            let mut best: Option<(usize, BatchSize, usize, usize)> = None;
             for t in 0..n {
-                for &cand_batch in allowed.iter().filter(|&&b| b > batches[t]) {
-                    let mut cand = batches.clone();
-                    cand[t] = cand_batch;
-                    if !self.batches_fit(choice, &cand) {
+                let current = batches[t];
+                let monotone = ascending
+                    && self.graph.task(TaskId(t)).variants[choice[t]]
+                        .latency
+                        .beta_ms
+                        >= 0.0;
+                for &cand_batch in allowed.iter().filter(|&&b| b > current) {
+                    let cand_replicas = replicas_at(t, cand_batch);
+                    let cand_servers = servers - replicas[t] + cand_replicas;
+                    // Only a candidate that would take the lead needs its latency checked.
+                    if cand_servers >= servers || best.is_some_and(|b| cand_servers >= b.3) {
                         continue;
                     }
-                    let cand_replicas = replicas_for(&cand);
-                    let cand_total: usize = cand_replicas.iter().sum();
-                    if cand_total < total && best.as_ref().is_none_or(|b| cand_total < b.3) {
-                        best = Some((t, cand_batch, cand_replicas, cand_total));
+                    batches[t] = cand_batch;
+                    let fits = self.batches_fit(choice, &batches);
+                    batches[t] = current;
+                    if fits {
+                        best = Some((t, cand_batch, cand_replicas, cand_servers));
+                    } else if monotone {
+                        break;
                     }
                 }
             }
-            match best {
-                Some((t, b, new_replicas, _)) => {
-                    batches[t] = b;
-                    replicas = new_replicas;
-                }
-                None => break,
-            }
+            let Some((t, batch, task_replicas, total)) = best else {
+                break;
+            };
+            batches[t] = batch;
+            replicas[t] = task_replicas;
+            servers = total;
         }
 
-        let servers: usize = replicas.iter().sum();
         Some(ChoicePlan {
             choice: choice.to_vec(),
             batches,
@@ -283,23 +316,25 @@ impl<'a> PerfModel<'a> {
     /// bigger batches are always better).
     pub fn max_batches_for_choice(&self, choice: &[usize]) -> Option<Vec<BatchSize>> {
         let n = self.graph.num_tasks();
-        let allowed = self.graph.batch_sizes().to_vec();
+        let allowed = self.graph.batch_sizes();
         let min_batch = *allowed.iter().min().unwrap();
         let mut batches = vec![min_batch; n];
         if !self.batches_fit(choice, &batches) {
             return None;
         }
-        // Round-robin enlargement until nothing fits any more.
+        // Round-robin enlargement until nothing fits any more, each step tried in
+        // place.
         loop {
             let mut changed = false;
             for t in 0..n {
-                let next = allowed.iter().copied().filter(|&b| b > batches[t]).min();
+                let current = batches[t];
+                let next = allowed.iter().copied().filter(|&b| b > current).min();
                 if let Some(next) = next {
-                    let mut cand = batches.clone();
-                    cand[t] = next;
-                    if self.batches_fit(choice, &cand) {
-                        batches[t] = next;
+                    batches[t] = next;
+                    if self.batches_fit(choice, &batches) {
                         changed = true;
+                    } else {
+                        batches[t] = current;
                     }
                 }
             }
@@ -500,7 +535,8 @@ mod tests {
         };
         let scalar_hop = links.max_hop_ms(2.0);
         assert!((scalar_hop - 5.0).abs() < 1e-9);
-        let per_hop = PerfModel::with_budgets(&g, 2.0, links.hop_budgets(2.0, g.num_tasks()));
+        let budgets = links.hop_budgets(2.0, g.num_tasks());
+        let per_hop = PerfModel::with_budgets(&g, 2.0, &budgets);
         let scalar = PerfModel::new(&g, 2.0, scalar_hop);
         let mut strictly_tighter = 0;
         for path in g.task_paths() {

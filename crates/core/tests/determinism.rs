@@ -15,9 +15,17 @@
 //!    root's spans are recorded, which a change to delivery order moves even
 //!    when the totals happen to agree.
 
-use loki_core::{LokiConfig, LokiController};
-use loki_pipeline::zoo;
-use loki_sim::{LinkDelayModel, ObserveConfig, RunSummary, SimConfig, SimResult, Simulation};
+use loki_core::allocator::AllocationContext;
+use loki_core::greedy::GreedyAllocator;
+use loki_core::perf::{FanoutOverrides, PerfModel};
+use loki_core::{
+    AllocationOutcome, Allocator, LokiConfig, LokiController, MostAccurateFirst, ScalingMode,
+};
+use loki_pipeline::{zoo, PipelineGraph, VariantId};
+use loki_sim::{
+    CompiledPlan, DropPolicy, HopBudgets, LinkDelayModel, ObserveConfig, RouteMode, RunSummary,
+    SimConfig, SimResult, Simulation, WorkerId, WorkerView,
+};
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
 
 fn run_observed(seed: u64, link_delays: LinkDelayModel, observe: ObserveConfig) -> SimResult {
@@ -215,3 +223,216 @@ fn golden_hetnet_trace_is_stable() {
 // entry, which must leave every span where it was.
 const GOLDEN_HETNET_SPANS: usize = 85_541;
 const GOLDEN_HETNET_TRACE_DIGEST: u64 = 0xe4ea_2d5e_badd_72f3;
+
+/// The fixed fan-out observations of the planner golden: the root's most
+/// accurate variant sends 1.7 queries per frame to its first child, and its
+/// least accurate one 0.4.
+fn fixed_fanout(graph: &PipelineGraph) -> FanoutOverrides {
+    let root = graph.task(graph.root());
+    let child = root.children[0].child.index();
+    FanoutOverrides::from([
+        (
+            (VariantId::new(0, root.most_accurate_variant()), child),
+            1.7,
+        ),
+        (
+            (VariantId::new(0, root.least_accurate_variant()), child),
+            0.4,
+        ),
+    ])
+}
+
+/// Fan-out observations under which the root's least accurate variant sends
+/// nothing to its first child, so a choice exists that leaves that child idle.
+fn silent_fanout(graph: &PipelineGraph) -> FanoutOverrides {
+    let root = graph.task(graph.root());
+    let child = root.children[0].child.index();
+    FanoutOverrides::from([(
+        (VariantId::new(0, root.least_accurate_variant()), child),
+        0.0,
+    )])
+}
+
+/// Bits of one allocation outcome, in a fixed order: the instances as planned,
+/// the latency budgets sorted by variant, the mode, the servers used, and the
+/// accuracy and servable demand as bit patterns.
+fn outcome_words(out: &AllocationOutcome, words: &mut Vec<u64>) {
+    words.push(out.plan.instances.len() as u64);
+    for spec in &out.plan.instances {
+        words.extend([
+            spec.variant.task as u64,
+            spec.variant.variant as u64,
+            u64::from(spec.max_batch),
+            spec.count as u64,
+        ]);
+    }
+    let mut budgets: Vec<_> = out.plan.latency_budgets_ms.iter().collect();
+    budgets.sort_by_key(|(v, _)| **v);
+    words.push(budgets.len() as u64);
+    for (v, ms) in budgets {
+        words.extend([v.task as u64, v.variant as u64, ms.to_bits()]);
+    }
+    words.extend([
+        out.mode as u64,
+        out.servers_used as u64,
+        out.expected_accuracy.to_bits(),
+        out.servable_demand.to_bits(),
+    ]);
+}
+
+/// Bits of one emitted routing plan, read through its raw tables: the frontend
+/// weights, every (worker, child task) table and every task's backup list.
+fn plan_words(plan: &CompiledPlan, workers: &[WorkerView], num_tasks: usize, words: &mut Vec<u64>) {
+    let table = |t: &[(WorkerId, f64)], words: &mut Vec<u64>| {
+        words.push(t.len() as u64);
+        for (w, weight) in t {
+            words.extend([w.index() as u64, weight.to_bits()]);
+        }
+    };
+    table(plan.frontend_raw(), words);
+    for w in workers {
+        for child in 0..num_tasks {
+            match plan.raw_downstream(w.id, child) {
+                Some(t) => table(t, words),
+                None => words.push(u64::MAX),
+            }
+        }
+    }
+    for task in 0..num_tasks {
+        let backups = plan.backup(task);
+        words.push(backups.len() as u64);
+        for b in backups {
+            words.extend([
+                b.worker.index() as u64,
+                b.exec_time_ms.to_bits(),
+                b.accuracy.to_bits(),
+            ]);
+        }
+    }
+}
+
+/// Planner golden digest: greedy allocations and the plans `MostAccurateFirst`
+/// emits for them, on both zoo pipelines, over cluster size, demand (as a
+/// multiple of the capacity at maximum accuracy of the cluster, or of one
+/// server per task if the cluster is smaller), hop budgets and the fan-out
+/// observations `fanouts` gives for a graph. One emitter serves every case, as
+/// one does for a controller's lifetime. Returns the case count, the scaling
+/// modes seen and the digest.
+fn planner_digest(
+    clusters: &[usize],
+    fanouts: impl Fn(&PipelineGraph) -> Vec<FanoutOverrides>,
+) -> (usize, Vec<ScalingMode>, u64) {
+    let mut lb = MostAccurateFirst::default();
+    let mut words = Vec::new();
+    let mut cases = 0;
+    let mut modes = Vec::new();
+    for graph in [
+        zoo::traffic_analysis_pipeline(250.0),
+        zoo::social_media_pipeline(250.0),
+    ] {
+        let n = graph.num_tasks();
+        let best: Vec<usize> = graph
+            .tasks()
+            .map(|(_, t)| t.most_accurate_variant())
+            .collect();
+        let fanouts = fanouts(&graph);
+        for &cluster in clusters {
+            let capacity = PerfModel::new(&graph, 2.0, 2.0).max_servable_demand(
+                &best,
+                cluster.max(n),
+                &FanoutOverrides::new(),
+            );
+            for multiple in [0.3, 1.0, 1.5, 3.0] {
+                let demand = capacity * multiple;
+                for (route, links) in [
+                    (RouteMode::Accuracy, LinkDelayModel::Uniform),
+                    (RouteMode::LinkAware, two_tier()),
+                ] {
+                    let budgets = match route {
+                        RouteMode::Accuracy => HopBudgets::uniform(2.0, n),
+                        RouteMode::LinkAware => links.hop_budgets(2.0, n),
+                    };
+                    for fanout in &fanouts {
+                        let ctx = AllocationContext {
+                            graph: &graph,
+                            cluster_size: cluster,
+                            demand_qps: demand,
+                            fanout,
+                            drop_policy: DropPolicy::OpportunisticRerouting,
+                            slo_divisor: 2.0,
+                            budgets: budgets.clone(),
+                            upgrade_with_leftover: true,
+                        };
+                        let out = GreedyAllocator::new().allocate(&ctx);
+                        outcome_words(&out, &mut words);
+                        if !modes.contains(&out.mode) {
+                            modes.push(out.mode);
+                        }
+                        // One worker per planned replica, then idle workers up
+                        // to the cluster size.
+                        let workers: Vec<WorkerView> = out
+                            .plan
+                            .instances
+                            .iter()
+                            .flat_map(|s| {
+                                std::iter::repeat_n((Some(s.variant), s.max_batch), s.count)
+                            })
+                            .chain(std::iter::repeat((None, 1)))
+                            .take(cluster.max(out.plan.total_workers()))
+                            .enumerate()
+                            .map(|(id, (variant, max_batch))| WorkerView {
+                                id: WorkerId(id),
+                                variant,
+                                max_batch,
+                                queue_len: 0,
+                                swapping: false,
+                            })
+                            .collect();
+                        let plan = lb
+                            .emit_with_route(&graph, &workers, demand, fanout, route, &links, 2.0);
+                        plan_words(&plan, &workers, n, &mut words);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    let digest = fnv1a(words.iter().copied());
+    println!(
+        "planner golden candidate: clusters {clusters:?} cases {cases} words {} digest {digest:#018x}",
+        words.len()
+    );
+    (cases, modes, digest)
+}
+
+#[test]
+fn golden_planner_is_stable() {
+    let (cases, modes, digest) = planner_digest(&[4, 8, 20], |g| {
+        vec![FanoutOverrides::new(), fixed_fanout(g)]
+    });
+    assert_eq!(cases, 96);
+    assert_eq!(modes.len(), 3, "every scaling mode is covered: {modes:?}");
+    assert_eq!(digest, GOLDEN_PLANNER_DIGEST);
+}
+
+#[test]
+fn golden_planner_on_clusters_smaller_than_the_pipeline_is_stable() {
+    // One and two servers for a three-task and a two-task pipeline: most
+    // cases fit no plan at all, but a fan-out that leaves a task idle can
+    // make one fit.
+    let (cases, modes, digest) = planner_digest(&[1, 2], |g| {
+        vec![FanoutOverrides::new(), fixed_fanout(g), silent_fanout(g)]
+    });
+    assert_eq!(cases, 96);
+    assert!(
+        modes.contains(&ScalingMode::Saturated) && modes.len() > 1,
+        "both saturated and fitting plans are covered: {modes:?}"
+    );
+    assert_eq!(digest, GOLDEN_PLANNER_SMALL_CLUSTER_DIGEST);
+}
+
+// Both pinned before the planner stopped cloning candidates and the graph
+// started caching its paths, which must leave every outcome and plan
+// bit-identical.
+const GOLDEN_PLANNER_DIGEST: u64 = 0x44b9_8d70_bf31_b449;
+const GOLDEN_PLANNER_SMALL_CLUSTER_DIGEST: u64 = 0x5eda_aab9_250c_6be5;

@@ -235,7 +235,7 @@ impl AugmentedGraph {
     pub fn accuracy_for_choice(&self, graph: &PipelineGraph, choices: &[usize]) -> f64 {
         let task_paths = graph.task_paths();
         let mut total = 0.0;
-        for tp in &task_paths {
+        for tp in task_paths {
             let mut acc = 1.0;
             for &t in &tp.tasks {
                 acc *= graph.task(t).variants[choices[t.index()]].accuracy;

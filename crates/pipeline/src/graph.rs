@@ -11,6 +11,7 @@
 
 use crate::variant::{BatchSize, ModelVariant, VariantId, DEFAULT_BATCH_SIZES};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Identifier of a task within a [`PipelineGraph`] (the paper's `t_i`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -134,6 +135,21 @@ pub struct PipelineGraph {
     slo_ms: f64,
     /// Allowed batch sizes `B`.
     batch_sizes: Vec<BatchSize>,
+    /// Structure derived from `tasks`, built on first use.
+    derived: Derived,
+}
+
+/// Structure derived from a graph's tasks and edges. Planners query it inside
+/// their candidate loops, so each part is built once, on its first query, and
+/// then returned by reference. The parts are built separately: a query builds
+/// only what it reads, so [`PipelineGraph::validate`] (which reads the
+/// topological order) never enumerates the paths of a malformed graph.
+/// [`PipelineGraph::add_task`] and [`PipelineGraph::add_edge`] clear all three.
+#[derive(Debug, Clone, Default)]
+struct Derived {
+    order: OnceLock<Vec<TaskId>>,
+    paths: OnceLock<Vec<TaskPath>>,
+    accuracy_order: OnceLock<Vec<Vec<usize>>>,
 }
 
 impl PipelineGraph {
@@ -144,6 +160,7 @@ impl PipelineGraph {
             tasks: Vec::new(),
             slo_ms,
             batch_sizes: DEFAULT_BATCH_SIZES.to_vec(),
+            derived: Derived::default(),
         }
     }
 
@@ -176,6 +193,7 @@ impl PipelineGraph {
     /// Add a task with its variants; returns the new task's id. The first task added
     /// is the root (source) of the pipeline.
     pub fn add_task(&mut self, name: impl Into<String>, variants: Vec<ModelVariant>) -> TaskId {
+        self.derived = Derived::default();
         self.tasks.push(Task {
             name: name.into(),
             variants,
@@ -187,6 +205,7 @@ impl PipelineGraph {
     /// Add a directed edge from `parent` to `child` carrying `branch_ratio` of the
     /// parent's outgoing intermediate queries.
     pub fn add_edge(&mut self, parent: TaskId, child: TaskId, branch_ratio: f64) {
+        self.derived = Derived::default();
         self.tasks[parent.0].children.push(Edge {
             child,
             branch_ratio,
@@ -244,32 +263,60 @@ impl PipelineGraph {
             .collect()
     }
 
-    /// Tasks in topological (parent-before-child) order starting from the root.
-    pub fn topological_order(&self) -> Vec<TaskId> {
-        let mut order = Vec::with_capacity(self.tasks.len());
-        let mut stack = vec![self.root()];
-        let mut seen = vec![false; self.tasks.len()];
-        while let Some(t) = stack.pop() {
-            if seen[t.0] {
-                continue;
+    /// Tasks in topological (parent-before-child) order starting from the root,
+    /// as visited depth-first with each task's children in insertion order.
+    /// Tasks unreachable from the root are left out.
+    ///
+    /// Built on the first call after the graph's last `add_task`/`add_edge`,
+    /// then returned from the cache.
+    pub fn topological_order(&self) -> &[TaskId] {
+        self.derived.order.get_or_init(|| {
+            let mut order = Vec::with_capacity(self.tasks.len());
+            let mut stack = vec![self.root()];
+            let mut seen = vec![false; self.tasks.len()];
+            while let Some(t) = stack.pop() {
+                if seen[t.0] {
+                    continue;
+                }
+                seen[t.0] = true;
+                order.push(t);
+                // push children in reverse so the first child is visited first
+                for e in self.tasks[t.0].children.iter().rev() {
+                    stack.push(e.child);
+                }
             }
-            seen[t.0] = true;
-            order.push(t);
-            // push children in reverse so the first child is visited first
-            for e in self.tasks[t.0].children.iter().rev() {
-                stack.push(e.child);
-            }
-        }
-        order
+            order
+        })
     }
 
     /// All root-to-sink *task* paths (each entry is a sequence of task ids together
-    /// with the product of branch ratios along the way).
-    pub fn task_paths(&self) -> Vec<TaskPath> {
-        let mut out = Vec::new();
-        let mut current = Vec::new();
-        self.dfs_paths(self.root(), 1.0, &mut current, &mut out);
-        out
+    /// with the product of branch ratios along the way), depth-first with each
+    /// task's children in insertion order. The graph must be a valid rooted tree
+    /// (see [`PipelineGraph::validate`]).
+    ///
+    /// Built on the first call after the graph's last `add_task`/`add_edge`,
+    /// then returned from the cache.
+    pub fn task_paths(&self) -> &[TaskPath] {
+        self.derived.paths.get_or_init(|| {
+            let mut out = Vec::new();
+            let mut current = Vec::new();
+            self.dfs_paths(self.root(), 1.0, &mut current, &mut out);
+            out
+        })
+    }
+
+    /// Variant indices of `task` sorted by accuracy, most accurate first: the
+    /// order of [`Task::variants_by_accuracy_desc`].
+    ///
+    /// Built for every task on the first call after the graph's last
+    /// `add_task`/`add_edge`, then returned from the cache.
+    pub fn accuracy_order(&self, task: TaskId) -> &[usize] {
+        &self.derived.accuracy_order.get_or_init(|| {
+            self.tasks
+                .iter()
+                .map(Task::variants_by_accuracy_desc)
+                .collect()
+        })[task.0]
     }
 
     fn dfs_paths(
@@ -501,6 +548,42 @@ mod tests {
         g2.add_task("b", vec![mk_variant("y", 1.0)]);
         // no edge a->b: b has indegree 0, so the tree property fails for it.
         assert_eq!(g2.validate(), Err(GraphError::NotATree(TaskId(1))));
+    }
+
+    #[test]
+    fn derived_structure_follows_edits() {
+        let mut g = two_branch_graph();
+        assert_eq!(g.task_paths().len(), 2);
+        assert_eq!(g.topological_order().len(), 3);
+        assert_eq!(g.accuracy_order(TaskId(1)), &[1, 0]);
+        // A new sink under "car" splits its path in two.
+        let tail = g.add_task("tail", vec![mk_variant("t1", 0.5), mk_variant("t2", 0.9)]);
+        g.add_edge(TaskId(1), tail, 0.5);
+        assert_eq!(
+            g.topological_order(),
+            &[TaskId(0), TaskId(1), tail, TaskId(2)]
+        );
+        let paths = g.task_paths();
+        assert_eq!(paths.len(), 2);
+        assert_eq!(paths[0].tasks, vec![TaskId(0), TaskId(1), tail]);
+        assert!((paths[0].branch_ratio - 0.35).abs() < 1e-12);
+        assert_eq!(g.accuracy_order(tail), &[1, 0]);
+        // A clone carries the same structure.
+        let copy = g.clone();
+        assert_eq!(copy.task_paths(), g.task_paths());
+    }
+
+    #[test]
+    fn validation_rejects_a_cycle_off_the_root() {
+        // b and c feed each other, so every non-root task has one parent, but
+        // neither is reachable from the root.
+        let mut g = PipelineGraph::new("cycle", 100.0);
+        g.add_task("a", vec![mk_variant("x", 1.0)]);
+        let b = g.add_task("b", vec![mk_variant("y", 1.0)]);
+        let c = g.add_task("c", vec![mk_variant("z", 1.0)]);
+        g.add_edge(b, c, 1.0);
+        g.add_edge(c, b, 1.0);
+        assert_eq!(g.validate(), Err(GraphError::Unreachable(b)));
     }
 
     #[test]

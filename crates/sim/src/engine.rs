@@ -482,6 +482,70 @@ impl ElasticState {
         self.class_weighted_us[class] += self.priced_us(market, class, from, to);
     }
 
+    /// Account a settled retirement: move the worker out of its drain pool
+    /// and bill what remains of its warm interval.
+    fn settle(&mut self, market: Option<&crate::MarketConfig>, r: &Retirement) {
+        let class = r.class as usize;
+        // `from == MAX` marks a revoked worker: its billing already stopped
+        // (the accrual below is a no-op) and its lifecycle count lives in the
+        // revoked pool, invisible to the policy's voluntary-drain accounting.
+        if r.billed_from_us == SimTime::MAX {
+            self.revoked_draining[class] -= 1;
+        } else {
+            self.draining[class] -= 1;
+        }
+        self.retired[class] += 1;
+        self.accrue(market, class, r.billed_from_us, r.at_us);
+    }
+
+    /// Reject an elastic action naming a class outside the catalog: actions
+    /// come from the public [`ElasticPolicy`] trait, so they are outside input.
+    fn check_class(
+        &self,
+        action: &'static str,
+        class: usize,
+        now_us: SimTime,
+    ) -> Result<(), EngineError> {
+        let classes = self.catalog.len();
+        if class < classes {
+            Ok(())
+        } else {
+            Err(EngineError::UnknownClass {
+                action,
+                class,
+                classes,
+                now_us,
+            })
+        }
+    }
+
+    /// Cumulative billed dollars through `now`, computed *read-only* for the
+    /// journal's `CostSample` events: the per-class weighted time already
+    /// accrued, plus each live worker's open warm interval, priced exactly as
+    /// [`Engine::finish_cost`] prices closed ones. (A revoked worker's
+    /// `billed_from_us` sentinel makes its open interval empty.)
+    fn billed_dollars(
+        &self,
+        market: Option<&crate::MarketConfig>,
+        fleet: &[Worker],
+        now: SimTime,
+    ) -> f64 {
+        let mut weighted = self.class_weighted_us.clone();
+        for w in fleet {
+            if matches!(w.lifecycle, Lifecycle::Warm | Lifecycle::Draining)
+                && w.billed_from_us < now
+            {
+                let class = w.class as usize;
+                weighted[class] += self.priced_us(market, class, w.billed_from_us, now);
+            }
+        }
+        weighted
+            .iter()
+            .zip(self.catalog.classes.iter())
+            .map(|(us, class)| us / 1e6 / 3600.0 * class.price_per_hour)
+            .sum()
+    }
+
     /// The microseconds of a non-empty warm interval `[from, to)` weighted
     /// by the market's price schedule for spot classes; flat otherwise.
     fn priced_us(
@@ -675,23 +739,20 @@ impl<'a> Engine<'a> {
     /// Settle a retirement: free the worker's owner slot, move it out of its
     /// drain pool, stop its billing, and journal it at its own time. Mid-epoch
     /// retirements are settled at the next barrier, barrier-time ones at once.
+    /// A fleet handler, which holds the elastic state itself, settles through
+    /// [`ElasticState::settle`] and [`Engine::release`] instead.
     fn settle_retirement(&mut self, r: Retirement) {
-        self.owner[r.worker as usize] = FREE;
         let market = self.market.as_ref().map(|m| &m.config);
         if let Some(e) = self.elastic.as_mut() {
-            let class = r.class as usize;
-            // `from == MAX` marks a revoked worker: its billing already
-            // stopped (the accrual below is a no-op) and its lifecycle count
-            // lives in the revoked pool, invisible to the policy's
-            // voluntary-drain accounting.
-            if r.billed_from_us == SimTime::MAX {
-                e.revoked_draining[class] -= 1;
-            } else {
-                e.draining[class] -= 1;
-            }
-            e.retired[class] += 1;
-            e.accrue(market, class, r.billed_from_us, r.at_us);
+            e.settle(market, &r);
         }
+        self.release(r);
+    }
+
+    /// The engine's half of settling a retirement: free the worker's owner
+    /// slot and journal the retirement at its own time.
+    fn release(&mut self, r: Retirement) {
+        self.owner[r.worker as usize] = FREE;
         if let Some(j) = self.journal.as_mut() {
             j.record(
                 r.at_us,
@@ -913,16 +974,28 @@ impl<'a> Engine<'a> {
                             ClusterEvent::ElasticTick => {
                                 self.cluster_events += 1;
                                 if let Some(policy) = provisioner.as_mut() {
-                                    self.on_elastic_tick(&mut **policy)?;
+                                    self.lend_elastic(|engine, e| {
+                                        engine.on_elastic_tick(e, &mut **policy)
+                                    })?;
                                 }
                             }
                             ClusterEvent::BootDone(worker) => {
                                 self.cluster_events += 1;
-                                self.on_boot_done(worker);
+                                self.lend_elastic(|engine, e| {
+                                    engine.on_boot_done(e, worker);
+                                    Ok(())
+                                })?;
                             }
                             ClusterEvent::MarketTick => {
                                 self.cluster_events += 1;
-                                self.on_market_tick()?;
+                                // Scheduled only when a market is attached,
+                                // which implies an elastic fleet.
+                                if let Some(mut m) = self.market.take() {
+                                    let out = self
+                                        .lend_elastic(|engine, e| engine.on_market_tick(e, &mut m));
+                                    self.market = Some(m);
+                                    out?;
+                                }
                             }
                             ClusterEvent::RevokeDeadline(worker) => {
                                 self.cluster_events += 1;
@@ -1098,32 +1171,6 @@ impl<'a> Engine<'a> {
     /// Take the whole-run cost summary (elastic runs only; `None` otherwise).
     pub(crate) fn take_cost(&mut self) -> Option<CostSummary> {
         self.cost.take()
-    }
-
-    /// Cumulative billed dollars through `now`, computed *read-only* for the
-    /// journal's `CostSample` events: the per-class weighted time already
-    /// accrued, plus each live worker's open warm interval, priced exactly as
-    /// [`Engine::finish_cost`] prices closed ones. (A revoked worker's
-    /// `billed_from_us` sentinel makes its open interval empty.)
-    fn billed_dollars(&self, now: SimTime) -> f64 {
-        let Some(e) = self.elastic.as_ref() else {
-            return 0.0;
-        };
-        let market = self.market.as_ref().map(|m| &m.config);
-        let mut weighted = e.class_weighted_us.clone();
-        for w in &self.fleet {
-            if matches!(w.lifecycle, Lifecycle::Warm | Lifecycle::Draining)
-                && w.billed_from_us < now
-            {
-                let class = w.class as usize;
-                weighted[class] += e.priced_us(market, class, w.billed_from_us, now);
-            }
-        }
-        weighted
-            .iter()
-            .zip(e.catalog.classes.iter())
-            .map(|(us, class)| us / 1e6 / 3600.0 * class.price_per_hour)
-            .sum()
     }
 
     // ---- cluster arbitration -----------------------------------------------------
@@ -1355,10 +1402,31 @@ impl<'a> Engine<'a> {
 
     // ---- elastic fleet -----------------------------------------------------------
 
+    /// Lend the elastic state to a fleet handler for one call. Elastic and
+    /// market ticks and boots are scheduled only for elastic runs, so on a
+    /// fixed fleet this calls nothing. While lent, `self.elastic` is `None`:
+    /// the handler and everything it calls reach the state through the
+    /// argument.
+    fn lend_elastic(
+        &mut self,
+        handler: impl FnOnce(&mut Self, &mut ElasticState) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        let Some(mut e) = self.elastic.take() else {
+            return Ok(());
+        };
+        let out = handler(self, &mut e);
+        self.elastic = Some(e);
+        out
+    }
+
     /// A fleet-scaling tick: build the policy observation (per-class fleet
     /// counts, per-pipeline demand/backlog/window-attainment, window busy
     /// fraction), apply the returned actions, and schedule the next tick.
-    fn on_elastic_tick(&mut self, policy: &mut dyn ElasticPolicy) -> Result<(), EngineError> {
+    fn on_elastic_tick(
+        &mut self,
+        e: &mut ElasticState,
+        policy: &mut dyn ElasticPolicy,
+    ) -> Result<(), EngineError> {
         // Window busy fraction: busy time accrued since the previous tick over
         // warm capacity. Batch time is credited at batch start, so clamp.
         let busy_total: u64 = self.fleet.iter().map(|w| w.busy_time_us).sum();
@@ -1383,7 +1451,6 @@ impl<'a> Engine<'a> {
                 attainment
             })
             .collect();
-        let e = self.elastic.as_mut().expect("elastic tick without config");
         let window_us = self.now.saturating_sub(e.last_tick_us);
         let warm_total: usize = e.warm.iter().sum();
         let busy_fraction = if warm_total > 0 && window_us > 0 {
@@ -1406,7 +1473,6 @@ impl<'a> Engine<'a> {
             .as_ref()
             .map(|m| m.config.multiplier_at(crate::types::us_to_secs(self.now)))
             .unwrap_or(1.0);
-        let e = self.elastic.as_ref().expect("elastic tick without config");
         let observation = ElasticObservation {
             now_s: crate::types::us_to_secs(self.now),
             classes: &e.catalog.classes,
@@ -1429,7 +1495,8 @@ impl<'a> Engine<'a> {
             // Sample the fleet and cumulative bill first (the tick's observed
             // state), then the policy's decisions with their stated reasons.
             let warm = warm_total as u32;
-            let dollars = self.billed_dollars(self.now);
+            let market = self.market.as_ref().map(|m| &m.config);
+            let dollars = e.billed_dollars(market, &self.fleet, self.now);
             self.journal_record(CLUSTER_LANE, JournalKind::CostSample { warm, dollars });
             let reasons = policy.last_reasons();
             for (i, action) in actions.iter().enumerate() {
@@ -1453,8 +1520,10 @@ impl<'a> Engine<'a> {
         }
         for action in actions {
             match action {
-                ElasticAction::Provision { class, count } => self.apply_provision(class, count)?,
-                ElasticAction::Drain { class, count } => self.apply_drain(class, count)?,
+                ElasticAction::Provision { class, count } => {
+                    self.apply_provision(e, class, count)?
+                }
+                ElasticAction::Drain { class, count } => self.apply_drain(e, class, count)?,
             }
         }
         if next <= self.end_time_us {
@@ -1467,11 +1536,16 @@ impl<'a> Engine<'a> {
     /// (live = provisioning + warm + draining; retired slots do not count).
     /// With a market attached, each requested *spot* worker may be denied by
     /// a capacity stockout before admission.
-    fn apply_provision(&mut self, class: usize, count: usize) -> Result<(), EngineError> {
-        self.check_class("provision", class)?;
+    fn apply_provision(
+        &mut self,
+        e: &mut ElasticState,
+        class: usize,
+        count: usize,
+    ) -> Result<(), EngineError> {
+        e.check_class("provision", class, self.now)?;
         let requested = count;
         let mut count = count;
-        if let (Some(m), Some(e)) = (self.market.as_mut(), self.elastic.as_mut()) {
+        if let Some(m) = self.market.as_mut() {
             let p = m.config.stockout_probability;
             if p > 0.0 && e.catalog.classes[class].spot {
                 let granted = (0..count).filter(|_| m.rng.gen::<f64>() >= p).count();
@@ -1488,7 +1562,6 @@ impl<'a> Engine<'a> {
                 },
             );
         }
-        let e = self.elastic.as_mut().expect("provision without config");
         let live = self
             .fleet
             .iter()
@@ -1509,27 +1582,11 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Reject an elastic action naming a class outside the catalog: actions
-    /// come from the public [`ElasticPolicy`] trait, so they are outside input.
-    fn check_class(&self, action: &'static str, class: usize) -> Result<(), EngineError> {
-        let classes = self.elastic.as_ref().map_or(0, |e| e.catalog.len());
-        if class < classes {
-            Ok(())
-        } else {
-            Err(EngineError::UnknownClass {
-                action,
-                class,
-                classes,
-                now_us: self.now,
-            })
-        }
-    }
-
     /// A provisioned worker finished booting: it turns warm and billing
     /// starts now — never before (pinned by the elasticity-invariant tests).
     /// Without an arbiter, lane 0 adopts it immediately; with one, it waits
     /// in the free pool for the next rebalance to claim it.
-    fn on_boot_done(&mut self, worker: WorkerId) {
+    fn on_boot_done(&mut self, e: &mut ElasticState, worker: WorkerId) {
         let wi = worker.index();
         let class = {
             let w = &mut self.fleet[wi];
@@ -1538,7 +1595,6 @@ impl<'a> Engine<'a> {
             w.billed_from_us = self.now;
             w.class as usize
         };
-        let e = self.elastic.as_mut().expect("boot without config");
         e.provisioning[class] -= 1;
         e.warm[class] += 1;
         e.peak_warm[class] = e.peak_warm[class].max(e.warm[class]);
@@ -1565,8 +1621,13 @@ impl<'a> Engine<'a> {
     /// owner lane; workers without an in-flight batch retire immediately, the
     /// rest at their batch completion (inside their owner's shard, settled at
     /// the next barrier).
-    fn apply_drain(&mut self, class: usize, count: usize) -> Result<(), EngineError> {
-        self.check_class("drain", class)?;
+    fn apply_drain(
+        &mut self,
+        e: &mut ElasticState,
+        class: usize,
+        count: usize,
+    ) -> Result<(), EngineError> {
+        e.check_class("drain", class, self.now)?;
         let mut candidates: Vec<WorkerId> = self
             .fleet
             .iter()
@@ -1585,7 +1646,6 @@ impl<'a> Engine<'a> {
         let mut touched: Vec<Option<Vec<Query>>> = vec![None; self.shards.len()];
         for &w in candidates.iter().take(count) {
             let wi = w.index();
-            let e = self.elastic.as_mut().expect("drain without config");
             e.warm[class] -= 1;
             e.draining[class] += 1;
             self.journal_record(
@@ -1606,7 +1666,10 @@ impl<'a> Engine<'a> {
                     .extend(worker.drain_queue());
             }
             if idle {
-                self.retire_worker(w);
+                if let Some(r) = self.retire_at_barrier(w) {
+                    e.settle(self.market.as_ref().map(|m| &m.config), &r);
+                    self.release(r);
+                }
             }
         }
         // Invalidate the touched lanes' routing state *before* re-homing, so
@@ -1624,16 +1687,13 @@ impl<'a> Engine<'a> {
 
     /// Retire a drained worker at a barrier (mid-epoch retirements happen in
     /// the owner's shard instead): a lane-owned worker leaves its lane through
-    /// the shard's own [`Shard::retire_worker`], and either way the
-    /// retirement is settled at once.
-    fn retire_worker(&mut self, worker: WorkerId) {
+    /// the shard's own [`Shard::retire_worker`]. The caller settles the
+    /// returned retirement at once.
+    fn retire_at_barrier(&mut self, worker: WorkerId) -> Option<Retirement> {
         let wi = worker.index();
-        let retired = match self.owner[wi] {
+        match self.owner[wi] {
             FREE => Some(retire(&mut self.fleet[wi], self.now)),
             li => self.with_lane(li as usize, |shard, ctx| shard.retire_worker(ctx, worker)),
-        };
-        if let Some(r) = retired {
-            self.settle_retirement(r);
         }
     }
 
@@ -1644,14 +1704,13 @@ impl<'a> Engine<'a> {
     /// is a pure function of the seed — and each is revoked independently
     /// with the config's per-tick probability. Runs at an epoch barrier on
     /// the driver thread, so `jobs > 1` runs stay bit-identical.
-    fn on_market_tick(&mut self) -> Result<(), EngineError> {
+    fn on_market_tick(
+        &mut self,
+        e: &mut ElasticState,
+        m: &mut MarketState,
+    ) -> Result<(), EngineError> {
         if self.journal.is_some() {
-            let multiplier = self
-                .market
-                .as_ref()
-                .expect("market tick without market")
-                .config
-                .multiplier_at(crate::types::us_to_secs(self.now));
+            let multiplier = m.config.multiplier_at(crate::types::us_to_secs(self.now));
             // NaN-initialised, so the first tick records the starting price.
             if multiplier != self.last_price {
                 self.last_price = multiplier;
@@ -1659,24 +1718,19 @@ impl<'a> Engine<'a> {
             }
         }
         let mut revoked: Vec<WorkerId> = Vec::new();
-        let (deadline_us, interval_us) = {
-            let e = self.elastic.as_ref().expect("market tick without elastic");
-            let m = self.market.as_mut().expect("market tick without market");
-            let p = m.config.revocation_probability();
-            for w in self.fleet.iter() {
-                if w.lifecycle == Lifecycle::Warm
-                    && e.catalog.classes[w.class as usize].spot
-                    && m.rng.gen::<f64>() < p
-                {
-                    revoked.push(w.id);
-                }
+        let p = m.config.revocation_probability();
+        for w in self.fleet.iter() {
+            if w.lifecycle == Lifecycle::Warm
+                && e.catalog.classes[w.class as usize].spot
+                && m.rng.gen::<f64>() < p
+            {
+                revoked.push(w.id);
             }
-            (m.deadline_us, m.check_interval_us)
-        };
-        for w in revoked {
-            self.revoke_worker(w, deadline_us)?;
         }
-        let next = self.now + interval_us;
+        for w in revoked {
+            self.revoke_worker(e, &m.config, w, m.deadline_us)?;
+        }
+        let next = self.now + m.check_interval_us;
         if next <= self.end_time_us {
             self.push_cluster(next, ClusterEvent::MarketTick);
         }
@@ -1689,7 +1743,13 @@ impl<'a> Engine<'a> {
     /// inside the owner lane, and the worker force-drains on the market's
     /// grace deadline. The lifecycle moves through the revoked pool — a
     /// provider event, never the policy's voluntary-drain accounting.
-    fn revoke_worker(&mut self, worker: WorkerId, deadline_us: SimTime) -> Result<(), EngineError> {
+    fn revoke_worker(
+        &mut self,
+        e: &mut ElasticState,
+        market: &crate::MarketConfig,
+        worker: WorkerId,
+        deadline_us: SimTime,
+    ) -> Result<(), EngineError> {
         let wi = worker.index();
         let lane = self.owner[wi];
         let (class, billed_from) = {
@@ -1706,9 +1766,7 @@ impl<'a> Engine<'a> {
                 lane,
             },
         );
-        let market = self.market.as_ref().map(|m| &m.config);
-        let e = self.elastic.as_mut().expect("revocation without config");
-        e.accrue(market, class, billed_from, self.now);
+        e.accrue(Some(market), class, billed_from, self.now);
         e.warm[class] -= 1;
         e.revoked_draining[class] += 1;
         e.revocations[class] += 1;
@@ -1728,7 +1786,10 @@ impl<'a> Engine<'a> {
         }
         if idle {
             // Nothing running: the forced drain completes immediately.
-            self.retire_worker(worker);
+            if let Some(r) = self.retire_at_barrier(worker) {
+                e.settle(Some(market), &r);
+                self.release(r);
+            }
         } else {
             // Grace period: the in-flight batch may still complete (the
             // worker then retires through the normal drain path); at the
@@ -1782,7 +1843,9 @@ impl<'a> Engine<'a> {
                 lost: lost.len() as u64,
             },
         );
-        self.retire_worker(worker);
+        if let Some(r) = self.retire_at_barrier(worker) {
+            self.settle_retirement(r);
+        }
         let Some(task) = lost.first().map(|q| q.task) else {
             return Ok(());
         };

@@ -5,8 +5,11 @@
 //! `ResourceManager`, a random SLO, cluster size, link profile and model-swap
 //! cost, and in most cases an elastic fleet with an on-demand and a spot class
 //! under the `ReactiveAutoscaler`, exposed to a market that revokes spot
-//! workers, denies provisions and steps the spot price once. The timeline is
-//! always on; some cases also trace.
+//! workers, denies provisions and steps the spot price once. Each lane's
+//! controller is Loki-greedy, InferLine or Proteus, each with a random drop
+//! policy; all three plan through the shared performance model and emit
+//! through `MostAccurateFirst`. The timeline is always on; some cases also
+//! trace.
 //!
 //! Each case runs through `try_run*` at `jobs = 1` and at `jobs = 2`, and the
 //! engine's universal invariants must hold:
@@ -23,6 +26,7 @@
 //!
 //! A failing case names its seed; rerun it alone by narrowing `CASES`.
 
+use loki_baselines::{InferLineController, ProteusController};
 use loki_core::{
     AutoscalerConfig, LokiConfig, LokiController, ReactiveAutoscaler, ResourceManager,
     ResourceManagerConfig,
@@ -30,8 +34,9 @@ use loki_core::{
 use loki_pipeline::{zoo, PipelineGraph};
 use loki_sim::types::{secs_to_us, us_to_secs};
 use loki_sim::{
-    ElasticSimConfig, LinkDelayModel, MarketConfig, MultiPipeline, MultiSimConfig, MultiSimResult,
-    MultiSimulation, ObserveConfig, SimConfig, WorkerClass, WorkerClassCatalog,
+    Controller, DropPolicy, ElasticSimConfig, LinkDelayModel, MarketConfig, MultiPipeline,
+    MultiSimConfig, MultiSimResult, MultiSimulation, ObserveConfig, SimConfig, WorkerClass,
+    WorkerClassCatalog,
 };
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
 use rand::rngs::StdRng;
@@ -44,11 +49,40 @@ const ARRIVAL_S: usize = 40;
 /// Seconds the run continues after the last arrival.
 const DRAIN_S: f64 = 10.0;
 
-/// One random scenario: the simulator config, the per-lane pipelines and
-/// arrivals, and the cluster policies' knobs.
+/// The serving controllers a lane may draw.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum System {
+    Loki,
+    InferLine,
+    Proteus,
+}
+
+impl System {
+    fn controller(self, graph: &PipelineGraph, drop_policy: DropPolicy) -> Box<dyn Controller> {
+        let graph = graph.clone();
+        match self {
+            System::Loki => Box::new(LokiController::new(
+                graph,
+                LokiConfig {
+                    drop_policy,
+                    ..LokiConfig::with_greedy()
+                },
+            )),
+            System::InferLine => {
+                Box::new(InferLineController::with_drop_policy(graph, drop_policy))
+            }
+            System::Proteus => Box::new(ProteusController::with_drop_policy(graph, drop_policy)),
+        }
+    }
+}
+
+/// One random scenario: the simulator config, the per-lane pipelines,
+/// arrivals and controllers, and the cluster policies' knobs.
 struct Scenario {
     sim: SimConfig,
     lanes: Vec<(PipelineGraph, Vec<f64>, f64)>,
+    /// Each lane's controller and drop policy.
+    systems: Vec<(System, DropPolicy)>,
     rebalance_s: f64,
     autoscaler: Option<AutoscalerConfig>,
 }
@@ -57,7 +91,7 @@ fn scenario(seed: u64) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed);
     let slo_ms = rng.gen_range(150.0..400.0);
     let cluster = rng.gen_range(6..25);
-    let lanes = (0..rng.gen_range(1..4))
+    let lanes: Vec<_> = (0..rng.gen_range(1..4))
         .map(|li: usize| {
             let graph = if li.is_multiple_of(2) {
                 zoo::traffic_analysis_pipeline(slo_ms)
@@ -127,6 +161,16 @@ fn scenario(seed: u64) -> Scenario {
         (None, None)
     };
     let trace_sample = if rng.gen_bool(0.3) { 7 } else { 0 };
+    let rebalance_s = rng.gen_range(2.0..8.0);
+    // Drawn after every other draw, so the rest of a case does not depend on
+    // which controllers it drew.
+    let systems = (0..lanes.len())
+        .map(|_| {
+            let system =
+                [System::Loki, System::InferLine, System::Proteus][rng.gen_range(0..3usize)];
+            (system, DropPolicy::all()[rng.gen_range(0..4usize)])
+        })
+        .collect();
     Scenario {
         sim: SimConfig {
             cluster_size: cluster,
@@ -144,21 +188,24 @@ fn scenario(seed: u64) -> Scenario {
             ..SimConfig::default()
         },
         lanes,
-        rebalance_s: rng.gen_range(2.0..8.0),
+        systems,
+        rebalance_s,
         autoscaler,
     }
 }
 
 fn run(s: &Scenario, seed: u64, jobs: usize) -> MultiSimResult {
-    let mut multi = MultiSimulation::new(MultiSimConfig {
+    let mut multi: MultiSimulation<'_> = MultiSimulation::new(MultiSimConfig {
         sim: s.sim.clone(),
         jobs,
     });
-    for (li, (graph, arrivals, qps)) in s.lanes.iter().enumerate() {
+    for (li, ((graph, arrivals, qps), &(system, drop_policy))) in
+        s.lanes.iter().zip(&s.systems).enumerate()
+    {
         multi.add_pipeline(MultiPipeline {
             name: format!("lane{li}"),
             graph,
-            controller: LokiController::new(graph.clone(), LokiConfig::with_greedy()),
+            controller: system.controller(graph, drop_policy),
             arrivals_s: arrivals.clone(),
             initial_demand_hint: Some(*qps),
         });
@@ -257,8 +304,14 @@ fn simulated(r: &MultiSimResult) -> Vec<(String, String)> {
 #[test]
 fn random_scenarios_keep_the_engine_invariants_at_every_jobs_value() {
     let (mut elastic, mut revocations, mut migrations) = (0, 0, 0);
+    let mut systems = Vec::new();
     for seed in CASES {
         let s = scenario(seed);
+        for &(system, _) in &s.systems {
+            if !systems.contains(&system) {
+                systems.push(system);
+            }
+        }
         let serial = run(&s, seed, 1);
         let parallel = run(&s, seed, 2);
         check_invariants(&s, seed, &serial);
@@ -272,4 +325,5 @@ fn random_scenarios_keep_the_engine_invariants_at_every_jobs_value() {
     }
     // The generator must actually reach the code it is meant to stress.
     assert!(elastic > 0 && revocations > 0 && migrations > 0);
+    assert_eq!(systems.len(), 3, "every controller is drawn: {systems:?}");
 }
