@@ -315,12 +315,7 @@ impl<T> CalendarQueue<T> {
             let mut slot = self.scan_hint.max(self.cur_slot);
             loop {
                 let bucket = &self.buckets[(slot & self.mask) as usize];
-                if !bucket.is_empty() {
-                    let m = bucket
-                        .iter()
-                        .map(|e| (e.time, e.seq))
-                        .min()
-                        .expect("bucket is non-empty");
+                if let Some(m) = bucket.iter().map(|e| (e.time, e.seq)).min() {
                     if best.is_none_or(|b| m < b) {
                         best = Some(m);
                     }
@@ -343,7 +338,8 @@ impl<T> CalendarQueue<T> {
         if self.ready.is_empty() && !self.advance() {
             return None;
         }
-        let e = self.ready.pop().expect("ready is non-empty");
+        // `advance` filled `ready`.
+        let e = self.ready.pop()?;
         self.len -= 1;
         self.floor = e.time;
         // `ready` holds only current-slot events, which precede everything on
@@ -367,7 +363,10 @@ impl<T> CalendarQueue<T> {
         if self.head.is_none() {
             self.refresh_head();
         }
-        let (time, _) = self.head.expect("a non-empty queue has a head");
+        // A non-empty queue has a head.
+        let Some((time, _)) = self.head else {
+            return false;
+        };
         let target = time >> self.shift;
         debug_assert!(target >= self.cur_slot);
         self.cur_slot = target;

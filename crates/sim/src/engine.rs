@@ -58,9 +58,11 @@ use crate::metrics::{ClassCost, CostSummary, IntervalMetrics, RunSummary};
 use crate::multi::{ArbiterObservation, ResourceArbiter};
 use crate::par::par_map;
 use crate::shard::{
-    count_drop, fallback_worker_for_task, retire, DropCause, LaneCtx, LaneEvent, LaneState,
-    Retirement, Shard, FREE,
+    fallback_worker_for_task, retire, DropCause, LaneCtx, LaneEvent, LaneState, Retirement, Shard,
+    FREE,
 };
+use crate::slab::SlotRef;
+use crate::trace::{Histogram, SpanKind, TraceLog, NO_ID};
 use crate::types::{ms_to_us, secs_to_us, Controller, Query, SimConfig, SimTime, WorkerId};
 use crate::worker::{Lifecycle, Worker};
 use loki_pipeline::PipelineGraph;
@@ -98,6 +100,33 @@ pub struct SimResult {
     /// Cluster-level, so in a multi-pipeline run it appears on the aggregate
     /// result, not the per-pipeline ones.
     pub journal: Option<Journal>,
+}
+
+impl SimResult {
+    /// A result without cost or journal whose summary reads its
+    /// `[p50, p90, p99, p999]` off `latency`: how each lane's observer and
+    /// the multi-pipeline aggregate finish.
+    pub(crate) fn new(
+        intervals: Vec<IntervalMetrics>,
+        mut summary: RunSummary,
+        latency: Option<Histogram>,
+        trace: Option<TraceLog>,
+        window: Option<Vec<Histogram>>,
+    ) -> Self {
+        if let Some(l) = &latency {
+            let s = &mut summary;
+            [s.p50_ms, s.p90_ms, s.p99_ms, s.p999_ms] = l.percentiles_ms();
+        }
+        Self {
+            intervals,
+            summary,
+            cost: None,
+            latency,
+            trace,
+            window,
+            journal: None,
+        }
+    }
 }
 
 /// A structured engine error: either an engine invariant violation or an
@@ -259,6 +288,7 @@ pub struct Simulation<'a, C: Controller> {
 impl<'a, C: Controller> Simulation<'a, C> {
     /// Create a simulation for a pipeline, cluster configuration, and controller.
     pub fn new(graph: &'a PipelineGraph, config: SimConfig, controller: C) -> Self {
+        #[expect(clippy::expect_used, reason = "an invalid graph is a caller bug")]
         graph.validate().expect("pipeline graph must be valid");
         Self {
             graph,
@@ -271,6 +301,7 @@ impl<'a, C: Controller> Simulation<'a, C> {
     ///
     /// Panics (with the rendered [`EngineError`]) on an engine invariant
     /// violation; use [`Simulation::try_run`] to handle that as a value.
+    #[expect(clippy::panic, reason = "the wrapper's documented panic")]
     pub fn run(&mut self, arrivals_s: &[f64]) -> SimResult {
         self.try_run(arrivals_s)
             .unwrap_or_else(|error| panic!("{error}"))
@@ -288,6 +319,7 @@ impl<'a, C: Controller> Simulation<'a, C> {
 
     /// Run with an [`ElasticPolicy`] scaling the worker fleet (requires
     /// [`SimConfig::elastic`]). Panics on an engine invariant violation.
+    #[expect(clippy::panic, reason = "the wrapper's documented panic")]
     pub fn run_elastic(&mut self, arrivals_s: &[f64], policy: &mut dyn ElasticPolicy) -> SimResult {
         self.try_run_elastic(arrivals_s, policy)
             .unwrap_or_else(|error| panic!("{error}"))
@@ -320,6 +352,7 @@ impl<'a, C: Controller> Simulation<'a, C> {
         let mut engine = Engine::new(&self.config, vec![lane]);
         let mut controllers: [&mut dyn Controller; 1] = [&mut self.controller];
         let mut results = engine.run(&mut controllers, None, policy, 1)?;
+        #[expect(clippy::expect_used, reason = "one result per lane")]
         let mut result = results.pop().expect("single-lane run yields one result");
         result.cost = engine.take_cost();
         result.journal = engine.take_journal();
@@ -593,13 +626,13 @@ impl<'a> Engine<'a> {
         let end_time_us = lanes
             .iter()
             .map(|l| l.arrivals_s.last().map_or(0, |&s| secs_to_us(s)) + secs_to_us(config.drain_s))
-            .max()
-            .expect("at least one lane");
+            .fold(0, SimTime::max);
         // Fixed fleets are `cluster_size` identical reference-class workers;
         // elastic fleets start from the initial spec (warm at time zero,
         // billed from time zero — the pre-warmed bootstrap assumption).
         let (workers, elastic) = match &config.elastic {
             Some(spec) => {
+                #[expect(clippy::expect_used, reason = "a bad elastic config is a caller bug")]
                 spec.validate().expect("elastic config must be valid");
                 let mut workers = Vec::with_capacity(spec.initial_fleet());
                 for &(class, count) in &spec.initial {
@@ -663,24 +696,19 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Append one cluster-journal event at driver time (no-op with the
-    /// journal off).
-    fn journal_record(&mut self, lane: u32, kind: JournalKind) {
+    /// Append one cluster-level event to the journal at driver time (no-op
+    /// with the journal off).
+    fn journal_record(&mut self, kind: JournalKind) {
         if let Some(j) = self.journal.as_mut() {
-            j.record(self.now, lane, kind);
+            j.record(self.now, CLUSTER_LANE, kind);
         }
     }
 
-    /// The merged cluster event journal (`None` unless `observe.timeline`):
-    /// absorbs every lane's plan-install journal into the driver's and
-    /// imposes the global deterministic order.
+    /// The cluster event journal (`None` unless `observe.timeline`), with
+    /// every lane's plan installs merged in by [`Engine::run`], in the global
+    /// deterministic order.
     pub(crate) fn take_journal(&mut self) -> Option<Journal> {
         let mut journal = *self.journal.take()?;
-        for shard in self.shards.iter_mut() {
-            if let Some(lane) = shard.lane.journal.take() {
-                journal.merge_from(*lane);
-            }
-        }
         journal.finish();
         Some(journal)
     }
@@ -753,15 +781,9 @@ impl<'a> Engine<'a> {
     /// slot and journal the retirement at its own time.
     fn release(&mut self, r: Retirement) {
         self.owner[r.worker as usize] = FREE;
+        let (worker, class) = (r.worker, r.class);
         if let Some(j) = self.journal.as_mut() {
-            j.record(
-                r.at_us,
-                CLUSTER_LANE,
-                JournalKind::Retire {
-                    worker: r.worker,
-                    class: r.class,
-                },
-            );
+            j.record(r.at_us, CLUSTER_LANE, JournalKind::Retire { worker, class });
         }
     }
 
@@ -925,12 +947,8 @@ impl<'a> Engine<'a> {
         // Seed the fleet-scaling cadence. The first tick fires one interval
         // in: at time zero the initial fleet is the policy's starting point
         // and no observation window exists yet.
-        if provisioner.is_some() {
-            let first = self
-                .elastic
-                .as_ref()
-                .expect("asserted above")
-                .decide_interval_us;
+        let elastic = self.elastic.as_ref().filter(|_| provisioner.is_some());
+        if let Some(first) = elastic.map(|e| e.decide_interval_us) {
             if first <= self.end_time_us {
                 self.push_cluster(first, ClusterEvent::ElasticTick);
             }
@@ -959,11 +977,14 @@ impl<'a> Engine<'a> {
                     for shard in self.shards.iter_mut() {
                         shard.now = t;
                     }
-                    while let Some(&Reverse((ct, _, _))) = self.cluster.peek() {
-                        if ct != t {
+                    while self
+                        .cluster
+                        .peek()
+                        .is_some_and(|&Reverse((ct, _, _))| ct == t)
+                    {
+                        let Some(Reverse((_, _, event))) = self.cluster.pop() else {
                             break;
-                        }
-                        let Reverse((_, _, event)) = self.cluster.pop().expect("peeked above");
+                        };
                         match event {
                             ClusterEvent::Rebalance => {
                                 self.cluster_events += 1;
@@ -1026,30 +1047,13 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Anything still outstanding when the run ends counts as dropped.
-        // Intervals close at the run-global last event time, as the
+        // Each lane ends at the run-global last event time, as the
         // single-heap engine's did.
         let final_now = self
             .shards
             .iter()
             .map(|s| s.now)
             .fold(self.now, SimTime::max);
-        for shard in self.shards.iter_mut() {
-            let lane = &mut shard.lane;
-            let current = &mut lane.current;
-            let mut tracer = lane.tracer.as_deref_mut();
-            lane.roots.drain_with(|state| {
-                // A root still in flight at run end keeps the cause of the
-                // branch it already lost, if any; otherwise it simply ran out
-                // of time.
-                count_drop(current, state.drop_cause);
-                if state.trace_slot != u32::MAX {
-                    if let Some(t) = tracer.as_deref_mut() {
-                        t.finish(state.trace_slot, final_now, true);
-                    }
-                }
-            });
-        }
         let ctxs = LaneCtx::lend_all(
             self.config,
             &mut self.fleet,
@@ -1057,45 +1061,10 @@ impl<'a> Engine<'a> {
             self.end_time_us,
             self.shards.len(),
         );
-        for (shard, ctx) in self.shards.iter_mut().zip(ctxs) {
-            shard.flush_interval(&ctx, self.config.metrics_interval_s, final_now);
-        }
-
         let mut out = Vec::with_capacity(self.shards.len());
-        for (li, shard) in self.shards.iter_mut().enumerate() {
-            let name = controllers[li].name().to_string();
-            let mut summary = RunSummary::from_intervals(
-                &name,
-                &shard.lane.intervals,
-                self.config.metrics_interval_s,
-            );
-            summary.events_processed = shard.lane.events_processed;
-            let latency = shard.lane.latency.take().map(|b| *b);
-            if let Some(l) = &latency {
-                [
-                    summary.p50_ms,
-                    summary.p90_ms,
-                    summary.p99_ms,
-                    summary.p999_ms,
-                ] = l.percentiles_ms();
-            }
-            out.push(SimResult {
-                intervals: std::mem::take(&mut shard.lane.intervals),
-                summary,
-                cost: None,
-                latency,
-                trace: shard
-                    .lane
-                    .tracer
-                    .take()
-                    .map(|t| crate::trace::TraceLog { roots: t.roots }),
-                window: self
-                    .config
-                    .observe
-                    .timeline
-                    .then(|| std::mem::take(&mut shard.lane.window_hists)),
-                journal: None,
-            });
+        for ((shard, ctx), controller) in self.shards.iter_mut().zip(ctxs).zip(controllers) {
+            let journal = self.journal.as_deref_mut();
+            out.push(shard.finish(&ctx, controller.name(), final_now, journal));
         }
         self.finish_cost(&out);
         Ok(out)
@@ -1243,14 +1212,11 @@ impl<'a> Engine<'a> {
             if moved > 0 {
                 self.rebalances += 1;
                 self.migrations += moved as u64;
-                self.journal_record(
-                    CLUSTER_LANE,
-                    JournalKind::Rebalance {
-                        epoch: self.rebalances,
-                        moved: moved as u64,
-                        reason: arbiter.decision_reason(),
-                    },
-                );
+                self.journal_record(JournalKind::Rebalance {
+                    epoch: self.rebalances,
+                    moved: moved as u64,
+                    reason: arbiter.decision_reason(),
+                });
             }
         }
         let next = self.now + secs_to_us(arbiter.rebalance_interval_s());
@@ -1367,14 +1333,11 @@ impl<'a> Engine<'a> {
         // `CLUSTER_LANE`: a release to the free pool reads as a migration to
         // the cluster, a claim as one from it).
         for &(w, from_lane, to_lane) in &changed {
-            self.journal_record(
-                CLUSTER_LANE,
-                JournalKind::Migration {
-                    worker: w as u32,
-                    from_lane,
-                    to_lane,
-                },
-            );
+            self.journal_record(JournalKind::Migration {
+                worker: w as u32,
+                from_lane,
+                to_lane,
+            });
         }
         // Phase 3: refresh the affected lanes' views of their partitions.
         self.rebuild_owned_lists();
@@ -1497,25 +1460,22 @@ impl<'a> Engine<'a> {
             let warm = warm_total as u32;
             let market = self.market.as_ref().map(|m| &m.config);
             let dollars = e.billed_dollars(market, &self.fleet, self.now);
-            self.journal_record(CLUSTER_LANE, JournalKind::CostSample { warm, dollars });
+            self.journal_record(JournalKind::CostSample { warm, dollars });
             let reasons = policy.last_reasons();
             for (i, action) in actions.iter().enumerate() {
                 let (provision, class, count) = match *action {
                     ElasticAction::Provision { class, count } => (true, class, count),
                     ElasticAction::Drain { class, count } => (false, class, count),
                 };
-                self.journal_record(
-                    CLUSTER_LANE,
-                    JournalKind::AutoscaleDecision {
-                        provision,
-                        class: class as u32,
-                        count: count as u32,
-                        reason: reasons
-                            .get(i)
-                            .copied()
-                            .unwrap_or(crate::elastic::DecisionReason::Unspecified),
-                    },
-                );
+                self.journal_record(JournalKind::AutoscaleDecision {
+                    provision,
+                    class: class as u32,
+                    count: count as u32,
+                    reason: reasons
+                        .get(i)
+                        .copied()
+                        .unwrap_or(crate::elastic::DecisionReason::Unspecified),
+                });
             }
         }
         for action in actions {
@@ -1554,13 +1514,10 @@ impl<'a> Engine<'a> {
             }
         }
         if requested > count {
-            self.journal_record(
-                CLUSTER_LANE,
-                JournalKind::Stockout {
-                    class: class as u32,
-                    denied: (requested - count) as u32,
-                },
-            );
+            self.journal_record(JournalKind::Stockout {
+                class: class as u32,
+                denied: (requested - count) as u32,
+            });
         }
         let live = self
             .fleet
@@ -1600,13 +1557,10 @@ impl<'a> Engine<'a> {
         e.peak_warm[class] = e.peak_warm[class].max(e.warm[class]);
         let warm_total: usize = e.warm.iter().sum();
         e.peak_fleet = e.peak_fleet.max(warm_total);
-        self.journal_record(
-            CLUSTER_LANE,
-            JournalKind::Boot {
-                worker: wi as u32,
-                class: class as u32,
-            },
-        );
+        self.journal_record(JournalKind::Boot {
+            worker: wi as u32,
+            class: class as u32,
+        });
         if !self.has_arbiter {
             self.owner[wi] = 0;
             // Worker ids grow monotonically, so pushing keeps `owned` sorted.
@@ -1648,13 +1602,10 @@ impl<'a> Engine<'a> {
             let wi = w.index();
             e.warm[class] -= 1;
             e.draining[class] += 1;
-            self.journal_record(
-                CLUSTER_LANE,
-                JournalKind::DrainStart {
-                    worker: wi as u32,
-                    class: class as u32,
-                },
-            );
+            self.journal_record(JournalKind::DrainStart {
+                worker: wi as u32,
+                class: class as u32,
+            });
             let worker = &mut self.fleet[wi];
             worker.begin_drain();
             let idle = !worker.has_in_flight();
@@ -1714,7 +1665,7 @@ impl<'a> Engine<'a> {
             // NaN-initialised, so the first tick records the starting price.
             if multiplier != self.last_price {
                 self.last_price = multiplier;
-                self.journal_record(CLUSTER_LANE, JournalKind::PriceStep { multiplier });
+                self.journal_record(JournalKind::PriceStep { multiplier });
             }
         }
         let mut revoked: Vec<WorkerId> = Vec::new();
@@ -1758,14 +1709,11 @@ impl<'a> Engine<'a> {
             (w.class as usize, w.billed_from_us)
         };
         // `lane` is the raw owner tag: `FREE` doubles as `CLUSTER_LANE`.
-        self.journal_record(
-            CLUSTER_LANE,
-            JournalKind::Revocation {
-                worker: wi as u32,
-                class: class as u32,
-                lane,
-            },
-        );
+        self.journal_record(JournalKind::Revocation {
+            worker: wi as u32,
+            class: class as u32,
+            lane,
+        });
         e.accrue(Some(market), class, billed_from, self.now);
         e.warm[class] -= 1;
         e.revoked_draining[class] += 1;
@@ -1810,14 +1758,11 @@ impl<'a> Engine<'a> {
         let wi = worker.index();
         if self.fleet[wi].lifecycle != Lifecycle::Draining {
             // The worker retired before the deadline: a clean revocation.
-            self.journal_record(
-                CLUSTER_LANE,
-                JournalKind::RevokeGrace {
-                    worker: wi as u32,
-                    clean: true,
-                    lost: 0,
-                },
-            );
+            self.journal_record(JournalKind::RevokeGrace {
+                worker: wi as u32,
+                clean: true,
+                lost: 0,
+            });
             return Ok(());
         }
         debug_assert_eq!(
@@ -1835,14 +1780,11 @@ impl<'a> Engine<'a> {
                 now_us: self.now,
             });
         }
-        self.journal_record(
-            CLUSTER_LANE,
-            JournalKind::RevokeGrace {
-                worker: wi as u32,
-                clean: false,
-                lost: lost.len() as u64,
-            },
-        );
+        self.journal_record(JournalKind::RevokeGrace {
+            worker: wi as u32,
+            clean: false,
+            lost: lost.len() as u64,
+        });
         if let Some(r) = self.retire_at_barrier(worker) {
             self.settle_retirement(r);
         }
@@ -1862,7 +1804,13 @@ impl<'a> Engine<'a> {
                     .try_for_each(|q| shard.drop_root_child(q.root, DropCause::Revoked));
             };
             for q in lost.into_iter().rev() {
-                shard.trace_marker(q.root, crate::trace::SpanKind::Requeue, target);
+                let (lane, root) = (&mut shard.lane, SlotRef::unpack(q.root));
+                let slot = lane
+                    .observer
+                    .slot(|| Some(lane.roots.get(root)?.trace_slot));
+                let now = shard.now;
+                lane.observer
+                    .span(slot, SpanKind::Requeue, now, now, NO_ID, target);
                 w.enqueue_front(q);
             }
             shard.kick(ctx, target);

@@ -32,6 +32,10 @@
 // The sharded engine's lanes share no mutable state by construction (see
 // `shard`'s module docs); this keeps it that way.
 #![forbid(unsafe_code)]
+// A broken invariant surfaces as an `EngineError`, not a panic: every
+// `unwrap`, `expect` or `panic!` left outside tests carries an `#[expect]`
+// with its reason (tests are exempt through the workspace `clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod burn;
 pub mod calendar;

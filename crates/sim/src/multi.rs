@@ -19,6 +19,7 @@
 use crate::elastic::ElasticPolicy;
 use crate::engine::{Engine, EngineError, LaneInput, SimResult};
 use crate::metrics::{CostSummary, IntervalMetrics, RunSummary};
+use crate::trace::{Histogram, TraceLog};
 use crate::types::{Controller, SimConfig};
 use loki_pipeline::PipelineGraph;
 
@@ -88,6 +89,17 @@ pub fn apportion(weights: &[f64], total: usize) -> Vec<usize> {
         let even = vec![1.0; weights.len()];
         return apportion(&even, total);
     }
+    if !(total as f64 * sum).is_finite() {
+        // The quotas would overflow to inf/inf: scale the weights into
+        // [0, 1] first (sums that fit are never rescaled, so never moved).
+        let max = weights
+            .iter()
+            .copied()
+            .filter(|w| w.is_finite())
+            .fold(0.0, f64::max);
+        let scaled: Vec<f64> = weights.iter().map(|w| w / max).collect();
+        return apportion(&scaled, total);
+    }
     let mut counts = Vec::with_capacity(weights.len());
     let mut remainders: Vec<(usize, f64)> = Vec::with_capacity(weights.len());
     let mut assigned = 0usize;
@@ -101,7 +113,7 @@ pub fn apportion(weights: &[f64], total: usize) -> Vec<usize> {
         remainders.push((i, if w > 0.0 { quota - floor as f64 } else { -1.0 }));
     }
     // Hand the leftover workers to the largest fractional remainders.
-    remainders.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    remainders.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     let mut leftover = total.saturating_sub(assigned);
     for (i, remainder) in remainders {
         if leftover == 0 {
@@ -265,40 +277,19 @@ impl MultiSimResult {
         summary.events_processed = self.total_events;
         // Latency histograms merge exactly (fixed bucket layout), so the
         // aggregate percentiles are the true cluster-level percentiles, not an
-        // average of per-pipeline ones.
-        let mut latency: Option<crate::trace::Histogram> = None;
-        for p in &self.pipelines {
-            if let Some(l) = &p.result.latency {
-                match &mut latency {
-                    Some(agg) => agg.merge(l),
-                    None => latency = Some(l.clone()),
-                }
-            }
-        }
-        if let Some(l) = &latency {
-            [
-                summary.p50_ms,
-                summary.p90_ms,
-                summary.p99_ms,
-                summary.p999_ms,
-            ] = l.percentiles_ms();
-        }
-        // Sampled traces concatenate in registration order (each root records
-        // its lane, so provenance survives the merge).
+        // average of per-pipeline ones. Windowed rows merge element-wise,
+        // row-aligned with the aggregate intervals: a row starts as the first
+        // lane's copy and grows to the union of the occupied bucket ranges of
+        // the lanes merged into it. Sampled traces concatenate in registration
+        // order (each root records its lane, so provenance survives the merge).
+        let mut latency: Option<Histogram> = None;
+        let mut window: Option<Vec<Histogram>> = None;
         let mut roots = Vec::new();
-        for p in &self.pipelines {
-            if let Some(t) = &p.result.trace {
-                roots.extend(t.roots.iter().cloned());
+        for result in self.pipelines.iter().map(|p| &p.result) {
+            if let Some(l) = &result.latency {
+                latency.get_or_insert_with(Histogram::new).merge(l);
             }
-        }
-        let trace = (!roots.is_empty()).then_some(crate::trace::TraceLog { roots });
-        // Windowed histograms merge element-wise across lanes (same fixed
-        // bucket layout), row-aligned with the aggregate intervals. A row
-        // starts as the first lane's copy and grows to the union of the
-        // occupied bucket ranges of the lanes merged into it.
-        let mut window: Option<Vec<crate::trace::Histogram>> = None;
-        for p in &self.pipelines {
-            if let Some(rows) = &p.result.window {
+            if let Some(rows) = &result.window {
                 let agg = window.get_or_insert_with(Vec::new);
                 for (i, row) in rows.iter().enumerate() {
                     match agg.get_mut(i) {
@@ -307,15 +298,15 @@ impl MultiSimResult {
                     }
                 }
             }
+            if let Some(t) = &result.trace {
+                roots.extend(t.roots.iter().cloned());
+            }
         }
+        let trace = (!roots.is_empty()).then_some(TraceLog { roots });
         SimResult {
-            intervals,
-            summary,
             cost: self.cost.clone(),
-            latency,
-            trace,
-            window,
             journal: self.journal.clone(),
+            ..SimResult::new(intervals, summary, latency, trace, window)
         }
     }
 }
@@ -366,6 +357,7 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
     /// Register a pipeline. Registration order is the index order every
     /// arbiter observation and result vector uses.
     pub fn add_pipeline(&mut self, pipeline: MultiPipeline<'a, C>) -> &mut Self {
+        #[expect(clippy::expect_used, reason = "an invalid graph is a caller bug")]
         pipeline
             .graph
             .validate()
@@ -382,6 +374,7 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
     /// Run to completion under `arbiter`. Panics (with the rendered
     /// [`EngineError`]) on an engine invariant violation; use
     /// [`MultiSimulation::try_run`] to handle that as a value.
+    #[expect(clippy::panic, reason = "the wrapper's documented panic")]
     pub fn run(&mut self, arbiter: &mut dyn ResourceArbiter) -> MultiSimResult {
         self.try_run(arbiter)
             .unwrap_or_else(|error| panic!("{error}"))
@@ -400,6 +393,7 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
     /// arbiter (requires [`SimConfig::elastic`]): boots land in the free pool
     /// and the next rebalance apportions them, so the partition size changes
     /// between arbiter epochs. Panics on an engine invariant violation.
+    #[expect(clippy::panic, reason = "the wrapper's documented panic")]
     pub fn run_elastic(
         &mut self,
         arbiter: &mut dyn ResourceArbiter,
@@ -500,6 +494,9 @@ mod tests {
         assert_eq!(apportion(&[f64::NAN, 2.0], 4), vec![0, 4]);
         assert_eq!(apportion(&[-3.0, 2.0], 4), vec![0, 4]);
         assert_eq!(apportion(&[], 4), Vec::<usize>::new());
+        // Weights whose sum overflows split like their ratios.
+        assert_eq!(apportion(&[f64::MAX, f64::MAX], 2), vec![1, 1]);
+        assert_eq!(apportion(&[f64::MAX, f64::MAX / 3.0], 8), vec![6, 2]);
     }
 
     #[test]

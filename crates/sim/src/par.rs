@@ -12,7 +12,7 @@
 //! same proof obligation: parallel output bit-identical to the serial path.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Map `f` over `items` using up to `jobs` scoped worker threads, preserving input
 /// order in the output. `jobs <= 1` runs inline on the calling thread (the exact
@@ -27,22 +27,28 @@ where
     if jobs <= 1 || n <= 1 {
         return items.into_iter().map(f).collect();
     }
+    // No update under these locks can stop halfway, so a poisoned lock still
+    // holds valid data and is recovered rather than propagated.
     let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(n) {
             scope.spawn(|| loop {
                 // Pop under the lock, compute outside it.
-                let next = queue.lock().expect("queue lock").pop_front();
+                let next = queue
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .pop_front();
                 let Some((index, item)) = next else { break };
                 let out = f(item);
-                results.lock().expect("results lock")[index] = Some(out);
+                results.lock().unwrap_or_else(PoisonError::into_inner)[index] = Some(out);
             });
         }
     });
+    #[expect(clippy::expect_used, reason = "every item ran, or scope panicked")]
     results
         .into_inner()
-        .expect("results lock")
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .map(|r| r.expect("every queued item completes"))
         .collect()

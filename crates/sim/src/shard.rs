@@ -30,14 +30,17 @@
 
 use crate::calendar::CalendarQueue;
 use crate::engine::EngineError;
+use crate::journal::Journal;
+use crate::metrics::RunSummary;
 use crate::routing::CompiledPlan;
 use crate::slab::{Slab, SlotRef};
-use crate::trace::{Span, SpanKind, NO_ID};
+use crate::trace::{LaneObserver, SpanKind, NO_ID};
 use crate::types::{
     ms_to_us, secs_to_us, us_to_ms, AllocationPlan, BackupWorker, CompiledLinkDelays, Controller,
     DropPolicy, ObservedState, Query, SimConfig, SimTime, WorkerId, WorkerView,
 };
 use crate::worker::{Lifecycle, Worker};
+use crate::SimResult;
 use loki_pipeline::{PipelineGraph, TaskId, VariantId};
 use loki_workload::{DemandHistory, EwmaEstimator};
 use rand::rngs::StdRng;
@@ -170,8 +173,8 @@ pub(crate) struct RootState {
     pub(crate) accuracy_count: usize,
     /// First [`DropCause`] that hit any branch of this root (0 = none).
     pub(crate) drop_cause: u8,
-    /// Slot in the lane's [`crate::trace::LaneTracer`] when this root is
-    /// sampled for tracing; `u32::MAX` otherwise.
+    /// The root's trace slot in the lane's observer
+    /// ([`crate::trace::UNTRACED`] when it is not sampled).
     pub(crate) trace_slot: u32,
 }
 
@@ -211,7 +214,8 @@ pub(crate) struct LaneInput<'a> {
 }
 
 /// Per-pipeline engine state: everything that was per-run in the single-pipeline
-/// engine and is per-lane now that one run serves several pipelines.
+/// engine and is per-lane now that one run serves several pipelines. All that
+/// the lane records about itself goes through one field, its `observer`.
 pub(crate) struct LaneState<'a> {
     pub(crate) graph: &'a PipelineGraph,
     /// The borrowed arrival trace ([`LaneInput::arrivals_s`]); each time goes
@@ -262,25 +266,11 @@ pub(crate) struct LaneState<'a> {
     pub(crate) window_on_time: u64,
     pub(crate) window_finished: u64,
 
-    // Observability (see `crate::trace`): all observation-only — none of these
-    // consume RNG draws or change event ordering.
-    /// The run's end-to-end latency histogram (`observe.histograms`, on by
-    /// default). With the timeline on, it holds only the closed intervals'
-    /// rows, so it is complete only after the driver's final
-    /// [`Shard::flush_interval`].
-    pub(crate) latency: Option<Box<crate::trace::Histogram>>,
-    /// Sampled query tracer (`observe.trace_sample > 0`).
-    pub(crate) tracer: Option<Box<crate::trace::LaneTracer>>,
-    /// The current interval's end-to-end latency histogram
-    /// (`observe.timeline`). It takes a served root's record in place of
-    /// `latency`; each metrics flush cuts its occupied bucket range out as a
-    /// row, folds the row into `latency` and resets it in place.
-    pub(crate) window_hist: Option<Box<crate::trace::Histogram>>,
-    /// Closed per-interval histogram deltas, index-aligned with `intervals`.
-    pub(crate) window_hists: Vec<crate::trace::Histogram>,
-    /// This lane's journal (`observe.timeline`): plan installs only — every
-    /// other journaled incident is cluster-level and recorded by the driver.
-    pub(crate) journal: Option<Box<crate::journal::Journal>>,
+    /// Everything the lane records about itself — the run histogram, the
+    /// timeline's rows and plan installs, the sampled traces — behind the
+    /// hooks of one sink ([`LaneObserver`]). Observation-only: no hook
+    /// consumes RNG draws or changes event order.
+    pub(crate) observer: LaneObserver,
 
     // Metrics.
     pub(crate) current: crate::metrics::IntervalMetrics,
@@ -300,8 +290,8 @@ impl<'a> LaneState<'a> {
         lane_idx: usize,
         fleet_cap: usize,
     ) -> Self {
+        // The graph was validated when its simulation was built.
         let graph = input.graph;
-        graph.validate().expect("pipeline graph must be valid");
         let num_tasks = graph.num_tasks();
         let mut variant_offset = Vec::with_capacity(num_tasks);
         let mut variant_ids = Vec::new();
@@ -350,21 +340,7 @@ impl<'a> LaneState<'a> {
             first_control_tick: true,
             window_on_time: 0,
             window_finished: 0,
-            latency: config
-                .observe
-                .histograms
-                .then(|| Box::new(crate::trace::Histogram::new())),
-            tracer: (config.observe.trace_sample > 0)
-                .then(|| Box::new(crate::trace::LaneTracer::new(config.observe.trace_sample))),
-            window_hist: config
-                .observe
-                .timeline
-                .then(|| Box::new(crate::trace::Histogram::default())),
-            window_hists: Vec::new(),
-            journal: config
-                .observe
-                .timeline
-                .then(|| Box::new(crate::journal::Journal::new())),
+            observer: LaneObserver::new(&config.observe, lane_idx as u32),
             current: crate::metrics::IntervalMetrics::default(),
             intervals: Vec::new(),
             events_processed: 0,
@@ -666,16 +642,7 @@ impl<'a> Shard<'a> {
         lane.current.arrivals += 1;
         lane.arrivals_this_interval += 1;
 
-        // Deterministic trace sampling on the lane-local arrival index: no RNG
-        // draw, and the index stream is identical for every `jobs` value, so
-        // serial and parallel runs sample (and trace) the same roots.
-        let trace_slot = match lane.tracer.as_deref_mut() {
-            Some(t) if t.samples(idx as u64) => {
-                Some(t.begin_root(self.li, idx as u64, arrival_time))
-            }
-            _ => None,
-        };
-
+        let trace_slot = lane.observer.root_arrival(idx as u64, arrival_time);
         let deadline = arrival_time + lane.slo_us;
         let root_ref = lane.roots.insert(RootState {
             deadline_us: deadline,
@@ -683,7 +650,7 @@ impl<'a> Shard<'a> {
             accuracy_sum: 0.0,
             accuracy_count: 0,
             drop_cause: 0,
-            trace_slot: trace_slot.unwrap_or(u32::MAX),
+            trace_slot,
         });
         let query = Query {
             root: root_ref.pack(),
@@ -695,9 +662,10 @@ impl<'a> Shard<'a> {
         match self.pick_frontend_worker(ctx) {
             Some(worker) => {
                 let deliver_at = self.now + self.lane.link.frontend_us(worker);
-                let task = self.lane.root_task as u32;
-                let frontend = span(SpanKind::Frontend, self.now, deliver_at, task, worker);
-                self.trace_span(trace_slot, frontend);
+                let (lane, now) = (&mut self.lane, self.now);
+                let (frontend, task) = (SpanKind::Frontend, lane.root_task as u32);
+                lane.observer
+                    .span(trace_slot, frontend, now, deliver_at, task, worker);
                 self.schedule_delivery(deliver_at, worker, query);
                 Ok(())
             }
@@ -803,23 +771,18 @@ impl<'a> Shard<'a> {
             let path_accuracy = q.path_accuracy * variant.accuracy;
 
             // Queue-wait and execution spans of sampled roots.
-            let trace_slot = self.trace_slot_of(q.root);
-            if trace_slot.is_some() {
-                let task = variant_id.task as u32;
-                if batch_started_us > q.enqueued_us {
-                    let queue = span(
-                        SpanKind::Queue,
-                        q.enqueued_us,
-                        batch_started_us,
-                        task,
-                        worker_id,
-                    );
-                    self.trace_span(trace_slot, queue);
-                }
-                let started = batch_started_us.max(q.enqueued_us);
-                let exec = span(SpanKind::Exec, started, self.now, task, worker_id);
-                self.trace_span(trace_slot, exec);
+            let (lane, root) = (&mut self.lane, SlotRef::unpack(q.root));
+            let slot = lane
+                .observer
+                .slot(|| Some(lane.roots.get(root)?.trace_slot));
+            let (task, started) = (variant_id.task as u32, batch_started_us.max(q.enqueued_us));
+            if started > q.enqueued_us {
+                let queue = SpanKind::Queue;
+                lane.observer
+                    .span(slot, queue, q.enqueued_us, started, task, worker_id);
             }
+            lane.observer
+                .span(slot, SpanKind::Exec, started, self.now, task, worker_id);
 
             // Sink queries need no budget bookkeeping — they complete here.
             if children.is_empty() {
@@ -854,26 +817,16 @@ impl<'a> Shard<'a> {
                     let outcome = self.route_downstream(ctx, worker_id, child_task, overrun_ms);
                     match outcome {
                         RouteOutcome::To(target) | RouteOutcome::Rerouted(target) => {
-                            let rerouted = matches!(outcome, RouteOutcome::Rerouted(_));
-                            if rerouted {
-                                self.lane.current.rerouted += 1;
+                            let (lane, now) = (&mut self.lane, self.now);
+                            let (from, task) = (variant_id.task, child_task as u32);
+                            if matches!(outcome, RouteOutcome::Rerouted(_)) {
+                                lane.current.rerouted += 1;
+                                lane.observer
+                                    .span(slot, SpanKind::Reroute, now, now, task, target);
                             }
-                            let deliver_at = self.now
-                                + self.lane.link.hop_us(
-                                    worker_id,
-                                    variant_id.task,
-                                    target,
-                                    child_task,
-                                );
-                            if trace_slot.is_some() {
-                                let (now, task) = (self.now, child_task as u32);
-                                if rerouted {
-                                    let reroute = span(SpanKind::Reroute, now, now, task, target);
-                                    self.trace_span(trace_slot, reroute);
-                                }
-                                let hop = span(SpanKind::Hop, now, deliver_at, task, target);
-                                self.trace_span(trace_slot, hop);
-                            }
+                            let at = now + lane.link.hop_us(worker_id, from, target, child_task);
+                            lane.observer
+                                .span(slot, SpanKind::Hop, now, at, task, target);
                             let query = Query {
                                 root: q.root,
                                 task: child_task,
@@ -881,7 +834,7 @@ impl<'a> Shard<'a> {
                                 deadline_us: q.deadline_us,
                                 enqueued_us: self.now,
                             };
-                            self.schedule_delivery(deliver_at, target, query);
+                            self.schedule_delivery(at, target, query);
                             spawned += 1;
                         }
                         RouteOutcome::Drop => {
@@ -943,12 +896,8 @@ impl<'a> Shard<'a> {
         if let Some(plan) = plan {
             self.check_plan(&plan)?;
             self.apply_allocation(ctx, &plan)?;
-            // Journal the install lane-side (the one lane-recorded kind): the
-            // end-of-run merge sorts it into the global order.
-            let (now, li, epoch) = (self.now, self.li, self.lane.assignments_epoch);
-            if let Some(j) = self.lane.journal.as_deref_mut() {
-                j.record(now, li, crate::journal::JournalKind::PlanInstall { epoch });
-            }
+            let epoch = self.lane.assignments_epoch;
+            self.lane.observer.plan_install(self.now, epoch);
         }
         // Refresh routing right after a (possible) re-allocation so it reflects the new
         // worker assignments.
@@ -999,7 +948,7 @@ impl<'a> Shard<'a> {
             }
         }
 
-        self.flush_interval(ctx, interval, self.now);
+        self.flush_interval(ctx, self.now);
 
         let next = self.now + secs_to_us(interval);
         if next <= ctx.end_time_us {
@@ -1008,17 +957,12 @@ impl<'a> Shard<'a> {
     }
 
     /// Close the current metrics interval at `now`. Called at metrics-tick
-    /// cadence mid-run and once more by the driver at the end of the run
-    /// (with the run-global last event time, as the serial engine did).
-    pub(crate) fn flush_interval(
-        &mut self,
-        ctx: &LaneCtx<'_>,
-        metrics_interval_s: f64,
-        now: SimTime,
-    ) {
+    /// cadence mid-run and once more by [`Shard::finish`] at the end of the
+    /// run (with the run-global last event time, as the serial engine did).
+    fn flush_interval(&mut self, ctx: &LaneCtx<'_>, now: SimTime) {
         let lane = &mut self.lane;
         let mut finished = std::mem::take(&mut lane.current);
-        finished.start_s = crate::types::us_to_secs(now) - metrics_interval_s;
+        finished.start_s = crate::types::us_to_secs(now) - ctx.config.metrics_interval_s;
         if finished.start_s < 0.0 {
             finished.start_s = 0.0;
         }
@@ -1036,16 +980,33 @@ impl<'a> Shard<'a> {
         finished.cluster_size = warm;
         lane.intervals.push(finished);
         lane.current.cluster_size = warm;
-        // Close the interval's latency-histogram delta: cut the recorder's
-        // occupied buckets out as the row and fold it into the run
-        // histogram, which is therefore the exact sum of the rows.
-        if let Some(h) = lane.window_hist.as_deref_mut() {
-            let row = h.take_row();
-            if let Some(latency) = lane.latency.as_deref_mut() {
-                latency.merge(&row);
-            }
-            lane.window_hists.push(row);
-        }
+        lane.observer.close_interval();
+    }
+
+    /// End the lane's run at `now`: every root still in flight counts as
+    /// dropped, the last interval closes, and the observer hands over the
+    /// lane's result (its plan installs go into the cluster `journal`).
+    pub(crate) fn finish(
+        &mut self,
+        ctx: &LaneCtx<'_>,
+        name: &str,
+        now: SimTime,
+        journal: Option<&mut Journal>,
+    ) -> SimResult {
+        let lane = &mut self.lane;
+        lane.roots.drain_with(|state| {
+            // A root still in flight keeps the cause of the branch it already
+            // lost, if any; otherwise it simply ran out of time.
+            count_drop(&mut lane.current, state.drop_cause);
+            lane.observer.root_cut_off(state.trace_slot, now);
+        });
+        self.flush_interval(ctx, now);
+        let lane = &mut self.lane;
+        let interval_s = ctx.config.metrics_interval_s;
+        let mut summary = RunSummary::from_intervals(name, &lane.intervals, interval_s);
+        summary.events_processed = lane.events_processed;
+        let intervals = std::mem::take(&mut lane.intervals);
+        lane.observer.finish(intervals, summary, journal)
     }
 
     // ---- controller observation ---------------------------------------------------
@@ -1201,36 +1162,6 @@ impl<'a> Shard<'a> {
 
         self.reroute_scratch = ties;
         RouteOutcome::To(default_choice)
-    }
-
-    /// The trace slot of a root, or `None` when the root is unsampled (or
-    /// tracing is off — the tracer-off path is a `None` check and a return).
-    #[inline]
-    fn trace_slot_of(&self, root_packed: u64) -> Option<u32> {
-        self.lane.tracer.as_ref()?;
-        let slot = self
-            .lane
-            .roots
-            .get(SlotRef::unpack(root_packed))?
-            .trace_slot;
-        (slot != u32::MAX).then_some(slot)
-    }
-
-    /// Append `span` to the trace in `slot`: a no-op for an unsampled root
-    /// (`None`) or with tracing off.
-    #[inline]
-    fn trace_span(&mut self, slot: Option<u32>, span: Span) {
-        if let (Some(slot), Some(t)) = (slot, self.lane.tracer.as_deref_mut()) {
-            t.span(slot, span);
-        }
-    }
-
-    /// Append a zero-length marker span to a sampled root at the current time
-    /// (the requeue annotations of re-home paths).
-    pub(crate) fn trace_marker(&mut self, root_packed: u64, kind: SpanKind, worker: WorkerId) {
-        let slot = self.trace_slot_of(root_packed);
-        let now = self.now;
-        self.trace_span(slot, span(kind, now, now, NO_ID, worker));
     }
 
     /// A branch of a root was dropped; the root's first drop cause sticks.
@@ -1478,7 +1409,13 @@ impl<'a> Shard<'a> {
                 continue;
             };
             q.enqueued_us = self.now;
-            self.trace_marker(q.root, SpanKind::Requeue, target);
+            let (lane, root) = (&mut self.lane, SlotRef::unpack(q.root));
+            let slot = lane
+                .observer
+                .slot(|| Some(lane.roots.get(root)?.trace_slot));
+            let now = self.now;
+            lane.observer
+                .span(slot, SpanKind::Requeue, now, now, NO_ID, target);
             worker.enqueue(q);
             self.kick(ctx, target);
         }
@@ -1515,31 +1452,15 @@ impl<'a> Shard<'a> {
     }
 }
 
-/// Close a root whose last branch ended at `now`: finish its trace, count it
-/// as dropped, on time or late, and record a served root's end-to-end
-/// latency once.
-pub(crate) fn finalize_root(lane: &mut LaneState<'_>, now: SimTime, state: RootState) {
+/// Close a root whose last branch ended at `now`: count it as dropped, on
+/// time or late, and hand its end to the observer, with a served root's
+/// end-to-end latency: arrival (deadline − SLO) → now.
+fn finalize_root(lane: &mut LaneState<'_>, now: SimTime, state: RootState) {
     lane.window_finished += 1;
-    let dropped = state.drop_cause != 0 || state.accuracy_count == 0;
-    if state.trace_slot != u32::MAX {
-        if let Some(t) = lane.tracer.as_deref_mut() {
-            let kind = if dropped {
-                crate::trace::SpanKind::Drop
-            } else {
-                crate::trace::SpanKind::Complete
-            };
-            let marker = Span {
-                kind,
-                start_us: now,
-                end_us: now,
-                task: NO_ID,
-                worker: NO_ID,
-            };
-            t.span(state.trace_slot, marker);
-            t.finish(state.trace_slot, now, dropped);
-        }
-    }
-    if dropped {
+    let served = state.drop_cause == 0 && state.accuracy_count > 0;
+    let latency_us = served.then(|| now.saturating_sub(state.deadline_us - lane.slo_us));
+    lane.observer.root_end(state.trace_slot, now, latency_us);
+    if !served {
         count_drop(&mut lane.current, state.drop_cause);
         return;
     }
@@ -1550,15 +1471,6 @@ pub(crate) fn finalize_root(lane: &mut LaneState<'_>, now: SimTime, state: RootS
     } else {
         lane.current.completed_late += 1;
     }
-    // End-to-end latency of a served root: arrival (deadline − SLO) → now.
-    // Recorded once: with the timeline on, each flush folds the interval's
-    // row into `latency`.
-    let e2e_us = now.saturating_sub(state.deadline_us - lane.slo_us);
-    if let Some(h) = lane.window_hist.as_deref_mut() {
-        h.record(e2e_us);
-    } else if let Some(h) = lane.latency.as_deref_mut() {
-        h.record(e2e_us);
-    }
     lane.current.accuracy_sum += accuracy;
     lane.current.accuracy_count += 1;
 }
@@ -1566,23 +1478,12 @@ pub(crate) fn finalize_root(lane: &mut LaneState<'_>, now: SimTime, state: RootS
 /// Count a dropped root under its first [`DropCause`]. Cause 0 (a root whose
 /// every branch vanished without an explicit drop, or one still in flight at
 /// the end of the run) reads as a deadline loss.
-pub(crate) fn count_drop(m: &mut crate::metrics::IntervalMetrics, cause: u8) {
+fn count_drop(m: &mut crate::metrics::IntervalMetrics, cause: u8) {
     m.dropped += 1;
     match cause {
         c if c == DropCause::Reclaimed as u8 => m.dropped_reclaimed += 1,
         c if c == DropCause::Revoked as u8 => m.dropped_revoked += 1,
         _ => m.dropped_deadline += 1,
-    }
-}
-
-/// A trace span of `kind` over `[start_us, end_us]` at `task` on `worker`.
-fn span(kind: SpanKind, start_us: SimTime, end_us: SimTime, task: u32, worker: WorkerId) -> Span {
-    Span {
-        kind,
-        start_us,
-        end_us,
-        task,
-        worker: worker.index() as u32,
     }
 }
 

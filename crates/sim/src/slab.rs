@@ -95,6 +95,7 @@ impl<T> Slab<T> {
                 }
             }
             None => {
+                #[expect(clippy::expect_used, reason = "2^32 live entries outgrow memory first")]
                 let slot = u32::try_from(self.entries.len()).expect("slab overflow");
                 self.entries.push(Entry {
                     generation: 0,

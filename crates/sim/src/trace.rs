@@ -1,5 +1,5 @@
-//! The deep-observability layer: log-bucketed latency histograms and
-//! deterministic sampled query tracing.
+//! The observation layer: log-bucketed latency histograms, deterministic
+//! sampled query tracing, and the one sink each lane records through.
 //!
 //! Everything in this module is *observation-only*: nothing here consumes RNG
 //! draws, schedules events, or perturbs the `(time, seq)` dispatch order, so
@@ -18,31 +18,46 @@
 //!
 //! # Query tracing
 //!
-//! [`LaneTracer`] samples every Nth root arrival of a lane (a seed-stable,
-//! RNG-free decision on the lane-local arrival index, so `jobs = N` runs trace
-//! exactly the roots serial runs trace) and records a [`Span`] tree across the
-//! root's whole life: the frontend hop, per-hop queue wait, batch execution,
-//! network transfers, rescue/requeue events, and the terminal completion or
-//! drop. [`TraceLog::to_chrome_json`] exports the merged log as Chrome
-//! trace-event JSON loadable in Perfetto (`loki run <scenario> --trace out.json`).
+//! A lane samples every Nth root arrival (a seed-stable, RNG-free decision on
+//! the lane-local arrival index, so `jobs = N` runs trace exactly the roots
+//! serial runs trace) and records a [`Span`] tree across the root's whole
+//! life: the frontend hop, per-hop queue wait, batch execution, network
+//! transfers, rescue/requeue events, and the terminal completion or drop.
+//! [`TraceLog::to_chrome_json`] exports the merged log as Chrome trace-event
+//! JSON loadable in Perfetto (`loki run <scenario> --trace out.json`).
+//!
+//! # The lane observer
+//!
+//! Each lane records through one `LaneObserver`, built once from
+//! [`ObserveConfig`]. It owns the run histogram, the timeline state (the
+//! interval recorder, the closed rows and the plan-install journal) and the
+//! sampled tracer, and the shard calls it at a few hooks: root arrival (which
+//! returns the root's trace slot), span, root end (a served root's latency or
+//! a drop, plus the terminal marker), root cut off at run end, interval
+//! close, plan install, and `finish`, which yields the lane's
+//! [`crate::SimResult`]. A hook does nothing for a recorder the config
+//! leaves off.
 
-use crate::types::SimTime;
+use crate::engine::SimResult;
+use crate::journal::{Journal, JournalKind};
+use crate::metrics::{IntervalMetrics, RunSummary};
+use crate::types::{SimTime, WorkerId};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
-/// Observability configuration carried by [`crate::SimConfig`]. The default —
-/// histograms on, tracing and timeline off — adds no trace allocations to the
-/// hot path.
+/// Observability configuration carried by [`crate::SimConfig`]: which of the
+/// lane observer's recorders run. The default — histograms on, tracing and
+/// timeline off — adds no trace allocations to the hot path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObserveConfig {
     /// Trace every Nth root arrival per lane (`0` disables tracing). The
     /// decision uses the lane-local arrival index — never the RNG — so the
     /// sampled set is identical across `jobs` values and unchanged runs.
     pub trace_sample: u64,
-    /// Record the end-to-end latency histogram of served roots. On by
-    /// default — recording is a couple of array increments per served root;
-    /// the reference benchmark reports its cost as
-    /// `observe.hist_overhead_pct` (see `benchmark/README.md`).
+    /// Record the end-to-end latency histogram of served roots (the
+    /// observer's root-end hook). On by default — recording is a couple of
+    /// array increments per served root; the reference benchmark reports its
+    /// cost as `observe.hist_overhead_pct` (see `benchmark/README.md`).
     pub histograms: bool,
     /// Record the timeline layer: the structured cluster event journal
     /// ([`crate::journal::Journal`]) plus per-metrics-interval windowed
@@ -50,13 +65,12 @@ pub struct ObserveConfig {
     /// Observation-only like everything else here: journal recording happens
     /// at hooks that already exist (it consumes no RNG draws and schedules no
     /// events), and a served root's latency is still recorded once: into the
-    /// windowed recorder in place of the whole-run histogram. Each interval
-    /// flush cuts the recorder's occupied bucket range out as a row
+    /// observer's interval recorder in place of the whole-run histogram. Each
+    /// interval close cuts the recorder's occupied bucket range out as a row
     /// ([`Histogram::take_row`]), resets it in place and merges the row into
     /// the run histogram, which is therefore the exact sum of the rows.
     pub timeline: bool,
 }
-
 impl Default for ObserveConfig {
     fn default() -> Self {
         Self {
@@ -114,9 +128,9 @@ fn relaid(counts: &[u64], at: usize, len: usize) -> Box<[u64]> {
 #[cold]
 #[inline(never)]
 fn expand(counts: Box<[u64]>, first: usize) -> Box<[u64; HIST_BUCKETS]> {
-    relaid(&counts, first, HIST_BUCKETS)
-        .try_into()
-        .expect("relaid returns exactly HIST_BUCKETS buckets")
+    let mut grown = Box::new([0; HIST_BUCKETS]);
+    grown[first..first + counts.len()].copy_from_slice(&counts);
+    grown
 }
 
 /// An HDR-style log-linear histogram over microsecond values with a fixed
@@ -452,59 +466,179 @@ impl RootTrace {
     }
 }
 
-/// The per-lane trace recorder. Lives inside a lane's state so span recording
-/// needs no cross-lane coordination: a root's whole tree executes inside one
-/// lane, and lanes merge in index order at the end of the run — identical for
-/// every `jobs` value.
-#[derive(Debug)]
-pub struct LaneTracer {
-    /// Trace every Nth root arrival (≥ 1).
-    pub sample_every: u64,
-    /// All sampled roots of this lane, in arrival order.
-    pub roots: Vec<RootTrace>,
+/// The trace slot of a root no tracer samples.
+pub(crate) const UNTRACED: u32 = u32::MAX;
+
+/// One lane's observation sink (see the module docs). A root's trace slot is
+/// its index in `roots`, or [`UNTRACED`].
+pub(crate) struct LaneObserver {
+    /// The lane, as traced roots and plan installs record it.
+    lane: u32,
+    /// Trace every Nth root arrival; 0 leaves tracing off.
+    sample_every: u64,
+    /// The sampled roots, in arrival order.
+    roots: Vec<RootTrace>,
+    /// The run's end-to-end latency histogram. With the timeline on it holds
+    /// only the closed intervals' rows, so it is complete only after the last
+    /// interval closes.
+    latency: Option<Box<Histogram>>,
+    timeline: Option<Box<Timeline>>,
 }
 
-impl LaneTracer {
-    /// A tracer sampling every `sample_every`-th root arrival.
-    pub fn new(sample_every: u64) -> Self {
+/// A lane's timeline state.
+#[derive(Default)]
+struct Timeline {
+    /// The open interval's latency histogram; served roots record here in
+    /// place of the run histogram.
+    recorder: Histogram,
+    /// Closed intervals' rows, index-aligned with the lane's intervals.
+    rows: Vec<Histogram>,
+    /// The lane's plan installs — every other journaled incident is
+    /// cluster-level and recorded by the driver.
+    journal: Journal,
+}
+
+impl LaneObserver {
+    /// The sink of lane `lane`, with the recorders `observe` turns on.
+    pub(crate) fn new(observe: &ObserveConfig, lane: u32) -> Self {
         Self {
-            sample_every: sample_every.max(1),
+            lane,
+            sample_every: observe.trace_sample,
             roots: Vec::new(),
+            latency: observe.histograms.then(Box::default),
+            timeline: observe.timeline.then(Box::default),
         }
     }
 
-    /// Whether the root with lane-local arrival index `index` is sampled.
+    /// A root arrived at `at` with lane-local arrival index `index`: start its
+    /// trace if it is sampled. Returns its trace slot.
     #[inline]
-    pub fn samples(&self, index: u64) -> bool {
-        index.is_multiple_of(self.sample_every)
-    }
-
-    /// Start a trace for a sampled root; returns its slot for the root's
-    /// engine state to carry.
-    pub fn begin_root(&mut self, lane: u32, arrival_index: u64, arrival_us: SimTime) -> u32 {
-        let slot = self.roots.len() as u32;
+    pub(crate) fn root_arrival(&mut self, index: u64, at: SimTime) -> u32 {
+        if self.sample_every == 0 || !index.is_multiple_of(self.sample_every) {
+            return UNTRACED;
+        }
         self.roots.push(RootTrace {
-            lane,
-            arrival_index,
-            arrival_us,
-            end_us: arrival_us,
+            lane: self.lane,
+            arrival_index: index,
+            arrival_us: at,
+            end_us: at,
             dropped: false,
             spans: Vec::with_capacity(8),
         });
-        slot
+        self.roots.len() as u32 - 1
     }
 
-    /// Append a span to a sampled root.
+    /// The trace slot `read` finds in a root's state. `read` runs only while
+    /// tracing is on, so an untraced run never looks a root up for it.
     #[inline]
-    pub fn span(&mut self, slot: u32, span: Span) {
-        self.roots[slot as usize].spans.push(span);
+    pub(crate) fn slot(&self, read: impl FnOnce() -> Option<u32>) -> u32 {
+        match self.sample_every {
+            0 => UNTRACED,
+            _ => read().unwrap_or(UNTRACED),
+        }
     }
 
-    /// Close a sampled root's trace at its completion or drop time.
-    pub fn finish(&mut self, slot: u32, end_us: SimTime, dropped: bool) {
-        let root = &mut self.roots[slot as usize];
-        root.end_us = end_us;
-        root.dropped = dropped;
+    /// Append a span of `kind` over `[start_us, end_us]` at `task` on
+    /// `worker` to the trace in `slot` (markers have `start_us == end_us`).
+    #[inline]
+    pub(crate) fn span(
+        &mut self,
+        slot: u32,
+        kind: SpanKind,
+        start_us: SimTime,
+        end_us: SimTime,
+        task: u32,
+        worker: WorkerId,
+    ) {
+        if let Some(root) = self.roots.get_mut(slot as usize) {
+            let worker = worker.index() as u32;
+            root.spans.push(Span {
+                kind,
+                start_us,
+                end_us,
+                task,
+                worker,
+            });
+        }
+    }
+
+    /// The root in `slot` ended at `at`: served with end-to-end latency
+    /// `served_us` (recorded into the open interval's row with the timeline
+    /// on, into the run histogram otherwise), or dropped (`None`). Its trace
+    /// gets the terminal marker.
+    #[inline]
+    pub(crate) fn root_end(&mut self, slot: u32, at: SimTime, served_us: Option<SimTime>) {
+        if let Some(root) = self.roots.get_mut(slot as usize) {
+            let kind = match served_us {
+                Some(_) => SpanKind::Complete,
+                None => SpanKind::Drop,
+            };
+            root.spans.push(Span {
+                kind,
+                start_us: at,
+                end_us: at,
+                task: NO_ID,
+                worker: NO_ID,
+            });
+            (root.end_us, root.dropped) = (at, served_us.is_none());
+        }
+        let Some(us) = served_us else { return };
+        if let Some(t) = self.timeline.as_deref_mut() {
+            t.recorder.record(us);
+        } else if let Some(h) = self.latency.as_deref_mut() {
+            h.record(us);
+        }
+    }
+
+    /// The root in `slot` was still in flight when the run ended at `at`: it
+    /// ends dropped, with no terminal marker.
+    pub(crate) fn root_cut_off(&mut self, slot: u32, at: SimTime) {
+        if let Some(root) = self.roots.get_mut(slot as usize) {
+            (root.end_us, root.dropped) = (at, true);
+        }
+    }
+
+    /// Close the open metrics interval: cut the recorder's occupied buckets
+    /// out as the interval's row and fold the row into the run histogram.
+    pub(crate) fn close_interval(&mut self) {
+        if let Some(t) = self.timeline.as_mut() {
+            let row = t.recorder.take_row();
+            if let Some(latency) = self.latency.as_mut() {
+                latency.merge(&row);
+            }
+            t.rows.push(row);
+        }
+    }
+
+    /// The lane installed a plan at `at`, moving its assignments to `epoch`.
+    pub(crate) fn plan_install(&mut self, at: SimTime, epoch: u64) {
+        if let Some(t) = self.timeline.as_mut() {
+            t.journal
+                .record(at, self.lane, JournalKind::PlanInstall { epoch });
+        }
+    }
+
+    /// Hand over what the lane observed as its [`SimResult`], with the
+    /// lane's `intervals` and `summary`; the plan installs go into the
+    /// cluster `journal`.
+    pub(crate) fn finish(
+        &mut self,
+        intervals: Vec<IntervalMetrics>,
+        summary: RunSummary,
+        journal: Option<&mut Journal>,
+    ) -> SimResult {
+        let window = self.timeline.take().map(|t| {
+            let t = *t;
+            if let Some(journal) = journal {
+                journal.merge_from(t.journal);
+            }
+            t.rows
+        });
+        let trace = (self.sample_every > 0).then(|| TraceLog {
+            roots: std::mem::take(&mut self.roots),
+        });
+        let latency = self.latency.take().map(|h| *h);
+        SimResult::new(intervals, summary, latency, trace, window)
     }
 }
 
@@ -810,40 +944,49 @@ mod tests {
         assert_eq!(row.percentile_us(0.0), bucket_low(row.first));
     }
 
-    #[test]
-    fn tracer_samples_every_nth_index() {
-        let t = LaneTracer::new(100);
-        assert!(t.samples(0));
-        assert!(!t.samples(1));
-        assert!(!t.samples(99));
-        assert!(t.samples(100));
-        // sample_every = 0 clamps to 1 (trace everything) instead of dividing
-        // by zero.
-        let t = LaneTracer::new(0);
-        assert!(t.samples(7));
+    /// An observer of lane 0 with the given recorders on.
+    fn observer(trace_sample: u64, histograms: bool, timeline: bool) -> LaneObserver {
+        let observe = ObserveConfig {
+            trace_sample,
+            histograms,
+            timeline,
+        };
+        LaneObserver::new(&observe, 0)
     }
 
-    fn span(kind: SpanKind, start: SimTime, end: SimTime) -> Span {
-        Span {
-            kind,
-            start_us: start,
-            end_us: end,
-            task: 0,
-            worker: 1,
-        }
+    /// What an observer hands over, with no intervals.
+    fn finished(mut observer: LaneObserver, journal: Option<&mut Journal>) -> SimResult {
+        observer.finish(Vec::new(), RunSummary::default(), journal)
+    }
+
+    #[test]
+    fn tracer_samples_every_nth_index() {
+        let mut o = observer(100, true, false);
+        let slots: Vec<u32> = [0, 1, 99, 100]
+            .into_iter()
+            .map(|i| o.root_arrival(i, 0))
+            .collect();
+        assert_eq!(slots, [0, UNTRACED, UNTRACED, 1]);
+        assert_eq!(o.slot(|| Some(1)), 1);
+        // trace_sample = 0 turns tracing off instead of dividing by zero,
+        // and no root is looked up for its slot.
+        let mut off = observer(0, true, false);
+        assert_eq!(off.root_arrival(0, 0), UNTRACED);
+        assert_eq!(off.slot(|| unreachable!()), UNTRACED);
+        assert!(finished(off, None).trace.is_none());
     }
 
     #[test]
     fn critical_path_chains_contiguous_spans() {
-        let mut tracer = LaneTracer::new(1);
-        let slot = tracer.begin_root(0, 0, 1_000);
-        tracer.span(slot, span(SpanKind::Frontend, 1_000, 3_000));
-        tracer.span(slot, span(SpanKind::Queue, 3_000, 4_000));
-        tracer.span(slot, span(SpanKind::Exec, 4_000, 9_000));
+        let mut o = observer(1, false, false);
+        let (slot, w) = (o.root_arrival(0, 1_000), WorkerId(1));
+        o.span(slot, SpanKind::Frontend, 1_000, 3_000, 0, w);
+        o.span(slot, SpanKind::Queue, 3_000, 4_000, 0, w);
+        o.span(slot, SpanKind::Exec, 4_000, 9_000, 0, w);
         // A parallel sibling branch that finished earlier: not on the path.
-        tracer.span(slot, span(SpanKind::Exec, 4_000, 6_000));
-        tracer.finish(slot, 9_000, false);
-        let root = &tracer.roots[0];
+        o.span(slot, SpanKind::Exec, 4_000, 6_000, 0, w);
+        o.root_end(slot, 9_000, Some(8_000));
+        let root = &o.roots[0];
         assert_eq!(root.latency_us(), 8_000);
         let cp = root.critical_path();
         assert_eq!(cp.total_us, 8_000);
@@ -854,22 +997,89 @@ mod tests {
     }
 
     #[test]
+    fn a_cut_off_root_ends_dropped_without_a_marker() {
+        let mut o = observer(1, true, false);
+        let (dropped, cut) = (o.root_arrival(0, 0), o.root_arrival(1, 5));
+        o.root_end(dropped, 40, None);
+        o.root_cut_off(cut, 50);
+        let result = finished(o, None);
+        assert_eq!(
+            result.latency,
+            Some(Histogram::new()),
+            "drops record no latency"
+        );
+        let roots = result.trace.expect("tracing is on").roots;
+        let kinds: Vec<Vec<SpanKind>> = roots
+            .iter()
+            .map(|r| r.spans.iter().map(|s| s.kind).collect())
+            .collect();
+        assert_eq!(kinds, [vec![SpanKind::Drop], vec![]]);
+        assert_eq!((roots[0].end_us, roots[1].end_us), (40, 50));
+        assert!(roots.iter().all(|r| r.dropped));
+    }
+
+    #[test]
+    fn timeline_rows_fold_into_the_run_histogram() {
+        // Timeline off, served roots go straight into the run histogram;
+        // on, into the open interval's row, folded in at each close.
+        let mut direct = observer(0, true, false);
+        let mut folded = observer(0, true, true);
+        for o in [&mut direct, &mut folded] {
+            o.root_end(UNTRACED, 10, Some(7));
+            o.root_end(UNTRACED, 20, None);
+            o.close_interval();
+            o.root_end(UNTRACED, 30, Some(900));
+            o.close_interval();
+            o.plan_install(30, 2);
+        }
+        let direct = finished(direct, None);
+        let mut journal = Journal::new();
+        let folded = finished(folded, Some(&mut journal));
+        let latency = direct.latency.as_ref().expect("histograms are on");
+        assert_eq!(latency.count(), 2);
+        assert_eq!(folded.latency.as_ref(), Some(latency));
+        let s = &direct.summary;
+        assert_eq!(
+            [s.p50_ms, s.p90_ms, s.p99_ms, s.p999_ms],
+            latency.percentiles_ms()
+        );
+        assert_eq!((direct.window, direct.trace), (None, None));
+        let rows = folded.window.expect("timeline rows");
+        assert_eq!(
+            rows.iter().map(Histogram::count).collect::<Vec<_>>(),
+            [1, 1]
+        );
+        let installs: Vec<_> = journal
+            .events
+            .iter()
+            .map(|e| (e.time_us, &e.kind))
+            .collect();
+        assert_eq!(installs, [(30, &JournalKind::PlanInstall { epoch: 2 })]);
+        // Histograms off: the timeline still keeps its rows.
+        let mut rows_only = observer(0, false, true);
+        rows_only.root_end(UNTRACED, 10, Some(7));
+        rows_only.close_interval();
+        let rows_only = finished(rows_only, None);
+        assert_eq!(rows_only.latency, None);
+        assert_eq!(rows_only.window.map(|rows| rows.len()), Some(1));
+    }
+
+    #[test]
     fn chrome_export_is_wellformed_and_names_every_span() {
-        let mut tracer = LaneTracer::new(1);
-        let slot = tracer.begin_root(0, 0, 0);
-        tracer.span(slot, span(SpanKind::Frontend, 0, 2_000));
-        tracer.span(slot, span(SpanKind::Exec, 2_000, 5_000));
-        tracer.finish(slot, 5_000, false);
-        let log = TraceLog {
-            roots: tracer.roots,
-        };
-        assert_eq!(log.num_spans(), 2);
+        let mut o = observer(1, true, false);
+        let (slot, w) = (o.root_arrival(0, 0), WorkerId(1));
+        o.span(slot, SpanKind::Frontend, 0, 2_000, 0, w);
+        o.span(slot, SpanKind::Exec, 2_000, 5_000, 0, w);
+        o.root_end(slot, 5_000, Some(5_000));
+        let log = finished(o, None).trace.expect("tracing is on");
+        assert_eq!(log.num_spans(), 3);
         let json = log.to_chrome_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"name\":\"frontend\""));
-        assert!(json.contains("\"name\":\"exec\""));
+        for name in ["frontend", "exec", "complete"] {
+            assert!(json.contains(&format!("\"name\":\"{name}\"")), "{name}");
+        }
         assert!(json.contains("\"critical_path_us\":5000"));
         // Balanced braces/brackets — the export must parse.
         assert_eq!(

@@ -285,6 +285,7 @@ impl LinkDelayModel {
         cluster_size: usize,
         num_tasks: usize,
     ) -> CompiledLinkDelays {
+        #[expect(clippy::expect_used, reason = "documented: bad model panics")]
         self.validate().expect("link-delay model must be valid");
         match self {
             LinkDelayModel::Uniform => CompiledLinkDelays::Uniform {

@@ -261,7 +261,9 @@ impl Worker {
         // sizes that dominate here.
         self.in_flight.reserve(take);
         for _ in 0..take {
-            let q = self.queue.pop_front().expect("take <= queue len");
+            let Some(q) = self.queue.pop_front() else {
+                break;
+            };
             self.in_flight.push(q);
         }
         self.in_flight_variant = Some(variant);

@@ -5,14 +5,20 @@
 //! 1. `traces_are_bit_identical_across_jobs`: a four-lane contended run under
 //!    a migration-heavy seesaw arbiter produces identical per-lane span trees
 //!    (same sampled roots, same spans, same timestamps) for `jobs ∈ {1, 2, 4}`.
-//! 2. `observability_does_not_perturb_the_simulation`: the same run with
-//!    tracing + timeline on yields a summary, interval series and latency
-//!    histograms bit-identical to the run with observability off (histograms
-//!    on). With the timeline on, the run's end-to-end histogram is folded from
-//!    the per-interval rows; with it off, it is recorded directly.
+//! 2. `observability_does_not_perturb_the_simulation`: the same run under
+//!    every [`ObserveConfig`] combination yields totals, an interval series
+//!    and event counts bit-identical to the default run, a latency histogram
+//!    equal to the default one exactly when histograms are on, and each
+//!    recorder's output exactly when that recorder is on. With the timeline
+//!    on, the run's end-to-end histogram is folded from the per-interval
+//!    rows; with it off, it is recorded directly.
 //! 3. `critical_path_is_bounded_by_measured_latency`: for every sampled root,
 //!    `critical_path().total_us <= latency_us()` and the per-kind components
 //!    sum to no more than the total.
+//! 4. `golden_observations_are_stable`: a digest of everything the run
+//!    observed (merged journal, every lane's timeline rows and traced roots)
+//!    is pinned, so a change that moves them the same way at every `jobs`
+//!    value still shows.
 
 use loki_pipeline::{zoo, PipelineGraph};
 use loki_sim::{
@@ -106,31 +112,50 @@ fn traces_are_bit_identical_across_jobs() {
 #[test]
 fn observability_does_not_perturb_the_simulation() {
     let plain = four_lane_run(11, 2, ObserveConfig::default());
-    let observed = four_lane_run(11, 2, dense_tracing());
-    for (a, b) in plain.pipelines.iter().zip(&observed.pipelines) {
-        assert_eq!(
-            a.result.summary.total_on_time, b.result.summary.total_on_time,
-            "lane {}: tracing/timeline changed on-time count",
-            a.name
-        );
-        assert_eq!(
-            a.result.summary.total_dropped, b.result.summary.total_dropped,
-            "lane {}: tracing/timeline changed drop count",
-            a.name
-        );
-        assert_eq!(
-            a.result.intervals, b.result.intervals,
-            "lane {}: tracing/timeline changed the interval series",
-            a.name
-        );
-        assert_eq!(
-            a.result.latency, b.result.latency,
-            "lane {}: the folded latency histograms differ from the direct ones",
-            a.name
-        );
+    for histograms in [true, false] {
+        for timeline in [false, true] {
+            for trace_sample in [0, 3] {
+                let observe = ObserveConfig {
+                    trace_sample,
+                    histograms,
+                    timeline,
+                };
+                let label = format!("{observe:?}");
+                let observed = four_lane_run(11, 2, observe);
+                for (a, b) in plain.pipelines.iter().zip(&observed.pipelines) {
+                    let (sa, sb) = (&a.result.summary, &b.result.summary);
+                    assert_eq!(
+                        (sa.total_on_time, sa.total_late, sa.total_dropped),
+                        (sb.total_on_time, sb.total_late, sb.total_dropped),
+                        "{label} lane {}: totals",
+                        a.name
+                    );
+                    assert_eq!(
+                        a.result.intervals, b.result.intervals,
+                        "{label} lane {}: interval series",
+                        a.name
+                    );
+                    // With the timeline on, the run histogram is folded from
+                    // the rows; with it off, it is recorded directly.
+                    let latency = histograms.then(|| a.result.latency.clone().expect("default"));
+                    assert_eq!(
+                        b.result.latency, latency,
+                        "{label} lane {}: run histogram",
+                        a.name
+                    );
+                    assert_eq!(
+                        (b.result.window.is_some(), b.result.trace.is_some()),
+                        (timeline, trace_sample > 0),
+                        "{label} lane {}: which recorders reported",
+                        a.name
+                    );
+                }
+                assert_eq!(observed.journal.is_some(), timeline, "{label}: journal");
+                assert_eq!(plain.total_events, observed.total_events, "{label}: events");
+                assert_eq!(plain.migrations, observed.migrations, "{label}: migrations");
+            }
+        }
     }
-    assert_eq!(plain.total_events, observed.total_events, "event count");
-    assert_eq!(plain.migrations, observed.migrations, "migrations");
 }
 
 /// The timeline channel (cluster journal + per-interval histogram deltas)
@@ -230,4 +255,81 @@ fn critical_path_is_bounded_by_measured_latency() {
         checked > 10,
         "expected a meaningful trace corpus, got {checked}"
     );
+}
+
+/// FNV-1a (64 bit) over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Everything a run observed, as one byte stream: the merged journal (each
+/// event's time, lane, recording sequence and kind name), then per lane its
+/// timeline rows (count, max and five percentiles each) and its traced roots
+/// with every span, in recording order.
+fn observation_bytes(run: &MultiSimResult) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut word = |w: u64| bytes.extend(w.to_le_bytes());
+    let journal = run.journal.as_ref().expect("the timeline is on");
+    word(journal.events.len() as u64);
+    let mut names = Vec::new();
+    for event in &journal.events {
+        word(event.time_us);
+        word(event.lane as u64);
+        word(event.seq);
+        names.push(event.kind.name());
+    }
+    for lane in &run.pipelines {
+        let rows = lane.result.window.as_ref().expect("the timeline is on");
+        word(rows.len() as u64);
+        for row in rows {
+            word(row.count());
+            word(row.max_us());
+            for q in [0.5, 0.9, 0.99, 0.999, 1.0] {
+                word(row.percentile_us(q));
+            }
+        }
+        let roots = &lane.result.trace.as_ref().expect("tracing is on").roots;
+        word(roots.len() as u64);
+        for root in roots {
+            word(root.lane as u64);
+            word(root.arrival_index);
+            word(root.arrival_us);
+            word(root.end_us);
+            word(root.dropped as u64);
+            word(root.spans.len() as u64);
+            for s in &root.spans {
+                word(s.kind as u64);
+                word(s.start_us);
+                word(s.end_us);
+                word(s.task as u64);
+                word(s.worker as u64);
+            }
+        }
+    }
+    for name in names {
+        bytes.extend(name.bytes().chain([0]));
+    }
+    bytes
+}
+
+// Pinned before the lane's observation state moved behind one observer,
+// which must leave every journal event, row and span where it was.
+const GOLDEN_OBSERVATION_BYTES: usize = 216_328;
+const GOLDEN_OBSERVATION_DIGEST: u64 = 0x0176_4612_9041_5bb5;
+
+#[test]
+fn golden_observations_are_stable() {
+    for jobs in [1, 2] {
+        let run = four_lane_run(42, jobs, dense_tracing());
+        let bytes = observation_bytes(&run);
+        let digest = fnv1a(bytes.iter().copied());
+        println!(
+            "observation golden candidate (jobs {jobs}): bytes {} digest {digest:#018x}",
+            bytes.len()
+        );
+        assert_eq!(bytes.len(), GOLDEN_OBSERVATION_BYTES, "jobs {jobs}");
+        assert_eq!(digest, GOLDEN_OBSERVATION_DIGEST, "jobs {jobs}");
+    }
 }
