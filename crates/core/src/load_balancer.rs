@@ -18,27 +18,25 @@
 //! place through [`loki_sim::PlanBuilder`] — no `HashMap` intermediate, with
 //! the per-task worker groups and all table scratch reused across refreshes.
 //! Under [`RouteMode::Accuracy`] the emitted plan samples bit-identically to
-//! lowering the legacy [`RoutingPlan`] built by
-//! [`MostAccurateFirst::build_routing`] (kept as the reference
-//! implementation, pinned by the round-trip test in
-//! `crates/core/tests/plan_roundtrip.rs`). Under [`RouteMode::LinkAware`]
-//! equal-accuracy candidates (replicas of the same variant) are re-ordered by
-//! the actual hop delay from the run's [`LinkDelayModel`] before each
-//! saturation pass, so demand prefers network-local replicas on heterogeneous
-//! interconnects without ever sacrificing accuracy-first ordering.
+//! an interpreted, `HashMap`-keyed reference of Algorithm 1, which the
+//! round-trip test in `crates/core/tests/plan_roundtrip.rs` keeps. Under
+//! [`RouteMode::LinkAware`] equal-accuracy candidates (replicas of the same
+//! variant) are re-ordered by the actual hop delay from the run's
+//! [`LinkDelayModel`] before each saturation pass, so demand prefers
+//! network-local replicas on heterogeneous interconnects without ever
+//! sacrificing accuracy-first ordering.
 //!
 //! Emission also reports [`PlannerWarning`]s for demand that reaches a task
 //! with no routable workers — traffic the engine can only drop — instead of
 //! leaving those tasks silently unroutable.
 
 use crate::perf::{effective_fanout, FanoutOverrides};
-use loki_pipeline::{PipelineGraph, TaskId, VariantId};
+use loki_pipeline::{PipelineGraph, VariantId};
+use loki_sim::routing::more_accurate_first;
 use loki_sim::{
-    BackupWorker, CompiledPlan, LinkDelayModel, PlanBuilder, RouteMode, RoutingPlan, WorkerId,
-    WorkerView,
+    BackupWorker, CompiledPlan, LinkDelayModel, PlanBuilder, RouteMode, WorkerId, WorkerView,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A structured planner warning: estimated demand reaches `task` but no
 /// routable worker serves it, so the engine's only recourse is the
@@ -74,20 +72,7 @@ pub struct MostAccurateFirst {
     warnings: Vec<PlannerWarning>,
 }
 
-/// Map a NaN (degenerate profile) to `-inf` so `f64::total_cmp` sorts it below
-/// every real value — `total_cmp` alone ranks NaN *above* `+inf`, which would
-/// hand a degenerate worker all the traffic; `partial_cmp(..).unwrap()`, the
-/// previous comparator, panicked outright.
-#[inline]
-fn nan_last(value: f64) -> f64 {
-    if value.is_nan() {
-        f64::NEG_INFINITY
-    } else {
-        value
-    }
-}
-
-/// Companion of [`nan_last`] for ascending sorts: NaN maps to `+inf` so a
+/// Sort key for ascending sorts of execution times: NaN maps to `+inf` so a
 /// degenerate execution time is never advertised as the fastest backup.
 #[inline]
 fn nan_slowest(value: f64) -> f64 {
@@ -111,9 +96,8 @@ struct WorkerState {
 }
 
 impl MostAccurateFirst {
-    /// Emit a compiled routing plan with accuracy-first candidate ordering:
-    /// the historical behaviour, sampling bit-identically to lowering
-    /// [`MostAccurateFirst::build_routing`]'s plan.
+    /// Emit a compiled routing plan with accuracy-first candidate ordering,
+    /// the paper's Algorithm 1.
     pub fn emit(
         &mut self,
         graph: &PipelineGraph,
@@ -159,8 +143,7 @@ impl MostAccurateFirst {
         if let Some(states) = self.by_task.get_mut(root) {
             if route == RouteMode::LinkAware {
                 states.sort_by(|a, b| {
-                    nan_last(b.accuracy)
-                        .total_cmp(&nan_last(a.accuracy))
+                    more_accurate_first(a.accuracy, b.accuracy)
                         .then(
                             links
                                 .frontend_worker_hop_ms(a.id, uniform_ms)
@@ -213,8 +196,7 @@ impl MostAccurateFirst {
                     // weak order and leaves cross-variant ordering untouched.
                     if route == RouteMode::LinkAware && child_states.len() > 1 {
                         child_states.sort_by(|a, b| {
-                            nan_last(b.accuracy)
-                                .total_cmp(&nan_last(a.accuracy))
+                            more_accurate_first(a.accuracy, b.accuracy)
                                 .then(
                                     links
                                         .worker_hop_ms(worker_id, t, a.id, child, uniform_ms)
@@ -330,146 +312,9 @@ impl MostAccurateFirst {
             });
         }
         for states in self.by_task.iter_mut() {
-            states.sort_by(|a, b| {
-                nan_last(b.accuracy)
-                    .total_cmp(&nan_last(a.accuracy))
-                    .then(a.id.cmp(&b.id))
-            });
+            states
+                .sort_by(|a, b| more_accurate_first(a.accuracy, b.accuracy).then(a.id.cmp(&b.id)));
         }
-    }
-
-    /// Build routing tables for the current worker assignments and estimated demand.
-    ///
-    /// `demand_qps` is the estimated root arrival rate; `fanout` carries observed
-    /// multiplicative factors (profiled values are used where no observation exists).
-    ///
-    /// The legacy `HashMap`-keyed reference implementation: production
-    /// controllers emit [`CompiledPlan`]s directly via
-    /// [`MostAccurateFirst::emit`]; this remains as the semantic reference the
-    /// round-trip test pins emission against (and as a convenient
-    /// introspectable form for unit tests).
-    pub fn build_routing(
-        graph: &PipelineGraph,
-        workers: &[WorkerView],
-        demand_qps: f64,
-        fanout: &FanoutOverrides,
-    ) -> RoutingPlan {
-        // Group workers by task, sorted most-accurate-first (ties by id for
-        // determinism).
-        let mut by_task: HashMap<usize, Vec<WorkerState>> = HashMap::new();
-        for w in workers {
-            let Some(variant) = w.variant else { continue };
-            if w.swapping {
-                continue;
-            }
-            let profile = graph.variant(variant);
-            let capacity = profile.throughput_qps(w.max_batch);
-            by_task.entry(variant.task).or_default().push(WorkerState {
-                id: w.id,
-                variant,
-                accuracy: profile.accuracy,
-                capacity,
-                capacity_left: capacity,
-                incoming: 0.0,
-                exec_time_ms: profile.batch_latency_ms(w.max_batch),
-            });
-        }
-        for states in by_task.values_mut() {
-            states.sort_by(|a, b| {
-                nan_last(b.accuracy)
-                    .total_cmp(&nan_last(a.accuracy))
-                    .then(a.id.cmp(&b.id))
-            });
-        }
-
-        let mut plan = RoutingPlan::default();
-
-        // Frontend: pour the root demand into the root task's workers.
-        let root = graph.root().index();
-        if let Some(states) = by_task.get_mut(&root) {
-            let mut assignments = Vec::new();
-            Self::saturate_into(states, demand_qps, &mut assignments);
-            for (id, routed) in assignments {
-                if routed > 0.0 {
-                    plan.frontend.push((id, routed));
-                }
-            }
-        }
-
-        // Walk tasks in topological order, assigning each worker's outgoing traffic to
-        // downstream workers most-accurate-first.
-        for &task_id in graph.topological_order() {
-            let t = task_id.index();
-            let children: Vec<TaskId> = graph
-                .task(task_id)
-                .children
-                .iter()
-                .map(|e| e.child)
-                .collect();
-            if children.is_empty() {
-                continue;
-            }
-            let upstream: Vec<(WorkerId, VariantId, f64)> = by_task
-                .get(&t)
-                .map(|states| {
-                    states
-                        .iter()
-                        .map(|s| (s.id, s.variant, s.incoming))
-                        .collect()
-                })
-                .unwrap_or_default();
-            for (worker_id, variant, incoming) in upstream {
-                for &child in &children {
-                    let outgoing = incoming * effective_fanout(graph, variant, child, fanout);
-                    let Some(child_states) = by_task.get_mut(&child.index()) else {
-                        continue;
-                    };
-                    let mut assignments = Vec::new();
-                    Self::saturate_into(child_states, outgoing, &mut assignments);
-                    let total: f64 = assignments.iter().map(|(_, r)| r).sum();
-                    if total <= 0.0 {
-                        continue;
-                    }
-                    let table: Vec<(WorkerId, f64)> = assignments
-                        .into_iter()
-                        .filter(|(_, r)| *r > 0.0)
-                        .map(|(id, r)| (id, r / total))
-                        .collect();
-                    plan.downstream.insert((worker_id, child.index()), table);
-                }
-            }
-        }
-
-        // Per-task default tables (used for queries whose upstream worker has no
-        // specific entry, e.g. right after a re-allocation): proportional to capacity.
-        for (task, states) in &by_task {
-            let table: Vec<(WorkerId, f64)> = states
-                .iter()
-                .map(|s| (s.id, s.capacity.max(1e-9)))
-                .collect();
-            plan.downstream_default.insert(*task, table);
-        }
-
-        // Backup tables: leftover capacity per task, most accurate first.
-        for (task, states) in &by_task {
-            let mut backups: Vec<BackupWorker> = states
-                .iter()
-                .filter(|s| s.capacity_left > 1e-6)
-                .map(|s| BackupWorker {
-                    worker: s.id,
-                    exec_time_ms: s.exec_time_ms,
-                    accuracy: s.accuracy,
-                })
-                .collect();
-            backups.sort_by(|a, b| {
-                nan_slowest(a.exec_time_ms).total_cmp(&nan_slowest(b.exec_time_ms))
-            });
-            if !backups.is_empty() {
-                plan.backup.insert(*task, backups);
-            }
-        }
-
-        plan
     }
 
     /// Pour `demand` into the (accuracy-sorted) worker list, saturating each worker's
@@ -524,6 +369,35 @@ mod tests {
         }
     }
 
+    fn emit(
+        g: &PipelineGraph,
+        workers: &[WorkerView],
+        demand: f64,
+        fanout: &FanoutOverrides,
+    ) -> CompiledPlan {
+        MostAccurateFirst::default().emit(g, workers, demand, fanout)
+    }
+
+    /// The weight `table` gives worker `w`.
+    fn weight(table: &[(WorkerId, f64)], w: usize) -> f64 {
+        table
+            .iter()
+            .filter(|(id, _)| *id == WorkerId(w))
+            .map(|(_, p)| *p)
+            .sum()
+    }
+
+    /// The `(upstream, child)` table Algorithm 1 wrote: the normalized one,
+    /// not the capacity-weighted default a compiled plan folds in.
+    fn routed_table(plan: &CompiledPlan, upstream: usize, child: usize) -> &[(WorkerId, f64)] {
+        let table = plan
+            .raw_downstream(WorkerId(upstream), child)
+            .expect("routing table");
+        let total: f64 = table.iter().map(|(_, p)| p).sum();
+        assert!((total - 1.0).abs() < 1e-9, "probabilities should sum to 1");
+        table
+    }
+
     #[test]
     fn frontend_prefers_most_accurate_worker() {
         let g = zoo::tiny_pipeline(100.0);
@@ -534,22 +408,10 @@ mod tests {
             view(2, VariantId::new(1, 1), 4),
         ];
         // Low demand: everything fits on the accurate worker.
-        let plan = MostAccurateFirst::build_routing(&g, &workers, 10.0, &FanoutOverrides::new());
-        let accurate_weight: f64 = plan
-            .frontend
-            .iter()
-            .filter(|(w, _)| *w == WorkerId(1))
-            .map(|(_, p)| *p)
-            .sum();
-        let cheap_weight: f64 = plan
-            .frontend
-            .iter()
-            .filter(|(w, _)| *w == WorkerId(0))
-            .map(|(_, p)| *p)
-            .sum();
-        assert!(accurate_weight > 0.0);
+        let plan = emit(&g, &workers, 10.0, &FanoutOverrides::new());
+        assert!(weight(plan.frontend_raw(), 1) > 0.0);
         assert!(
-            cheap_weight.abs() < 1e-9,
+            weight(plan.frontend_raw(), 0).abs() < 1e-9,
             "cheap worker should get no traffic at low demand"
         );
     }
@@ -564,15 +426,9 @@ mod tests {
         ];
         let accurate_capacity = g.variant(VariantId::new(0, 1)).throughput_qps(4);
         let demand = accurate_capacity * 1.5;
-        let plan = MostAccurateFirst::build_routing(&g, &workers, demand, &FanoutOverrides::new());
-        let cheap_weight: f64 = plan
-            .frontend
-            .iter()
-            .filter(|(w, _)| *w == WorkerId(0))
-            .map(|(_, p)| *p)
-            .sum();
+        let plan = emit(&g, &workers, demand, &FanoutOverrides::new());
         assert!(
-            cheap_weight > 0.0,
+            weight(plan.frontend_raw(), 0) > 0.0,
             "overflow should spill to the less accurate worker"
         );
     }
@@ -585,20 +441,15 @@ mod tests {
             view(1, VariantId::new(1, 1), 4),
             view(2, VariantId::new(1, 0), 4),
         ];
-        let plan = MostAccurateFirst::build_routing(&g, &workers, 20.0, &FanoutOverrides::new());
+        let plan = emit(&g, &workers, 20.0, &FanoutOverrides::new());
         // The root worker must have a table for task 1.
-        let table = plan
-            .downstream
-            .get(&(WorkerId(0), 1))
-            .expect("routing table");
-        let total: f64 = table.iter().map(|(_, p)| p).sum();
-        assert!((total - 1.0).abs() < 1e-9, "probabilities should sum to 1");
+        routed_table(&plan, 0, 1);
         // At 20 QPS the accurate downstream worker has leftover capacity -> backup.
-        let backup = plan.backup.get(&1).expect("backup table");
-        assert!(!backup.is_empty());
-        // Default tables exist for both tasks.
-        assert!(plan.downstream_default.contains_key(&0));
-        assert!(plan.downstream_default.contains_key(&1));
+        assert!(!plan.backup(1).is_empty());
+        // Default tables exist for both tasks: a worker without a table of
+        // its own resolves to them.
+        assert!(plan.raw_downstream(WorkerId(3), 0).is_some());
+        assert!(plan.raw_downstream(WorkerId(3), 1).is_some());
     }
 
     #[test]
@@ -610,23 +461,17 @@ mod tests {
             view(2, VariantId::new(1, 0), 8),
             view(3, VariantId::new(2, 3), 8),
         ];
-        let plan = MostAccurateFirst::build_routing(&g, &workers, 50.0, &FanoutOverrides::new());
-        assert!(plan.downstream.contains_key(&(WorkerId(0), 1)));
-        assert!(plan.downstream.contains_key(&(WorkerId(0), 2)));
+        let plan = emit(&g, &workers, 50.0, &FanoutOverrides::new());
+        routed_table(&plan, 0, 2);
         // Car-classification traffic prefers the accurate B7 worker while it has
         // capacity.
-        let table = &plan.downstream[&(WorkerId(0), 1)];
-        let b7_share: f64 = table
-            .iter()
-            .filter(|(w, _)| *w == WorkerId(1))
-            .map(|(_, p)| *p)
-            .sum();
+        let b7_share = weight(routed_table(&plan, 0, 1), 1);
         assert!(b7_share > 0.5, "b7 share = {b7_share}");
     }
 
     #[test]
     fn nan_accuracy_from_a_degenerate_profile_does_not_panic() {
-        use loki_pipeline::{LatencyProfile, ModelVariant, PipelineGraph};
+        use loki_pipeline::{LatencyProfile, ModelVariant};
         // A corrupted/degenerate profile can surface a NaN accuracy at runtime;
         // the router must keep working (NaNs sort last) instead of panicking on
         // `partial_cmp(..).unwrap()`.
@@ -643,26 +488,24 @@ mod tests {
             view(1, VariantId::new(0, 1), 4),
             view(2, VariantId::new(1, 0), 4),
         ];
-        let plan = MostAccurateFirst::build_routing(&g, &workers, 5.0, &FanoutOverrides::new());
+        let plan = emit(&g, &workers, 5.0, &FanoutOverrides::new());
         // The well-profiled worker absorbs the low demand; the NaN one gets none.
-        let weight = |w: usize| -> f64 {
-            plan.frontend
-                .iter()
-                .filter(|(id, _)| *id == WorkerId(w))
-                .map(|(_, p)| *p)
-                .sum()
-        };
-        assert!(weight(1) > 0.0);
-        assert!(weight(0).abs() < 1e-9, "NaN-profiled worker must sort last");
+        assert!(weight(plan.frontend_raw(), 1) > 0.0);
+        assert!(
+            weight(plan.frontend_raw(), 0).abs() < 1e-9,
+            "NaN-profiled worker must sort last"
+        );
     }
 
     #[test]
     fn empty_cluster_produces_empty_plan() {
         let g = zoo::tiny_pipeline(100.0);
-        let plan = MostAccurateFirst::build_routing(&g, &[], 100.0, &FanoutOverrides::new());
-        assert!(plan.frontend.is_empty());
-        assert!(plan.downstream.is_empty());
-        assert!(plan.backup.is_empty());
+        let plan = emit(&g, &[], 100.0, &FanoutOverrides::new());
+        assert!(plan.frontend_raw().is_empty());
+        for task in 0..g.num_tasks() {
+            assert!(plan.raw_downstream(WorkerId(0), task).is_none());
+            assert!(plan.backup(task).is_empty());
+        }
     }
 
     #[test]
@@ -677,15 +520,9 @@ mod tests {
         // more traffic shifts to the cheap one.
         let mut fanout = FanoutOverrides::new();
         fanout.insert((VariantId::new(0, 1), 1), 10.0);
-        let plan_hi = MostAccurateFirst::build_routing(&g, &workers, 30.0, &fanout);
-        let plan_lo = MostAccurateFirst::build_routing(&g, &workers, 30.0, &FanoutOverrides::new());
-        let cheap_share = |plan: &RoutingPlan| -> f64 {
-            plan.downstream[&(WorkerId(0), 1)]
-                .iter()
-                .filter(|(w, _)| *w == WorkerId(2))
-                .map(|(_, p)| *p)
-                .sum()
-        };
+        let plan_hi = emit(&g, &workers, 30.0, &fanout);
+        let plan_lo = emit(&g, &workers, 30.0, &FanoutOverrides::new());
+        let cheap_share = |plan: &CompiledPlan| weight(routed_table(plan, 0, 1), 2);
         assert!(cheap_share(&plan_hi) > cheap_share(&plan_lo));
     }
 

@@ -53,15 +53,6 @@ impl LinExpr {
         }
     }
 
-    /// Build an expression from `(variable, coefficient)` pairs.
-    pub fn from_terms<I: IntoIterator<Item = (Var, f64)>>(iter: I) -> Self {
-        let mut e = Self::new();
-        for (v, c) in iter {
-            e.add_term(v, c);
-        }
-        e
-    }
-
     /// Add `coeff * var` to the expression, merging with any existing term.
     pub fn add_term(&mut self, var: Var, coeff: f64) -> &mut Self {
         if coeff != 0.0 {

@@ -174,11 +174,6 @@ impl PipelineGraph {
         self.slo_ms
     }
 
-    /// Change the latency SLO (used by the SLO-sensitivity sweep of Figure 8).
-    pub fn set_slo_ms(&mut self, slo_ms: f64) {
-        self.slo_ms = slo_ms;
-    }
-
     /// The allowed batch sizes `B`.
     pub fn batch_sizes(&self) -> &[BatchSize] {
         &self.batch_sizes

@@ -129,13 +129,14 @@ impl SimResult {
     }
 }
 
-/// A structured engine error: either an engine invariant violation or an
+/// A structured engine error: an engine invariant violation, an
 /// out-of-range value returned through a public trait ([`Controller`],
-/// [`ResourceArbiter`], [`ElasticPolicy`]). The dispatch loop and root
-/// bookkeeping guard their impossible-but-unchecked states with these instead
-/// of bare `unwrap`s, so a scheduler-refactor regression reports what broke,
-/// where in simulated time, and after how many events; a bad trait output is
-/// named with its offending index and the simulated time.
+/// [`ResourceArbiter`], [`ElasticPolicy`]), or a run that cannot start. The
+/// dispatch loop and root bookkeeping guard their impossible-but-unchecked
+/// states with these instead of bare `unwrap`s, so a scheduler-refactor
+/// regression reports what broke, where in simulated time, and after how
+/// many events; a bad trait output is named with its offending index and the
+/// simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineError {
     /// The dispatch loop selected an event source whose queue turned out empty.
@@ -199,6 +200,13 @@ pub enum EngineError {
         /// Simulated time of the revocation deadline, µs.
         now_us: SimTime,
     },
+    /// A `try_run*` call that cannot start: an elastic policy without
+    /// [`SimConfig::elastic`], or a multi-pipeline run with no pipeline
+    /// registered.
+    InvalidRun {
+        /// What the run is missing.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -250,11 +258,17 @@ impl std::fmt::Display for EngineError {
                 "engine invariant violated: revoked worker {worker} had a batch \
                  in flight at its deadline but no owning lane (now = {now_us} us)"
             ),
+            EngineError::InvalidRun { reason } => write!(f, "cannot start the run: {reason}"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
+
+/// What `try_run_elastic` returns without [`SimConfig::elastic`].
+pub(crate) const NEEDS_ELASTIC: EngineError = EngineError::InvalidRun {
+    reason: "an elastic policy needs SimConfig::elastic",
+};
 
 /// A cluster-level event on the driver's queue: everything that must run at an
 /// epoch barrier, single-threaded, because it can touch more than one lane.
@@ -318,7 +332,8 @@ impl<'a, C: Controller> Simulation<'a, C> {
     }
 
     /// Run with an [`ElasticPolicy`] scaling the worker fleet (requires
-    /// [`SimConfig::elastic`]). Panics on an engine invariant violation.
+    /// [`SimConfig::elastic`]). Panics on an engine invariant violation or a
+    /// missing [`SimConfig::elastic`].
     #[expect(clippy::panic, reason = "the wrapper's documented panic")]
     pub fn run_elastic(&mut self, arrivals_s: &[f64], policy: &mut dyn ElasticPolicy) -> SimResult {
         self.try_run_elastic(arrivals_s, policy)
@@ -326,16 +341,16 @@ impl<'a, C: Controller> Simulation<'a, C> {
     }
 
     /// Like [`Simulation::run_elastic`], but surfaces engine invariant
-    /// violations as a structured [`EngineError`].
+    /// violations and a missing [`SimConfig::elastic`]
+    /// ([`EngineError::InvalidRun`]) as a structured [`EngineError`].
     pub fn try_run_elastic(
         &mut self,
         arrivals_s: &[f64],
         policy: &mut dyn ElasticPolicy,
     ) -> Result<SimResult, EngineError> {
-        assert!(
-            self.config.elastic.is_some(),
-            "an elastic policy needs SimConfig::elastic"
-        );
+        if self.config.elastic.is_none() {
+            return Err(NEEDS_ELASTIC);
+        }
         self.try_run_inner(arrivals_s, Some(policy))
     }
 
@@ -606,7 +621,7 @@ struct MarketState {
 
 impl<'a> Engine<'a> {
     pub(crate) fn new(config: &'a SimConfig, inputs: Vec<LaneInput<'a>>) -> Self {
-        assert!(!inputs.is_empty(), "engine needs at least one pipeline");
+        debug_assert!(!inputs.is_empty(), "engine needs at least one pipeline");
         assert!(
             inputs.len() < FREE as usize,
             "lane count fits the owner tag"
@@ -914,16 +929,18 @@ impl<'a> Engine<'a> {
         mut provisioner: Option<&mut dyn ElasticPolicy>,
         jobs: usize,
     ) -> Result<Vec<SimResult>, EngineError> {
-        assert_eq!(
+        // `Simulation` and `MultiSimulation` build the lanes and controllers
+        // in lockstep and turn a missing elastic config into an `EngineError`.
+        debug_assert_eq!(
             controllers.len(),
             self.shards.len(),
             "one controller per pipeline"
         );
-        assert!(
+        debug_assert!(
             arbiter.is_some() || self.shards.len() == 1,
             "multi-pipeline runs need a resource arbiter"
         );
-        assert!(
+        debug_assert!(
             provisioner.is_none() || self.elastic.is_some(),
             "an elastic policy needs SimConfig::elastic"
         );
@@ -1828,9 +1845,9 @@ fn even_partition(lanes: usize, cluster: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::{CompiledPlan, PlanBuilder};
     use crate::types::{
-        AllocationPlan, DropPolicy, InstanceSpec, LinkDelayModel, ObservedState, RoutingPlan,
-        SimConfig,
+        AllocationPlan, DropPolicy, InstanceSpec, LinkDelayModel, ObservedState, SimConfig,
     };
     use loki_pipeline::{zoo, VariantId};
     use loki_workload::{generate_arrivals, generators, ArrivalProcess};
@@ -1866,27 +1883,31 @@ mod tests {
             }
         }
 
-        fn routing(
-            &mut self,
-            observed: &ObservedState<'_>,
-        ) -> Option<crate::routing::CompiledPlan> {
-            let mut plan = RoutingPlan::default();
-            let mut num_tasks = 0;
-            for w in observed.workers {
-                if let Some(v) = w.variant {
-                    if v.task == 0 {
-                        plan.frontend.push((w.id, 1.0));
+        fn routing(&mut self, observed: &ObservedState<'_>) -> Option<CompiledPlan> {
+            let hosted = || {
+                observed
+                    .workers
+                    .iter()
+                    .filter_map(|w| Some((w.id, w.variant?.task)))
+            };
+            let num_tasks = hosted().map(|(_, task)| task + 1).max().unwrap_or(0);
+            let mut plan = PlanBuilder::default();
+            plan.begin(num_tasks);
+            for task in 0..num_tasks {
+                let table: Vec<_> = hosted()
+                    .filter(|&(_, t)| t == task)
+                    .map(|(id, _)| (id, 1.0))
+                    .collect();
+                if task == 0 {
+                    for &(id, weight) in &table {
+                        plan.push_frontend(id, weight);
                     }
-                    plan.downstream_default
-                        .entry(v.task)
-                        .or_default()
-                        .push((w.id, 1.0));
-                    num_tasks = num_tasks.max(v.task + 1);
+                }
+                if !table.is_empty() {
+                    plan.set_default(task, &table);
                 }
             }
-            Some(crate::routing::CompiledPlan::from_routing_plan(
-                &plan, num_tasks,
-            ))
+            Some(plan.finish())
         }
     }
 
@@ -1973,10 +1994,7 @@ mod tests {
             self.inner.plan(observed)
         }
 
-        fn routing(
-            &mut self,
-            observed: &ObservedState<'_>,
-        ) -> Option<crate::routing::CompiledPlan> {
+        fn routing(&mut self, observed: &ObservedState<'_>) -> Option<CompiledPlan> {
             self.routings += 1;
             self.inner.routing(observed)
         }

@@ -228,13 +228,6 @@ impl Journal {
     pub fn count_matching(&self, mut pred: impl FnMut(&JournalKind) -> bool) -> usize {
         self.events.iter().filter(|e| pred(&e.kind)).count()
     }
-
-    /// Events whose time falls in `[from_s, to_s)`.
-    pub fn in_window(&self, from_s: f64, to_s: f64) -> impl Iterator<Item = &JournalEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.time_s() >= from_s && e.time_s() < to_s)
-    }
 }
 
 #[cfg(test)]
@@ -315,7 +308,6 @@ mod tests {
             j.count_matching(|k| matches!(k, JournalKind::Revocation { .. })),
             2
         );
-        assert_eq!(j.in_window(1.0, 2.0).count(), 1);
         assert_eq!(j.events[1].kind.name(), "revocation");
     }
 }

@@ -73,6 +73,5 @@ pub use slab::{Slab, SlotRef};
 pub use trace::{CriticalPath, Histogram, ObserveConfig, RootTrace, Span, SpanKind, TraceLog};
 pub use types::{
     AllocationPlan, BackupWorker, CompiledLinkDelays, Controller, DropPolicy, HopBudgets,
-    InstanceSpec, LinkDelayModel, ObservedState, Query, RouteMode, RoutingPlan, SimConfig,
-    WorkerId, WorkerView,
+    InstanceSpec, LinkDelayModel, ObservedState, Query, RouteMode, SimConfig, WorkerId, WorkerView,
 };

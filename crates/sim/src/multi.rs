@@ -17,7 +17,7 @@
 //! split) the contended manager is evaluated against.
 
 use crate::elastic::ElasticPolicy;
-use crate::engine::{Engine, EngineError, LaneInput, SimResult};
+use crate::engine::{Engine, EngineError, LaneInput, SimResult, NEEDS_ELASTIC};
 use crate::metrics::{CostSummary, IntervalMetrics, RunSummary};
 use crate::trace::{Histogram, TraceLog};
 use crate::types::{Controller, SimConfig};
@@ -366,14 +366,9 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
         self
     }
 
-    /// Number of registered pipelines.
-    pub fn num_pipelines(&self) -> usize {
-        self.pipelines.len()
-    }
-
     /// Run to completion under `arbiter`. Panics (with the rendered
-    /// [`EngineError`]) on an engine invariant violation; use
-    /// [`MultiSimulation::try_run`] to handle that as a value.
+    /// [`EngineError`]) on an engine invariant violation or with no pipeline
+    /// registered; use [`MultiSimulation::try_run`] to handle that as a value.
     #[expect(clippy::panic, reason = "the wrapper's documented panic")]
     pub fn run(&mut self, arbiter: &mut dyn ResourceArbiter) -> MultiSimResult {
         self.try_run(arbiter)
@@ -381,7 +376,8 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
     }
 
     /// Like [`MultiSimulation::run`], but surfaces engine invariant violations
-    /// as a structured [`EngineError`].
+    /// and a run with no pipeline registered ([`EngineError::InvalidRun`]) as
+    /// a structured [`EngineError`].
     pub fn try_run(
         &mut self,
         arbiter: &mut dyn ResourceArbiter,
@@ -392,7 +388,8 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
     /// Run with an [`ElasticPolicy`] scaling the shared fleet under the
     /// arbiter (requires [`SimConfig::elastic`]): boots land in the free pool
     /// and the next rebalance apportions them, so the partition size changes
-    /// between arbiter epochs. Panics on an engine invariant violation.
+    /// between arbiter epochs. Panics on an engine invariant violation or a
+    /// missing [`SimConfig::elastic`].
     #[expect(clippy::panic, reason = "the wrapper's documented panic")]
     pub fn run_elastic(
         &mut self,
@@ -404,16 +401,16 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
     }
 
     /// Like [`MultiSimulation::run_elastic`], but surfaces engine invariant
-    /// violations as a structured [`EngineError`].
+    /// violations and a missing [`SimConfig::elastic`]
+    /// ([`EngineError::InvalidRun`]) as a structured [`EngineError`].
     pub fn try_run_elastic(
         &mut self,
         arbiter: &mut dyn ResourceArbiter,
         policy: &mut dyn ElasticPolicy,
     ) -> Result<MultiSimResult, EngineError> {
-        assert!(
-            self.config.sim.elastic.is_some(),
-            "an elastic policy needs SimConfig::elastic"
-        );
+        if self.config.sim.elastic.is_none() {
+            return Err(NEEDS_ELASTIC);
+        }
         self.try_run_inner(arbiter, Some(policy))
     }
 
@@ -422,10 +419,11 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
         arbiter: &mut dyn ResourceArbiter,
         policy: Option<&mut dyn ElasticPolicy>,
     ) -> Result<MultiSimResult, EngineError> {
-        assert!(
-            !self.pipelines.is_empty(),
-            "register at least one pipeline before running"
-        );
+        if self.pipelines.is_empty() {
+            return Err(EngineError::InvalidRun {
+                reason: "register at least one pipeline before running",
+            });
+        }
         let mut inputs: Vec<LaneInput<'_>> = Vec::with_capacity(self.pipelines.len());
         let mut controllers: Vec<&mut dyn Controller> = Vec::with_capacity(self.pipelines.len());
         let mut names: Vec<String> = Vec::with_capacity(self.pipelines.len());

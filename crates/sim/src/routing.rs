@@ -3,20 +3,17 @@
 //!
 //! # The compile-once contract
 //!
-//! Historically controllers handed the engine a
-//! [`RoutingPlan`] — human-readable weighted tables
-//! keyed by `HashMap` — and the engine re-lowered it into alias tables on every
-//! routing refresh. That interpreted seam is gone: controllers now emit a
-//! [`CompiledPlan`] directly through [`PlanBuilder`], and the engine installs
-//! it as-is. The low-frequency planner produces *exactly* the artifact the
-//! high-frequency data path samples from:
+//! Controllers emit a [`CompiledPlan`] through [`PlanBuilder`], the only way a
+//! routing plan is built, and the engine installs it as-is. The low-frequency
+//! planner produces *exactly* the artifact the high-frequency data path
+//! samples from:
 //!
 //! * a frontend [`AliasTable`] over root-task workers;
 //! * a dense `(upstream worker × child task) → table` index into a pool of
 //!   alias tables, with the "no upstream-specific entry → per-task default"
 //!   rule folded in at build time so a routed query costs one load and one
 //!   uniform draw;
-//! * per-task backup lists sorted by accuracy descending (stable, so
+//! * per-task backup lists sorted by [`more_accurate_first`] (stable, so
 //!   equal-accuracy workers keep the emission order) for opportunistic
 //!   rerouting.
 //!
@@ -33,14 +30,11 @@
 //! (allocation applied, worker retired or migrated) and the next routing
 //! refresh, the plan is *stale*: the engine falls back to scanning the plan's
 //! retained raw weight vectors with full per-candidate runtime validity checks
-//! (ownership, dispatchability, task match). That slow path is the only
-//! surviving remnant of the interpreted seam.
-//!
-//! [`CompiledPlan::from_routing_plan`] lowers a legacy `HashMap` plan into the
-//! compiled form for controllers (mostly test fixtures) that still build one.
+//! (ownership, dispatchability, task match).
 
-use crate::types::{BackupWorker, RoutingPlan, WorkerId};
+use crate::types::{BackupWorker, WorkerId};
 use rand::Rng;
+use std::cmp::Ordering;
 
 /// A Vose alias table: samples an index from a discrete weighted distribution
 /// with a single uniform draw and two array reads, independent of table size.
@@ -104,7 +98,7 @@ impl AliasTable {
 /// Scratch space for Vose table construction, reusable across builds so
 /// plan emission does not allocate for table construction.
 #[derive(Debug, Default)]
-pub struct AliasTableBuilder {
+struct AliasTableBuilder {
     filtered: Vec<(WorkerId, f64)>,
     prob: Vec<f64>,
     alias: Vec<u32>,
@@ -117,7 +111,7 @@ impl AliasTableBuilder {
     /// Vose's algorithm: split the scaled weights into under- and over-full
     /// columns, then repeatedly top up an under-full column from an over-full
     /// one. Non-positive weights are skipped.
-    pub fn build_into<I: IntoIterator<Item = (WorkerId, f64)>>(
+    fn build_into<I: IntoIterator<Item = (WorkerId, f64)>>(
         &mut self,
         entries: I,
         out: &mut AliasTable,
@@ -175,16 +169,6 @@ impl AliasTableBuilder {
 
 const NO_TABLE: u32 = u32::MAX;
 
-/// Sort key that pushes NaN accuracies to the end of a descending sort.
-#[inline]
-fn nan_last(v: f64) -> f64 {
-    if v.is_nan() {
-        f64::NEG_INFINITY
-    } else {
-        v
-    }
-}
-
 /// One downstream table: the alias form sampled on the fresh fast path plus
 /// the raw weights it was built from, retained for the staleness-window scan.
 #[derive(Debug, Clone, Default)]
@@ -195,10 +179,9 @@ struct PlanTable {
 
 /// A routing plan in the engine's native dense compiled form.
 ///
-/// Built by controllers through [`PlanBuilder`] (or lowered from a legacy
-/// [`RoutingPlan`] via [`CompiledPlan::from_routing_plan`]) and installed by
-/// the engine verbatim. See the module docs for the compile-once contract and
-/// the staleness window.
+/// Built by controllers through [`PlanBuilder`] and installed by the engine
+/// verbatim. See the module docs for the compile-once contract and the
+/// staleness window.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledPlan {
     /// The assignment epoch this plan is valid for (stamped at install time).
@@ -226,39 +209,6 @@ pub struct CompiledPlan {
 }
 
 impl CompiledPlan {
-    /// Lower a legacy `HashMap`-keyed plan into the compiled form. Entries
-    /// are taken at face value (no fleet filtering): a controller is expected
-    /// to emit plans from the worker views it was handed, and the engine's
-    /// delivery-time validity recheck catches anything that drifts.
-    pub fn from_routing_plan(plan: &RoutingPlan, num_tasks: usize) -> CompiledPlan {
-        let mut b = PlanBuilder::default();
-        b.begin(num_tasks);
-        for &(w, weight) in &plan.frontend {
-            b.push_frontend(w, weight);
-        }
-        for (&(up, child), table) in &plan.downstream {
-            if child >= num_tasks {
-                continue;
-            }
-            b.set_downstream(up, child, table);
-        }
-        for (&child, table) in &plan.downstream_default {
-            if child >= num_tasks {
-                continue;
-            }
-            b.set_default(child, table);
-        }
-        for (&task, list) in &plan.backup {
-            if task >= num_tasks {
-                continue;
-            }
-            for &bw in list {
-                b.push_backup(task, bw);
-            }
-        }
-        b.finish()
-    }
-
     /// The assignment epoch this plan was installed under; the engine compares
     /// it against the live epoch to decide fresh fast path vs. stale scan.
     pub fn epoch(&self) -> u64 {
@@ -273,7 +223,7 @@ impl CompiledPlan {
     /// Stamp the plan with the installing lane's assignment epoch and make
     /// sure every fleet slot has a dense row (a plan emitted from views never
     /// mentions workers it has not seen; those rows fold to the per-task
-    /// default, exactly like the legacy `HashMap` default lookup).
+    /// default, like any upstream worker without a table of its own).
     pub(crate) fn finalize(&mut self, fleet_len: usize, epoch: u64) {
         while self.rows < fleet_len {
             self.downstream.extend_from_slice(&self.task_default);
@@ -448,7 +398,7 @@ impl PlanBuilder {
             .build_into(p.frontend_raw.iter().copied(), &mut frontend);
         p.frontend = frontend;
         for list in p.backup.iter_mut() {
-            list.sort_by(|a, b| nan_last(b.accuracy).total_cmp(&nan_last(a.accuracy)));
+            list.sort_by(|a, b| more_accurate_first(a.accuracy, b.accuracy));
         }
         for row in p.downstream.chunks_mut(p.num_tasks.max(1)) {
             for (slot, &default) in row.iter_mut().zip(&p.task_default) {
@@ -459,6 +409,16 @@ impl PlanBuilder {
         }
         std::mem::take(&mut self.plan)
     }
+}
+
+/// The order of a most-accurate-first sort, as `sort_by` wants it for two
+/// accuracies: descending, with NaN (a degenerate profile) last. It orders
+/// every backup list [`PlanBuilder::finish`] emits. `total_cmp` alone would
+/// rank NaN above `+inf` and hand a degenerate worker the traffic.
+#[inline]
+pub fn more_accurate_first(a: f64, b: f64) -> Ordering {
+    let key = |v: f64| if v.is_nan() { f64::NEG_INFINITY } else { v };
+    key(b).total_cmp(&key(a))
 }
 
 #[cfg(test)]
@@ -588,44 +548,5 @@ mod tests {
         let ids: Vec<usize> = plan.backup(0).iter().map(|b| b.worker.index()).collect();
         assert_eq!(ids, vec![2, 1, 3, 4]);
         assert!(plan.backup(1).is_empty());
-    }
-
-    #[test]
-    fn lowering_matches_builder_emission() {
-        use std::collections::HashMap;
-        let mut plan = RoutingPlan {
-            frontend: vec![(w(0), 2.0), (w(1), 1.0)],
-            ..RoutingPlan::default()
-        };
-        plan.downstream
-            .insert((w(0), 1), vec![(w(2), 1.0), (w(3), 3.0)]);
-        plan.downstream_default.insert(1, vec![(w(2), 1.0)]);
-        plan.backup = HashMap::new();
-        let mut compiled = CompiledPlan::from_routing_plan(&plan, 2);
-        compiled.finalize(4, 1);
-
-        let mut b = PlanBuilder::default();
-        b.begin(2);
-        b.push_frontend(w(0), 2.0);
-        b.push_frontend(w(1), 1.0);
-        b.set_downstream(w(0), 1, &[(w(2), 1.0), (w(3), 3.0)]);
-        b.set_default(1, &[(w(2), 1.0)]);
-        let mut emitted = b.finish();
-        emitted.finalize(4, 1);
-
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let mut rng_b = StdRng::seed_from_u64(11);
-        for _ in 0..10_000 {
-            assert_eq!(
-                compiled.frontend().sample(&mut rng_a),
-                emitted.frontend().sample(&mut rng_b)
-            );
-            let ta = compiled.downstream_table(w(0), 1).unwrap();
-            let tb = emitted.downstream_table(w(0), 1).unwrap();
-            assert_eq!(ta.sample(&mut rng_a), tb.sample(&mut rng_b));
-            let ta = compiled.downstream_table(w(3), 1).unwrap();
-            let tb = emitted.downstream_table(w(3), 1).unwrap();
-            assert_eq!(ta.sample(&mut rng_a), tb.sample(&mut rng_b));
-        }
     }
 }

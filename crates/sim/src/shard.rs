@@ -32,7 +32,7 @@ use crate::calendar::CalendarQueue;
 use crate::engine::EngineError;
 use crate::journal::Journal;
 use crate::metrics::RunSummary;
-use crate::routing::CompiledPlan;
+use crate::routing::{more_accurate_first, CompiledPlan};
 use crate::slab::{Slab, SlotRef};
 use crate::trace::{LaneObserver, SpanKind, NO_ID};
 use crate::types::{
@@ -1569,12 +1569,9 @@ fn stale_backup_ties(
     if candidates.is_empty() {
         return;
     }
-    // total_cmp with NaN demoted to -inf: a NaN accuracy from a degenerate
-    // profile must neither panic the data plane mid-run (the old
-    // `partial_cmp(..).unwrap()`) nor win a rescue (`total_cmp` alone ranks
-    // NaN above +inf).
-    let nan_last = |v: f64| if v.is_nan() { f64::NEG_INFINITY } else { v };
-    candidates.sort_by(|a, b| nan_last(b.accuracy).total_cmp(&nan_last(a.accuracy)));
+    // A NaN accuracy from a degenerate profile must neither panic the data
+    // plane mid-run nor win a rescue.
+    candidates.sort_by(|a, b| more_accurate_first(a.accuracy, b.accuracy));
     let best_acc = candidates[0].accuracy;
     ties.extend(
         candidates

@@ -476,12 +476,6 @@ impl HopBudgets {
         self.edge_ms.iter().fold(0.0f64, |a, &b| a.max(b))
     }
 
-    /// The largest single-hop budget, frontend included (ms). Collapsing the
-    /// budgets through this reproduces the legacy scalar `effective_comm_ms`.
-    pub fn worst_hop_ms(&self) -> f64 {
-        self.frontend_ms.max(self.worst_edge_ms())
-    }
-
     /// Total communication budget of a root-to-sink path visiting `tasks` in
     /// order (ms): the frontend hop in, every traversed edge, and the final
     /// aggregation hop back out. Under uniform budgets `c` this is exactly
@@ -621,21 +615,6 @@ impl AllocationPlan {
     pub fn total_workers(&self) -> usize {
         self.instances.iter().map(|i| i.count).sum()
     }
-
-    /// The instances hosting a given task.
-    pub fn instances_for_task(&self, task: usize) -> impl Iterator<Item = &InstanceSpec> {
-        self.instances
-            .iter()
-            .filter(move |i| i.variant.task == task)
-    }
-
-    /// Aggregate throughput capacity (QPS) provisioned for a task, according to the
-    /// profiled throughput of each instance.
-    pub fn task_capacity_qps(&self, graph: &loki_pipeline::PipelineGraph, task: usize) -> f64 {
-        self.instances_for_task(task)
-            .map(|i| i.count as f64 * graph.variant(i.variant).throughput_qps(i.max_batch))
-            .sum()
-    }
 }
 
 /// A worker with leftover capacity, advertised in the backup tables used by
@@ -648,22 +627,6 @@ pub struct BackupWorker {
     pub exec_time_ms: f64,
     /// The single-model accuracy of the variant it hosts.
     pub accuracy: f64,
-}
-
-/// A routing plan: the output of a controller's `routing` step, corresponding to the
-/// paper's Load Balancer output (per-worker routing tables plus backup tables).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct RoutingPlan {
-    /// Distribution over first-task workers used by the frontend. Weights need not sum
-    /// to one; they are normalized by the engine.
-    pub frontend: Vec<(WorkerId, f64)>,
-    /// Per-(upstream worker, downstream task) distribution over downstream workers.
-    pub downstream: HashMap<(WorkerId, usize), Vec<(WorkerId, f64)>>,
-    /// Fallback per-task distribution used when an upstream worker has no specific
-    /// table (e.g. right after a reallocation).
-    pub downstream_default: HashMap<usize, Vec<(WorkerId, f64)>>,
-    /// Backup (leftover-capacity) workers per task, used by opportunistic rerouting.
-    pub backup: HashMap<usize, Vec<BackupWorker>>,
 }
 
 /// A snapshot of one worker as seen by the control plane.
@@ -742,8 +705,7 @@ pub trait Controller: Send {
     /// Produce new routing tables for the current worker assignments in the
     /// engine's native compiled form (see [`crate::routing::CompiledPlan`]
     /// for the compile-once contract), or `None` to keep the current ones.
-    /// Controllers that still build a legacy [`RoutingPlan`] can lower it
-    /// with [`crate::routing::CompiledPlan::from_routing_plan`].
+    /// A plan is built with [`crate::routing::PlanBuilder`].
     fn routing(&mut self, observed: &ObservedState<'_>) -> Option<crate::routing::CompiledPlan>;
 }
 
@@ -856,7 +818,6 @@ impl<C: Controller + ?Sized> Controller for Box<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loki_pipeline::zoo;
 
     #[test]
     fn time_conversions_roundtrip() {
@@ -878,7 +839,6 @@ mod tests {
 
     #[test]
     fn allocation_plan_aggregates() {
-        let g = zoo::tiny_pipeline(100.0);
         let plan = AllocationPlan {
             instances: vec![
                 InstanceSpec {
@@ -896,11 +856,6 @@ mod tests {
             drop_policy: DropPolicy::PerTask,
         };
         assert_eq!(plan.total_workers(), 5);
-        assert_eq!(plan.instances_for_task(0).count(), 1);
-        assert_eq!(plan.instances_for_task(1).count(), 1);
-        let cap0 = plan.task_capacity_qps(&g, 0);
-        let expected = 3.0 * g.variant(VariantId::new(0, 1)).throughput_qps(4);
-        assert!((cap0 - expected).abs() < 1e-9);
     }
 
     #[test]

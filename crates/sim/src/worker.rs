@@ -133,11 +133,6 @@ impl Worker {
         self.assignment.is_some()
     }
 
-    /// True if the worker is currently processing a batch at time `now`.
-    pub fn is_busy(&self, now: SimTime) -> bool {
-        !self.in_flight.is_empty() && self.busy_until > now
-    }
-
     /// True if the worker is still loading a model at time `now`.
     pub fn is_swapping(&self, now: SimTime) -> bool {
         self.swap_until > now

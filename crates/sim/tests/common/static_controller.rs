@@ -3,7 +3,7 @@
 
 use loki_pipeline::VariantId;
 use loki_sim::{
-    AllocationPlan, CompiledPlan, Controller, DropPolicy, InstanceSpec, ObservedState, RoutingPlan,
+    AllocationPlan, CompiledPlan, Controller, DropPolicy, InstanceSpec, ObservedState, PlanBuilder,
 };
 use std::collections::HashMap;
 
@@ -44,20 +44,29 @@ impl Controller for StaticController {
     }
 
     fn routing(&mut self, observed: &ObservedState<'_>) -> Option<CompiledPlan> {
-        let mut plan = RoutingPlan::default();
-        let mut num_tasks = 0;
-        for w in observed.workers {
-            if let Some(v) = w.variant {
-                if v.task == 0 {
-                    plan.frontend.push((w.id, 1.0));
+        let hosted = || {
+            observed
+                .workers
+                .iter()
+                .filter_map(|w| Some((w.id, w.variant?.task)))
+        };
+        let num_tasks = hosted().map(|(_, task)| task + 1).max().unwrap_or(0);
+        let mut plan = PlanBuilder::default();
+        plan.begin(num_tasks);
+        for task in 0..num_tasks {
+            let table: Vec<_> = hosted()
+                .filter(|&(_, t)| t == task)
+                .map(|(id, _)| (id, 1.0))
+                .collect();
+            if task == 0 {
+                for &(id, weight) in &table {
+                    plan.push_frontend(id, weight);
                 }
-                plan.downstream_default
-                    .entry(v.task)
-                    .or_default()
-                    .push((w.id, 1.0));
-                num_tasks = num_tasks.max(v.task + 1);
+            }
+            if !table.is_empty() {
+                plan.set_default(task, &table);
             }
         }
-        Some(CompiledPlan::from_routing_plan(&plan, num_tasks))
+        Some(plan.finish())
     }
 }

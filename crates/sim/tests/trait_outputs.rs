@@ -2,14 +2,15 @@
 //! `ElasticPolicy` traits are outside input to the engine. An out-of-range
 //! one must come back from `try_run*` as an `EngineError` that names the
 //! input, the offending index and the simulated time — never as a panic, and
-//! never silently filed under another index.
+//! never silently filed under another index. A run the caller set up wrong
+//! comes back the same way, before any event runs.
 
-use loki_pipeline::{zoo, VariantId};
+use loki_pipeline::{zoo, PipelineGraph, VariantId};
 use loki_sim::{
     AllocationPlan, ArbiterObservation, CompiledPlan, Controller, DropPolicy, ElasticAction,
     ElasticObservation, ElasticPolicy, ElasticSimConfig, EngineError, InstanceSpec, MultiPipeline,
-    MultiSimulation, ObservedState, ResourceArbiter, SimConfig, Simulation, WorkerClass,
-    WorkerClassCatalog,
+    MultiSimulation, ObservedState, ResourceArbiter, SimConfig, Simulation, StaticPartition,
+    WorkerClass, WorkerClassCatalog,
 };
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
 use std::collections::HashMap;
@@ -133,20 +134,25 @@ impl ResourceArbiter for ShortPartition {
     }
 }
 
-#[test]
-fn arbiter_partition_of_the_wrong_length_is_an_error() {
-    let graph = zoo::tiny_pipeline(200.0);
+/// A shared-cluster run of `lanes` tiny pipelines on `config()`.
+fn multi(graph: &PipelineGraph, lanes: usize) -> MultiSimulation<'_> {
     let mut sim = MultiSimulation::new(config());
-    for name in ["a", "b"] {
+    for lane in 0..lanes {
         sim.add_pipeline(MultiPipeline {
-            name: name.to_string(),
-            graph: &graph,
+            name: format!("p{lane}"),
+            graph,
             controller: Box::new(FixedPlan(plan(None, &[]))) as Box<dyn Controller>,
             arrivals_s: arrivals(),
             initial_demand_hint: Some(20.0),
         });
     }
-    let result = sim.try_run(&mut ShortPartition { calls: 0 });
+    sim
+}
+
+#[test]
+fn arbiter_partition_of_the_wrong_length_is_an_error() {
+    let graph = zoo::tiny_pipeline(200.0);
+    let result = multi(&graph, 2).try_run(&mut ShortPartition { calls: 0 });
     // The initial partition is fine; the first rebalance (t = 2 s) is not.
     assert_eq!(
         result.err(),
@@ -227,5 +233,44 @@ fn draining_a_class_outside_the_catalog_is_an_error() {
     assert!(
         rendered.contains("drain") && rendered.contains("class 1"),
         "{rendered}"
+    );
+}
+
+const NEEDS_ELASTIC: EngineError = EngineError::InvalidRun {
+    reason: "an elastic policy needs SimConfig::elastic",
+};
+
+#[test]
+fn an_elastic_run_without_an_elastic_config_is_an_error() {
+    let graph = zoo::tiny_pipeline(200.0);
+    let mut sim = Simulation::new(&graph, config(), FixedPlan(plan(None, &[])));
+    let mut policy = Always(ElasticAction::Provision { class: 0, count: 1 });
+    let result = sim.try_run_elastic(&arrivals(), &mut policy);
+    assert_eq!(result.err(), Some(NEEDS_ELASTIC));
+}
+
+#[test]
+fn a_shared_elastic_run_without_an_elastic_config_is_an_error() {
+    let graph = zoo::tiny_pipeline(200.0);
+    let mut policy = Always(ElasticAction::Provision { class: 0, count: 1 });
+    let result = multi(&graph, 2).try_run_elastic(&mut StaticPartition::even(2), &mut policy);
+    assert_eq!(result.err(), Some(NEEDS_ELASTIC));
+}
+
+#[test]
+fn a_shared_run_without_pipelines_is_an_error() {
+    let graph = zoo::tiny_pipeline(200.0);
+    let error = multi(&graph, 0)
+        .try_run(&mut StaticPartition::even(0))
+        .err();
+    assert_eq!(
+        error,
+        Some(EngineError::InvalidRun {
+            reason: "register at least one pipeline before running",
+        })
+    );
+    assert_eq!(
+        error.map(|e| e.to_string()).as_deref(),
+        Some("cannot start the run: register at least one pipeline before running")
     );
 }
