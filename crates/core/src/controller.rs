@@ -8,7 +8,8 @@ use crate::load_balancer::{MostAccurateFirst, PlannerWarning};
 use crate::perf::FanoutOverrides;
 use loki_pipeline::{BatchSize, PipelineGraph, VariantId};
 use loki_sim::{
-    AllocationPlan, CompiledPlan, Controller, HopBudgets, ObservedState, WorkerId, WorkerView,
+    AllocationPlan, CompiledLinkDelays, CompiledPlan, Controller, HopBudgets, ObservedState,
+    WorkerId, WorkerView,
 };
 use serde::{Deserialize, Serialize};
 
@@ -35,18 +36,12 @@ pub struct ControllerStats {
 }
 
 impl ControllerStats {
-    /// Fraction of cache consults that were hits. Falls back to
-    /// hits / (rebuilds + hits) for stats that predate consult tracking.
+    /// Fraction of cache consults that were hits (0 before the first consult).
     pub fn routing_cache_hit_ratio(&self) -> f64 {
-        let total = if self.routing_cache_consults > 0 {
-            self.routing_cache_consults
-        } else {
-            self.routings + self.routing_cache_hits
-        };
-        if total == 0 {
+        if self.routing_cache_consults == 0 {
             0.0
         } else {
-            self.routing_cache_hits as f64 / total as f64
+            self.routing_cache_hits as f64 / self.routing_cache_consults as f64
         }
     }
 }
@@ -87,6 +82,9 @@ pub struct LokiController {
     /// The planner's per-hop budgets: a function of `config` and `graph`, both fixed
     /// for the controller's lifetime, so derived once and lent to every allocation.
     budgets: HopBudgets,
+    /// `config.link_delays` compiled once, as the engine compiles it: the hop
+    /// delays link-aware routing orders equal-accuracy candidates by.
+    links: CompiledLinkDelays,
     allocator: AllocatorKind,
     /// The Load Balancer's plan emitter (owns the reusable emission scratch).
     lb: MostAccurateFirst,
@@ -101,11 +99,21 @@ pub struct LokiController {
 
 impl LokiController {
     /// Create a controller for a pipeline with the given configuration.
+    ///
+    /// Panics on an invalid graph, and, as the engine does, on an invalid
+    /// `config.link_delays` or a per-edge model that names an edge outside
+    /// the pipeline (see [`loki_sim::LinkDelayModel::compile`]).
     pub fn new(graph: PipelineGraph, config: LokiConfig) -> Self {
         graph.validate().expect("pipeline graph must be valid");
         let allocator = AllocatorKind::from_config(&config);
+        // No fleet size: a worker past the empty class table falls back to
+        // the same striping rule the engine's table caches.
+        let links = config
+            .link_delays
+            .compile(config.comm_latency_ms, 0, graph.num_tasks());
         Self {
             budgets: config.hop_budgets(graph.num_tasks()),
+            links,
             graph,
             config,
             allocator,
@@ -237,8 +245,7 @@ impl Controller for LokiController {
             demand,
             &self.fanout,
             self.config.route,
-            &self.config.link_delays,
-            self.config.comm_latency_ms,
+            &self.links,
         );
         self.stats.routings += 1;
         self.stats.routing_warnings.clear();

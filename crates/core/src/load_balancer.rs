@@ -21,10 +21,12 @@
 //! an interpreted, `HashMap`-keyed reference of Algorithm 1, which the
 //! round-trip test in `crates/core/tests/plan_roundtrip.rs` keeps. Under
 //! [`RouteMode::LinkAware`] equal-accuracy candidates (replicas of the same
-//! variant) are re-ordered by the actual hop delay from the run's
-//! [`LinkDelayModel`] before each saturation pass, so demand prefers
-//! network-local replicas on heterogeneous interconnects without ever
-//! sacrificing accuracy-first ordering.
+//! variant) are re-ordered before each saturation pass by the hop delay the
+//! engine charges for them: the [`CompiledLinkDelays`] compiled from the
+//! run's link model, read through the same `frontend_us`/`hop_us` lookups
+//! the data plane dispatches with. Demand thus prefers network-local
+//! replicas on heterogeneous interconnects without ever sacrificing
+//! accuracy-first ordering.
 //!
 //! Emission also reports [`PlannerWarning`]s for demand that reaches a task
 //! with no routable workers — traffic the engine can only drop — instead of
@@ -34,7 +36,7 @@ use crate::perf::{effective_fanout, FanoutOverrides};
 use loki_pipeline::{PipelineGraph, VariantId};
 use loki_sim::routing::more_accurate_first;
 use loki_sim::{
-    BackupWorker, CompiledPlan, LinkDelayModel, PlanBuilder, RouteMode, WorkerId, WorkerView,
+    BackupWorker, CompiledLinkDelays, CompiledPlan, PlanBuilder, RouteMode, WorkerId, WorkerView,
 };
 use serde::{Deserialize, Serialize};
 
@@ -105,22 +107,23 @@ impl MostAccurateFirst {
         demand_qps: f64,
         fanout: &FanoutOverrides,
     ) -> CompiledPlan {
+        // Accuracy ordering never reads the link table.
         self.emit_with_route(
             graph,
             workers,
             demand_qps,
             fanout,
             RouteMode::Accuracy,
-            &LinkDelayModel::Uniform,
-            0.0,
+            &CompiledLinkDelays::Uniform { hop_us: 0 },
         )
     }
 
     /// Emit a compiled routing plan. `route` selects the candidate ordering;
-    /// under [`RouteMode::LinkAware`], `links` (with `uniform_ms` as the
-    /// uniform-model hop delay) supplies the per-hop delays that break
-    /// equal-accuracy ties toward network-local replicas.
-    #[allow(clippy::too_many_arguments)]
+    /// under [`RouteMode::LinkAware`], equal-accuracy ties go to the candidate
+    /// whose hop costs least in `links` — the compiled delays the engine
+    /// charges ([`CompiledLinkDelays::frontend_us`] for the frontend,
+    /// [`CompiledLinkDelays::hop_us`] from each upstream worker), then to the
+    /// lower worker id.
     pub fn emit_with_route(
         &mut self,
         graph: &PipelineGraph,
@@ -128,8 +131,7 @@ impl MostAccurateFirst {
         demand_qps: f64,
         fanout: &FanoutOverrides,
         route: RouteMode,
-        links: &LinkDelayModel,
-        uniform_ms: f64,
+        links: &CompiledLinkDelays,
     ) -> CompiledPlan {
         let num_tasks = graph.num_tasks();
         self.warnings.clear();
@@ -144,11 +146,7 @@ impl MostAccurateFirst {
             if route == RouteMode::LinkAware {
                 states.sort_by(|a, b| {
                     more_accurate_first(a.accuracy, b.accuracy)
-                        .then(
-                            links
-                                .frontend_worker_hop_ms(a.id, uniform_ms)
-                                .total_cmp(&links.frontend_worker_hop_ms(b.id, uniform_ms)),
-                        )
+                        .then(links.frontend_us(a.id).cmp(&links.frontend_us(b.id)))
                         .then(a.id.cmp(&b.id))
                 });
             }
@@ -195,17 +193,10 @@ impl MostAccurateFirst {
                     // tie-break (accuracy first) keeps the comparator a strict
                     // weak order and leaves cross-variant ordering untouched.
                     if route == RouteMode::LinkAware && child_states.len() > 1 {
+                        let hop = |w: WorkerId| links.hop_us(worker_id, t, w, child);
                         child_states.sort_by(|a, b| {
                             more_accurate_first(a.accuracy, b.accuracy)
-                                .then(
-                                    links
-                                        .worker_hop_ms(worker_id, t, a.id, child, uniform_ms)
-                                        .total_cmp(
-                                            &links.worker_hop_ms(
-                                                worker_id, t, b.id, child, uniform_ms,
-                                            ),
-                                        ),
-                                )
+                                .then(hop(a.id).cmp(&hop(b.id)))
                                 .then(a.id.cmp(&b.id))
                         });
                     }
@@ -358,6 +349,7 @@ impl MostAccurateFirst {
 mod tests {
     use super::*;
     use loki_pipeline::zoo;
+    use loki_sim::LinkDelayModel;
 
     fn view(id: usize, variant: VariantId, batch: u32) -> WorkerView {
         WorkerView {
@@ -564,10 +556,13 @@ mod tests {
             view(2, VariantId::new(1, 1), 8),
             view(3, VariantId::new(1, 1), 8),
         ];
-        let links = LinkDelayModel::PerWorkerClass {
-            classes: 2,
-            delay_ms: vec![0.2, 5.0, 5.0, 0.2],
-            frontend_ms: vec![2.0, 2.0],
+        let two_tier = |delay_ms: Vec<f64>| {
+            LinkDelayModel::PerWorkerClass {
+                classes: 2,
+                delay_ms,
+                frontend_ms: vec![2.0, 2.0],
+            }
+            .compile(2.0, 0, g.num_tasks())
         };
         let mut lb = MostAccurateFirst::default();
         let plan = lb.emit_with_route(
@@ -576,8 +571,7 @@ mod tests {
             5.0,
             &FanoutOverrides::new(),
             RouteMode::LinkAware,
-            &links,
-            2.0,
+            &two_tier(vec![0.2, 5.0, 5.0, 0.2]),
         );
         // All task-1 traffic from worker 0 lands on the same-class replica.
         let mut rng = StdRng::seed_from_u64(1);
@@ -589,19 +583,13 @@ mod tests {
         // Accuracy mode with the same inputs ties by id, which also picks
         // worker 2 here — so flip the classes to show link-awareness actually
         // drives the choice: now worker 3 is the local one.
-        let flipped = LinkDelayModel::PerWorkerClass {
-            classes: 2,
-            delay_ms: vec![5.0, 0.2, 0.2, 5.0],
-            frontend_ms: vec![2.0, 2.0],
-        };
         let plan = lb.emit_with_route(
             &g,
             &workers,
             5.0,
             &FanoutOverrides::new(),
             RouteMode::LinkAware,
-            &flipped,
-            2.0,
+            &two_tier(vec![5.0, 0.2, 0.2, 5.0]),
         );
         let t = plan.downstream_table(WorkerId(0), 1).expect("table");
         for _ in 0..200 {

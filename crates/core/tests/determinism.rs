@@ -352,6 +352,7 @@ fn planner_digest(
                         RouteMode::Accuracy => HopBudgets::uniform(2.0, n),
                         RouteMode::LinkAware => links.hop_budgets(2.0, n),
                     };
+                    let links = links.compile(2.0, 0, n);
                     for fanout in &fanouts {
                         let ctx = AllocationContext {
                             graph: &graph,
@@ -388,8 +389,8 @@ fn planner_digest(
                                 swapping: false,
                             })
                             .collect();
-                        let plan = lb
-                            .emit_with_route(&graph, &workers, demand, fanout, route, &links, 2.0);
+                        let plan =
+                            lb.emit_with_route(&graph, &workers, demand, fanout, route, &links);
                         plan_words(&plan, &workers, n, &mut words);
                         cases += 1;
                     }

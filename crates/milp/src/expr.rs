@@ -113,11 +113,6 @@ impl LinExpr {
         }
         self
     }
-
-    /// True if the expression has no variable terms and no constant.
-    pub fn is_zero(&self) -> bool {
-        self.terms.is_empty() && self.constant == 0.0
-    }
 }
 
 impl From<Var> for LinExpr {
@@ -335,7 +330,6 @@ mod tests {
         e.add_term(v(0), 2.0);
         e.add_term(v(0), -2.0);
         assert_eq!(e.num_terms(), 0);
-        assert!(e.is_zero());
     }
 
     #[test]

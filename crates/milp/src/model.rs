@@ -157,21 +157,6 @@ impl Model {
             .count()
     }
 
-    /// Indices of integer and binary variables.
-    pub fn integer_vars(&self) -> Vec<Var> {
-        self.vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.vtype != VarType::Continuous)
-            .map(|(i, _)| Var(i))
-            .collect()
-    }
-
-    /// Name of a variable (for diagnostics).
-    pub fn var_name(&self, var: Var) -> &str {
-        &self.vars[var.index()].name
-    }
-
     /// Bounds of a variable.
     pub fn var_bounds(&self, var: Var) -> (f64, f64) {
         let d = &self.vars[var.index()];
@@ -310,8 +295,6 @@ mod tests {
         assert_eq!(m.num_vars(), 3);
         assert_eq!(m.num_constraints(), 1);
         assert_eq!(m.num_integer_vars(), 2);
-        assert_eq!(m.integer_vars(), vec![y, z]);
-        assert_eq!(m.var_name(x), "x");
         assert_eq!(m.var_bounds(z), (0.0, 1.0));
     }
 

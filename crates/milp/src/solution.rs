@@ -91,19 +91,6 @@ impl Default for SolveOptions {
     }
 }
 
-impl SolveOptions {
-    /// A configuration tuned for the Loki resource manager: bounded latency, accepts
-    /// the best incumbent if proving optimality would take too long.
-    pub fn realtime(budget: Duration) -> Self {
-        Self {
-            node_limit: 5_000,
-            time_limit: budget,
-            mip_gap: 5e-3,
-            ..Self::default()
-        }
-    }
-}
-
 /// Statistics reported alongside a solution.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SolveStats {
@@ -167,13 +154,6 @@ mod tests {
         assert!(o.node_limit > 0);
         assert!(o.mip_gap >= 0.0);
         assert!(o.int_tol > 0.0);
-    }
-
-    #[test]
-    fn realtime_options_tighter_than_default() {
-        let o = SolveOptions::realtime(Duration::from_millis(500));
-        assert!(o.node_limit <= SolveOptions::default().node_limit);
-        assert_eq!(o.time_limit, Duration::from_millis(500));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! split) the contended manager is evaluated against.
 
 use crate::elastic::ElasticPolicy;
-use crate::engine::{Engine, EngineError, LaneInput, SimResult, NEEDS_ELASTIC};
+use crate::engine::{check_run_config, Engine, EngineError, LaneInput, SimResult, NEEDS_ELASTIC};
 use crate::metrics::{CostSummary, IntervalMetrics, RunSummary};
 use crate::trace::{Histogram, TraceLog};
 use crate::types::{Controller, SimConfig};
@@ -424,6 +424,7 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
                 reason: "register at least one pipeline before running",
             });
         }
+        check_run_config(&self.config.sim, self.pipelines.iter().map(|p| p.graph))?;
         let mut inputs: Vec<LaneInput<'_>> = Vec::with_capacity(self.pipelines.len());
         let mut controllers: Vec<&mut dyn Controller> = Vec::with_capacity(self.pipelines.len());
         let mut names: Vec<String> = Vec::with_capacity(self.pipelines.len());

@@ -294,8 +294,8 @@ impl CompiledPlan {
         }
     }
 
-    /// Backup workers for `task`, accuracy-descending. Served to both the
-    /// fresh rerouting scan and the staleness-window tie-break.
+    /// Backup workers for `task`, accuracy-descending with NaN last. The
+    /// data plane's rescue scan reads them on a fresh and a stale plan alike.
     #[inline]
     pub fn backup(&self, task: usize) -> &[BackupWorker] {
         self.backup.get(task).map_or(&[], Vec::as_slice)

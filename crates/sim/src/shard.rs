@@ -32,12 +32,12 @@ use crate::calendar::CalendarQueue;
 use crate::engine::EngineError;
 use crate::journal::Journal;
 use crate::metrics::RunSummary;
-use crate::routing::{more_accurate_first, CompiledPlan};
+use crate::routing::CompiledPlan;
 use crate::slab::{Slab, SlotRef};
 use crate::trace::{LaneObserver, SpanKind, NO_ID};
 use crate::types::{
-    ms_to_us, secs_to_us, us_to_ms, AllocationPlan, BackupWorker, CompiledLinkDelays, Controller,
-    DropPolicy, ObservedState, Query, SimConfig, SimTime, WorkerId, WorkerView,
+    ms_to_us, secs_to_us, us_to_ms, AllocationPlan, CompiledLinkDelays, Controller, DropPolicy,
+    ObservedState, Query, SimConfig, SimTime, WorkerId, WorkerView,
 };
 use crate::worker::{Lifecycle, Worker};
 use crate::SimResult;
@@ -686,10 +686,7 @@ impl<'a> Shard<'a> {
         // The designated worker may have been re-assigned (or migrated to a
         // different lane) since routing; fall back to any worker of this lane
         // currently serving the task.
-        let serves = ctx.worker(worker_id).is_some_and(|w| {
-            w.accepts_dispatches() && matches!(&w.assignment, Some(a) if a.variant.task == q.task)
-        });
-        let target = if serves {
+        let target = if serves_task(ctx, worker_id, q.task) {
             Some(worker_id)
         } else {
             fallback_worker_for_task(lane, ctx, q.task)
@@ -1086,6 +1083,10 @@ impl<'a> Shard<'a> {
         choice.or_else(|| fallback_worker_for_task(lane, ctx, lane.root_task))
     }
 
+    /// Choose where a query leaving `upstream` for `child_task` goes: the
+    /// worker its routing table samples, a rescue when it runs `overrun_ms`
+    /// behind under opportunistic rerouting, or a drop. A stale plan is read
+    /// through the same tables, each entry checked with [`serves_task`].
     fn route_downstream(
         &mut self,
         ctx: &LaneCtx<'_>,
@@ -1114,8 +1115,9 @@ impl<'a> Shard<'a> {
             return RouteOutcome::Drop;
         };
 
-        // Opportunistic rerouting: if the query is running late, look for a strictly
-        // faster backup worker that can make up the deficit.
+        // Opportunistic rerouting: if the query is running late, rescue it on a
+        // backup fast enough to make up the deficit, drawn uniformly among the
+        // most accurate such backups. One scan serves fresh and stale plans.
         if lane.drop_policy == DropPolicy::OpportunisticRerouting && overrun_ms > 0.0 {
             let default_exec_ms = ctx
                 .worker(default_choice)
@@ -1123,33 +1125,23 @@ impl<'a> Shard<'a> {
                 .unwrap_or(f64::INFINITY);
             let needed_ms = default_exec_ms - overrun_ms;
             ties.clear();
-            if fresh {
-                // Emitted backups are already accuracy-sorted (desc), so the
-                // first match has the best accuracy and ties are collected
-                // until accuracy falls below it.
-                let mut best_acc = f64::NEG_INFINITY;
-                for b in lane.compiled.backup(child_task) {
-                    if !ties.is_empty() && b.accuracy < best_acc - 1e-9 {
-                        break;
-                    }
-                    if b.exec_time_ms <= needed_ms {
-                        if ties.is_empty() {
-                            best_acc = b.accuracy;
-                        }
-                        ties.push(b.worker);
-                    }
+            // Backups arrive from `PlanBuilder::finish` most accurate first,
+            // NaN last: the first fast-enough entry has the best accuracy,
+            // and its ties follow it. On a stale plan an entry must also
+            // still serve the task for this lane. A NaN accuracy (a
+            // degenerate profile) ends the scan, so it never wins a rescue.
+            let mut best_acc = f64::NEG_INFINITY;
+            for b in lane.compiled.backup(child_task) {
+                if b.accuracy.is_nan() || (!ties.is_empty() && b.accuracy < best_acc - 1e-9) {
+                    break;
                 }
-            } else {
-                // The emitted list is already stably accuracy-sorted; the
-                // stale scan's own stable sort is idempotent on it, so the
-                // tie set matches what the raw plan list would have produced.
-                stale_backup_ties(
-                    lane.compiled.backup(child_task),
-                    ctx,
-                    child_task,
-                    needed_ms,
-                    &mut ties,
-                );
+                if b.exec_time_ms <= needed_ms && (fresh || serves_task(ctx, b.worker, child_task))
+                {
+                    if ties.is_empty() {
+                        best_acc = b.accuracy;
+                    }
+                    ties.push(b.worker);
+                }
             }
             if ties.is_empty() {
                 self.reroute_scratch = ties;
@@ -1515,7 +1507,7 @@ fn stochastic_round(rng: &mut StdRng, mean: f64) -> usize {
 }
 
 /// True when `w` is lent to this lane, warm, and hosts a variant of `task`:
-/// the validity test of the stale-routing slow paths below.
+/// the validity test of a delivery and of the stale-routing slow paths.
 fn serves_task(ctx: &LaneCtx<'_>, w: WorkerId, task: usize) -> bool {
     ctx.worker(w).is_some_and(|w| {
         w.accepts_dispatches() && w.assignment.is_some_and(|a| a.variant.task == task)
@@ -1552,35 +1544,6 @@ fn sample_table_scan(
     last
 }
 
-/// Collect the rescue candidates for opportunistic rerouting from a raw backup
-/// table (slow path): filter by execution time, lane ownership, and current
-/// assignment, then keep every candidate whose accuracy ties the best one.
-fn stale_backup_ties(
-    backup: &[BackupWorker],
-    ctx: &LaneCtx<'_>,
-    task: usize,
-    needed_ms: f64,
-    ties: &mut Vec<WorkerId>,
-) {
-    let mut candidates: Vec<&BackupWorker> = backup
-        .iter()
-        .filter(|b| b.exec_time_ms <= needed_ms && serves_task(ctx, b.worker, task))
-        .collect();
-    if candidates.is_empty() {
-        return;
-    }
-    // A NaN accuracy from a degenerate profile must neither panic the data
-    // plane mid-run nor win a rescue.
-    candidates.sort_by(|a, b| more_accurate_first(a.accuracy, b.accuracy));
-    let best_acc = candidates[0].accuracy;
-    ties.extend(
-        candidates
-            .iter()
-            .take_while(|c| (c.accuracy - best_acc).abs() < 1e-9)
-            .map(|c| c.worker),
-    );
-}
-
 #[derive(Clone, Copy)]
 enum RouteOutcome {
     To(WorkerId),
@@ -1591,6 +1554,8 @@ enum RouteOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::PlanBuilder;
+    use crate::types::BackupWorker;
 
     /// A controller that never plans or routes: the lane's ticks run and
     /// change nothing.
@@ -1661,5 +1626,135 @@ mod tests {
         assert_eq!(shard.lane.events_processed, 2 + 3 + 1);
         // All three delivered buffers wait for reuse.
         assert_eq!(shard.free_deliveries.len(), 3);
+    }
+
+    /// A plan for the tiny pipeline with no routing tables and the given
+    /// task-1 backups, each `(worker, exec_time_ms, accuracy)`.
+    fn backup_plan(backups: &[(usize, f64, f64)]) -> CompiledPlan {
+        let mut builder = PlanBuilder::default();
+        builder.begin(2);
+        for &(w, exec_time_ms, accuracy) in backups {
+            let worker = WorkerId(w);
+            let backup = BackupWorker {
+                worker,
+                exec_time_ms,
+                accuracy,
+            };
+            builder.push_backup(1, backup);
+        }
+        builder.finish()
+    }
+
+    /// Warm workers at batch 4: worker 0 hosts task 0 of the tiny pipeline,
+    /// every other worker task 1.
+    fn tiny_fleet(graph: &PipelineGraph, n: usize) -> Vec<Worker> {
+        (0..n)
+            .map(|i| {
+                let mut w = Worker::new(WorkerId(i));
+                w.assign(VariantId::new(usize::from(i > 0), 1), 4, graph);
+                w
+            })
+            .collect()
+    }
+
+    /// Lane 0 of the tiny pipeline under opportunistic rerouting, with
+    /// `plan` installed fresh. The fallback sees only worker 1 for task 1,
+    /// so a default choice draws no random number.
+    fn rescue_shard<'a>(
+        graph: &'a PipelineGraph,
+        config: &SimConfig,
+        fleet_len: usize,
+        mut plan: CompiledPlan,
+    ) -> Shard<'a> {
+        let input = LaneInput {
+            graph,
+            arrivals_s: &[],
+            initial_demand_hint: None,
+        };
+        let lane = LaneState::new(&input, config, 0, fleet_len);
+        let mut shard = Shard::new(lane, 0, config, 10, 128);
+        shard.lane.drop_policy = DropPolicy::OpportunisticRerouting;
+        shard.lane.workers_by_task[1] = vec![WorkerId(1)];
+        plan.finalize(fleet_len, shard.lane.assignments_epoch);
+        shard.lane.compiled = plan;
+        shard
+    }
+
+    #[test]
+    fn a_nan_accuracy_backup_never_wins_a_rescue() {
+        let graph = loki_pipeline::zoo::tiny_pipeline(200.0);
+        let config = SimConfig::default();
+        let mut fleet = tiny_fleet(&graph, 4);
+        let owner = [0; 4];
+        let ctx = LaneCtx::lend_all(&config, &mut fleet, &owner, SimTime::MAX, 1)
+            .pop()
+            .expect("one lane");
+        // An accurate backup too slow to make up 1 ms, then a fast one. The
+        // default choice (worker 1) needs 21 ms.
+        let rescue = |accuracy: f64| {
+            let plan = backup_plan(&[(2, 1e9, 1.0), (3, 0.0, accuracy)]);
+            let mut shard = rescue_shard(&graph, &config, 4, plan);
+            assert_eq!(shard.lane.compiled.epoch(), shard.lane.assignments_epoch);
+            let fresh = shard.route_downstream(&ctx, WorkerId(0), 1, 1.0);
+            shard.lane.assignments_epoch += 1;
+            let stale = shard.route_downstream(&ctx, WorkerId(0), 1, 1.0);
+            (fresh, stale)
+        };
+        assert!(matches!(
+            rescue(0.9),
+            (
+                RouteOutcome::Rerouted(WorkerId(3)),
+                RouteOutcome::Rerouted(WorkerId(3))
+            )
+        ));
+        // A degenerate profile's NaN accuracy sorts last and wins nothing,
+        // on a fresh plan as on a stale one.
+        assert!(matches!(
+            rescue(f64::NAN),
+            (RouteOutcome::Drop, RouteOutcome::Drop)
+        ));
+    }
+
+    #[test]
+    fn fresh_and_stale_plans_pick_the_same_rescue() {
+        let graph = loki_pipeline::zoo::tiny_pipeline(200.0);
+        let config = SimConfig::default();
+        let mut fleet = tiny_fleet(&graph, 7);
+        let owner = [0; 7];
+        let ctx = LaneCtx::lend_all(&config, &mut fleet, &owner, SimTime::MAX, 1)
+            .pop()
+            .expect("one lane");
+        // Pushed in no accuracy order: a slow backup more accurate than the
+        // three fast 0.9 ties, and a fast, less accurate one.
+        let plan = backup_plan(&[
+            (5, 0.0, 0.8),
+            (2, 0.0, 0.9),
+            (4, 1e9, 0.95),
+            (3, 0.5, 0.9),
+            (6, 0.0, 0.9),
+        ]);
+        let mut shard = rescue_shard(&graph, &config, 7, plan);
+        let rng = shard.lane.rng.clone();
+        let draws = |shard: &mut Shard<'_>| -> Vec<(Vec<WorkerId>, WorkerId)> {
+            (0..32)
+                .map(
+                    |_| match shard.route_downstream(&ctx, WorkerId(0), 1, 1.0) {
+                        RouteOutcome::Rerouted(pick) => (shard.reroute_scratch.clone(), pick),
+                        _ => panic!("three fast backups tie"),
+                    },
+                )
+                .collect()
+        };
+        let fresh = draws(&mut shard);
+        // Stale: an assignment changed, but every backup still serves task 1.
+        shard.lane.rng = rng;
+        shard.lane.assignments_epoch += 1;
+        let stale = draws(&mut shard);
+        assert_eq!(fresh, stale);
+        assert_eq!(fresh[0].0, [WorkerId(2), WorkerId(3), WorkerId(6)]);
+        let mut picks: Vec<WorkerId> = fresh.iter().map(|&(_, pick)| pick).collect();
+        picks.sort_unstable();
+        picks.dedup();
+        assert_eq!(picks, [WorkerId(2), WorkerId(3), WorkerId(6)]);
     }
 }

@@ -228,57 +228,33 @@ impl LinkDelayModel {
         }
     }
 
-    /// Planning-time estimate of the frontend → `dst` hop delay (ms),
-    /// mirroring [`CompiledLinkDelays::frontend_us`] (including the
-    /// round-robin class striping rule). Used by link-aware candidate
-    /// ordering in the Load Balancer.
-    pub fn frontend_worker_hop_ms(&self, dst: WorkerId, uniform_ms: f64) -> f64 {
-        match self {
-            LinkDelayModel::Uniform => uniform_ms,
-            LinkDelayModel::PerEdge { frontend_ms, .. } => *frontend_ms,
-            LinkDelayModel::PerWorkerClass {
-                classes,
-                frontend_ms,
-                ..
-            } => frontend_ms[dst.index() % classes],
-        }
-    }
-
-    /// Planning-time estimate of the `src` (hosting `src_task`) → `dst`
-    /// (hosting `dst_task`) hop delay (ms), mirroring
-    /// [`CompiledLinkDelays::hop_us`]. Used by link-aware candidate ordering.
-    pub fn worker_hop_ms(
-        &self,
-        src: WorkerId,
-        src_task: usize,
-        dst: WorkerId,
-        dst_task: usize,
-        uniform_ms: f64,
-    ) -> f64 {
-        match self {
-            LinkDelayModel::Uniform => uniform_ms,
-            LinkDelayModel::PerEdge {
-                default_ms, edges, ..
-            } => {
-                let _ = (src, dst);
-                edges
-                    .iter()
-                    .find(|((f, t), _)| *f == src_task && *t == dst_task)
-                    .map(|(_, ms)| *ms)
-                    .unwrap_or(*default_ms)
-            }
-            LinkDelayModel::PerWorkerClass {
-                classes, delay_ms, ..
-            } => {
-                let _ = (src_task, dst_task);
-                delay_ms[(src.index() % classes) * classes + (dst.index() % classes)]
+    /// [`LinkDelayModel::validate`] for a pipeline of `num_tasks` tasks: a
+    /// per-edge model must also name only edges inside it. Silently skipping
+    /// an outside edge would leave the simulated network charging
+    /// `default_ms` while `max_hop_ms` (planner budgeting) still counts the
+    /// listed delay — a quiet disagreement between controller and data plane.
+    pub(crate) fn validate_for(&self, num_tasks: usize) -> Result<(), String> {
+        self.validate()?;
+        if let LinkDelayModel::PerEdge { edges, .. } = self {
+            let outside = edges
+                .iter()
+                .find(|((from, to), _)| *from >= num_tasks || *to >= num_tasks);
+            if let Some(((from, to), _)) = outside {
+                return Err(format!(
+                    "per-edge link delay references edge ({from}, {to}) \
+                     outside a {num_tasks}-task pipeline"
+                ));
             }
         }
+        Ok(())
     }
 
     /// Compile into dense per-hop microsecond tables for the engine's dispatch
-    /// path. Panics when [`LinkDelayModel::validate`] fails — the engine calls
-    /// this once at construction, where a bad model is a configuration error.
+    /// path, for a pipeline of `num_tasks` tasks. Panics when the model is
+    /// invalid ([`LinkDelayModel::validate`]) or names a pipeline edge
+    /// outside those tasks. The simulations' `try_run*` entry points check
+    /// both before the engine compiles and return
+    /// [`crate::EngineError::InvalidRun`] instead.
     pub fn compile(
         &self,
         uniform_ms: f64,
@@ -286,7 +262,8 @@ impl LinkDelayModel {
         num_tasks: usize,
     ) -> CompiledLinkDelays {
         #[expect(clippy::expect_used, reason = "documented: bad model panics")]
-        self.validate().expect("link-delay model must be valid");
+        self.validate_for(num_tasks)
+            .expect("link-delay model must be valid");
         match self {
             LinkDelayModel::Uniform => CompiledLinkDelays::Uniform {
                 hop_us: ms_to_us(uniform_ms),
@@ -298,16 +275,6 @@ impl LinkDelayModel {
             } => {
                 let mut edge_us = vec![ms_to_us(*default_ms); num_tasks * num_tasks];
                 for ((from, to), ms) in edges {
-                    // Out-of-range edges must fail loudly: silently skipping
-                    // them would leave the simulated network charging
-                    // `default_ms` while `max_hop_ms` (planner budgeting)
-                    // still counts the listed delay — a quiet disagreement
-                    // between controller and data plane.
-                    assert!(
-                        *from < num_tasks && *to < num_tasks,
-                        "per-edge link delay references edge ({from}, {to}) \
-                         outside a {num_tasks}-task pipeline"
-                    );
                     edge_us[from * num_tasks + to] = ms_to_us(*ms);
                 }
                 CompiledLinkDelays::PerEdge {
@@ -476,22 +443,11 @@ impl HopBudgets {
         self.edge_ms.iter().fold(0.0f64, |a, &b| a.max(b))
     }
 
-    /// Total communication budget of a root-to-sink path visiting `tasks` in
-    /// order (ms): the frontend hop in, every traversed edge, and the final
-    /// aggregation hop back out. Under uniform budgets `c` this is exactly
-    /// the legacy `c * (len + 1)`.
-    pub fn path_comm_ms(&self, tasks: &[usize]) -> f64 {
-        let mut total = 2.0 * self.frontend_ms;
-        for pair in tasks.windows(2) {
-            total += self.edge_ms(pair[0], pair[1]);
-        }
-        total
-    }
-
     /// Worst-case communication budget of *any* path of `len` tasks (ms):
-    /// the legacy length-based decomposition, kept for planners that bound
-    /// paths by length before enumerating them. Equals `path_comm_ms` for
-    /// every path under uniform budgets.
+    /// the frontend hop in, `len - 1` worst edges, and the aggregation hop
+    /// back out. The legacy length-based decomposition, kept for planners
+    /// that bound paths by length before enumerating them; under uniform
+    /// budgets it is exact for every path.
     pub fn worst_path_comm_ms(&self, len: usize) -> f64 {
         2.0 * self.frontend_ms + self.worst_edge_ms() * len.saturating_sub(1) as f64
     }
@@ -506,8 +462,9 @@ pub enum RouteMode {
     #[default]
     Accuracy,
     /// Accuracy-first, but ties (replicas of the same variant) are ordered by
-    /// the actual upstream-hop delay from the run's [`LinkDelayModel`], so
-    /// demand prefers network-local replicas on heterogeneous interconnects.
+    /// the upstream-hop delay the engine charges: the run's
+    /// [`LinkDelayModel`] compiled into [`CompiledLinkDelays`]. Demand thus
+    /// prefers network-local replicas on heterogeneous interconnects.
     LinkAware,
 }
 

@@ -17,20 +17,29 @@ pub struct StaticController {
 }
 
 impl StaticController {
+    /// Re-assert `plan` at every control tick.
+    pub fn new(plan: AllocationPlan) -> Self {
+        Self { plan }
+    }
+
     /// `replicas` instances of each task of the tiny pipeline, at batch 4.
     pub fn tiny(replicas: usize) -> Self {
-        let instance = |task| InstanceSpec {
-            variant: VariantId::new(task, 1),
-            max_batch: 4,
-            count: replicas,
-        };
-        Self {
-            plan: AllocationPlan {
-                instances: vec![instance(0), instance(1)],
-                latency_budgets_ms: HashMap::new(),
-                drop_policy: DropPolicy::NoEarlyDropping,
-            },
-        }
+        Self::new(tiny_plan(replicas, 4))
+    }
+}
+
+/// `replicas` instances of the most accurate variant of each task of the
+/// tiny pipeline, at `max_batch`, with no early dropping.
+pub fn tiny_plan(replicas: usize, max_batch: u32) -> AllocationPlan {
+    let instance = |task| InstanceSpec {
+        variant: VariantId::new(task, 1),
+        max_batch,
+        count: replicas,
+    };
+    AllocationPlan {
+        instances: vec![instance(0), instance(1)],
+        latency_budgets_ms: HashMap::new(),
+        drop_policy: DropPolicy::NoEarlyDropping,
     }
 }
 

@@ -8,9 +8,9 @@
 use loki_pipeline::{zoo, PipelineGraph, VariantId};
 use loki_sim::{
     AllocationPlan, ArbiterObservation, CompiledPlan, Controller, DropPolicy, ElasticAction,
-    ElasticObservation, ElasticPolicy, ElasticSimConfig, EngineError, InstanceSpec, MultiPipeline,
-    MultiSimulation, ObservedState, ResourceArbiter, SimConfig, Simulation, StaticPartition,
-    WorkerClass, WorkerClassCatalog,
+    ElasticObservation, ElasticPolicy, ElasticSimConfig, EngineError, InstanceSpec, LinkDelayModel,
+    MultiPipeline, MultiSimulation, ObservedState, ResourceArbiter, SimConfig, Simulation,
+    StaticPartition, WorkerClass, WorkerClassCatalog,
 };
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
 use std::collections::HashMap;
@@ -71,8 +71,12 @@ fn arrivals() -> Vec<f64> {
 }
 
 fn run_single(plan: AllocationPlan) -> Result<u64, EngineError> {
+    run_single_on(config(), plan)
+}
+
+fn run_single_on(config: SimConfig, plan: AllocationPlan) -> Result<u64, EngineError> {
     let graph = zoo::tiny_pipeline(200.0);
-    let mut sim = Simulation::new(&graph, config(), FixedPlan(plan));
+    let mut sim = Simulation::new(&graph, config, FixedPlan(plan));
     sim.try_run(&arrivals()).map(|r| r.summary.total_arrivals)
 }
 
@@ -134,9 +138,9 @@ impl ResourceArbiter for ShortPartition {
     }
 }
 
-/// A shared-cluster run of `lanes` tiny pipelines on `config()`.
-fn multi(graph: &PipelineGraph, lanes: usize) -> MultiSimulation<'_> {
-    let mut sim = MultiSimulation::new(config());
+/// A shared-cluster run of `lanes` tiny pipelines on `config`.
+fn multi(config: SimConfig, graph: &PipelineGraph, lanes: usize) -> MultiSimulation<'_> {
+    let mut sim = MultiSimulation::new(config);
     for lane in 0..lanes {
         sim.add_pipeline(MultiPipeline {
             name: format!("p{lane}"),
@@ -152,7 +156,7 @@ fn multi(graph: &PipelineGraph, lanes: usize) -> MultiSimulation<'_> {
 #[test]
 fn arbiter_partition_of_the_wrong_length_is_an_error() {
     let graph = zoo::tiny_pipeline(200.0);
-    let result = multi(&graph, 2).try_run(&mut ShortPartition { calls: 0 });
+    let result = multi(config(), &graph, 2).try_run(&mut ShortPartition { calls: 0 });
     // The initial partition is fine; the first rebalance (t = 2 s) is not.
     assert_eq!(
         result.err(),
@@ -177,24 +181,30 @@ impl ElasticPolicy for Always {
     }
 }
 
+/// `config()` on an elastic fleet of one class, starting from `workers`.
+fn elastic_config(workers: usize) -> SimConfig {
+    SimConfig {
+        elastic: Some(ElasticSimConfig {
+            catalog: WorkerClassCatalog::single(WorkerClass {
+                name: "gpu".to_string(),
+                latency_scale: 1.0,
+                memory_gb: 40.0,
+                price_per_hour: 3.6,
+                boot_delay_s: 1.0,
+                spot: false,
+            }),
+            initial: vec![(0, workers)],
+            max_fleet: 6,
+            decide_interval_s: 10.0,
+            market: None,
+        }),
+        ..config()
+    }
+}
+
 fn run_elastic(action: ElasticAction) -> Result<u64, EngineError> {
     let graph = zoo::tiny_pipeline(200.0);
-    let mut cfg = config();
-    cfg.elastic = Some(ElasticSimConfig {
-        catalog: WorkerClassCatalog::single(WorkerClass {
-            name: "gpu".to_string(),
-            latency_scale: 1.0,
-            memory_gb: 40.0,
-            price_per_hour: 3.6,
-            boot_delay_s: 1.0,
-            spot: false,
-        }),
-        initial: vec![(0, 4)],
-        max_fleet: 6,
-        decide_interval_s: 10.0,
-        market: None,
-    });
-    let mut sim = Simulation::new(&graph, cfg, FixedPlan(plan(None, &[])));
+    let mut sim = Simulation::new(&graph, elastic_config(4), FixedPlan(plan(None, &[])));
     sim.try_run_elastic(&arrivals(), &mut Always(action))
         .map(|r| r.summary.total_arrivals)
 }
@@ -253,14 +263,15 @@ fn an_elastic_run_without_an_elastic_config_is_an_error() {
 fn a_shared_elastic_run_without_an_elastic_config_is_an_error() {
     let graph = zoo::tiny_pipeline(200.0);
     let mut policy = Always(ElasticAction::Provision { class: 0, count: 1 });
-    let result = multi(&graph, 2).try_run_elastic(&mut StaticPartition::even(2), &mut policy);
+    let result =
+        multi(config(), &graph, 2).try_run_elastic(&mut StaticPartition::even(2), &mut policy);
     assert_eq!(result.err(), Some(NEEDS_ELASTIC));
 }
 
 #[test]
 fn a_shared_run_without_pipelines_is_an_error() {
     let graph = zoo::tiny_pipeline(200.0);
-    let error = multi(&graph, 0)
+    let error = multi(config(), &graph, 0)
         .try_run(&mut StaticPartition::even(0))
         .err();
     assert_eq!(
@@ -273,4 +284,47 @@ fn a_shared_run_without_pipelines_is_an_error() {
         error.map(|e| e.to_string()).as_deref(),
         Some("cannot start the run: register at least one pipeline before running")
     );
+}
+
+const INVALID_ELASTIC: EngineError = EngineError::InvalidRun {
+    reason: "SimConfig::elastic is invalid",
+};
+
+#[test]
+fn a_zero_worker_elastic_fleet_is_an_error() {
+    assert_eq!(
+        run_single_on(elastic_config(0), plan(None, &[])),
+        Err(INVALID_ELASTIC)
+    );
+}
+
+#[test]
+fn a_shared_run_on_a_zero_worker_elastic_fleet_is_an_error() {
+    let graph = zoo::tiny_pipeline(200.0);
+    let result = multi(elastic_config(0), &graph, 2).try_run(&mut StaticPartition::even(2));
+    assert_eq!(result.err(), Some(INVALID_ELASTIC));
+}
+
+#[test]
+fn a_per_edge_link_delay_outside_the_pipeline_is_an_error() {
+    // The tiny pipeline has tasks 0 and 1 only.
+    let run = |edge| {
+        let link_delays = LinkDelayModel::PerEdge {
+            frontend_ms: 1.0,
+            default_ms: 1.0,
+            edges: vec![(edge, 5.0)],
+        };
+        let config = SimConfig {
+            link_delays,
+            ..config()
+        };
+        run_single_on(config, plan(None, &[]))
+    };
+    assert_eq!(
+        run((1, 2)),
+        Err(EngineError::InvalidRun {
+            reason: "SimConfig::link_delays is invalid for a pipeline of the run",
+        })
+    );
+    assert_eq!(run((0, 1)), Ok(400));
 }

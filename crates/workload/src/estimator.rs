@@ -110,11 +110,6 @@ impl DemandHistory {
         self.recent.back().copied()
     }
 
-    /// Peak demand within the window.
-    pub fn window_peak(&self) -> f64 {
-        self.recent.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Number of observations currently held.
     pub fn len(&self) -> usize {
         self.recent.len()
@@ -330,7 +325,6 @@ mod tests {
         }
         assert_eq!(h.len(), 3);
         assert_eq!(h.last(), Some(9.0));
-        assert_eq!(h.window_peak(), 9.0);
     }
 
     #[test]

@@ -94,27 +94,6 @@ impl Trace {
         }
     }
 
-    /// Moving-average smoothing with the given window (in seconds).
-    pub fn smooth(&self, window: usize) -> Trace {
-        assert!(window >= 1);
-        let n = self.qps.len();
-        let mut out = Vec::with_capacity(n);
-        let mut sum = 0.0;
-        let mut queue = std::collections::VecDeque::new();
-        for i in 0..n {
-            queue.push_back(self.qps[i]);
-            sum += self.qps[i];
-            if queue.len() > window {
-                sum -= queue.pop_front().unwrap();
-            }
-            out.push(sum / queue.len() as f64);
-        }
-        Trace {
-            name: format!("{}~{window}s", self.name),
-            qps: out,
-        }
-    }
-
     /// Stretch or compress the trace to a new duration, preserving its shape by linear
     /// interpolation. Useful for fitting a day-long trace into a shorter simulation.
     pub fn resample(&self, new_duration_secs: usize) -> Trace {
@@ -187,18 +166,6 @@ mod tests {
         assert_eq!(s.series(), &[2.0, 3.0]);
         let c = s.concat(&t(&[9.0]));
         assert_eq!(c.series(), &[2.0, 3.0, 9.0]);
-    }
-
-    #[test]
-    fn smoothing_reduces_variance() {
-        let tr = t(&[0.0, 100.0, 0.0, 100.0, 0.0, 100.0]);
-        let sm = tr.smooth(3);
-        let var = |xs: &[f64]| {
-            let m = xs.iter().sum::<f64>() / xs.len() as f64;
-            xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
-        };
-        assert!(var(sm.series()) < var(tr.series()));
-        assert_eq!(sm.duration_secs(), tr.duration_secs());
     }
 
     #[test]

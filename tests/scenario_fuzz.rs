@@ -2,13 +2,15 @@
 //!
 //! Every case draws a random shared-cluster scenario from its seed: one to
 //! three pipeline lanes (traffic and social alternating) under the
-//! `ResourceManager`, a random SLO, cluster size, link profile and model-swap
-//! cost, and in most cases an elastic fleet with an on-demand and a spot class
-//! under the `ReactiveAutoscaler`, exposed to a market that revokes spot
-//! workers, denies provisions and steps the spot price once. Each lane's
-//! controller is Loki-greedy, InferLine or Proteus, each with a random drop
-//! policy; all three plan through the shared performance model and emit
-//! through `MostAccurateFirst`. The timeline is always on; some cases also
+//! `ResourceManager`, a random SLO, cluster size, link model (uniform,
+//! two-tier or per-edge) and model-swap cost, and in most cases an elastic
+//! fleet with an on-demand and a spot class under the `ReactiveAutoscaler`,
+//! exposed to a market that revokes spot workers, denies provisions and steps
+//! the spot price once. Each lane's controller is Loki-greedy, InferLine or
+//! Proteus, each with a random drop policy; all three plan through the shared
+//! performance model and emit through `MostAccurateFirst`. A Loki lane plans
+//! with the case's link model and a random route mode, so link-aware ordering
+//! runs on every link model. The timeline is always on; some cases also
 //! trace.
 //!
 //! Each case runs through `try_run*` at `jobs = 1` and at `jobs = 2`, and the
@@ -35,8 +37,8 @@ use loki_pipeline::{zoo, PipelineGraph};
 use loki_sim::types::{secs_to_us, us_to_secs};
 use loki_sim::{
     Controller, DropPolicy, ElasticSimConfig, LinkDelayModel, MarketConfig, MultiPipeline,
-    MultiSimConfig, MultiSimResult, MultiSimulation, ObserveConfig, SimConfig, WorkerClass,
-    WorkerClassCatalog,
+    MultiSimConfig, MultiSimResult, MultiSimulation, ObserveConfig, RouteMode, SimConfig,
+    WorkerClass, WorkerClassCatalog,
 };
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
 use rand::rngs::StdRng;
@@ -58,13 +60,22 @@ enum System {
 }
 
 impl System {
-    fn controller(self, graph: &PipelineGraph, drop_policy: DropPolicy) -> Box<dyn Controller> {
+    /// The lane's controller; only Loki plans with `links` and `route`.
+    fn controller(
+        self,
+        graph: &PipelineGraph,
+        drop_policy: DropPolicy,
+        links: &LinkDelayModel,
+        route: RouteMode,
+    ) -> Box<dyn Controller> {
         let graph = graph.clone();
         match self {
             System::Loki => Box::new(LokiController::new(
                 graph,
                 LokiConfig {
                     drop_policy,
+                    link_delays: links.clone(),
+                    route,
                     ..LokiConfig::with_greedy()
                 },
             )),
@@ -81,8 +92,8 @@ impl System {
 struct Scenario {
     sim: SimConfig,
     lanes: Vec<(PipelineGraph, Vec<f64>, f64)>,
-    /// Each lane's controller and drop policy.
-    systems: Vec<(System, DropPolicy)>,
+    /// Each lane's controller, drop policy and route mode.
+    systems: Vec<(System, DropPolicy, RouteMode)>,
     rebalance_s: f64,
     autoscaler: Option<AutoscalerConfig>,
 }
@@ -104,15 +115,6 @@ fn scenario(seed: u64) -> Scenario {
             (graph, arrivals, qps)
         })
         .collect();
-    let link_delays = if rng.gen_bool(0.5) {
-        LinkDelayModel::Uniform
-    } else {
-        LinkDelayModel::PerWorkerClass {
-            classes: 2,
-            delay_ms: vec![0.2, 5.0, 5.0, 0.2],
-            frontend_ms: vec![2.0, 2.0],
-        }
-    };
     let model_swap_ms = if rng.gen_bool(0.5) {
         0.0
     } else {
@@ -163,12 +165,33 @@ fn scenario(seed: u64) -> Scenario {
     let trace_sample = if rng.gen_bool(0.3) { 7 } else { 0 };
     let rebalance_s = rng.gen_range(2.0..8.0);
     // Drawn after every other draw, so the rest of a case does not depend on
-    // which controllers it drew.
-    let systems = (0..lanes.len())
+    // which controllers, links or routes it drew.
+    let systems: Vec<_> = (0..lanes.len())
         .map(|_| {
             let system =
                 [System::Loki, System::InferLine, System::Proteus][rng.gen_range(0..3usize)];
             (system, DropPolicy::all()[rng.gen_range(0..4usize)])
+        })
+        .collect();
+    let link_delays = match rng.gen_range(0..3) {
+        0 => LinkDelayModel::Uniform,
+        1 => LinkDelayModel::PerWorkerClass {
+            classes: 2,
+            delay_ms: vec![0.2, 5.0, 5.0, 0.2],
+            frontend_ms: vec![2.0, 2.0],
+        },
+        // Task 0 feeds task 1 in both pipelines.
+        _ => LinkDelayModel::PerEdge {
+            frontend_ms: 2.0,
+            default_ms: 2.0,
+            edges: vec![((0, 1), 5.0)],
+        },
+    };
+    let systems = systems
+        .into_iter()
+        .map(|(system, drop_policy)| {
+            let route = [RouteMode::Accuracy, RouteMode::LinkAware][rng.gen_range(0..2usize)];
+            (system, drop_policy, route)
         })
         .collect();
     Scenario {
@@ -199,13 +222,14 @@ fn run(s: &Scenario, seed: u64, jobs: usize) -> MultiSimResult {
         sim: s.sim.clone(),
         jobs,
     });
-    for (li, ((graph, arrivals, qps), &(system, drop_policy))) in
+    let links = &s.sim.link_delays;
+    for (li, ((graph, arrivals, qps), &(system, drop_policy, route))) in
         s.lanes.iter().zip(&s.systems).enumerate()
     {
         multi.add_pipeline(MultiPipeline {
             name: format!("lane{li}"),
             graph,
-            controller: system.controller(graph, drop_policy),
+            controller: system.controller(graph, drop_policy, links, route),
             arrivals_s: arrivals.clone(),
             initial_demand_hint: Some(*qps),
         });
@@ -304,14 +328,17 @@ fn simulated(r: &MultiSimResult) -> Vec<(String, String)> {
 #[test]
 fn random_scenarios_keep_the_engine_invariants_at_every_jobs_value() {
     let (mut elastic, mut revocations, mut migrations) = (0, 0, 0);
+    let (mut link_aware, mut per_edge) = (0, 0);
     let mut systems = Vec::new();
     for seed in CASES {
         let s = scenario(seed);
-        for &(system, _) in &s.systems {
+        for &(system, _, route) in &s.systems {
             if !systems.contains(&system) {
                 systems.push(system);
             }
+            link_aware += usize::from(system == System::Loki && route == RouteMode::LinkAware);
         }
+        per_edge += usize::from(matches!(s.sim.link_delays, LinkDelayModel::PerEdge { .. }));
         let serial = run(&s, seed, 1);
         let parallel = run(&s, seed, 2);
         check_invariants(&s, seed, &serial);
@@ -326,4 +353,8 @@ fn random_scenarios_keep_the_engine_invariants_at_every_jobs_value() {
     // The generator must actually reach the code it is meant to stress.
     assert!(elastic > 0 && revocations > 0 && migrations > 0);
     assert_eq!(systems.len(), 3, "every controller is drawn: {systems:?}");
+    assert!(
+        link_aware > 0 && per_edge > 0,
+        "link-aware Loki lanes {link_aware}, per-edge cases {per_edge}"
+    );
 }
