@@ -242,7 +242,7 @@ mod tests {
                 ..SimConfig::default()
             };
             let mut sim = Simulation::new(&g, config, controller);
-            sim.run(&arrivals).summary
+            sim.try_run(&arrivals).unwrap().summary
         };
 
         let ok = run(hw_cap * 0.6);

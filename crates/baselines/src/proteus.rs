@@ -336,7 +336,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sim = Simulation::new(&g, config, controller);
-        let result = sim.run(&arrivals);
+        let result = sim.try_run(&arrivals).unwrap();
         assert!(result.summary.total_arrivals > 4000);
         // The whole cluster is always on.
         assert_eq!(result.summary.max_active_workers, 20);

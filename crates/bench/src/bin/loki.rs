@@ -13,13 +13,16 @@
 //! point (with a `--csv` emitter for figure plotting). Both print through one
 //! renderer, so every column and JSON key is a metric name.
 //! Unknown keys and unparsable values exit with a clear error (exit code 2)
-//! instead of being silently ignored. Performance is measured by the reference
-//! benchmark, not by this CLI: see `benchmark/README.md`.
+//! instead of being silently ignored, and so does a config some point cannot
+//! run: every point's workload is checked before the first one runs, and a run
+//! the engine cannot start prints its [`loki_sim::EngineError`]. Performance
+//! is measured by the reference benchmark, not by this CLI: see
+//! `benchmark/README.md`.
 
 use loki_bench::figures::{self, ScenarioReport};
 use loki_bench::report::{self, Json};
 use loki_bench::runner::Runner;
-use loki_bench::scenario::{self, Scenario};
+use loki_bench::scenario::{self, PointResult, RunPoint, Scenario};
 use loki_bench::sweep::Sweep;
 use std::fmt::Write as _;
 
@@ -70,6 +73,26 @@ fn fail(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("run `loki help` for usage");
     std::process::exit(2);
+}
+
+/// The value of `outcome`, or exit 2 printing its error on one line.
+fn or_exit<T, E: std::fmt::Display>(outcome: Result<T, E>) -> T {
+    outcome.unwrap_or_else(|error| {
+        eprintln!("error: {error}");
+        std::process::exit(2);
+    })
+}
+
+/// Exit 2 naming the key of the first point whose workload cannot be built.
+fn check_points(points: &[RunPoint]) {
+    or_exit(points.iter().try_for_each(RunPoint::check_workload));
+}
+
+/// The scenario's canonical point, checked and executed once on this thread.
+fn execute_canonical(sc: &Scenario, cfg: &loki_bench::ExperimentConfig) -> PointResult {
+    let point = scenario::scenario_point(sc, cfg);
+    check_points(std::slice::from_ref(&point));
+    or_exit(point.execute())
 }
 
 /// Flags of `list`, `run` and `sweep`.
@@ -222,8 +245,9 @@ fn cmd_run(args: &[String]) {
         cmd_run_timeline(sc, cfg, path, &flags);
         return;
     }
+    check_points(&Sweep::for_scenario(sc, cfg.clone()).points());
     let runner = runner_from_flags(&flags);
-    let report = figures::run_scenario(sc, &cfg, &runner);
+    let report = or_exit(figures::run_scenario(sc, &cfg, &runner));
     emit(&report, flags.json);
 }
 
@@ -234,9 +258,7 @@ fn cmd_run_traced(sc: &Scenario, mut cfg: loki_bench::ExperimentConfig, path: &s
     if cfg.trace_sample == 0 {
         cfg.trace_sample = 100;
     }
-    let runner = runner_from_flags(flags);
-    let mut results = runner.run(vec![scenario::scenario_point(sc, &cfg)]);
-    let point = results.remove(0);
+    let point = execute_canonical(sc, &cfg);
     let Some(trace) = &point.result.trace else {
         fail("run produced no trace (simulation recorded zero sampled roots)");
     };
@@ -292,9 +314,7 @@ fn cmd_run_timeline(
     flags: &Flags,
 ) {
     cfg.timeline = true;
-    let runner = runner_from_flags(flags);
-    let mut results = runner.run(vec![scenario::scenario_point(sc, &cfg)]);
-    let point = results.remove(0);
+    let point = execute_canonical(sc, &cfg);
     let json = loki_bench::timeline::timeline_json(sc.name, &point);
     if let Err(err) = std::fs::write(path, &json) {
         fail(&format!("cannot write timeline to {path:?}: {err}"));
@@ -384,6 +404,8 @@ fn cmd_sweep(args: &[String]) {
     if sweep.is_empty() {
         fail("sweep grid is empty");
     }
+    let points = sweep.points();
+    check_points(&points);
     let runner = runner_from_flags(&flags);
     eprintln!(
         "sweep {}: {} points across {} worker thread(s)",
@@ -391,8 +413,7 @@ fn cmd_sweep(args: &[String]) {
         sweep.len(),
         runner.jobs.min(sweep.len())
     );
-    let points = sweep.points();
-    let results = runner.run(points.clone());
+    let results = or_exit(runner.run(points.clone()));
     if flags.csv {
         print!("{}", report::sweep_csv(sc.name, &points, &results));
         return;

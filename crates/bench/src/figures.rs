@@ -21,7 +21,7 @@ use loki_core::greedy::GreedyAllocator;
 use loki_core::milp_alloc::MilpAllocator;
 use loki_core::perf::{FanoutOverrides, PerfModel};
 use loki_core::{LokiConfig, LokiController, ScalingMode};
-use loki_sim::{CostSummary, DropPolicy, RunSummary};
+use loki_sim::{CostSummary, DropPolicy, EngineError, RunSummary};
 use loki_workload::TraceSpec;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -37,18 +37,22 @@ pub struct ScenarioReport {
 
 /// Run a scenario: an analytic kind computes its report in place; a
 /// simulator-driven kind executes its default sweep and renders it with its
-/// headlines.
-pub fn run_scenario(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> ScenarioReport {
+/// headlines, or returns the [`EngineError`] a run stopped on.
+pub fn run_scenario(
+    sc: &Scenario,
+    cfg: &ExperimentConfig,
+    runner: &Runner,
+) -> Result<ScenarioReport, EngineError> {
     match sc.kind {
-        ScenarioKind::PhaseDiagram => return phase_diagram(sc, cfg),
-        ScenarioKind::TradeoffTable => return tradeoff_table(sc, cfg),
-        ScenarioKind::AllocatorAblation => return allocator_ablation(sc, cfg),
-        ScenarioKind::MultFactorAblation => return multfactor_ablation(sc, cfg),
-        ScenarioKind::MilpProbe => return milp_probe(sc, cfg),
+        ScenarioKind::PhaseDiagram => return Ok(phase_diagram(sc, cfg)),
+        ScenarioKind::TradeoffTable => return Ok(tradeoff_table(sc, cfg)),
+        ScenarioKind::AllocatorAblation => return Ok(allocator_ablation(sc, cfg)),
+        ScenarioKind::MultFactorAblation => return Ok(multfactor_ablation(sc, cfg)),
+        ScenarioKind::MilpProbe => return Ok(milp_probe(sc, cfg)),
         _ => {}
     }
     let points = Sweep::for_scenario(sc, cfg.clone()).points();
-    let results = runner.run(points.clone());
+    let results = runner.run(points.clone())?;
     let family = family(sc.kind);
     let mut headlines = Vec::new();
     if sc.kind == ScenarioKind::CapacityTable {
@@ -67,7 +71,7 @@ pub fn run_scenario(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> S
             }
         }
     }
-    render(sc, cfg, &points, &results, &headlines)
+    Ok(render(sc, cfg, &points, &results, &headlines))
 }
 
 /// JSON view of the experiment knobs a report was produced with: every
@@ -923,7 +927,7 @@ mod tests {
             drain_s: 1.0,
             ..sc.config()
         };
-        let report = run_scenario(sc, &cfg, &Runner::serial());
+        let report = run_scenario(sc, &cfg, &Runner::serial()).expect("the scenario runs");
         assert_eq!(
             keys(Some(&report.json)),
             "scenario,title,kind,pipeline,trace,config,points"
@@ -980,7 +984,7 @@ mod tests {
                 drain_s: 1.0,
                 ..sc.config()
             };
-            let report = run_scenario(sc, &cfg, &Runner::serial());
+            let report = run_scenario(sc, &cfg, &Runner::serial()).expect("the scenario runs");
             let family = family(sc.kind);
             let mut extras: Vec<&str> = family.extras.iter().map(|e| e.0).collect();
             if sc.kind == ScenarioKind::Comparison {
@@ -1031,7 +1035,9 @@ mod tests {
                 drain_s: 2.0,
                 ..sc.config()
             };
-            run_scenario(sc, &cfg, &Runner::serial()).json
+            run_scenario(sc, &cfg, &Runner::serial())
+                .expect("the scenario runs")
+                .json
         };
         let spot = run("spot_diurnal");
         for name in [

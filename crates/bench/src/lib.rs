@@ -55,8 +55,9 @@ pub enum LinkProfile {
     /// Per-pipeline-edge delays for a detection → classification split across
     /// racks: the edge from task 0 to task 1 costs 5 ms, the edge from task 0
     /// to task 2 is co-located (0.2 ms), everything else (and the frontend)
-    /// keeps the uniform 2 ms. Meant for the three-task traffic pipeline; the
-    /// engine rejects the model loudly on pipelines without tasks 0–2.
+    /// keeps the uniform 2 ms. Meant for the three-task traffic pipeline: a
+    /// run on a pipeline without tasks 0–2 returns
+    /// [`loki_sim::EngineError::InvalidRun`], and `loki` exits 2.
     EdgeSplit,
 }
 
@@ -767,7 +768,8 @@ mod tests {
             drain_s: 5.0,
             ..(sc.defaults)()
         };
-        let report = figures::run_scenario(sc, &cfg, &runner::Runner::serial());
+        let report = figures::run_scenario(sc, &cfg, &runner::Runner::serial())
+            .expect("the smoke scenario runs");
         let Some(report::Json::Arr(points)) = report.json.get("points") else {
             panic!("comparison report has a points array");
         };

@@ -770,7 +770,10 @@ mod tests {
             sweep.set_axis(axis, values).unwrap();
         }
         let points = sweep.points();
-        let results: Vec<PointResult> = points.iter().map(|p| p.execute()).collect();
+        let results: Vec<PointResult> = points
+            .iter()
+            .map(|p| p.execute().expect("the point runs"))
+            .collect();
         (points, results)
     }
 

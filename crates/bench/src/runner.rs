@@ -9,6 +9,7 @@
 
 use crate::scenario::{PointResult, RunPoint};
 use loki_sim::par::par_map;
+use loki_sim::EngineError;
 
 /// Executes batches of [`RunPoint`]s, serially or across a bounded thread pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,9 +38,12 @@ impl Runner {
         Self { jobs: cores.max(2) }
     }
 
-    /// Execute every point, returning results in input order.
-    pub fn run(&self, points: Vec<RunPoint>) -> Vec<PointResult> {
+    /// Execute every point, returning results in input order, or the error of
+    /// the first point (in input order) whose run failed.
+    pub fn run(&self, points: Vec<RunPoint>) -> Result<Vec<PointResult>, EngineError> {
         par_map(points, self.jobs, |p| p.execute())
+            .into_iter()
+            .collect()
     }
 }
 

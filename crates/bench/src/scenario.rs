@@ -14,8 +14,8 @@ use loki_core::{ControllerStats, LokiConfig, LokiController, ResourceManager};
 use loki_pipeline::{zoo, PipelineGraph};
 use loki_sim::{
     analyze_burn, AllocationPlan, BurnReport, CompiledPlan, Controller, CostSummary, DropPolicy,
-    IntervalMetrics, LinkDelayModel, MultiPipeline, MultiSimConfig, MultiSimulation, ObservedState,
-    ResourceArbiter, RouteMode, RunSummary, SimResult, Simulation, StaticPartition,
+    EngineError, IntervalMetrics, LinkDelayModel, MultiPipeline, MultiSimConfig, MultiSimulation,
+    ObservedState, ResourceArbiter, RouteMode, RunSummary, SimResult, Simulation, StaticPartition,
 };
 use loki_workload::{generate_arrivals, ArrivalProcess, Trace, TraceSpec};
 
@@ -404,9 +404,41 @@ impl RunPoint {
         )
     }
 
+    /// Reject knobs this point's traces cannot be generated from, naming the
+    /// config key: a zero `duration`, a negative or non-finite `peak`, and,
+    /// when a trace is not constant (a diurnal or bursty trace spans `base` to
+    /// `peak`), a negative or non-finite `base` or one above `peak`. A
+    /// constant trace runs at `peak` and ignores `base`. The `loki` CLI checks
+    /// every point before it runs any, because the generators assert these.
+    pub fn check_workload(&self) -> Result<(), String> {
+        let cfg = &self.cfg;
+        if cfg.duration_s == 0 {
+            return Err("invalid value for duration: 0 (want at least 1 s)".into());
+        }
+        let rate = |qps: f64| qps.is_finite() && qps >= 0.0;
+        if !rate(cfg.peak_qps) {
+            return Err(format!(
+                "invalid value for peak: {} (want a finite rate >= 0)",
+                cfg.peak_qps
+            ));
+        }
+        let spans_base = match &self.multi {
+            Some(multi) => multi.lanes.iter().any(|l| l.trace != TraceSpec::Constant),
+            None => self.trace != TraceSpec::Constant,
+        };
+        if spans_base && !(rate(cfg.base_qps) && cfg.base_qps <= cfg.peak_qps) {
+            return Err(format!(
+                "invalid value for base: {} (want a finite rate in [0, peak={}] \
+                 on a diurnal or bursty trace)",
+                cfg.base_qps, cfg.peak_qps
+            ));
+        }
+        Ok(())
+    }
+
     /// Execute the point: build graph, trace, and arrivals, run the simulator
-    /// once, and return the result.
-    pub fn execute(&self) -> PointResult {
+    /// once, and return the result, or the [`EngineError`] the run stopped on.
+    pub fn execute(&self) -> Result<PointResult, EngineError> {
         if let Some(multi) = &self.multi {
             return self.execute_multi(multi);
         }
@@ -425,13 +457,13 @@ impl RunPoint {
             ElasticMode::Autoscale => {
                 let mut policy =
                     crate::provisioner_policy(&self.cfg, graph.num_tasks(), trace.mean_qps());
-                sim.run_elastic(&arrivals, &mut *policy)
+                sim.try_run_elastic(&arrivals, &mut *policy)?
             }
-            _ => sim.run(&arrivals),
+            _ => sim.try_run(&arrivals)?,
         };
         let controller_stats = sim.into_controller().controller_stats().cloned();
         let burn = analyze_burn(&result.intervals, interval_s, result.journal.as_ref());
-        PointResult {
+        Ok(PointResult {
             label: self.label.clone(),
             cost: result.cost.clone(),
             burn: Some(burn),
@@ -439,7 +471,7 @@ impl RunPoint {
             controller_stats,
             per_pipeline: Vec::new(),
             multi_stats: None,
-        }
+        })
     }
 
     /// Execute a multi-pipeline point: every lane's pipeline, trace, and
@@ -447,7 +479,7 @@ impl RunPoint {
     /// lane's `demand_share`/`slo_scale`), fresh controllers are constructed
     /// per lane, and one engine run serves them all on the shared cluster
     /// under the mode's arbiter.
-    fn execute_multi(&self, spec: &MultiSpec) -> PointResult {
+    fn execute_multi(&self, spec: &MultiSpec) -> Result<PointResult, EngineError> {
         assert!(
             !spec.lanes.is_empty(),
             "multi point needs at least one lane"
@@ -513,9 +545,9 @@ impl RunPoint {
         let outcome = match cfg.elastic {
             ElasticMode::Autoscale => {
                 let mut policy = crate::provisioner_policy(cfg, total_tasks, offered_total);
-                sim.run_elastic(&mut *arbiter, &mut *policy)
+                sim.try_run_elastic(&mut *arbiter, &mut *policy)?
             }
-            _ => sim.run(&mut *arbiter),
+            _ => sim.try_run(&mut *arbiter)?,
         };
         // Thread each lane's control-plane counters out of the run.
         let lane_stats: Vec<Option<ControllerStats>> = sim
@@ -540,7 +572,7 @@ impl RunPoint {
         // revocation storm can burn several lanes' budgets at once.
         let interval_s = outcome.metrics_interval_s;
         let burn = analyze_burn(&result.intervals, interval_s, result.journal.as_ref());
-        PointResult {
+        Ok(PointResult {
             label: self.label.clone(),
             cost: outcome.cost.clone(),
             result,
@@ -568,7 +600,7 @@ impl RunPoint {
                 migrations: outcome.migrations,
             }),
             burn: Some(burn),
-        }
+        })
     }
 }
 
@@ -1015,8 +1047,12 @@ mod tests {
             assert!(find(sc.name).is_some());
             // Defaults must be constructible and sane.
             let cfg = sc.config();
-            assert!(cfg.duration_s > 0);
-            assert!(cfg.peak_qps >= cfg.base_qps || sc.trace == TraceSpec::Constant);
+            assert_eq!(
+                scenario_point(sc, &cfg).check_workload(),
+                Ok(()),
+                "{}",
+                sc.name
+            );
         }
         assert!(find("no_such_scenario").is_none());
     }
@@ -1115,8 +1151,8 @@ mod tests {
                 ..ExperimentConfig::default()
             },
         };
-        let a = point.execute();
-        let b = point.execute();
+        let a = point.execute().expect("the point runs");
+        let b = point.execute().expect("the point runs");
         assert_eq!(a.result.summary, b.result.summary);
         assert!(a.result.summary.total_arrivals > 0);
     }

@@ -434,7 +434,9 @@ mod tests {
             sweep.set_axis("seed", "1,2").unwrap();
             assert_eq!(sweep.len(), 2 * labels.len(), "{name}");
             let points = sweep.points();
-            let results = crate::runner::Runner::serial().run(points.clone());
+            let results = crate::runner::Runner::serial()
+                .run(points.clone())
+                .expect("the sweep runs");
             let aggregates = crate::report::aggregate_sweep(&points, &results);
             let got: Vec<&str> = aggregates.iter().map(|a| a.label.as_str()).collect();
             assert_eq!(got, labels, "{name}: one aggregate per named point");

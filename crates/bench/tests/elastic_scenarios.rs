@@ -22,7 +22,7 @@ fn run_mode(cfg: &ExperimentConfig, mode: ElasticMode) -> PointResult {
         elastic: mode,
         ..cfg.clone()
     };
-    scenario_point(sc, &cfg).execute()
+    scenario_point(sc, &cfg).execute().unwrap()
 }
 
 #[test]
@@ -175,7 +175,7 @@ fn sweep_csv_carries_cost_columns_for_elastic_points() {
         ..cfg.clone()
     };
     let points = vec![scenario_point(sc, &cfg), scenario_point(sc, &fixed_cfg)];
-    let results: Vec<_> = points.iter().map(|p| p.execute()).collect();
+    let results: Vec<_> = points.iter().map(|p| p.execute().unwrap()).collect();
     let csv = sweep_csv(sc.name, &points, &results);
     let lines: Vec<&str> = csv.lines().collect();
     let header: Vec<&str> = lines[0].split(',').collect();

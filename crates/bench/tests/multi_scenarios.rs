@@ -76,8 +76,12 @@ fn zipf_scenario_registers_sixteen_lanes_with_zipf_demand() {
 fn contended_beats_static_even_split_on_aggregate_slo_attainment() {
     let contended_sc = scenario::find("multi_traffic_social").unwrap();
     let static_sc = scenario::find("multi_static_split").unwrap();
-    let contended = scenario_point(contended_sc, &short_cfg(contended_sc)).execute();
-    let static_even = scenario_point(static_sc, &short_cfg(static_sc)).execute();
+    let contended = scenario_point(contended_sc, &short_cfg(contended_sc))
+        .execute()
+        .unwrap();
+    let static_even = scenario_point(static_sc, &short_cfg(static_sc))
+        .execute()
+        .unwrap();
 
     let contended_attain = contended.result.summary.slo_attainment();
     let static_attain = static_even.result.summary.slo_attainment();
@@ -115,7 +119,7 @@ fn contended_beats_static_even_split_on_aggregate_slo_attainment() {
 #[test]
 fn multi_traffic_social_golden() {
     let sc = scenario::find("multi_traffic_social").unwrap();
-    let point = scenario_point(sc, &short_cfg(sc)).execute();
+    let point = scenario_point(sc, &short_cfg(sc)).execute().unwrap();
     let traffic = &point.per_pipeline[0].summary;
     let social = &point.per_pipeline[1].summary;
     println!("golden candidate traffic: {traffic:?}");
@@ -159,7 +163,7 @@ fn sweep_csv_emits_per_pipeline_rows_for_multi_points() {
     cfg.peak_qps = 300.0;
     cfg.base_qps = 100.0;
     let points = vec![scenario_point(sc, &cfg)];
-    let results: Vec<_> = points.iter().map(|p| p.execute()).collect();
+    let results: Vec<_> = points.iter().map(|p| p.execute().unwrap()).collect();
     let csv = sweep_csv(sc.name, &points, &results);
     let lines: Vec<&str> = csv.lines().collect();
     // header + point + one row per pipeline

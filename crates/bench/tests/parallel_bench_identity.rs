@@ -25,7 +25,7 @@ fn short_cfg(sc: &scenario::Scenario, seed: u64) -> ExperimentConfig {
 fn run(sc: &scenario::Scenario, seed: u64, jobs: usize) -> PointResult {
     let mut cfg = short_cfg(sc, seed);
     cfg.jobs = jobs;
-    scenario_point(sc, &cfg).execute()
+    scenario_point(sc, &cfg).execute().unwrap()
 }
 
 /// Compare everything deterministic about two multi-pipeline points.

@@ -34,8 +34,16 @@ fn hetnet_point(route: RouteMode) -> RunPoint {
 
 #[test]
 fn link_aware_routing_beats_accuracy_only_on_the_two_tier_hetnet() {
-    let accuracy = hetnet_point(RouteMode::Accuracy).execute().result.summary;
-    let link_aware = hetnet_point(RouteMode::LinkAware).execute().result.summary;
+    let accuracy = hetnet_point(RouteMode::Accuracy)
+        .execute()
+        .unwrap()
+        .result
+        .summary;
+    let link_aware = hetnet_point(RouteMode::LinkAware)
+        .execute()
+        .unwrap()
+        .result
+        .summary;
 
     assert_eq!(accuracy.total_arrivals, link_aware.total_arrivals);
     assert!(
@@ -66,8 +74,8 @@ fn link_aware_is_bit_identical_to_accuracy_on_uniform_links() {
     let mut b = hetnet_point(RouteMode::LinkAware);
     a.cfg.links = LinkProfile::Uniform;
     b.cfg.links = LinkProfile::Uniform;
-    let a = a.execute().result.summary;
-    let b = b.execute().result.summary;
+    let a = a.execute().unwrap().result.summary;
+    let b = b.execute().unwrap().result.summary;
     assert_eq!(a, b, "uniform links must make route= a no-op");
 }
 

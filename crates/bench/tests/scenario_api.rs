@@ -38,8 +38,8 @@ fn sweep_grid_enumeration_is_deterministic() {
 #[test]
 fn parallel_runner_matches_serial_bit_for_bit() {
     let sweep = short_slo_sweep();
-    let serial = Runner::serial().run(sweep.points());
-    let parallel = Runner::with_jobs(3).run(sweep.points());
+    let serial = Runner::serial().run(sweep.points()).unwrap();
+    let parallel = Runner::with_jobs(3).run(sweep.points()).unwrap();
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.label, p.label, "parallel results must keep input order");
@@ -63,7 +63,7 @@ fn comparison_points_run_all_three_systems_in_parallel() {
     sweep
         .set_axis("controllers", "loki-greedy,inferline,proteus")
         .unwrap();
-    let results = Runner::with_jobs(2).run(sweep.points());
+    let results = Runner::with_jobs(2).run(sweep.points()).unwrap();
     assert_eq!(results.len(), 3);
     let labels: Vec<_> = results.iter().map(|r| r.label.as_str()).collect();
     assert_eq!(labels, vec!["loki-greedy", "inferline", "proteus"]);

@@ -22,7 +22,7 @@ fn run_fleet(spot: bool, provisioner: ProvisionerKind) -> PointResult {
         stockout: if spot { base.stockout } else { 0.0 },
         ..base
     };
-    scenario_point(sc, &cfg).execute()
+    scenario_point(sc, &cfg).execute().unwrap()
 }
 
 #[test]
@@ -145,7 +145,7 @@ fn sweep_csv_carries_market_columns() {
         .into_iter()
         .map(|p| scenario_point(sc, &p.cfg))
         .collect();
-    let results: Vec<_> = points.iter().map(|p| p.execute()).collect();
+    let results: Vec<_> = points.iter().map(|p| p.execute().unwrap()).collect();
     let csv = sweep_csv(sc.name, &points, &results);
     let header = csv.lines().next().expect("header");
     for column in [

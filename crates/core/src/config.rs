@@ -36,10 +36,13 @@ pub struct LokiConfig {
     /// [`LokiConfig::effective_comm_ms`]).
     pub comm_latency_ms: f64,
     /// The cluster's per-link delay model, mirrored from
-    /// [`loki_sim::SimConfig::link_delays`]. The Resource Manager cannot know which
-    /// worker a query will traverse at plan time, so it budgets the SLO with the
-    /// worst-case hop delay of this model — conservative, but safe on the slowest
-    /// link.
+    /// [`loki_sim::SimConfig::link_delays`]; it only budgets the planner. The
+    /// Resource Manager cannot know which worker a query will traverse at plan
+    /// time, so it budgets the SLO with the worst-case hop delay of this model —
+    /// conservative, but safe on the slowest link — or per edge under
+    /// [`RouteMode::LinkAware`] (see [`LokiConfig::hop_budgets`]). The engine
+    /// checks and compiles the run's own model; link-aware routing reads that
+    /// compiled table ([`loki_sim::ObservedState::links`]), never this field.
     pub link_delays: LinkDelayModel,
     /// Relative demand change (e.g. 0.05 = 5%) below which the Resource Manager keeps
     /// the previous plan instead of re-allocating.
@@ -62,9 +65,10 @@ pub struct LokiConfig {
     pub routing_cache_threshold: f64,
     /// Candidate-ordering mode for the Load Balancer. [`RouteMode::Accuracy`] is the
     /// historical most-accurate-first order; [`RouteMode::LinkAware`] additionally
-    /// breaks equal-accuracy ties toward replicas on cheap links of `link_delays`, and
-    /// switches the planner's SLO accounting from the worst-case-hop scalar to per-hop
-    /// budgets (see [`LokiConfig::hop_budgets`]).
+    /// breaks equal-accuracy ties toward replicas on the cheap links of the hop
+    /// delays the engine charges ([`loki_sim::ObservedState::links`]), and switches
+    /// the planner's SLO accounting from the worst-case-hop scalar to per-hop budgets
+    /// of `link_delays` (see [`LokiConfig::hop_budgets`]).
     pub route: RouteMode,
 }
 

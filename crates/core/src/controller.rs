@@ -8,8 +8,7 @@ use crate::load_balancer::{MostAccurateFirst, PlannerWarning};
 use crate::perf::FanoutOverrides;
 use loki_pipeline::{BatchSize, PipelineGraph, VariantId};
 use loki_sim::{
-    AllocationPlan, CompiledLinkDelays, CompiledPlan, Controller, HopBudgets, ObservedState,
-    WorkerId, WorkerView,
+    AllocationPlan, CompiledPlan, Controller, HopBudgets, ObservedState, WorkerId, WorkerView,
 };
 use serde::{Deserialize, Serialize};
 
@@ -82,9 +81,6 @@ pub struct LokiController {
     /// The planner's per-hop budgets: a function of `config` and `graph`, both fixed
     /// for the controller's lifetime, so derived once and lent to every allocation.
     budgets: HopBudgets,
-    /// `config.link_delays` compiled once, as the engine compiles it: the hop
-    /// delays link-aware routing orders equal-accuracy candidates by.
-    links: CompiledLinkDelays,
     allocator: AllocatorKind,
     /// The Load Balancer's plan emitter (owns the reusable emission scratch).
     lb: MostAccurateFirst,
@@ -100,20 +96,14 @@ pub struct LokiController {
 impl LokiController {
     /// Create a controller for a pipeline with the given configuration.
     ///
-    /// Panics on an invalid graph, and, as the engine does, on an invalid
-    /// `config.link_delays` or a per-edge model that names an edge outside
-    /// the pipeline (see [`loki_sim::LinkDelayModel::compile`]).
+    /// Panics on an invalid graph. `config.link_delays` only budgets the
+    /// planner; link-aware routing reads the delays the engine charges from
+    /// [`ObservedState::links`].
     pub fn new(graph: PipelineGraph, config: LokiConfig) -> Self {
         graph.validate().expect("pipeline graph must be valid");
         let allocator = AllocatorKind::from_config(&config);
-        // No fleet size: a worker past the empty class table falls back to
-        // the same striping rule the engine's table caches.
-        let links = config
-            .link_delays
-            .compile(config.comm_latency_ms, 0, graph.num_tasks());
         Self {
             budgets: config.hop_budgets(graph.num_tasks()),
-            links,
             graph,
             config,
             allocator,
@@ -245,7 +235,7 @@ impl Controller for LokiController {
             demand,
             &self.fanout,
             self.config.route,
-            &self.links,
+            observed.links,
         );
         self.stats.routings += 1;
         self.stats.routing_warnings.clear();
@@ -276,7 +266,7 @@ mod tests {
     use super::*;
     use crate::allocator::ScalingMode;
     use loki_pipeline::zoo;
-    use loki_sim::{SimConfig, Simulation};
+    use loki_sim::{EngineError, LinkDelayModel, RouteMode, SimConfig, Simulation};
     use loki_workload::{generate_arrivals, generators, ArrivalProcess};
 
     /// Maximum demand a 20-worker cluster can absorb with the most accurate variants.
@@ -325,7 +315,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sim = Simulation::new(&g, config, controller);
-        let result = sim.run(&arrivals);
+        let result = sim.try_run(&arrivals).unwrap();
         assert!(result.summary.total_arrivals > 4000);
         assert!(
             result.summary.slo_violation_ratio < 0.05,
@@ -357,7 +347,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sim = Simulation::new(&g, config, controller);
-        sim.run(&arrivals);
+        sim.try_run(&arrivals).unwrap();
         let stats = sim.into_controller().stats;
         // At steady demand, most of the ~60 one-second routing ticks must be served
         // from the cache rather than rebuilding the tables.
@@ -379,7 +369,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sim = Simulation::new(&g, config, strict);
-        sim.run(&arrivals);
+        sim.try_run(&arrivals).unwrap();
         let strict_stats = sim.into_controller().stats;
         assert!(strict_stats.routings >= stats.routings);
     }
@@ -404,7 +394,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sim = Simulation::new(&g, config, controller);
-        let result = sim.run(&arrivals);
+        let result = sim.try_run(&arrivals).unwrap();
         // Accuracy scaling should keep most requests within the SLO while lowering
         // accuracy below the maximum.
         assert!(
@@ -414,5 +404,35 @@ mod tests {
         );
         assert!(result.summary.system_accuracy < g.max_accuracy() - 0.01);
         assert!(result.summary.system_accuracy > g.min_accuracy());
+    }
+
+    #[test]
+    fn a_link_model_outside_the_pipeline_fails_the_run_not_the_controller() {
+        // Edge (0, 2) of a detection -> classification split; the social
+        // pipeline has two tasks.
+        let g = zoo::social_media_pipeline(250.0);
+        assert_eq!(g.num_tasks(), 2);
+        let links = LinkDelayModel::PerEdge {
+            frontend_ms: 2.0,
+            default_ms: 2.0,
+            edges: vec![((0, 1), 5.0), ((0, 2), 0.2)],
+        };
+        let config = LokiConfig {
+            link_delays: links.clone(),
+            route: RouteMode::LinkAware,
+            ..LokiConfig::with_greedy()
+        };
+        let controller = LokiController::new(g.clone(), config);
+        let config = SimConfig {
+            link_delays: links,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(&g, config, controller);
+        assert_eq!(
+            sim.try_run(&[0.5]).err(),
+            Some(EngineError::InvalidRun {
+                reason: "SimConfig::link_delays is invalid for a pipeline of the run",
+            })
+        );
     }
 }

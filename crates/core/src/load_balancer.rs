@@ -563,6 +563,7 @@ mod tests {
                 frontend_ms: vec![2.0, 2.0],
             }
             .compile(2.0, 0, g.num_tasks())
+            .unwrap()
         };
         let mut lb = MostAccurateFirst::default();
         let plan = lb.emit_with_route(

@@ -45,7 +45,7 @@ fn run_observed(seed: u64, link_delays: LinkDelayModel, observe: ObserveConfig) 
         ..SimConfig::default()
     };
     let mut sim = Simulation::new(&graph, config, controller);
-    sim.run(&arrivals)
+    sim.try_run(&arrivals).unwrap()
 }
 
 fn run_with_links(seed: u64, link_delays: LinkDelayModel) -> RunSummary {
@@ -352,7 +352,7 @@ fn planner_digest(
                         RouteMode::Accuracy => HopBudgets::uniform(2.0, n),
                         RouteMode::LinkAware => links.hop_budgets(2.0, n),
                     };
-                    let links = links.compile(2.0, 0, n);
+                    let links = links.compile(2.0, 0, n).unwrap();
                     for fanout in &fanouts {
                         let ctx = AllocationContext {
                             graph: &graph,

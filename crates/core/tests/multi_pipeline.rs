@@ -54,7 +54,7 @@ fn zero_demand_lane_is_bit_identical_to_single_pipeline_run() {
         let mut config = base_config(42);
         config.initial_demand_hint = Some(300.0);
         let mut sim = Simulation::new(&traffic, config, loki(&traffic));
-        sim.run(&arrivals).summary
+        sim.try_run(&arrivals).unwrap().summary
     };
 
     // The same run as lane 0 of a two-pipeline cluster whose second pipeline
@@ -77,7 +77,7 @@ fn zero_demand_lane_is_bit_identical_to_single_pipeline_run() {
         initial_demand_hint: None,
     });
     let mut manager = ResourceManager::default();
-    let result = multi.run(&mut manager);
+    let result = multi.try_run(&mut manager).unwrap();
 
     assert_eq!(
         result.migrations, 0,
@@ -116,7 +116,7 @@ fn contended_run(seed: u64) -> MultiSimResult {
         initial_demand_hint: Some(120.0),
     });
     let mut manager = ResourceManager::default();
-    multi.run(&mut manager)
+    multi.try_run(&mut manager).unwrap()
 }
 
 #[test]
@@ -212,7 +212,7 @@ fn demand_shift_migrates_workers_between_pipelines() {
         rebalance_interval_s: 5.0,
         ..ResourceManagerConfig::default()
     });
-    let result = multi.run(&mut manager);
+    let result = multi.try_run(&mut manager).unwrap();
     assert!(
         result.migrations > 0,
         "a demand shift must migrate workers across pipelines"
@@ -317,7 +317,7 @@ fn resource_manager_absorbs_a_fleet_that_grows_between_epochs() {
             count: 6,
             done: false,
         };
-        multi.run_elastic(&mut manager, &mut policy)
+        multi.try_run_elastic(&mut manager, &mut policy).unwrap()
     };
     let result = run();
     let cost = result.cost.as_ref().expect("elastic multi runs bill");
@@ -367,7 +367,7 @@ fn static_even_split_never_migrates() {
         });
     }
     let mut arbiter = StaticPartition::even(2);
-    let result = multi.run(&mut arbiter);
+    let result = multi.try_run(&mut arbiter).unwrap();
     assert_eq!(result.migrations, 0);
     assert_eq!(result.rebalances, 0);
     assert_eq!(result.arbiter, "static-even");

@@ -42,9 +42,17 @@
 //! shard's dispatch loop merges its three sources by `(time, seq)`, exactly the
 //! order a single heap would produce.
 //!
-//! Impossible-but-unchecked scheduler states surface as a structured
-//! [`EngineError`] through [`Simulation::try_run`] instead of a bare `unwrap`
-//! panic.
+//! # One checked entry
+//!
+//! Every simulation runs through one crate-private entry, `run`: it checks
+//! the run's inputs once (at least one lane; an elastic policy only with a
+//! valid [`SimConfig::elastic`]; every pipeline graph valid; every lane's link
+//! table compiles), builds the engine from the checked values and runs it.
+//! [`Simulation`] is a one-lane run of it and [`crate::MultiSimulation`] a
+//! several-lane one; each lane arrives paired with its controller. A caller
+//! error comes back as [`EngineError::InvalidRun`] before any event runs, and
+//! impossible-but-unchecked scheduler states surface as a structured
+//! [`EngineError`] instead of a bare `unwrap` panic.
 //!
 //! Determinism is unchanged: all hot-path state is iterated in dense index
 //! order, and every stochastic choice consumes draws from its lane's seeded RNG
@@ -63,7 +71,9 @@ use crate::shard::{
 };
 use crate::slab::SlotRef;
 use crate::trace::{Histogram, SpanKind, TraceLog, NO_ID};
-use crate::types::{ms_to_us, secs_to_us, Controller, Query, SimConfig, SimTime, WorkerId};
+use crate::types::{
+    ms_to_us, secs_to_us, CompiledLinkDelays, Controller, Query, SimConfig, SimTime, WorkerId,
+};
 use crate::worker::{Lifecycle, Worker};
 use loki_pipeline::PipelineGraph;
 use rand::rngs::StdRng;
@@ -200,9 +210,9 @@ pub enum EngineError {
         /// Simulated time of the revocation deadline, µs.
         now_us: SimTime,
     },
-    /// A `try_run*` call that cannot start: an elastic policy without
-    /// [`SimConfig::elastic`], a multi-pipeline run with no pipeline
-    /// registered, an invalid [`SimConfig::elastic`], or a
+    /// A `try_run*` call that cannot start: a multi-pipeline run with no
+    /// pipeline registered, an elastic policy without [`SimConfig::elastic`],
+    /// an invalid [`SimConfig::elastic`], an invalid pipeline graph, or a
     /// [`SimConfig::link_delays`] that is invalid or names an edge outside a
     /// lane's pipeline.
     InvalidRun {
@@ -267,33 +277,124 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// What `try_run_elastic` returns without [`SimConfig::elastic`].
-pub(crate) const NEEDS_ELASTIC: EngineError = EngineError::InvalidRun {
-    reason: "an elastic policy needs SimConfig::elastic",
+/// One lane of a run: the pipeline it serves and the controller serving it.
+pub(crate) type Lane<'a> = (LaneInput<'a>, &'a mut dyn Controller);
+
+/// What [`run`] returns: each lane's result plus the cluster-level outputs.
+pub(crate) struct RunOutput {
+    /// Each lane's result, in lane order. Cost and journal are cluster-level,
+    /// so they are on this output, not on a lane's result.
+    pub(crate) results: Vec<SimResult>,
+    /// Each lane's `(wall_s, barrier_wait_s)`: wall-clock seconds its shard
+    /// spent executing events, and the estimated seconds it waited on slower
+    /// shards at epoch barriers.
+    pub(crate) timings: Vec<(f64, f64)>,
+    /// All events processed: the cluster-level ones plus every lane's own
+    /// (including swap completions of workers nobody owned).
+    pub(crate) total_events: u64,
+    /// Arbiter invocations that moved workers.
+    pub(crate) rebalances: u64,
+    /// Workers moved across lanes over the whole run.
+    pub(crate) migrations: u64,
+    /// Whole-run fleet cost (elastic runs only).
+    pub(crate) cost: Option<CostSummary>,
+    /// The cluster event journal with every lane's plan installs merged in
+    /// (`observe.timeline` runs only).
+    pub(crate) journal: Option<Journal>,
+}
+
+impl RunOutput {
+    /// The one result of a one-lane run, carrying the cluster's cost and
+    /// journal.
+    pub(crate) fn into_single(self) -> Result<SimResult, EngineError> {
+        let Some(result) = self.results.into_iter().next() else {
+            return Err(NO_LANES);
+        };
+        Ok(SimResult {
+            cost: self.cost,
+            journal: self.journal,
+            ..result
+        })
+    }
+}
+
+/// A run without lanes.
+const NO_LANES: EngineError = EngineError::InvalidRun {
+    reason: "register at least one pipeline before running",
 };
 
-/// Reject a run config the engine cannot be built from, before anything is
-/// built: an invalid [`SimConfig::elastic`], or a [`SimConfig::link_delays`]
-/// that is invalid or names an edge outside one of the run's pipelines.
-pub(crate) fn check_run_config<'g>(
-    config: &SimConfig,
-    mut graphs: impl Iterator<Item = &'g PipelineGraph>,
-) -> Result<(), EngineError> {
+/// The one entry of every simulation: check the run's inputs, build the
+/// engine from them and run it. A run needs at least one lane, an elastic
+/// `policy` needs a valid [`SimConfig::elastic`], every lane's graph must be
+/// valid, and [`SimConfig::link_delays`] must compile for every lane's
+/// pipeline; anything else is [`EngineError::InvalidRun`], returned before
+/// any event runs. `arbiter` partitions the fleet across the lanes (without
+/// one, the lanes split it evenly once); `jobs > 1` runs lanes on that many
+/// threads between epochs.
+pub(crate) fn run<'a>(
+    config: &'a SimConfig,
+    lanes: Vec<Lane<'a>>,
+    arbiter: Option<&mut dyn ResourceArbiter>,
+    policy: Option<&mut dyn ElasticPolicy>,
+    jobs: usize,
+) -> Result<RunOutput, EngineError> {
+    let invalid = |reason| Err(EngineError::InvalidRun { reason });
+    if lanes.is_empty() {
+        return Err(NO_LANES);
+    }
+    if policy.is_some() && config.elastic.is_none() {
+        return invalid("an elastic policy needs SimConfig::elastic");
+    }
     if config
         .elastic
         .as_ref()
         .is_some_and(|e| e.validate().is_err())
     {
-        return Err(EngineError::InvalidRun {
-            reason: "SimConfig::elastic is invalid",
-        });
+        return invalid("SimConfig::elastic is invalid");
     }
-    if graphs.any(|g| config.link_delays.validate_for(g.num_tasks()).is_err()) {
-        return Err(EngineError::InvalidRun {
-            reason: "SimConfig::link_delays is invalid for a pipeline of the run",
-        });
+    if lanes.iter().any(|(lane, _)| lane.graph.validate().is_err()) {
+        return invalid("a pipeline graph of the run is invalid");
     }
-    Ok(())
+    // Elastic fleets can grow to `max_fleet`; compile the link tables for
+    // that capacity so provisioned workers index them safely.
+    let fleet_cap = config
+        .elastic
+        .as_ref()
+        .map(|e| e.max_fleet.max(e.initial_fleet()))
+        .unwrap_or(config.cluster_size);
+    let compile = |(lane, _): &Lane<'a>| {
+        config
+            .link_delays
+            .compile(config.network_delay_ms, fleet_cap, lane.graph.num_tasks())
+    };
+    let Ok(links) = lanes.iter().map(compile).collect::<Result<Vec<_>, _>>() else {
+        return invalid("SimConfig::link_delays is invalid for a pipeline of the run");
+    };
+    let (inputs, mut controllers): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
+    let mut engine = Engine::new(config, inputs, links);
+    let results = engine.run_epochs(&mut controllers, arbiter, policy, jobs)?;
+    let cost = engine.finish_cost(&results);
+    let shards = &engine.shards;
+    Ok(RunOutput {
+        results,
+        timings: shards
+            .iter()
+            .map(|s| (s.wall_s, s.barrier_wait_s))
+            .collect(),
+        total_events: engine.cluster_events
+            + shards
+                .iter()
+                .map(|s| s.lane.events_processed + s.unowned_events)
+                .sum::<u64>(),
+        rebalances: engine.rebalances,
+        migrations: engine.migrations,
+        cost,
+        journal: engine.journal.map(|journal| {
+            let mut journal = *journal;
+            journal.finish();
+            journal
+        }),
+    })
 }
 
 /// A cluster-level event on the driver's queue: everything that must run at an
@@ -318,7 +419,8 @@ enum ClusterEvent {
     RevokeDeadline(WorkerId),
 }
 
-/// A simulation of one pipeline served by one controller on one cluster.
+/// A simulation of one pipeline served by one controller on one cluster: a
+/// one-lane run of the engine.
 pub struct Simulation<'a, C: Controller> {
     graph: &'a PipelineGraph,
     config: SimConfig,
@@ -326,10 +428,10 @@ pub struct Simulation<'a, C: Controller> {
 }
 
 impl<'a, C: Controller> Simulation<'a, C> {
-    /// Create a simulation for a pipeline, cluster configuration, and controller.
+    /// Create a simulation for a pipeline, cluster configuration, and
+    /// controller. Nothing is checked until the run: an invalid graph or
+    /// config makes `try_run*` return [`EngineError::InvalidRun`].
     pub fn new(graph: &'a PipelineGraph, config: SimConfig, controller: C) -> Self {
-        #[expect(clippy::expect_used, reason = "an invalid graph is a caller bug")]
-        graph.validate().expect("pipeline graph must be valid");
         Self {
             graph,
             config,
@@ -337,68 +439,40 @@ impl<'a, C: Controller> Simulation<'a, C> {
         }
     }
 
-    /// Run the simulation over a list of root-query arrival times (seconds, ascending).
-    ///
-    /// Panics (with the rendered [`EngineError`]) on an engine invariant
-    /// violation; use [`Simulation::try_run`] to handle that as a value.
-    #[expect(clippy::panic, reason = "the wrapper's documented panic")]
-    pub fn run(&mut self, arrivals_s: &[f64]) -> SimResult {
-        self.try_run(arrivals_s)
-            .unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// Like [`Simulation::run`], but surfaces engine invariant violations as a
-    /// structured [`EngineError`] instead of panicking.
+    /// Run the simulation over a list of root-query arrival times (seconds,
+    /// ascending). A config the run cannot start from returns
+    /// [`EngineError::InvalidRun`], and an engine invariant violation or a bad
+    /// controller output its own [`EngineError`].
     ///
     /// With [`SimConfig::elastic`] set, the fleet is built from the elastic
     /// initial spec and billed, but no scaling policy runs (a static fleet);
     /// use [`Simulation::try_run_elastic`] to drive the fleet with a policy.
     pub fn try_run(&mut self, arrivals_s: &[f64]) -> Result<SimResult, EngineError> {
-        self.try_run_inner(arrivals_s, None)
+        let (config, lane) = self.lane(arrivals_s);
+        run(config, vec![lane], None, None, 1)?.into_single()
     }
 
-    /// Run with an [`ElasticPolicy`] scaling the worker fleet (requires
-    /// [`SimConfig::elastic`]). Panics on an engine invariant violation or a
-    /// missing [`SimConfig::elastic`].
-    #[expect(clippy::panic, reason = "the wrapper's documented panic")]
-    pub fn run_elastic(&mut self, arrivals_s: &[f64], policy: &mut dyn ElasticPolicy) -> SimResult {
-        self.try_run_elastic(arrivals_s, policy)
-            .unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// Like [`Simulation::run_elastic`], but surfaces engine invariant
-    /// violations and a missing [`SimConfig::elastic`]
-    /// ([`EngineError::InvalidRun`]) as a structured [`EngineError`].
+    /// Like [`Simulation::try_run`], with an [`ElasticPolicy`] scaling the
+    /// worker fleet; without [`SimConfig::elastic`] the run returns
+    /// [`EngineError::InvalidRun`].
     pub fn try_run_elastic(
         &mut self,
         arrivals_s: &[f64],
         policy: &mut dyn ElasticPolicy,
     ) -> Result<SimResult, EngineError> {
-        if self.config.elastic.is_none() {
-            return Err(NEEDS_ELASTIC);
-        }
-        self.try_run_inner(arrivals_s, Some(policy))
+        let (config, lane) = self.lane(arrivals_s);
+        run(config, vec![lane], None, Some(policy), 1)?.into_single()
     }
 
-    fn try_run_inner(
-        &mut self,
-        arrivals_s: &[f64],
-        policy: Option<&mut dyn ElasticPolicy>,
-    ) -> Result<SimResult, EngineError> {
-        check_run_config(&self.config, std::iter::once(self.graph))?;
-        let lane = LaneInput {
+    /// The run's config and its one lane: the pipeline over `arrivals_s`,
+    /// paired with the controller.
+    fn lane<'s>(&'s mut self, arrivals_s: &'s [f64]) -> (&'s SimConfig, Lane<'s>) {
+        let input = LaneInput {
             graph: self.graph,
             arrivals_s,
             initial_demand_hint: self.config.initial_demand_hint,
         };
-        let mut engine = Engine::new(&self.config, vec![lane]);
-        let mut controllers: [&mut dyn Controller; 1] = [&mut self.controller];
-        let mut results = engine.run(&mut controllers, None, policy, 1)?;
-        #[expect(clippy::expect_used, reason = "one result per lane")]
-        let mut result = results.pop().expect("single-lane run yields one result");
-        result.cost = engine.take_cost();
-        result.journal = engine.take_journal();
-        Ok(result)
+        (&self.config, (input, &mut self.controller))
     }
 
     /// Consume the simulation and return the controller (useful to inspect controller
@@ -446,8 +520,6 @@ pub(crate) struct Engine<'a> {
     /// Whether a resource arbiter drives this run (booted workers then wait in
     /// the free pool for the next rebalance instead of joining lane 0).
     has_arbiter: bool,
-    /// Whole-run cost summary, computed at the end of an elastic run.
-    cost: Option<CostSummary>,
     /// The driver-side cluster event journal when `observe.timeline` is on.
     /// Recording is observation-only: no hook consumes RNG draws or schedules
     /// events, so a journaled run is bit-identical to an unjournaled one.
@@ -647,23 +719,22 @@ struct MarketState {
 }
 
 impl<'a> Engine<'a> {
-    pub(crate) fn new(config: &'a SimConfig, inputs: Vec<LaneInput<'a>>) -> Self {
-        debug_assert!(!inputs.is_empty(), "engine needs at least one pipeline");
+    /// Build the engine from checked inputs (see [`run`]): one lane per
+    /// input, each with its compiled link table.
+    fn new(
+        config: &'a SimConfig,
+        inputs: Vec<LaneInput<'a>>,
+        links: Vec<CompiledLinkDelays>,
+    ) -> Self {
         assert!(
             inputs.len() < FREE as usize,
             "lane count fits the owner tag"
         );
-        // Elastic fleets can grow to `max_fleet`; compile the link tables for
-        // that capacity so provisioned workers index them safely.
-        let fleet_cap = config
-            .elastic
-            .as_ref()
-            .map(|e| e.max_fleet.max(e.initial_fleet()))
-            .unwrap_or(config.cluster_size);
         let lanes: Vec<LaneState<'a>> = inputs
             .iter()
+            .zip(links)
             .enumerate()
-            .map(|(i, input)| LaneState::new(input, config, i, fleet_cap))
+            .map(|(i, (input, link))| LaneState::new(input, config, i, link))
             .collect();
         let end_time_us = lanes
             .iter()
@@ -673,7 +744,7 @@ impl<'a> Engine<'a> {
         // elastic fleets start from the initial spec (warm at time zero,
         // billed from time zero — the pre-warmed bootstrap assumption).
         let (workers, elastic) = match &config.elastic {
-            // `check_run_config` has validated the spec.
+            // `run` has validated the spec.
             Some(spec) => {
                 let mut workers = Vec::with_capacity(spec.initial_fleet());
                 for &(class, count) in &spec.initial {
@@ -731,7 +802,6 @@ impl<'a> Engine<'a> {
             elastic,
             market,
             has_arbiter: false,
-            cost: None,
             journal: config.observe.timeline.then(|| Box::new(Journal::new())),
             last_price: f64::NAN,
         }
@@ -743,44 +813,6 @@ impl<'a> Engine<'a> {
         if let Some(j) = self.journal.as_mut() {
             j.record(self.now, CLUSTER_LANE, kind);
         }
-    }
-
-    /// The cluster event journal (`None` unless `observe.timeline`), with
-    /// every lane's plan installs merged in by [`Engine::run`], in the global
-    /// deterministic order.
-    pub(crate) fn take_journal(&mut self) -> Option<Journal> {
-        let mut journal = *self.journal.take()?;
-        journal.finish();
-        Some(journal)
-    }
-
-    pub(crate) fn rebalances(&self) -> u64 {
-        self.rebalances
-    }
-
-    pub(crate) fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// All events processed over the run: the cluster-level ones plus every
-    /// lane's own (including swap completions of workers nobody owned).
-    pub(crate) fn global_events(&self) -> u64 {
-        self.cluster_events
-            + self
-                .shards
-                .iter()
-                .map(|s| s.lane.events_processed + s.unowned_events)
-                .sum::<u64>()
-    }
-
-    /// Per-lane `(wall_s, barrier_wait_s)` observability: wall-clock seconds
-    /// each shard spent executing events, and the estimated seconds it spent
-    /// waiting on slower shards at epoch barriers.
-    pub(crate) fn lane_timings(&self) -> Vec<(f64, f64)> {
-        self.shards
-            .iter()
-            .map(|s| (s.wall_s, s.barrier_wait_s))
-            .collect()
     }
 
     fn push_cluster(&mut self, time: SimTime, event: ClusterEvent) {
@@ -948,28 +980,14 @@ impl<'a> Engine<'a> {
     /// events at each barrier. Cluster events at a boundary run before
     /// same-timestamp lane events (shards stop *before* the barrier time),
     /// matching the schedule order of the historical single-heap engine.
-    pub(crate) fn run(
+    /// `controllers` are the lanes' own, in lane order ([`run`] pairs them).
+    fn run_epochs(
         &mut self,
         controllers: &mut [&mut dyn Controller],
         mut arbiter: Option<&mut dyn ResourceArbiter>,
         mut provisioner: Option<&mut dyn ElasticPolicy>,
         jobs: usize,
     ) -> Result<Vec<SimResult>, EngineError> {
-        // `Simulation` and `MultiSimulation` build the lanes and controllers
-        // in lockstep and turn a missing elastic config into an `EngineError`.
-        debug_assert_eq!(
-            controllers.len(),
-            self.shards.len(),
-            "one controller per pipeline"
-        );
-        debug_assert!(
-            arbiter.is_some() || self.shards.len() == 1,
-            "multi-pipeline runs need a resource arbiter"
-        );
-        debug_assert!(
-            provisioner.is_none() || self.elastic.is_some(),
-            "an elastic policy needs SimConfig::elastic"
-        );
         self.has_arbiter = arbiter.is_some();
 
         // Establish the initial partition before any event runs, so every
@@ -985,7 +1003,7 @@ impl<'a> Engine<'a> {
                     self.push_cluster(first, ClusterEvent::Rebalance);
                 }
             }
-            None => self.init_partition(&[self.fleet.len()]),
+            None => self.init_partition(&even_partition(self.shards.len(), self.fleet.len())),
         }
         // Seed the fleet-scaling cadence. The first tick fires one interval
         // in: at time zero the initial fleet is the policy's starting point
@@ -1109,18 +1127,16 @@ impl<'a> Engine<'a> {
             let journal = self.journal.as_deref_mut();
             out.push(shard.finish(&ctx, controller.name(), final_now, journal));
         }
-        self.finish_cost(&out);
         Ok(out)
     }
 
     /// Close out fleet billing at the end of an elastic run: every worker
     /// still warm or draining is billed through the end of the run, and the
-    /// per-class GPU-time turns into the whole-run [`CostSummary`].
-    fn finish_cost(&mut self, results: &[SimResult]) {
+    /// per-class GPU-time turns into the whole-run [`CostSummary`] (`None` for
+    /// a fixed fleet).
+    fn finish_cost(&mut self, results: &[SimResult]) -> Option<CostSummary> {
         let market = self.market.as_ref().map(|m| &m.config);
-        let Some(e) = self.elastic.as_mut() else {
-            return;
-        };
+        let e = self.elastic.as_mut()?;
         for w in self.fleet.iter() {
             if matches!(w.lifecycle, Lifecycle::Warm | Lifecycle::Draining) {
                 let class = w.class as usize;
@@ -1162,7 +1178,7 @@ impl<'a> Engine<'a> {
                 stockouts: e.stockouts[i],
             });
         }
-        self.cost = Some(CostSummary {
+        Some(CostSummary {
             per_class,
             total_gpu_seconds,
             total_dollars,
@@ -1177,12 +1193,7 @@ impl<'a> Engine<'a> {
             stockouts: e.stockouts.iter().sum(),
             spot_dollars,
             ondemand_dollars,
-        });
-    }
-
-    /// Take the whole-run cost summary (elastic runs only; `None` otherwise).
-    pub(crate) fn take_cost(&mut self) -> Option<CostSummary> {
-        self.cost.take()
+        })
     }
 
     // ---- cluster arbitration -----------------------------------------------------
@@ -1891,6 +1902,7 @@ mod tests {
                 arrivals_s: &[0.5],
                 initial_demand_hint: None,
             }],
+            vec![CompiledLinkDelays::Uniform { hop_us: 2_000 }],
         );
         let w = &mut engine.fleet[1];
         w.assign(VariantId::new(0, 1), 4, &graph);

@@ -11,13 +11,19 @@
 //! `cluster_size` is the partition size), so the per-pipeline Loki planner
 //! runs unchanged underneath the arbiter.
 //!
+//! A multi-pipeline run is a several-lane run of the engine's one checked
+//! entry (`crate::engine`'s module docs): each registered pipeline becomes a
+//! lane paired with its controller, and a pipeline, graph or config the run
+//! cannot start from comes back from `try_run*` as
+//! [`EngineError::InvalidRun`].
+//!
 //! The arbiter policy lives above this crate (the demand/SLO-weighted
 //! `ResourceManager` in `loki-core` implements [`ResourceArbiter`]);
 //! [`StaticPartition`] provides the fixed-share baselines (even split, oracle
 //! split) the contended manager is evaluated against.
 
 use crate::elastic::ElasticPolicy;
-use crate::engine::{check_run_config, Engine, EngineError, LaneInput, SimResult, NEEDS_ELASTIC};
+use crate::engine::{run, EngineError, Lane, LaneInput, RunOutput, SimResult};
 use crate::metrics::{CostSummary, IntervalMetrics, RunSummary};
 use crate::trace::{Histogram, TraceLog};
 use crate::types::{Controller, SimConfig};
@@ -355,99 +361,77 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
     }
 
     /// Register a pipeline. Registration order is the index order every
-    /// arbiter observation and result vector uses.
+    /// arbiter observation and result vector uses. Nothing is checked until
+    /// the run: an invalid graph makes `try_run*` return
+    /// [`EngineError::InvalidRun`].
     pub fn add_pipeline(&mut self, pipeline: MultiPipeline<'a, C>) -> &mut Self {
-        #[expect(clippy::expect_used, reason = "an invalid graph is a caller bug")]
-        pipeline
-            .graph
-            .validate()
-            .expect("pipeline graph must be valid");
         self.pipelines.push(pipeline);
         self
     }
 
-    /// Run to completion under `arbiter`. Panics (with the rendered
-    /// [`EngineError`]) on an engine invariant violation or with no pipeline
-    /// registered; use [`MultiSimulation::try_run`] to handle that as a value.
-    #[expect(clippy::panic, reason = "the wrapper's documented panic")]
-    pub fn run(&mut self, arbiter: &mut dyn ResourceArbiter) -> MultiSimResult {
-        self.try_run(arbiter)
-            .unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// Like [`MultiSimulation::run`], but surfaces engine invariant violations
-    /// and a run with no pipeline registered ([`EngineError::InvalidRun`]) as
-    /// a structured [`EngineError`].
+    /// Run to completion under `arbiter`. A run with no pipeline registered
+    /// or a config it cannot start from returns [`EngineError::InvalidRun`],
+    /// and an engine invariant violation or a bad controller or arbiter
+    /// output its own [`EngineError`].
     pub fn try_run(
         &mut self,
         arbiter: &mut dyn ResourceArbiter,
     ) -> Result<MultiSimResult, EngineError> {
-        self.try_run_inner(arbiter, None)
+        let (config, lanes) = self.lanes();
+        let out = run(&config.sim, lanes, Some(&mut *arbiter), None, config.jobs)?;
+        Ok(self.result(out, arbiter))
     }
 
-    /// Run with an [`ElasticPolicy`] scaling the shared fleet under the
-    /// arbiter (requires [`SimConfig::elastic`]): boots land in the free pool
-    /// and the next rebalance apportions them, so the partition size changes
-    /// between arbiter epochs. Panics on an engine invariant violation or a
-    /// missing [`SimConfig::elastic`].
-    #[expect(clippy::panic, reason = "the wrapper's documented panic")]
-    pub fn run_elastic(
-        &mut self,
-        arbiter: &mut dyn ResourceArbiter,
-        policy: &mut dyn ElasticPolicy,
-    ) -> MultiSimResult {
-        self.try_run_elastic(arbiter, policy)
-            .unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// Like [`MultiSimulation::run_elastic`], but surfaces engine invariant
-    /// violations and a missing [`SimConfig::elastic`]
-    /// ([`EngineError::InvalidRun`]) as a structured [`EngineError`].
+    /// Like [`MultiSimulation::try_run`], with an [`ElasticPolicy`] scaling
+    /// the shared fleet under the arbiter: boots land in the free pool and the
+    /// next rebalance apportions them, so the partition size changes between
+    /// arbiter epochs. Without [`SimConfig::elastic`] the run returns
+    /// [`EngineError::InvalidRun`].
     pub fn try_run_elastic(
         &mut self,
         arbiter: &mut dyn ResourceArbiter,
         policy: &mut dyn ElasticPolicy,
     ) -> Result<MultiSimResult, EngineError> {
-        if self.config.sim.elastic.is_none() {
-            return Err(NEEDS_ELASTIC);
-        }
-        self.try_run_inner(arbiter, Some(policy))
+        let (config, lanes) = self.lanes();
+        let out = run(
+            &config.sim,
+            lanes,
+            Some(&mut *arbiter),
+            Some(policy),
+            config.jobs,
+        )?;
+        Ok(self.result(out, arbiter))
     }
 
-    fn try_run_inner(
-        &mut self,
-        arbiter: &mut dyn ResourceArbiter,
-        policy: Option<&mut dyn ElasticPolicy>,
-    ) -> Result<MultiSimResult, EngineError> {
-        if self.pipelines.is_empty() {
-            return Err(EngineError::InvalidRun {
-                reason: "register at least one pipeline before running",
-            });
-        }
-        check_run_config(&self.config.sim, self.pipelines.iter().map(|p| p.graph))?;
-        let mut inputs: Vec<LaneInput<'_>> = Vec::with_capacity(self.pipelines.len());
-        let mut controllers: Vec<&mut dyn Controller> = Vec::with_capacity(self.pipelines.len());
-        let mut names: Vec<String> = Vec::with_capacity(self.pipelines.len());
-        for pipeline in &mut self.pipelines {
-            inputs.push(LaneInput {
-                graph: pipeline.graph,
-                arrivals_s: &pipeline.arrivals_s,
-                initial_demand_hint: pipeline.initial_demand_hint,
-            });
-            controllers.push(&mut pipeline.controller);
-            names.push(pipeline.name.clone());
-        }
-        let mut engine = Engine::new(&self.config.sim, inputs);
-        let results = engine.run(&mut controllers, Some(arbiter), policy, self.config.jobs)?;
-        let timings = engine.lane_timings();
-        Ok(MultiSimResult {
-            pipelines: names
-                .into_iter()
-                .zip(results)
-                .zip(timings)
+    /// The run's config and its lanes: each registered pipeline paired with
+    /// its controller, in registration order.
+    fn lanes(&mut self) -> (&MultiSimConfig, Vec<Lane<'_>>) {
+        let lanes = self
+            .pipelines
+            .iter_mut()
+            .map(|p| {
+                let input = LaneInput {
+                    graph: p.graph,
+                    arrivals_s: &p.arrivals_s,
+                    initial_demand_hint: p.initial_demand_hint,
+                };
+                (input, &mut p.controller as &mut dyn Controller)
+            })
+            .collect();
+        (&self.config, lanes)
+    }
+
+    /// Label the run's outputs with the pipelines' names and the arbiter's.
+    fn result(&self, out: RunOutput, arbiter: &dyn ResourceArbiter) -> MultiSimResult {
+        let lanes = out.results.into_iter().zip(out.timings);
+        MultiSimResult {
+            pipelines: self
+                .pipelines
+                .iter()
+                .zip(lanes)
                 .map(
-                    |((name, result), (lane_wall_s, barrier_wait_s))| PipelineResult {
-                        name,
+                    |(p, (result, (lane_wall_s, barrier_wait_s)))| PipelineResult {
+                        name: p.name.clone(),
                         result,
                         lane_wall_s,
                         barrier_wait_s,
@@ -455,13 +439,13 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
                 )
                 .collect(),
             arbiter: arbiter.name().to_string(),
-            total_events: engine.global_events(),
-            rebalances: engine.rebalances(),
-            migrations: engine.migrations(),
-            cost: engine.take_cost(),
-            journal: engine.take_journal(),
+            total_events: out.total_events,
+            rebalances: out.rebalances,
+            migrations: out.migrations,
+            cost: out.cost,
+            journal: out.journal,
             metrics_interval_s: self.config.sim.metrics_interval_s,
-        })
+        }
     }
 
     /// Consume the simulation and return the registered pipelines (useful to

@@ -234,7 +234,8 @@ pub(crate) struct LaneState<'a> {
     // Dense graph lookups and pre-converted constants.
     pub(crate) num_tasks: usize,
     root_task: usize,
-    /// Compiled per-hop link delays (µs), one array index per dispatch.
+    /// Compiled per-hop link delays (µs), one array index per dispatch; the
+    /// lane's controller observes the same table.
     link: CompiledLinkDelays,
     slo_us: SimTime,
     variant_offset: Vec<usize>,
@@ -284,13 +285,14 @@ pub(crate) struct LaneState<'a> {
 }
 
 impl<'a> LaneState<'a> {
+    /// Build a lane from its input and its compiled link table; the run has
+    /// validated the graph.
     pub(crate) fn new(
         input: &LaneInput<'a>,
         config: &SimConfig,
         lane_idx: usize,
-        fleet_cap: usize,
+        link: CompiledLinkDelays,
     ) -> Self {
-        // The graph was validated when its simulation was built.
         let graph = input.graph;
         let num_tasks = graph.num_tasks();
         let mut variant_offset = Vec::with_capacity(num_tasks);
@@ -317,9 +319,7 @@ impl<'a> LaneState<'a> {
             drop_policy: DropPolicy::default(),
             num_tasks,
             root_task: graph.root().index(),
-            link: config
-                .link_delays
-                .compile(config.network_delay_ms, fleet_cap, num_tasks),
+            link,
             slo_us: ms_to_us(graph.slo_ms()),
             variant_offset,
             variant_ids,
@@ -1043,6 +1043,7 @@ impl<'a> Shard<'a> {
             initial_demand_hint: hint,
             observed_fanout: &lane.fanout_avg,
             per_task_arrival_qps: &lane.per_task_qps,
+            links: &lane.link,
         }
     }
 
@@ -1557,6 +1558,13 @@ mod tests {
     use crate::routing::PlanBuilder;
     use crate::types::BackupWorker;
 
+    /// The compiled table of `config`'s uniform hop delay.
+    fn uniform_links(config: &SimConfig) -> CompiledLinkDelays {
+        CompiledLinkDelays::Uniform {
+            hop_us: ms_to_us(config.network_delay_ms),
+        }
+    }
+
     /// A controller that never plans or routes: the lane's ticks run and
     /// change nothing.
     struct Idle;
@@ -1584,7 +1592,8 @@ mod tests {
             arrivals_s: &[],
             initial_demand_hint: None,
         };
-        let mut shard = Shard::new(LaneState::new(&input, &config, 0, 1), 0, &config, 10, 128);
+        let lane = LaneState::new(&input, &config, 0, uniform_links(&config));
+        let mut shard = Shard::new(lane, 0, &config, 10, 128);
         // The lane's first ticks: control and routing at 0, metrics at 1 s.
         assert_eq!(shard.events.len(), 3);
         let query = Query {
@@ -1671,7 +1680,7 @@ mod tests {
             arrivals_s: &[],
             initial_demand_hint: None,
         };
-        let lane = LaneState::new(&input, config, 0, fleet_len);
+        let lane = LaneState::new(&input, config, 0, uniform_links(config));
         let mut shard = Shard::new(lane, 0, config, 10, 128);
         shard.lane.drop_policy = DropPolicy::OpportunisticRerouting;
         shard.lane.workers_by_task[1] = vec![WorkerId(1)];

@@ -45,9 +45,10 @@ pub fn us_to_ms(us: SimTime) -> f64 {
 /// delays).
 ///
 /// A *hop* is one network traversal of a query: frontend → first-task worker, or
-/// an upstream worker → a downstream worker. The engine compiles the model into
-/// dense microsecond tables ([`LinkDelayModel::compile`]) so the dispatch path
-/// pays one array index per hop.
+/// an upstream worker → a downstream worker. Each run compiles the model once
+/// per lane into dense microsecond tables ([`LinkDelayModel::compile`]), so the
+/// dispatch path pays one array index per hop; a controller reads the same
+/// table through [`ObservedState::links`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub enum LinkDelayModel {
     /// Every hop takes [`SimConfig::network_delay_ms`]: the historical
@@ -58,8 +59,9 @@ pub enum LinkDelayModel {
     /// `from` into task `to` takes the delay listed for `(from, to)`;
     /// unlisted edges take `default_ms` and frontend → root-task hops take
     /// `frontend_ms`. Every listed edge must reference tasks that exist in the
-    /// pipeline the simulation runs — [`LinkDelayModel::compile`] rejects
-    /// out-of-range edges loudly.
+    /// pipeline the simulation runs: [`LinkDelayModel::compile`] rejects an
+    /// out-of-range edge, and the run returns
+    /// [`crate::EngineError::InvalidRun`].
     PerEdge {
         /// Frontend → first-task hop delay (ms).
         frontend_ms: f64,
@@ -228,43 +230,24 @@ impl LinkDelayModel {
         }
     }
 
-    /// [`LinkDelayModel::validate`] for a pipeline of `num_tasks` tasks: a
-    /// per-edge model must also name only edges inside it. Silently skipping
-    /// an outside edge would leave the simulated network charging
-    /// `default_ms` while `max_hop_ms` (planner budgeting) still counts the
-    /// listed delay — a quiet disagreement between controller and data plane.
-    pub(crate) fn validate_for(&self, num_tasks: usize) -> Result<(), String> {
-        self.validate()?;
-        if let LinkDelayModel::PerEdge { edges, .. } = self {
-            let outside = edges
-                .iter()
-                .find(|((from, to), _)| *from >= num_tasks || *to >= num_tasks);
-            if let Some(((from, to), _)) = outside {
-                return Err(format!(
-                    "per-edge link delay references edge ({from}, {to}) \
-                     outside a {num_tasks}-task pipeline"
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// Compile into dense per-hop microsecond tables for the engine's dispatch
-    /// path, for a pipeline of `num_tasks` tasks. Panics when the model is
-    /// invalid ([`LinkDelayModel::validate`]) or names a pipeline edge
-    /// outside those tasks. The simulations' `try_run*` entry points check
-    /// both before the engine compiles and return
-    /// [`crate::EngineError::InvalidRun`] instead.
+    /// path, for a pipeline of `num_tasks` tasks on a fleet of up to
+    /// `cluster_size` workers. Fails when the model is invalid
+    /// ([`LinkDelayModel::validate`]) or a per-edge model names an edge outside
+    /// those tasks: skipping such an edge would leave the simulated network
+    /// charging `default_ms` while `max_hop_ms` (planner budgeting) still
+    /// counts the listed delay. The simulations compile each lane's table once
+    /// per run and return [`crate::EngineError::InvalidRun`] on this error;
+    /// controllers read the compiled table from
+    /// [`ObservedState::links`].
     pub fn compile(
         &self,
         uniform_ms: f64,
         cluster_size: usize,
         num_tasks: usize,
-    ) -> CompiledLinkDelays {
-        #[expect(clippy::expect_used, reason = "documented: bad model panics")]
-        self.validate_for(num_tasks)
-            .expect("link-delay model must be valid");
-        match self {
+    ) -> Result<CompiledLinkDelays, String> {
+        self.validate()?;
+        Ok(match self {
             LinkDelayModel::Uniform => CompiledLinkDelays::Uniform {
                 hop_us: ms_to_us(uniform_ms),
             },
@@ -275,6 +258,12 @@ impl LinkDelayModel {
             } => {
                 let mut edge_us = vec![ms_to_us(*default_ms); num_tasks * num_tasks];
                 for ((from, to), ms) in edges {
+                    if *from >= num_tasks || *to >= num_tasks {
+                        return Err(format!(
+                            "per-edge link delay references edge ({from}, {to}) \
+                             outside a {num_tasks}-task pipeline"
+                        ));
+                    }
                     edge_us[from * num_tasks + to] = ms_to_us(*ms);
                 }
                 CompiledLinkDelays::PerEdge {
@@ -293,7 +282,7 @@ impl LinkDelayModel {
                 hop_us: delay_ms.iter().map(|&ms| ms_to_us(ms)).collect(),
                 frontend_us: frontend_ms.iter().map(|&ms| ms_to_us(ms)).collect(),
             },
-        }
+        })
     }
 }
 
@@ -625,6 +614,11 @@ pub struct ObservedState<'a> {
     /// including intermediate queries. Pipeline-agnostic controllers (Proteus) use
     /// this instead of the pipeline structure.
     pub per_task_arrival_qps: &'a HashMap<usize, f64>,
+    /// The hop delays the engine charges this lane: the run's
+    /// [`SimConfig::link_delays`] compiled once for the lane's pipeline and
+    /// the whole fleet the run may grow to (workers past it stripe as the
+    /// table does).
+    pub links: &'a CompiledLinkDelays,
 }
 
 /// A serving controller: the control plane plugged into the simulator.
@@ -827,7 +821,7 @@ mod tests {
         };
         assert!(per_edge.validate().is_ok());
         assert_eq!(per_edge.max_hop_ms(2.0), 5.0);
-        let compiled = per_edge.compile(2.0, 4, 2);
+        let compiled = per_edge.compile(2.0, 4, 2).expect("valid model");
         assert_eq!(compiled.frontend_us(WorkerId(3)), 1_000);
         assert_eq!(compiled.hop_us(WorkerId(0), 0, WorkerId(1), 1), 5_000);
         assert_eq!(compiled.hop_us(WorkerId(1), 1, WorkerId(0), 0), 2_000);
@@ -839,7 +833,7 @@ mod tests {
         };
         assert!(per_class.validate().is_ok());
         assert_eq!(per_class.max_hop_ms(2.0), 5.0);
-        let compiled = per_class.compile(2.0, 4, 2);
+        let compiled = per_class.compile(2.0, 4, 2).expect("valid model");
         // Workers are striped: 0 and 2 are class 0, 1 and 3 are class 1.
         assert_eq!(compiled.frontend_us(WorkerId(2)), 1_000);
         assert_eq!(compiled.frontend_us(WorkerId(3)), 2_500);
@@ -890,16 +884,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside a 2-task pipeline")]
     fn per_edge_compile_rejects_out_of_range_edges() {
         // A typo'd edge must fail loudly, not silently fall back to the
         // default delay while the planner budgets with the listed one.
-        LinkDelayModel::PerEdge {
+        let error = LinkDelayModel::PerEdge {
             frontend_ms: 1.0,
             default_ms: 2.0,
             edges: vec![((2, 3), 50.0)],
         }
-        .compile(2.0, 4, 2);
+        .compile(2.0, 4, 2)
+        .expect_err("edge (2, 3) is outside a 2-task pipeline");
+        assert_eq!(
+            error,
+            "per-edge link delay references edge (2, 3) outside a 2-task pipeline"
+        );
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn billing_starts_at_boot_not_at_provisioning() {
         script: vec![(10.0, vec![ElasticAction::Provision { class: 0, count: 1 }])],
     };
     let mut sim = Simulation::new(&graph, config, StaticController::tiny(1));
-    let result = sim.run_elastic(&arrivals, &mut policy);
+    let result = sim.try_run_elastic(&arrivals, &mut policy).unwrap();
     let cost = result.cost.expect("elastic runs report cost");
     // The run ends at last arrival + drain; the provisioned worker is billed
     // from its boot completion at t=15 s, not from the t=10 s request.
@@ -111,7 +111,7 @@ fn draining_workers_finish_but_never_take_new_work() {
         script: vec![(10.0, vec![ElasticAction::Drain { class: 0, count: 2 }])],
     };
     let mut sim = Simulation::new(&graph, config, StaticController::tiny(2));
-    let result = sim.run_elastic(&arrivals, &mut policy);
+    let result = sim.try_run_elastic(&arrivals, &mut policy).unwrap();
     let s = &result.summary;
     assert_eq!(
         s.total_on_time + s.total_late + s.total_dropped,
@@ -147,7 +147,7 @@ fn same_seed_elastic_runs_are_deterministic_and_scaling_changes_execution() {
         config.elastic = Some(elastic_config(2, 6, 3.0));
         let mut policy = ScriptedPolicy { script };
         let mut sim = Simulation::new(&graph, config, StaticController::tiny(2));
-        sim.run_elastic(&arrivals, &mut policy).summary
+        sim.try_run_elastic(&arrivals, &mut policy).unwrap().summary
     };
     let grow = || vec![(10.0, vec![ElasticAction::Provision { class: 0, count: 2 }])];
     let a = run(grow());
@@ -173,7 +173,7 @@ fn noop_policy_on_an_elastic_fleet_matches_the_fixed_fleet_run() {
     let arrivals = generate_arrivals(&trace, ArrivalProcess::Uniform, 4);
     let fixed = {
         let mut sim = Simulation::new(&graph, base_config(21), StaticController::tiny(2));
-        sim.run(&arrivals)
+        sim.try_run(&arrivals).unwrap()
     };
     assert!(fixed.cost.is_none(), "fixed fleets have no billing");
     let elastic = {
@@ -181,7 +181,7 @@ fn noop_policy_on_an_elastic_fleet_matches_the_fixed_fleet_run() {
         config.elastic = Some(elastic_config(4, 4, 5.0));
         let mut policy = StaticFleet;
         let mut sim = Simulation::new(&graph, config, StaticController::tiny(2));
-        sim.run_elastic(&arrivals, &mut policy)
+        sim.try_run_elastic(&arrivals, &mut policy).unwrap()
     };
     assert_eq!(fixed.summary, elastic.summary);
     let cost = elastic.cost.expect("elastic runs report cost");
@@ -209,7 +209,7 @@ fn provisioning_is_clamped_to_the_fleet_bound() {
         )],
     };
     let mut sim = Simulation::new(&graph, config, StaticController::tiny(1));
-    let result = sim.run_elastic(&arrivals, &mut policy);
+    let result = sim.try_run_elastic(&arrivals, &mut policy).unwrap();
     let cost = result.cost.expect("cost");
     assert_eq!(
         cost.per_class[0].provisioned, 1,

@@ -39,7 +39,7 @@ fn underloaded_cluster_serves_everything_on_time() {
     let trace = generators::constant(20, 20.0);
     let arrivals = generate_arrivals(&trace, ArrivalProcess::Uniform, 1);
     let mut sim = Simulation::new(&graph, small_config(8), StaticController::tiny(2));
-    let result = sim.run(&arrivals);
+    let result = sim.try_run(&arrivals).unwrap();
     assert_eq!(result.summary.total_arrivals, 400);
     assert_eq!(
         result.summary.total_on_time + result.summary.total_late + result.summary.total_dropped,
@@ -94,7 +94,7 @@ fn tick_cadence_follows_the_sim_config() {
     };
     // Control ticks every 5 s, routing ticks every 1 s.
     let mut sim = Simulation::new(&graph, small_config(8), controller);
-    sim.run(&arrivals);
+    sim.try_run(&arrivals).unwrap();
     let counted = sim.into_controller();
     // Plans at 0, 5, 10, 15 and 20 s.
     assert_eq!(counted.plans, 5);
@@ -109,7 +109,7 @@ fn overloaded_cluster_without_dropping_violates_slos() {
     let trace = generators::constant(20, 400.0);
     let arrivals = generate_arrivals(&trace, ArrivalProcess::Uniform, 2);
     let mut sim = Simulation::new(&graph, small_config(2), StaticController::tiny(1));
-    let result = sim.run(&arrivals);
+    let result = sim.try_run(&arrivals).unwrap();
     assert!(
         result.summary.slo_violation_ratio > 0.5,
         "expected heavy violations, got {}",
@@ -124,7 +124,7 @@ fn no_allocation_means_everything_is_dropped() {
     let arrivals = generate_arrivals(&trace, ArrivalProcess::Uniform, 3);
     let empty_plan = AllocationPlan::default();
     let mut sim = Simulation::new(&graph, small_config(4), StaticController::new(empty_plan));
-    let result = sim.run(&arrivals);
+    let result = sim.try_run(&arrivals).unwrap();
     assert_eq!(result.summary.total_arrivals, 50);
     assert_eq!(result.summary.total_dropped, 50);
     assert_eq!(result.summary.total_on_time, 0);
@@ -140,7 +140,7 @@ fn simulation_is_deterministic_for_a_seed() {
         let mut cfg = small_config(6);
         cfg.seed = seed;
         let mut sim = Simulation::new(&graph, cfg, StaticController::new(tiny_plan(3, 8)));
-        sim.run(&arrivals).summary
+        sim.try_run(&arrivals).unwrap().summary
     };
     let a = run(11);
     let b = run(11);
@@ -157,7 +157,7 @@ fn utilization_reflects_active_workers() {
     let trace = generators::constant(10, 10.0);
     let arrivals = generate_arrivals(&trace, ArrivalProcess::Uniform, 4);
     let mut sim = Simulation::new(&graph, small_config(10), StaticController::tiny(1));
-    let result = sim.run(&arrivals);
+    let result = sim.try_run(&arrivals).unwrap();
     // only 2 of 10 workers are ever active
     assert_eq!(result.summary.max_active_workers, 2);
     assert!(result.summary.mean_utilization <= 0.2 + 1e-9);
@@ -186,7 +186,7 @@ fn accuracy_reflects_variant_choice() {
         drop_policy: DropPolicy::NoEarlyDropping,
     };
     let mut sim = Simulation::new(&graph, small_config(4), StaticController::new(plan));
-    let result = sim.run(&arrivals);
+    let result = sim.try_run(&arrivals).unwrap();
     let expected = graph.min_accuracy();
     assert!(
         (result.summary.system_accuracy - expected).abs() < 1e-9,
@@ -239,7 +239,7 @@ fn heterogeneous_link_delays_reorder_deliveries() {
         let mut cfg = small_config(8);
         cfg.link_delays = link_delays;
         let mut sim = Simulation::new(&graph, cfg, StaticController::tiny(2));
-        sim.run(&arrivals).summary
+        sim.try_run(&arrivals).unwrap().summary
     };
     let uniform = run(LinkDelayModel::Uniform);
     let hetnet = run(LinkDelayModel::PerWorkerClass {
@@ -289,7 +289,7 @@ fn per_edge_delay_on_the_critical_path_violates_slos() {
         let mut cfg = small_config(8);
         cfg.link_delays = link_delays;
         let mut sim = Simulation::new(&graph, cfg, StaticController::tiny(2));
-        sim.run(&arrivals).summary
+        sim.try_run(&arrivals).unwrap().summary
     };
     let uniform = run(LinkDelayModel::Uniform);
     let slow_edge = run(LinkDelayModel::PerEdge {
@@ -333,7 +333,7 @@ fn fanout_creates_downstream_load_in_branching_pipeline() {
         drop_policy: DropPolicy::NoEarlyDropping,
     };
     let mut sim = Simulation::new(&graph, small_config(10), StaticController::new(plan));
-    let result = sim.run(&arrivals);
+    let result = sim.try_run(&arrivals).unwrap();
     assert!(result.summary.total_on_time > 0);
     // yolov5x multiplies by 2.0, so downstream work exists and completes; system
     // accuracy should be near the pipeline max (all best variants).

@@ -109,7 +109,7 @@ fn billing_stops_exactly_at_revocation() {
     config.elastic = Some(elastic_config(vec![(0, 2), (1, 1)], 8, Some(shredder(2.0))));
     let mut policy = ScriptedPolicy { script: vec![] };
     let mut sim = Simulation::new(&graph, config, StaticController::tiny(1));
-    let result = sim.run_elastic(&arrivals, &mut policy);
+    let result = sim.try_run_elastic(&arrivals, &mut policy).unwrap();
     let cost = result.cost.expect("elastic runs report cost");
     let spot = cost.per_class.iter().find(|c| c.spot).expect("spot class");
     assert_eq!(spot.revocations, 1);
@@ -146,7 +146,7 @@ fn lost_batches_requeue_and_conserve_queries() {
         ));
         let mut policy = ScriptedPolicy { script: vec![] };
         let mut sim = Simulation::new(&graph, config, StaticController::tiny(3));
-        sim.run_elastic(&arrivals, &mut policy)
+        sim.try_run_elastic(&arrivals, &mut policy).unwrap()
     };
     let result = run();
     let s = &result.summary;
@@ -194,7 +194,7 @@ fn timeline_leaves_the_latency_histograms_unchanged_through_revocations() {
             ],
         };
         let mut sim = Simulation::new(&graph, config, StaticController::tiny(3));
-        sim.run_elastic(&arrivals, &mut policy)
+        sim.try_run_elastic(&arrivals, &mut policy).unwrap()
     };
     let (off, on) = (run(false), run(true));
     let cost = on.cost.as_ref().expect("cost");
@@ -250,7 +250,7 @@ fn forced_drains_are_invisible_to_the_policy() {
         revocations_seen: 0,
     };
     let mut sim = Simulation::new(&graph, config, StaticController::tiny(2));
-    let result = sim.run_elastic(&arrivals, &mut policy);
+    let result = sim.try_run_elastic(&arrivals, &mut policy).unwrap();
     assert_eq!(result.cost.expect("cost").revocations, 3);
     assert_eq!(
         policy.max_draining_seen, 0,
@@ -282,7 +282,7 @@ fn zero_rate_market_is_bit_identical_to_no_market() {
             ],
         };
         let mut sim = Simulation::new(&graph, config, StaticController::tiny(2));
-        sim.run_elastic(&arrivals, &mut policy)
+        sim.try_run_elastic(&arrivals, &mut policy).unwrap()
     };
     let friendly = run(None);
     let zeroed = run(Some(MarketConfig::default()));
@@ -315,7 +315,7 @@ fn memory_capacity_is_vacuous() {
         });
         let mut policy = ScriptedPolicy { script: vec![] };
         let mut sim = Simulation::new(&graph, config, StaticController::tiny(2));
-        sim.run_elastic(&arrivals, &mut policy)
+        sim.try_run_elastic(&arrivals, &mut policy).unwrap()
     };
     let small = run(16.0);
     let huge = run(4096.0);

@@ -62,7 +62,7 @@ fn four_lane_run(seed: u64, jobs: usize) -> MultiSimResult {
         });
     }
     let mut arbiter = SeesawArbiter { epoch: 0 };
-    multi.run(&mut arbiter)
+    multi.try_run(&mut arbiter).unwrap()
 }
 
 /// Everything deterministic about a run must match; host-time fields must not
@@ -126,7 +126,8 @@ fn single_lane_parallel_path_matches_dedicated_simulation() {
     let mut config = base_config(42);
     config.initial_demand_hint = Some(40.0);
     let single = loki_sim::Simulation::new(&graph, config, StaticController::tiny(3))
-        .run(&arrivals)
+        .try_run(&arrivals)
+        .unwrap()
         .summary;
 
     for jobs in [1, 2, 4] {
@@ -142,7 +143,7 @@ fn single_lane_parallel_path_matches_dedicated_simulation() {
             initial_demand_hint: Some(40.0),
         });
         let mut arbiter = loki_sim::StaticPartition::even(1);
-        let result = multi.run(&mut arbiter);
+        let result = multi.try_run(&mut arbiter).unwrap();
         assert_eq!(
             result.pipelines[0].result.summary, single,
             "jobs={jobs}: a one-lane multi run must reproduce the dedicated \

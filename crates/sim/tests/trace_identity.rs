@@ -62,7 +62,7 @@ fn four_lane_run(seed: u64, jobs: usize, observe: ObserveConfig) -> MultiSimResu
         });
     }
     let mut arbiter = SeesawArbiter { epoch: 0 };
-    multi.run(&mut arbiter)
+    multi.try_run(&mut arbiter).unwrap()
 }
 
 fn dense_tracing() -> ObserveConfig {

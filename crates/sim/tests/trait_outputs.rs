@@ -10,7 +10,7 @@ use loki_sim::{
     AllocationPlan, ArbiterObservation, CompiledPlan, Controller, DropPolicy, ElasticAction,
     ElasticObservation, ElasticPolicy, ElasticSimConfig, EngineError, InstanceSpec, LinkDelayModel,
     MultiPipeline, MultiSimulation, ObservedState, ResourceArbiter, SimConfig, Simulation,
-    StaticPartition, WorkerClass, WorkerClassCatalog,
+    StaticPartition, WorkerClass, WorkerClassCatalog, WorkerId,
 };
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
 use std::collections::HashMap;
@@ -327,4 +327,96 @@ fn a_per_edge_link_delay_outside_the_pipeline_is_an_error() {
         })
     );
     assert_eq!(run((0, 1)), Ok(400));
+}
+
+const INVALID_GRAPH: EngineError = EngineError::InvalidRun {
+    reason: "a pipeline graph of the run is invalid",
+};
+
+#[test]
+fn an_empty_pipeline_is_an_error() {
+    let graph = PipelineGraph::new("empty", 200.0);
+    let mut sim = Simulation::new(&graph, config(), FixedPlan(plan(None, &[])));
+    assert_eq!(sim.try_run(&arrivals()).err(), Some(INVALID_GRAPH));
+}
+
+#[test]
+fn a_shared_run_with_an_empty_pipeline_is_an_error() {
+    let tiny = zoo::tiny_pipeline(200.0);
+    let empty = PipelineGraph::new("empty", 200.0);
+    let mut sim = multi(config(), &tiny, 1);
+    sim.add_pipeline(MultiPipeline {
+        name: "empty".to_string(),
+        graph: &empty,
+        controller: Box::new(FixedPlan(plan(None, &[]))) as Box<dyn Controller>,
+        arrivals_s: arrivals(),
+        initial_demand_hint: Some(20.0),
+    });
+    let result = sim.try_run(&mut StaticPartition::even(2));
+    assert_eq!(result.err(), Some(INVALID_GRAPH));
+}
+
+/// A controller that plans one fixed plan and records, for every worker it
+/// observes, the frontend delay into it and the hop delays between it and
+/// worker 0 that [`ObservedState::links`] gives.
+struct LinkProbe {
+    plan: AllocationPlan,
+    seen: Vec<(WorkerId, [u64; 3])>,
+}
+
+impl Controller for LinkProbe {
+    fn name(&self) -> &str {
+        "link-probe"
+    }
+
+    fn plan(&mut self, observed: &ObservedState<'_>) -> Option<AllocationPlan> {
+        let links = observed.links;
+        let first = WorkerId(0);
+        for w in observed.workers.iter().map(|view| view.id) {
+            let delays = [
+                links.frontend_us(w),
+                links.hop_us(first, 0, w, 1),
+                links.hop_us(w, 0, first, 1),
+            ];
+            self.seen.push((w, delays));
+        }
+        Some(self.plan.clone())
+    }
+
+    fn routing(&mut self, _observed: &ObservedState<'_>) -> Option<CompiledPlan> {
+        None
+    }
+}
+
+#[test]
+fn controllers_observe_the_link_table_the_engine_charges() {
+    // Two interconnect classes striped over the fleet (worker `w` is in class
+    // `w % 2`), every delay distinct so a wrong class shows.
+    let link_delays = LinkDelayModel::PerWorkerClass {
+        classes: 2,
+        delay_ms: vec![0.2, 5.0, 4.0, 0.3],
+        frontend_ms: vec![1.0, 2.5],
+    };
+    let config = SimConfig {
+        link_delays,
+        ..elastic_config(2)
+    };
+    let graph = zoo::tiny_pipeline(200.0);
+    let probe = LinkProbe {
+        plan: plan(None, &[]),
+        seen: Vec::new(),
+    };
+    let mut sim = Simulation::new(&graph, config, probe);
+    let mut policy = Always(ElasticAction::Provision { class: 0, count: 2 });
+    sim.try_run_elastic(&arrivals(), &mut policy).unwrap();
+    let seen = sim.into_controller().seen;
+    // Workers 2 and 3 booted past the initial fleet of two.
+    assert!(seen.iter().any(|&(w, _)| w == WorkerId(3)), "{seen:?}");
+    let frontend_us = [1_000, 2_500];
+    let hop_us = [200, 5_000, 4_000, 300];
+    for &(w, delays) in &seen {
+        let class = w.index() % 2;
+        let expected = [frontend_us[class], hop_us[class], hop_us[class * 2]];
+        assert_eq!(delays, expected, "{w}");
+    }
 }

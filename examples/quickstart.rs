@@ -5,7 +5,7 @@
 
 use loki::prelude::*;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     // 1. A small two-task pipeline (see `zoo::traffic_analysis_pipeline` for the real one).
     let graph = zoo::tiny_pipeline(100.0);
     println!(
@@ -37,7 +37,7 @@ fn main() {
         ..SimConfig::default()
     };
     let mut sim = Simulation::new(&graph, config, controller);
-    let result = sim.run(&arrivals);
+    let result = sim.try_run(&arrivals)?;
     println!(
         "simulated {} requests: {:.2}% SLO violations, system accuracy {:.3}, mean utilization {:.0}%",
         result.summary.total_arrivals,
@@ -45,4 +45,5 @@ fn main() {
         result.summary.system_accuracy,
         100.0 * result.summary.mean_utilization
     );
+    Ok(())
 }

@@ -5,7 +5,7 @@
 
 use loki::prelude::*;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let graph = zoo::social_media_pipeline(250.0);
     let trace = generators::twitter_like_bursty(11, 600, 60.0, 900.0);
     let arrivals = generate_arrivals(&trace, ArrivalProcess::Poisson, 11);
@@ -20,14 +20,14 @@ fn main() {
         config.clone(),
         LokiController::new(graph.clone(), LokiConfig::with_greedy()),
     );
-    let loki = loki_sim.run(&arrivals);
+    let loki = loki_sim.try_run(&arrivals)?;
 
     let mut proteus_sim = Simulation::new(
         &graph,
         config,
         ProteusController::with_defaults(graph.clone()),
     );
-    let proteus = proteus_sim.run(&arrivals);
+    let proteus = proteus_sim.try_run(&arrivals)?;
 
     println!(
         "{:<10} {:>12} {:>12} {:>14}",
@@ -47,4 +47,5 @@ fn main() {
         proteus.summary.slo_violation_ratio / loki.summary.slo_violation_ratio.max(1e-6),
         loki.summary.min_active_workers
     );
+    Ok(())
 }

@@ -5,7 +5,7 @@
 
 use loki::prelude::*;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let graph = zoo::traffic_analysis_pipeline(250.0);
 
     // Phase analysis (Figure 1): where does hardware scaling end?
@@ -29,7 +29,7 @@ fn main() {
         ..SimConfig::default()
     };
     let mut sim = Simulation::new(&graph, config, controller);
-    let result = sim.run(&arrivals);
+    let result = sim.try_run(&arrivals)?;
     println!(
         "day peak {:.0} QPS: violations {:.2}%, accuracy {:.3} (max {:.3}), active workers {}..{}",
         trace.peak_qps(),
@@ -43,4 +43,5 @@ fn main() {
         "During the off-peak valley Loki powers most of the cluster down; at the peak it trades"
     );
     println!("a little accuracy for throughput instead of dropping requests.");
+    Ok(())
 }

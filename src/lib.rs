@@ -43,6 +43,6 @@ pub mod prelude {
     pub use loki_baselines::{InferLineController, ProteusController};
     pub use loki_core::{AllocationOutcome, LokiConfig, LokiController, ScalingMode};
     pub use loki_pipeline::{zoo, AugmentedGraph, ModelVariant, PipelineGraph, VariantId};
-    pub use loki_sim::{Controller, DropPolicy, SimConfig, SimResult, Simulation};
+    pub use loki_sim::{Controller, DropPolicy, EngineError, SimConfig, SimResult, Simulation};
     pub use loki_workload::{generate_arrivals, generators, ArrivalProcess, Trace};
 }

@@ -16,7 +16,7 @@ fn short_config(hint: f64) -> SimConfig {
 fn run<C: Controller>(graph: &PipelineGraph, trace: &Trace, controller: C) -> SimResult {
     let arrivals = generate_arrivals(trace, ArrivalProcess::Poisson, 99);
     let mut sim = Simulation::new(graph, short_config(trace.qps_at(0)), controller);
-    sim.run(&arrivals)
+    sim.try_run(&arrivals).unwrap()
 }
 
 #[test]

@@ -10,8 +10,9 @@
 //! Proteus, each with a random drop policy; all three plan through the shared
 //! performance model and emit through `MostAccurateFirst`. A Loki lane plans
 //! with the case's link model and a random route mode, so link-aware ordering
-//! runs on every link model. The timeline is always on; some cases also
-//! trace.
+//! runs on every link model; InferLine and Proteus budget every hop with the
+//! model's worst one, as every `loki` run builds them. The timeline is always
+//! on; some cases also trace.
 //!
 //! Each case runs through `try_run*` at `jobs = 1` and at `jobs = 2`, and the
 //! engine's universal invariants must hold:
@@ -60,7 +61,9 @@ enum System {
 }
 
 impl System {
-    /// The lane's controller; only Loki plans with `links` and `route`.
+    /// The lane's controller. Loki plans with `links` and `route`; the
+    /// baselines know one comm latency, so they budget with the worst hop of
+    /// `links` (as `loki_bench::scenario::ControllerSpec::build` does).
     fn controller(
         self,
         graph: &PipelineGraph,
@@ -80,9 +83,17 @@ impl System {
                 },
             )),
             System::InferLine => {
-                Box::new(InferLineController::with_drop_policy(graph, drop_policy))
+                let mut controller = InferLineController::with_drop_policy(graph, drop_policy);
+                let comm = &mut controller.config_mut().comm_latency_ms;
+                *comm = links.max_hop_ms(*comm);
+                Box::new(controller)
             }
-            System::Proteus => Box::new(ProteusController::with_drop_policy(graph, drop_policy)),
+            System::Proteus => {
+                let mut controller = ProteusController::with_drop_policy(graph, drop_policy);
+                let comm = &mut controller.config_mut().comm_latency_ms;
+                *comm = links.max_hop_ms(*comm);
+                Box::new(controller)
+            }
         }
     }
 }
@@ -328,15 +339,17 @@ fn simulated(r: &MultiSimResult) -> Vec<(String, String)> {
 #[test]
 fn random_scenarios_keep_the_engine_invariants_at_every_jobs_value() {
     let (mut elastic, mut revocations, mut migrations) = (0, 0, 0);
-    let (mut link_aware, mut per_edge) = (0, 0);
+    let (mut link_aware, mut per_edge, mut budgeted_baselines) = (0, 0, 0);
     let mut systems = Vec::new();
     for seed in CASES {
         let s = scenario(seed);
+        let uniform = s.sim.link_delays == LinkDelayModel::Uniform;
         for &(system, _, route) in &s.systems {
             if !systems.contains(&system) {
                 systems.push(system);
             }
             link_aware += usize::from(system == System::Loki && route == RouteMode::LinkAware);
+            budgeted_baselines += usize::from(system != System::Loki && !uniform);
         }
         per_edge += usize::from(matches!(s.sim.link_delays, LinkDelayModel::PerEdge { .. }));
         let serial = run(&s, seed, 1);
@@ -354,7 +367,8 @@ fn random_scenarios_keep_the_engine_invariants_at_every_jobs_value() {
     assert!(elastic > 0 && revocations > 0 && migrations > 0);
     assert_eq!(systems.len(), 3, "every controller is drawn: {systems:?}");
     assert!(
-        link_aware > 0 && per_edge > 0,
-        "link-aware Loki lanes {link_aware}, per-edge cases {per_edge}"
+        link_aware > 0 && per_edge > 0 && budgeted_baselines > 0,
+        "link-aware Loki lanes {link_aware}, per-edge cases {per_edge}, \
+         baseline lanes on two-tier or per-edge links {budgeted_baselines}"
     );
 }
