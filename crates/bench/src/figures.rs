@@ -229,7 +229,7 @@ fn max_accuracy_drop_pct(point: &RunPoint, result: &PointResult) -> Value {
     let buckets = bucketize(&result.result.intervals, 30);
     let min_acc = buckets
         .iter()
-        .filter(|b| b.accuracy_count > 0)
+        .filter(|b| b.served() > 0)
         .map(|b| b.mean_accuracy())
         .fold(f64::INFINITY, f64::min);
     Real(if min_acc.is_finite() {

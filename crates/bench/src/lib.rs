@@ -718,12 +718,12 @@ pub fn bucketize(intervals: &[IntervalMetrics], bucket_s: usize) -> Vec<Interval
             cluster_size: chunk[0].cluster_size,
             ..Default::default()
         };
-        let mut active_sum = 0usize;
+        let mut active_sum = 0u64;
         for m in chunk {
             agg.add_counts(m);
-            active_sum += m.active_workers;
+            active_sum += u64::from(m.active_workers);
         }
-        agg.active_workers = (active_sum as f64 / chunk.len() as f64).round() as usize;
+        agg.active_workers = (active_sum as f64 / chunk.len() as f64).round() as u32;
         out.push(agg);
     }
     out
@@ -742,12 +742,10 @@ mod tests {
                 arrivals: 10,
                 completed_on_time: 8,
                 completed_late: 1,
-                dropped: 1,
                 dropped_deadline: 1,
                 dropped_reclaimed: 0,
                 dropped_revoked: 0,
                 accuracy_sum: 8.0,
-                accuracy_count: 9,
                 active_workers: 5,
                 cluster_size: 20,
                 rerouted: 0,
@@ -755,8 +753,9 @@ mod tests {
             .collect();
         let buckets = bucketize(&intervals, 5);
         assert_eq!(buckets.len(), 2);
-        let total_arrivals: u64 = buckets.iter().map(|b| b.arrivals).sum();
+        let total_arrivals: u32 = buckets.iter().map(|b| b.arrivals).sum();
         assert_eq!(total_arrivals, 100);
+        assert_eq!((buckets[0].dropped(), buckets[0].served()), (5, 45));
         assert_eq!(buckets[0].active_workers, 5);
     }
 

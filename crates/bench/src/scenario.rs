@@ -16,6 +16,7 @@ use loki_sim::{
     analyze_burn, AllocationPlan, BurnReport, CompiledPlan, Controller, CostSummary, DropPolicy,
     EngineError, IntervalMetrics, LinkDelayModel, MultiPipeline, MultiSimConfig, MultiSimulation,
     ObservedState, ResourceArbiter, RouteMode, RunSummary, SimResult, Simulation, StaticPartition,
+    MAX_RUN_ARRIVALS,
 };
 use loki_workload::{generate_arrivals, ArrivalProcess, Trace, TraceSpec};
 
@@ -405,20 +406,39 @@ impl RunPoint {
     }
 
     /// Reject knobs this point's traces cannot be generated from, naming the
-    /// config key: a zero `duration`, a negative or non-finite `peak`, and,
-    /// when a trace is not constant (a diurnal or bursty trace spans `base` to
+    /// config key: a zero `duration` or `bucket`, a negative or non-finite
+    /// `peak`, a `peak` whose expected arrivals pass
+    /// [`loki_sim::MAX_RUN_ARRIVALS`] (each lane's `peak × duration`, its
+    /// count at a constant peak rate, summed over the lanes), and, when a
+    /// trace is not constant (a diurnal or bursty trace spans `base` to
     /// `peak`), a negative or non-finite `base` or one above `peak`. A
     /// constant trace runs at `peak` and ignores `base`. The `loki` CLI checks
-    /// every point before it runs any, because the generators assert these.
+    /// every point before it runs any, because the generators assert these
+    /// and a run past the arrival limit would first generate every arrival.
     pub fn check_workload(&self) -> Result<(), String> {
         let cfg = &self.cfg;
         if cfg.duration_s == 0 {
             return Err("invalid value for duration: 0 (want at least 1 s)".into());
         }
+        if cfg.bucket_s == 0 {
+            return Err("invalid value for bucket: 0 (want at least 1 s)".into());
+        }
         let rate = |qps: f64| qps.is_finite() && qps >= 0.0;
         if !rate(cfg.peak_qps) {
             return Err(format!(
                 "invalid value for peak: {} (want a finite rate >= 0)",
+                cfg.peak_qps
+            ));
+        }
+        let shares: f64 = match &self.multi {
+            Some(multi) => multi.lanes.iter().map(|l| l.demand_share).sum(),
+            None => 1.0,
+        };
+        let expected = cfg.peak_qps * shares * cfg.duration_s as f64;
+        if !(expected.is_finite() && expected <= MAX_RUN_ARRIVALS as f64) {
+            return Err(format!(
+                "invalid value for peak: {:?} (peak * duration over the lanes is \
+                 {expected:?} expected arrivals; want at most {MAX_RUN_ARRIVALS})",
                 cfg.peak_qps
             ));
         }
@@ -1055,6 +1075,32 @@ mod tests {
             );
         }
         assert!(find("no_such_scenario").is_none());
+    }
+
+    #[test]
+    fn check_workload_rejects_a_zero_bucket_and_a_peak_past_the_arrival_limit() {
+        let check = |name: &str, overrides: &[&str]| {
+            let sc = find(name).expect("registered");
+            let mut cfg = sc.config();
+            cfg.apply_overrides(overrides.iter().copied()).unwrap();
+            scenario_point(sc, &cfg).check_workload()
+        };
+        let bucket = check("fig5_traffic", &["bucket=0"]).unwrap_err();
+        assert!(
+            bucket.starts_with("invalid value for bucket: 0"),
+            "{bucket}"
+        );
+        assert_eq!(check("fig5_traffic", &["bucket=1"]), Ok(()));
+        // Only the expected count is checked, so no arrival is generated.
+        let peak = check("fig5_traffic", &["peak=1e300", "base=0", "duration=2"]).unwrap_err();
+        assert!(peak.starts_with("invalid value for peak: 1e300"), "{peak}");
+        let past = check("fig5_traffic", &["peak=1e308", "duration=1200"]).unwrap_err();
+        assert!(past.contains("inf expected arrivals"), "{past}");
+        // The limit applies to the sum over lanes: the Zipf lanes' shares
+        // sum to 1, so the point expects `peak × duration` arrivals.
+        let zipf = |peak: &str| check("multi_zipf_16", &[peak, "base=0", "duration=1000"]);
+        assert_eq!(zipf("peak=4294967"), Ok(()));
+        assert!(zipf("peak=4294968").is_err());
     }
 
     #[test]

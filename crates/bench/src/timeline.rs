@@ -148,16 +148,22 @@ type Column = (&'static str, fn(&IntervalRow) -> Value);
 /// The per-interval columns, after the leading time and lane columns. Both
 /// the CSV header and the keys of every JSON interval row come from this list.
 const INTERVAL_COLUMNS: &[Column] = &[
-    ("arrivals", |r| Value::Count(r.m.arrivals)),
-    ("on_time", |r| Value::Count(r.m.completed_on_time)),
-    ("late", |r| Value::Count(r.m.completed_late)),
-    ("dropped", |r| Value::Count(r.m.dropped)),
-    ("dropped_deadline", |r| Value::Count(r.m.dropped_deadline)),
-    ("dropped_reclaimed", |r| Value::Count(r.m.dropped_reclaimed)),
-    ("dropped_revoked", |r| Value::Count(r.m.dropped_revoked)),
+    ("arrivals", |r| Value::Count(r.m.arrivals.into())),
+    ("on_time", |r| Value::Count(r.m.completed_on_time.into())),
+    ("late", |r| Value::Count(r.m.completed_late.into())),
+    ("dropped", |r| Value::Count(r.m.dropped())),
+    ("dropped_deadline", |r| {
+        Value::Count(r.m.dropped_deadline.into())
+    }),
+    ("dropped_reclaimed", |r| {
+        Value::Count(r.m.dropped_reclaimed.into())
+    }),
+    ("dropped_revoked", |r| {
+        Value::Count(r.m.dropped_revoked.into())
+    }),
     ("accuracy", |r| Value::Real(r.m.mean_accuracy())),
     ("active_workers", |r| {
-        Value::Count(r.m.active_workers as u64)
+        Value::Count(r.m.active_workers.into())
     }),
     ("rerouted", |r| Value::Count(r.m.rerouted)),
     ("p50_ms", |r| r.pct(0)),
@@ -166,7 +172,7 @@ const INTERVAL_COLUMNS: &[Column] = &[
     ("p999_ms", |r| r.pct(3)),
     ("fleet_warm", |r| {
         let warm = r.fleet.warm.at(r.end_s);
-        Value::Real(warm.unwrap_or(r.m.active_workers as f64))
+        Value::Real(warm.unwrap_or(r.m.active_workers.into()))
     }),
     ("billed_usd", |r| {
         Value::Real(r.fleet.dollars.at(r.end_s).unwrap_or(0.0))

@@ -3,14 +3,15 @@
 //! Each draw runs `loki run <scenario>` with 1–5 random `key=value` pairs from
 //! [`ExperimentConfig::KEYS`] on top of a short bounded workload: duration at
 //! most 5 s, rates at most 400 QPS, at most 20 workers, `jobs` 1 or 2. The
-//! values include 0 and the three classes of config the binary once aborted
-//! on instead of rejecting:
+//! values include 0 and the four classes of config the binary once aborted
+//! on or ran to a meaningless report instead of rejecting:
 //!
 //! * `links=edge-split` on a scenario that serves the two-task social
 //!   pipeline (the profile names edge (0, 2));
 //! * `duration=0`;
 //! * a negative or non-finite `peak`, or, on a diurnal or bursty trace, a
-//!   negative or non-finite `base` or one above `peak`.
+//!   negative or non-finite `base` or one above `peak`;
+//! * `bucket=0` (the comparison series once printed `NaN` demand).
 //!
 //! Every run must exit 0 or 2, never with a panic; every draw in an abort
 //! class must exit 2 with a one-line error; and each class must be drawn.
@@ -81,12 +82,14 @@ enum Abort {
     EdgeSplitOnSocial,
     ZeroDuration,
     BadRates,
+    ZeroBucket,
 }
 
-const CLASSES: [Abort; 3] = [
+const CLASSES: [Abort; 4] = [
     Abort::EdgeSplitOnSocial,
     Abort::ZeroDuration,
     Abort::BadRates,
+    Abort::ZeroBucket,
 ];
 
 /// Whether a scenario kind runs the simulator (the others compute their
@@ -125,6 +128,9 @@ fn aborts(sc: &Scenario, cfg: &ExperimentConfig) -> Vec<Abort> {
     let base_ok = rate(cfg.base_qps) && cfg.base_qps <= cfg.peak_qps;
     if !rate(cfg.peak_qps) || (spans_base && !base_ok) {
         out.push(Abort::BadRates);
+    }
+    if cfg.bucket_s == 0 {
+        out.push(Abort::ZeroBucket);
     }
     out
 }

@@ -37,6 +37,10 @@
 //! assert!((sol.value(y) - 1.5).abs() < 1e-6);
 //! ```
 
+// Non-test code calls no `unwrap`, `expect` or `panic!`; this keeps it that
+// way (tests are exempt through the workspace `clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod branch_bound;
 pub mod expr;
 pub mod model;

@@ -124,7 +124,7 @@ fn window_burn(intervals: &[IntervalMetrics], end: usize, len: usize, budget: f6
     let mut bad = 0u64;
     let mut finished = 0u64;
     for m in &intervals[start..=end] {
-        bad += m.completed_late + m.dropped;
+        bad += m.violations();
         finished += m.finished();
     }
     if finished == 0 {
@@ -151,7 +151,7 @@ pub fn analyze(
     let slow_n = ((SLOW_WINDOW_S / interval_s).ceil() as usize).max(fast_n);
 
     let total_finished: u64 = intervals.iter().map(|m| m.finished()).sum();
-    let total_bad: u64 = intervals.iter().map(|m| m.completed_late + m.dropped).sum();
+    let total_bad: u64 = intervals.iter().map(IntervalMetrics::violations).sum();
     report.budget_queries = budget * total_finished as f64;
     report.budget_consumed = if report.budget_queries > 0.0 {
         total_bad as f64 / report.budget_queries
@@ -171,7 +171,7 @@ pub fn analyze(
         let fast = window_burn(intervals, i, fast_n, budget);
         let slow = window_burn(intervals, i, slow_n, budget);
         report.worst_burn_rate = report.worst_burn_rate.max(fast);
-        let interval_bad = intervals[i].completed_late + intervals[i].dropped;
+        let interval_bad = intervals[i].violations();
         match open.as_mut() {
             Some(ep) if fast < THRESHOLD => {
                 closed.push((ep.start_idx, i - 1, ep.peak, ep.bad));
@@ -225,8 +225,8 @@ fn attribute(
     end_s: f64,
     journal: Option<&Journal>,
 ) -> (BurnCause, String) {
-    let revoked_drops: u64 = episode.iter().map(|m| m.dropped_revoked).sum();
-    let reclaimed_drops: u64 = episode.iter().map(|m| m.dropped_reclaimed).sum();
+    let revoked_drops: u64 = episode.iter().map(|m| u64::from(m.dropped_revoked)).sum();
+    let reclaimed_drops: u64 = episode.iter().map(|m| u64::from(m.dropped_reclaimed)).sum();
 
     let mut revocations = 0usize;
     let mut migrations = 0usize;
@@ -309,12 +309,11 @@ mod tests {
         }
     }
 
-    fn burning(start_s: f64, dropped: u64, revoked: u64) -> IntervalMetrics {
+    fn burning(start_s: f64, dropped: u32, revoked: u32) -> IntervalMetrics {
         IntervalMetrics {
             start_s,
             arrivals: 100,
             completed_on_time: 100 - dropped,
-            dropped,
             dropped_deadline: dropped - revoked,
             dropped_revoked: revoked,
             ..Default::default()

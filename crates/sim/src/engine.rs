@@ -46,8 +46,13 @@
 //!
 //! Every simulation runs through one crate-private entry, `run`: it checks
 //! the run's inputs once (at least one lane; an elastic policy only with a
-//! valid [`SimConfig::elastic`]; every pipeline graph valid; every lane's link
-//! table compiles), builds the engine from the checked values and runs it.
+//! valid [`SimConfig::elastic`]; every pipeline graph valid; at most
+//! [`MAX_RUN_ARRIVALS`] arrivals over all lanes and at most `u32::MAX`
+//! workers, so every count of an interval row fits its `u32`; a metrics
+//! interval of at least 1 µs; every lane's link table compiles), builds the
+//! engine from the checked values and runs it. Building the engine reserves
+//! each lane's whole interval series, one row per interval the run will
+//! close, so the series never grows while events run.
 //! [`Simulation`] is a one-lane run of it and [`crate::MultiSimulation`] a
 //! several-lane one; each lane arrives paired with its controller. A caller
 //! error comes back as [`EngineError::InvalidRun`] before any event runs, and
@@ -62,7 +67,7 @@
 use crate::calendar::CalendarGeometry;
 use crate::elastic::{ElasticAction, ElasticObservation, ElasticPolicy, WorkerClassCatalog};
 use crate::journal::{Journal, JournalKind, CLUSTER_LANE};
-use crate::metrics::{ClassCost, CostSummary, IntervalMetrics, RunSummary};
+use crate::metrics::{ClassCost, CostSummary, IntervalMetrics, RunSummary, MAX_RUN_ARRIVALS};
 use crate::multi::{ArbiterObservation, ResourceArbiter};
 use crate::par::par_map;
 use crate::shard::{
@@ -212,9 +217,12 @@ pub enum EngineError {
     },
     /// A `try_run*` call that cannot start: a multi-pipeline run with no
     /// pipeline registered, an elastic policy without [`SimConfig::elastic`],
-    /// an invalid [`SimConfig::elastic`], an invalid pipeline graph, or a
+    /// an invalid [`SimConfig::elastic`], an invalid pipeline graph, more
+    /// than [`MAX_RUN_ARRIVALS`] arrivals over all pipelines, a fleet
+    /// ([`SimConfig::cluster_size`] or the elastic `max_fleet`) above
+    /// `u32::MAX` workers, a [`SimConfig::metrics_interval_s`] below 1 µs, a
     /// [`SimConfig::link_delays`] that is invalid or names an edge outside a
-    /// lane's pipeline.
+    /// lane's pipeline, or an interval series the allocator cannot hold.
     InvalidRun {
         /// What the run is missing.
         reason: &'static str,
@@ -326,7 +334,9 @@ const NO_LANES: EngineError = EngineError::InvalidRun {
 /// The one entry of every simulation: check the run's inputs, build the
 /// engine from them and run it. A run needs at least one lane, an elastic
 /// `policy` needs a valid [`SimConfig::elastic`], every lane's graph must be
-/// valid, and [`SimConfig::link_delays`] must compile for every lane's
+/// valid, the lanes' arrivals must sum to at most [`MAX_RUN_ARRIVALS`], the
+/// fleet must fit `u32::MAX` workers, the metrics interval must be at least
+/// 1 µs, and [`SimConfig::link_delays`] must compile for every lane's
 /// pipeline; anything else is [`EngineError::InvalidRun`], returned before
 /// any event runs. `arbiter` partitions the fleet across the lanes (without
 /// one, the lanes split it evenly once); `jobs > 1` runs lanes on that many
@@ -355,6 +365,9 @@ pub(crate) fn run<'a>(
     if lanes.iter().any(|(lane, _)| lane.graph.validate().is_err()) {
         return invalid("a pipeline graph of the run is invalid");
     }
+    if !arrivals_fit(lanes.iter().map(|(lane, _)| lane.arrivals_s.len())) {
+        return invalid("the pipelines' arrivals sum to more than MAX_RUN_ARRIVALS");
+    }
     // Elastic fleets can grow to `max_fleet`; compile the link tables for
     // that capacity so provisioned workers index them safely.
     let fleet_cap = config
@@ -362,6 +375,14 @@ pub(crate) fn run<'a>(
         .as_ref()
         .map(|e| e.max_fleet.max(e.initial_fleet()))
         .unwrap_or(config.cluster_size);
+    // Interval rows count workers in `u32`s; checked before anything is
+    // sized by the fleet.
+    if u32::try_from(fleet_cap).is_err() {
+        return invalid("the fleet (cluster_size or max_fleet) exceeds u32::MAX workers");
+    }
+    if metrics_interval_us(config) == 0 {
+        return invalid("SimConfig::metrics_interval_s must be at least 1 µs");
+    }
     let compile = |(lane, _): &Lane<'a>| {
         config
             .link_delays
@@ -371,7 +392,7 @@ pub(crate) fn run<'a>(
         return invalid("SimConfig::link_delays is invalid for a pipeline of the run");
     };
     let (inputs, mut controllers): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
-    let mut engine = Engine::new(config, inputs, links);
+    let mut engine = Engine::new(config, inputs, links)?;
     let results = engine.run_epochs(&mut controllers, arbiter, policy, jobs)?;
     let cost = engine.finish_cost(&results);
     let shards = &engine.shards;
@@ -395,6 +416,21 @@ pub(crate) fn run<'a>(
             journal
         }),
     })
+}
+
+/// Whether lanes of `counts` root arrivals fit one run: their sum is at most
+/// [`MAX_RUN_ARRIVALS`].
+fn arrivals_fit(counts: impl IntoIterator<Item = usize>) -> bool {
+    counts
+        .into_iter()
+        .try_fold(0u64, |sum, n| sum.checked_add(u64::try_from(n).ok()?))
+        .is_some_and(|sum| sum <= MAX_RUN_ARRIVALS)
+}
+
+/// The metrics interval on the engine's clock: 0 for an interval that is
+/// not positive (NaN included) or rounds to no microsecond.
+fn metrics_interval_us(config: &SimConfig) -> SimTime {
+    secs_to_us(config.metrics_interval_s.max(0.0))
 }
 
 /// A cluster-level event on the driver's queue: everything that must run at an
@@ -720,17 +756,19 @@ struct MarketState {
 
 impl<'a> Engine<'a> {
     /// Build the engine from checked inputs (see [`run`]): one lane per
-    /// input, each with its compiled link table.
+    /// input, each with its compiled link table and its whole interval
+    /// series reserved. A series the allocator refuses is
+    /// [`EngineError::InvalidRun`].
     fn new(
         config: &'a SimConfig,
         inputs: Vec<LaneInput<'a>>,
         links: Vec<CompiledLinkDelays>,
-    ) -> Self {
+    ) -> Result<Self, EngineError> {
         assert!(
             inputs.len() < FREE as usize,
             "lane count fits the owner tag"
         );
-        let lanes: Vec<LaneState<'a>> = inputs
+        let mut lanes: Vec<LaneState<'a>> = inputs
             .iter()
             .zip(links)
             .enumerate()
@@ -738,8 +776,21 @@ impl<'a> Engine<'a> {
             .collect();
         let end_time_us = lanes
             .iter()
-            .map(|l| l.arrivals_s.last().map_or(0, |&s| secs_to_us(s)) + secs_to_us(config.drain_s))
+            .map(|l| {
+                let last = l.arrivals_s.last().map_or(0, |&s| secs_to_us(s));
+                last.saturating_add(secs_to_us(config.drain_s))
+            })
             .fold(0, SimTime::max);
+        // A lane closes an interval at each metrics tick, every multiple of
+        // the interval up to the end time, and one more when it finishes.
+        // `run` checked that the interval is at least 1 µs.
+        let rows = (end_time_us / metrics_interval_us(config)).saturating_add(1);
+        let rows = usize::try_from(rows).unwrap_or(usize::MAX);
+        if lanes.iter_mut().any(|l| l.reserve_intervals(rows).is_err()) {
+            return Err(EngineError::InvalidRun {
+                reason: "the run's metrics intervals do not fit in memory",
+            });
+        }
         // Fixed fleets are `cluster_size` identical reference-class workers;
         // elastic fleets start from the initial spec (warm at time zero,
         // billed from time zero — the pre-warmed bootstrap assumption).
@@ -787,7 +838,7 @@ impl<'a> Engine<'a> {
             .enumerate()
             .map(|(i, lane)| Shard::new(lane, i as u32, config, shift, num_buckets))
             .collect();
-        Self {
+        Ok(Self {
             config,
             shards,
             end_time_us,
@@ -804,7 +855,7 @@ impl<'a> Engine<'a> {
             has_arbiter: false,
             journal: config.observe.timeline.then(|| Box::new(Journal::new())),
             last_price: f64::NAN,
-        }
+        })
     }
 
     /// Append one cluster-level event to the journal at driver time (no-op
@@ -871,9 +922,6 @@ impl<'a> Engine<'a> {
             next += take;
         }
         self.rebuild_owned_lists();
-        for shard in self.shards.iter_mut() {
-            shard.lane.current.cluster_size = shard.lane.owned.len();
-        }
     }
 
     /// Each lane's warm (dispatchable) owned workers — the units partitions
@@ -1885,6 +1933,21 @@ mod tests {
     use loki_pipeline::{zoo, VariantId};
 
     #[test]
+    fn the_arrival_limit_bounds_the_sum_over_lanes() {
+        // Slices this long would take 34 GB, so the predicate `run` applies
+        // to the lanes' lengths is checked on the counts alone.
+        let limit = MAX_RUN_ARRIVALS as usize;
+        assert!(arrivals_fit([]));
+        assert!(arrivals_fit([limit]));
+        assert!(arrivals_fit([limit - 5, 2, 3]));
+        assert!(!arrivals_fit([limit + 1]));
+        assert!(!arrivals_fit([limit - 5, 3, 3]));
+        assert!(!arrivals_fit([usize::MAX, usize::MAX]));
+        // Every count of an interval row holds the limit.
+        assert_eq!(MAX_RUN_ARRIVALS, u64::from(u32::MAX));
+    }
+
+    #[test]
     fn a_revoke_deadline_on_a_free_mid_batch_worker_is_an_error() {
         // A state the engine does not build: a revoked worker still running
         // a batch while it sits in the free pool. Its lost queries
@@ -1903,7 +1966,8 @@ mod tests {
                 initial_demand_hint: None,
             }],
             vec![CompiledLinkDelays::Uniform { hop_us: 2_000 }],
-        );
+        )
+        .unwrap();
         let w = &mut engine.fleet[1];
         w.assign(VariantId::new(0, 1), 4, &graph);
         w.enqueue(Query {

@@ -62,7 +62,7 @@ pub use elastic::{
 pub use engine::{EngineError, SimResult, Simulation};
 pub use journal::{Journal, JournalEvent, JournalKind, CLUSTER_LANE};
 pub use market::MarketConfig;
-pub use metrics::{ClassCost, CostSummary, IntervalMetrics, RunSummary};
+pub use metrics::{ClassCost, CostSummary, IntervalMetrics, RunSummary, MAX_RUN_ARRIVALS};
 pub use multi::{
     apportion, ArbiterObservation, MultiPipeline, MultiSimConfig, MultiSimResult, MultiSimulation,
     PipelineResult, ResourceArbiter, StaticPartition,

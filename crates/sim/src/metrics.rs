@@ -4,46 +4,82 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The most root arrivals one run may carry, summed over its lanes. Every
+/// query count of an [`IntervalMetrics`] row is a `u32`, and a lane row, a
+/// cluster row of [`crate::MultiSimResult::aggregate`] or a time bucket of
+/// rows counts each root at most once, so no count can overflow: the run's
+/// one checked entry ([`crate::engine`]'s module docs) returns
+/// [`crate::EngineError::InvalidRun`] for a run above this limit.
+pub const MAX_RUN_ARRIVALS: u64 = u32::MAX as u64;
+
 /// Metrics aggregated over one reporting interval (one second by default).
+///
+/// A row holds only what cannot be derived, at the width its values need:
+/// query counts are `u32` (bounded by [`MAX_RUN_ARRIVALS`]), and so are the
+/// worker counts (the run's fleet is checked to fit). The dropped and served
+/// totals are the methods [`IntervalMetrics::dropped`] and
+/// [`IntervalMetrics::served`]. The engine keeps one row per lane per
+/// interval for the whole run, reserved once when the run starts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct IntervalMetrics {
     /// Start of the interval in seconds.
     pub start_s: f64,
     /// Root (client) queries that arrived during the interval.
-    pub arrivals: u64,
+    pub arrivals: u32,
     /// Root queries that completed within their SLO during the interval.
-    pub completed_on_time: u64,
+    pub completed_on_time: u32,
     /// Root queries that completed but missed their SLO.
-    pub completed_late: u64,
-    /// Root queries dropped (preemptively or because their workers were reclaimed).
-    /// Always `dropped_deadline + dropped_reclaimed + dropped_revoked`.
-    pub dropped: u64,
-    /// Of `dropped`: deadline-expired drops — drop policies firing, failed
-    /// reroutes, unroutable queries, and roots still in flight at run end.
-    pub dropped_deadline: u64,
-    /// Of `dropped`: queries lost because their worker was reclaimed by a
-    /// rebalance/repartition (orphan re-home failed).
-    pub dropped_reclaimed: u64,
-    /// Of `dropped`: queries lost to spot-market revocations (forced drains
-    /// and revocation-deadline batch kills whose re-queue failed).
-    pub dropped_revoked: u64,
+    pub completed_late: u32,
+    /// Dropped roots whose first loss was a deadline: drop policies firing,
+    /// failed reroutes, unroutable queries, and roots still in flight at run
+    /// end.
+    pub dropped_deadline: u32,
+    /// Dropped roots whose worker was reclaimed by a rebalance/repartition
+    /// (orphan re-home failed).
+    pub dropped_reclaimed: u32,
+    /// Dropped roots lost to spot-market revocations (forced drains and
+    /// revocation-deadline batch kills whose re-queue failed).
+    pub dropped_revoked: u32,
     /// Sum of the end-to-end accuracy experienced by queries served in this interval
     /// (averaged over the paths each query actually took).
     pub accuracy_sum: f64,
-    /// Number of served queries contributing to `accuracy_sum`.
-    pub accuracy_count: u64,
     /// Number of workers holding an active model assignment at the end of the interval.
-    pub active_workers: usize,
+    pub active_workers: u32,
     /// Total workers in the cluster.
-    pub cluster_size: usize,
-    /// Queries rerouted by opportunistic rerouting during the interval.
+    pub cluster_size: u32,
+    /// Queries rerouted by opportunistic rerouting during the interval. A
+    /// reroute moves a child query, and a root can spawn many, so this count
+    /// is not bounded by the arrivals and stays `u64`.
     pub rerouted: u64,
 }
 
+// The engine holds one row per lane per interval for the whole run.
+const _: () = assert!(std::mem::size_of::<IntervalMetrics>() <= 56);
+
 impl IntervalMetrics {
+    /// Root queries dropped (preemptively or because their workers were
+    /// reclaimed or revoked): the sum of the three causes, each dropped root
+    /// counted under its first.
+    pub fn dropped(&self) -> u64 {
+        u64::from(self.dropped_deadline)
+            + u64::from(self.dropped_reclaimed)
+            + u64::from(self.dropped_revoked)
+    }
+
+    /// Root queries served (completed on time or late): the queries
+    /// `accuracy_sum` sums over.
+    pub fn served(&self) -> u64 {
+        u64::from(self.completed_on_time) + u64::from(self.completed_late)
+    }
+
     /// Queries finished during this interval (on time, late, or dropped).
     pub fn finished(&self) -> u64 {
-        self.completed_on_time + self.completed_late + self.dropped
+        self.served() + self.dropped()
+    }
+
+    /// Finished queries that violated their SLO: completed late or dropped.
+    pub fn violations(&self) -> u64 {
+        u64::from(self.completed_late) + self.dropped()
     }
 
     /// Fraction of finished queries that violated their SLO (finished late or were
@@ -53,16 +89,15 @@ impl IntervalMetrics {
         if finished == 0 {
             0.0
         } else {
-            (self.completed_late + self.dropped) as f64 / finished as f64
+            self.violations() as f64 / finished as f64
         }
     }
 
     /// Average accuracy of queries served during the interval (0 when none).
     pub fn mean_accuracy(&self) -> f64 {
-        if self.accuracy_count == 0 {
-            0.0
-        } else {
-            self.accuracy_sum / self.accuracy_count as f64
+        match self.served() {
+            0 => 0.0,
+            served => self.accuracy_sum / served as f64,
         }
     }
 
@@ -71,13 +106,13 @@ impl IntervalMetrics {
         if self.cluster_size == 0 {
             0.0
         } else {
-            self.active_workers as f64 / self.cluster_size as f64
+            f64::from(self.active_workers) / f64::from(self.cluster_size)
         }
     }
 
     /// Goodput: queries completed within SLO during the interval.
     pub fn goodput(&self) -> u64 {
-        self.completed_on_time
+        u64::from(self.completed_on_time)
     }
 
     /// Add `other`'s query counters and accuracy sums into `self`: every field
@@ -88,12 +123,10 @@ impl IntervalMetrics {
         self.arrivals += other.arrivals;
         self.completed_on_time += other.completed_on_time;
         self.completed_late += other.completed_late;
-        self.dropped += other.dropped;
         self.dropped_deadline += other.dropped_deadline;
         self.dropped_reclaimed += other.dropped_reclaimed;
         self.dropped_revoked += other.dropped_revoked;
         self.accuracy_sum += other.accuracy_sum;
-        self.accuracy_count += other.accuracy_count;
         self.rerouted += other.rerouted;
     }
 }
@@ -167,22 +200,23 @@ impl RunSummary {
             ..Default::default()
         };
         let mut accuracy_sum = 0.0;
-        let mut accuracy_count = 0u64;
+        let mut served = 0u64;
         let mut util_sum = 0.0;
         for m in intervals {
-            s.total_arrivals += m.arrivals;
-            s.total_on_time += m.completed_on_time;
-            s.total_late += m.completed_late;
-            s.total_dropped += m.dropped;
-            s.total_dropped_deadline += m.dropped_deadline;
-            s.total_dropped_reclaimed += m.dropped_reclaimed;
-            s.total_dropped_revoked += m.dropped_revoked;
+            s.total_arrivals += u64::from(m.arrivals);
+            s.total_on_time += u64::from(m.completed_on_time);
+            s.total_late += u64::from(m.completed_late);
+            s.total_dropped += m.dropped();
+            s.total_dropped_deadline += u64::from(m.dropped_deadline);
+            s.total_dropped_reclaimed += u64::from(m.dropped_reclaimed);
+            s.total_dropped_revoked += u64::from(m.dropped_revoked);
             s.total_rerouted += m.rerouted;
             accuracy_sum += m.accuracy_sum;
-            accuracy_count += m.accuracy_count;
+            served += m.served();
             util_sum += m.cluster_utilization();
-            s.min_active_workers = s.min_active_workers.min(m.active_workers);
-            s.max_active_workers = s.max_active_workers.max(m.active_workers);
+            let active = m.active_workers as usize;
+            s.min_active_workers = s.min_active_workers.min(active);
+            s.max_active_workers = s.max_active_workers.max(active);
             s.peak_goodput = s.peak_goodput.max(m.goodput());
         }
         if intervals.is_empty() {
@@ -194,10 +228,10 @@ impl RunSummary {
         } else {
             (s.total_late + s.total_dropped) as f64 / finished as f64
         };
-        s.system_accuracy = if accuracy_count == 0 {
+        s.system_accuracy = if served == 0 {
             0.0
         } else {
-            accuracy_sum / accuracy_count as f64
+            accuracy_sum / served as f64
         };
         s.mean_utilization = if intervals.is_empty() {
             0.0
@@ -286,22 +320,81 @@ impl CostSummary {
 mod tests {
     use super::*;
 
-    fn interval(on_time: u64, late: u64, dropped: u64, acc: f64, active: usize) -> IntervalMetrics {
+    fn interval(on_time: u32, late: u32, dropped: u32, acc: f64, active: u32) -> IntervalMetrics {
         IntervalMetrics {
             start_s: 0.0,
             arrivals: on_time + late + dropped,
             completed_on_time: on_time,
             completed_late: late,
-            dropped,
             dropped_deadline: dropped,
             dropped_reclaimed: 0,
             dropped_revoked: 0,
-            accuracy_sum: acc * (on_time + late) as f64,
-            accuracy_count: on_time + late,
+            accuracy_sum: acc * f64::from(on_time + late),
             active_workers: active,
             cluster_size: 20,
             rerouted: 0,
         }
+    }
+
+    #[test]
+    fn dropped_sums_the_three_causes_and_served_both_completions() {
+        let m = IntervalMetrics {
+            completed_on_time: 7,
+            completed_late: 2,
+            dropped_deadline: 3,
+            dropped_reclaimed: 4,
+            dropped_revoked: 5,
+            ..IntervalMetrics::default()
+        };
+        assert_eq!(m.dropped(), 12);
+        assert_eq!(m.served(), 9);
+        assert_eq!(m.finished(), 21);
+        assert_eq!(m.violations(), 14);
+        assert!((m.slo_violation_ratio() - 14.0 / 21.0).abs() < 1e-12);
+        // The sums are taken in u64: counts at the u32 limit do not wrap.
+        let full = IntervalMetrics {
+            completed_on_time: u32::MAX,
+            completed_late: u32::MAX,
+            dropped_deadline: u32::MAX,
+            dropped_reclaimed: u32::MAX,
+            dropped_revoked: u32::MAX,
+            ..IntervalMetrics::default()
+        };
+        assert_eq!(full.served(), 2 * u64::from(u32::MAX));
+        assert_eq!(full.dropped(), 3 * u64::from(u32::MAX));
+        assert_eq!(IntervalMetrics::default().dropped(), 0);
+        assert_eq!(IntervalMetrics::default().served(), 0);
+    }
+
+    #[test]
+    fn add_counts_adds_every_counter_but_the_time_and_worker_fields() {
+        let mut into = interval(80, 10, 10, 0.95, 10);
+        into.start_s = 3.0;
+        into.dropped_revoked = 2;
+        into.rerouted = 5;
+        let mut other = interval(20, 5, 1, 0.5, 4);
+        other.start_s = 9.0;
+        other.dropped_reclaimed = 3;
+        other.rerouted = 7;
+        other.cluster_size = 8;
+        into.add_counts(&other);
+        let expected = IntervalMetrics {
+            start_s: 3.0,
+            arrivals: 100 + 26,
+            completed_on_time: 100,
+            completed_late: 15,
+            dropped_deadline: 11,
+            dropped_reclaimed: 3,
+            dropped_revoked: 2,
+            accuracy_sum: 0.95 * 90.0 + 0.5 * 25.0,
+            active_workers: 10,
+            cluster_size: 20,
+            rerouted: 12,
+        };
+        assert_eq!(into, expected);
+        assert_eq!(into.dropped(), 16);
+        assert_eq!(into.served(), 115);
+        assert!((into.mean_accuracy() - (85.5 + 12.5) / 115.0).abs() < 1e-12);
     }
 
     #[test]

@@ -262,10 +262,12 @@ impl MultiSimResult {
             .map(|p| p.result.intervals.len())
             .max()
             .unwrap_or(0);
+        // The lanes partition one fleet, which the run checked fits a `u32`,
+        // so their worker sums fit too; the fallback saturates.
+        let fallback = u32::try_from(cluster_size).unwrap_or(u32::MAX);
         let mut intervals: Vec<IntervalMetrics> = Vec::with_capacity(rows);
         for row in 0..rows {
             let mut agg = IntervalMetrics::default();
-            let mut granted = 0usize;
             for p in &self.pipelines {
                 let Some(m) = p.result.intervals.get(row) else {
                     continue;
@@ -273,9 +275,11 @@ impl MultiSimResult {
                 agg.start_s = m.start_s;
                 agg.add_counts(m);
                 agg.active_workers += m.active_workers;
-                granted += m.cluster_size;
+                agg.cluster_size += m.cluster_size;
             }
-            agg.cluster_size = if granted > 0 { granted } else { cluster_size };
+            if agg.cluster_size == 0 {
+                agg.cluster_size = fallback;
+            }
             intervals.push(agg);
         }
         let name = format!("multi({})", self.arbiter);
@@ -295,9 +299,9 @@ impl MultiSimResult {
             if let Some(l) = &result.latency {
                 latency.get_or_insert_with(Histogram::new).merge(l);
             }
-            if let Some(rows) = &result.window {
-                let agg = window.get_or_insert_with(Vec::new);
-                for (i, row) in rows.iter().enumerate() {
+            if let Some(lane_rows) = &result.window {
+                let agg = window.get_or_insert_with(|| Vec::with_capacity(rows));
+                for (i, row) in lane_rows.iter().enumerate() {
                     match agg.get_mut(i) {
                         Some(into) => into.merge(row),
                         None => agg.push(row.clone()),

@@ -45,7 +45,7 @@ use loki_pipeline::{PipelineGraph, TaskId, VariantId};
 use loki_workload::{DemandHistory, EwmaEstimator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, TryReserveError};
 
 /// Owner tag of a worker no lane currently holds (released by a rebalance and
 /// not yet re-granted).
@@ -352,6 +352,15 @@ impl<'a> LaneState<'a> {
                     .wrapping_add((lane_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             ),
         }
+    }
+
+    /// Reserve room for exactly `rows` metrics intervals: the lane's series
+    /// and, with the timeline on, its observer's rows. The engine calls it
+    /// once, with every interval the run will close, so neither grows while
+    /// events run.
+    pub(crate) fn reserve_intervals(&mut self, rows: usize) -> Result<(), TryReserveError> {
+        self.intervals.try_reserve_exact(rows)?;
+        self.observer.reserve_rows(rows)
     }
 
     /// The demand estimate the arbiter provisions this lane for — the same
@@ -972,11 +981,10 @@ impl<'a> Shard<'a> {
                 .filter_map(|&w| ctx.worker(w))
                 .filter(|w| w.accepts_dispatches())
         };
-        finished.active_workers = warm_workers().filter(|w| w.is_active()).count();
-        let warm = warm_workers().count();
-        finished.cluster_size = warm;
+        // `engine::run` checked that the fleet's size fits a `u32`.
+        finished.active_workers = warm_workers().filter(|w| w.is_active()).count() as u32;
+        finished.cluster_size = warm_workers().count() as u32;
         lane.intervals.push(finished);
-        lane.current.cluster_size = warm;
         lane.observer.close_interval();
     }
 
@@ -1465,14 +1473,12 @@ fn finalize_root(lane: &mut LaneState<'_>, now: SimTime, state: RootState) {
         lane.current.completed_late += 1;
     }
     lane.current.accuracy_sum += accuracy;
-    lane.current.accuracy_count += 1;
 }
 
 /// Count a dropped root under its first [`DropCause`]. Cause 0 (a root whose
 /// every branch vanished without an explicit drop, or one still in flight at
 /// the end of the run) reads as a deadline loss.
 fn count_drop(m: &mut crate::metrics::IntervalMetrics, cause: u8) {
-    m.dropped += 1;
     match cause {
         c if c == DropCause::Reclaimed as u8 => m.dropped_reclaimed += 1,
         c if c == DropCause::Revoked as u8 => m.dropped_revoked += 1,

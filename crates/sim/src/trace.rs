@@ -43,6 +43,7 @@ use crate::journal::{Journal, JournalKind};
 use crate::metrics::{IntervalMetrics, RunSummary};
 use crate::types::{SimTime, WorkerId};
 use serde::{Deserialize, Serialize};
+use std::collections::TryReserveError;
 use std::fmt::Write as _;
 
 /// Observability configuration carried by [`crate::SimConfig`]: which of the
@@ -507,6 +508,15 @@ impl LaneObserver {
             roots: Vec::new(),
             latency: observe.histograms.then(Box::default),
             timeline: observe.timeline.then(Box::default),
+        }
+    }
+
+    /// Reserve room for exactly `rows` closed intervals' rows (nothing with
+    /// the timeline off).
+    pub(crate) fn reserve_rows(&mut self, rows: usize) -> Result<(), TryReserveError> {
+        match self.timeline.as_mut() {
+            Some(t) => t.rows.try_reserve_exact(rows),
+            None => Ok(()),
         }
     }
 

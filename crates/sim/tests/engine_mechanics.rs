@@ -6,7 +6,8 @@
 use loki_pipeline::{zoo, VariantId};
 use loki_sim::{
     AllocationPlan, CompiledPlan, Controller, DropPolicy, EngineError, InstanceSpec,
-    LinkDelayModel, ObservedState, SimConfig, Simulation,
+    LinkDelayModel, MultiPipeline, MultiSimulation, ObserveConfig, ObservedState, SimConfig,
+    SimResult, Simulation, StaticPartition,
 };
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
 use std::collections::HashMap;
@@ -149,6 +150,60 @@ fn simulation_is_deterministic_for_a_seed() {
     assert_eq!(a.total_dropped, b.total_dropped);
     assert!((a.system_accuracy - b.system_accuracy).abs() < 1e-12);
     assert_eq!(a.events_processed, b.events_processed);
+}
+
+/// Every series a lane result carries was reserved at its final length when
+/// the run started: the interval rows and, with the timeline on, the
+/// windowed histogram rows.
+fn assert_series_reserved_exactly(result: &SimResult, rows: usize, what: &str) {
+    let intervals = &result.intervals;
+    assert_eq!(intervals.len(), rows, "{what}: interval rows");
+    assert_eq!(intervals.capacity(), intervals.len(), "{what}: intervals");
+    let window = result.window.as_ref().expect("the timeline is on");
+    assert_eq!(window.len(), rows, "{what}: window rows");
+    assert_eq!(window.capacity(), window.len(), "{what}: window");
+}
+
+#[test]
+fn interval_series_are_reserved_once_at_their_final_length() {
+    let graph = zoo::tiny_pipeline(200.0);
+    let timeline = |cluster| SimConfig {
+        observe: ObserveConfig {
+            timeline: true,
+            ..ObserveConfig::default()
+        },
+        ..small_config(cluster)
+    };
+    // One lane ending on a whole second: the last metrics tick lands on the
+    // end time (20 + 10 s), and the finishing lane closes one more row.
+    let arrivals: Vec<f64> = (0..400).map(|i| f64::from(i) * 0.05).collect();
+    let arrivals = [arrivals.as_slice(), &[20.0]].concat();
+    let mut sim = Simulation::new(&graph, timeline(8), StaticController::tiny(2));
+    let single = sim.try_run(&arrivals).unwrap();
+    assert_series_reserved_exactly(&single, 31, "single lane");
+
+    // Three lanes of different lengths share one end time: the longest
+    // lane's last arrival plus the drain (20.975 + 10 s, so 30 ticks).
+    let lanes = [
+        generate_arrivals(&generators::constant(21, 20.0), ArrivalProcess::Uniform, 1),
+        generate_arrivals(&generators::constant(8, 30.0), ArrivalProcess::Poisson, 2),
+        Vec::new(),
+    ];
+    let mut multi = MultiSimulation::new(timeline(12));
+    for (i, arrivals_s) in lanes.into_iter().enumerate() {
+        multi.add_pipeline(MultiPipeline {
+            name: format!("lane{i}"),
+            graph: &graph,
+            controller: Box::new(StaticController::tiny(1)) as Box<dyn Controller>,
+            arrivals_s,
+            initial_demand_hint: Some(20.0),
+        });
+    }
+    let shared = multi.try_run(&mut StaticPartition::even(3)).unwrap();
+    assert_eq!(shared.pipelines.len(), 3);
+    for lane in &shared.pipelines {
+        assert_series_reserved_exactly(&lane.result, 31, &lane.name);
+    }
 }
 
 #[test]

@@ -356,6 +356,88 @@ fn a_shared_run_with_an_empty_pipeline_is_an_error() {
     assert_eq!(result.err(), Some(INVALID_GRAPH));
 }
 
+const FLEET_ABOVE_U32: EngineError = EngineError::InvalidRun {
+    reason: "the fleet (cluster_size or max_fleet) exceeds u32::MAX workers",
+};
+
+#[test]
+fn a_fleet_above_u32_max_workers_is_an_error() {
+    // Checked before the engine sizes anything by the fleet, so these runs
+    // allocate no worker.
+    let workers = u32::MAX as usize + 1;
+    let fixed = SimConfig {
+        cluster_size: workers,
+        ..config()
+    };
+    assert_eq!(run_single_on(fixed, plan(None, &[])), Err(FLEET_ABOVE_U32));
+    let mut elastic = elastic_config(4);
+    if let Some(spec) = elastic.elastic.as_mut() {
+        spec.max_fleet = workers;
+    }
+    let graph = zoo::tiny_pipeline(200.0);
+    let result = multi(elastic, &graph, 2).try_run(&mut StaticPartition::even(2));
+    assert_eq!(result.err(), Some(FLEET_ABOVE_U32));
+    // The largest fleet a row can count passes the check; the run stops
+    // at the next one, still before any worker exists.
+    let at_limit = SimConfig {
+        cluster_size: u32::MAX as usize,
+        metrics_interval_s: 0.0,
+        ..config()
+    };
+    assert_eq!(
+        run_single_on(at_limit, plan(None, &[])),
+        Err(SHORT_METRICS_INTERVAL)
+    );
+}
+
+const SHORT_METRICS_INTERVAL: EngineError = EngineError::InvalidRun {
+    reason: "SimConfig::metrics_interval_s must be at least 1 µs",
+};
+
+#[test]
+fn a_metrics_interval_below_one_microsecond_is_an_error() {
+    for interval in [0.0, -1.0, f64::NAN, 1e-7] {
+        let config = SimConfig {
+            metrics_interval_s: interval,
+            ..config()
+        };
+        assert_eq!(
+            run_single_on(config, plan(None, &[])),
+            Err(SHORT_METRICS_INTERVAL),
+            "{interval}"
+        );
+    }
+    let micro = SimConfig {
+        metrics_interval_s: 1e-6,
+        drain_s: 0.0,
+        ..config()
+    };
+    let arrivals = [0.000_001, 0.000_002];
+    let graph = zoo::tiny_pipeline(200.0);
+    let mut sim = Simulation::new(&graph, micro, FixedPlan(plan(None, &[])));
+    let result = sim.try_run(&arrivals).unwrap();
+    // Ticks at 1 µs and 2 µs, and the last row when the lane finishes.
+    assert_eq!(result.intervals.len(), 3);
+    assert_eq!(result.summary.total_arrivals, 2);
+}
+
+#[test]
+fn an_interval_series_the_allocator_cannot_hold_is_an_error() {
+    // A drain this long saturates the end time; at a 1 µs interval the
+    // series' byte size overflows, so nothing is allocated for it.
+    let endless = SimConfig {
+        metrics_interval_s: 1e-6,
+        drain_s: 1e300,
+        ..config()
+    };
+    assert_eq!(
+        run_single_on(endless, plan(None, &[])),
+        Err(EngineError::InvalidRun {
+            reason: "the run's metrics intervals do not fit in memory",
+        })
+    );
+}
+
 /// A controller that plans one fixed plan and records, for every worker it
 /// observes, the frontend delay into it and the hop delays between it and
 /// worker 0 that [`ObservedState::links`] gives.

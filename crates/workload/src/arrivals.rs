@@ -32,7 +32,7 @@ pub fn generate_arrivals(trace: &Trace, process: ArrivalProcess, seed: u64) -> V
 
 fn poisson_arrivals(trace: &Trace, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(trace.total_queries() as usize + 16);
+    let mut out = Vec::with_capacity((trace.total_queries() as usize).saturating_add(16));
     for sec in 0..trace.duration_secs() {
         let rate = trace.qps_at(sec);
         if rate <= 0.0 {
@@ -54,7 +54,7 @@ fn poisson_arrivals(trace: &Trace, seed: u64) -> Vec<f64> {
 }
 
 fn uniform_arrivals(trace: &Trace) -> Vec<f64> {
-    let mut out = Vec::with_capacity(trace.total_queries() as usize + 16);
+    let mut out = Vec::with_capacity((trace.total_queries() as usize).saturating_add(16));
     let mut carry = 0.0f64;
     for sec in 0..trace.duration_secs() {
         let rate = trace.qps_at(sec);

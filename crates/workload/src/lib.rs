@@ -22,6 +22,10 @@
 //! timestamps (Poisson or evenly spaced); [`estimator::EwmaEstimator`] is the
 //! exponentially-weighted moving-average demand estimator the Resource Manager uses.
 
+// Non-test code calls no `unwrap`, `expect` or `panic!`; this keeps it that
+// way (tests are exempt through the workspace `clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod arrivals;
 pub mod estimator;
 pub mod generators;

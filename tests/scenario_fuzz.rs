@@ -1,18 +1,21 @@
 //! Seeded scenario fuzzer for the sharded engine.
 //!
 //! Every case draws a random shared-cluster scenario from its seed: one to
-//! three pipeline lanes (traffic and social alternating) under the
-//! `ResourceManager`, a random SLO, cluster size, link model (uniform,
-//! two-tier or per-edge) and model-swap cost, and in most cases an elastic
-//! fleet with an on-demand and a spot class under the `ReactiveAutoscaler`,
-//! exposed to a market that revokes spot workers, denies provisions and steps
-//! the spot price once. Each lane's controller is Loki-greedy, InferLine or
-//! Proteus, each with a random drop policy; all three plan through the shared
-//! performance model and emit through `MostAccurateFirst`. A Loki lane plans
-//! with the case's link model and a random route mode, so link-aware ordering
-//! runs on every link model; InferLine and Proteus budget every hop with the
-//! model's worst one, as every `loki` run builds them. The timeline is always
-//! on; some cases also trace.
+//! three pipeline lanes (traffic and social alternating), a random SLO,
+//! cluster size, link model (uniform, two-tier or per-edge) and model-swap
+//! cost, and in most cases an elastic fleet with an on-demand and a spot
+//! class, exposed to a market that revokes spot workers, denies provisions
+//! and steps the spot price once. Each lane's controller is Loki-greedy,
+//! InferLine or Proteus, each with a random drop policy; all three plan
+//! through the shared performance model and emit through
+//! `MostAccurateFirst`. A Loki lane plans with the case's link model and a
+//! random route mode, so link-aware ordering runs on every link model;
+//! InferLine and Proteus budget every hop with the model's worst one, as
+//! every `loki` run builds them. The cluster is arbitrated by the
+//! `ResourceManager`, an even `StaticPartition` or one with the lanes' drawn
+//! rates as shares, and an elastic fleet is scaled by the
+//! `ReactiveAutoscaler` or the `ForecastingProvisioner`. The timeline is
+//! always on; some cases also trace.
 //!
 //! Each case runs through `try_run*` at `jobs = 1` and at `jobs = 2`, and the
 //! engine's universal invariants must hold:
@@ -31,15 +34,15 @@
 
 use loki_baselines::{InferLineController, ProteusController};
 use loki_core::{
-    AutoscalerConfig, LokiConfig, LokiController, ReactiveAutoscaler, ResourceManager,
-    ResourceManagerConfig,
+    AutoscalerConfig, ForecastConfig, ForecastingProvisioner, LokiConfig, LokiController,
+    ReactiveAutoscaler, ResourceManager, ResourceManagerConfig,
 };
 use loki_pipeline::{zoo, PipelineGraph};
 use loki_sim::types::{secs_to_us, us_to_secs};
 use loki_sim::{
-    Controller, DropPolicy, ElasticSimConfig, LinkDelayModel, MarketConfig, MultiPipeline,
-    MultiSimConfig, MultiSimResult, MultiSimulation, ObserveConfig, RouteMode, SimConfig,
-    WorkerClass, WorkerClassCatalog,
+    Controller, DropPolicy, ElasticPolicy, ElasticSimConfig, LinkDelayModel, MarketConfig,
+    MultiPipeline, MultiSimConfig, MultiSimResult, MultiSimulation, ObserveConfig, ResourceArbiter,
+    RouteMode, SimConfig, StaticPartition, WorkerClass, WorkerClassCatalog,
 };
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
 use rand::rngs::StdRng;
@@ -98,15 +101,35 @@ impl System {
     }
 }
 
+/// The cluster arbiters a case may draw.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Arbiter {
+    /// The contended `ResourceManager`.
+    Manager,
+    /// `StaticPartition::even`.
+    Even,
+    /// `StaticPartition::with_shares` over the lanes' drawn rates.
+    Shares,
+}
+
+/// The fleet policies an elastic case may draw, with their sizing.
+#[derive(Debug, Clone)]
+enum Provisioner {
+    Reactive(AutoscalerConfig),
+    Forecasting(ForecastConfig),
+}
+
 /// One random scenario: the simulator config, the per-lane pipelines,
-/// arrivals and controllers, and the cluster policies' knobs.
+/// arrivals and controllers, and the cluster policies with their knobs.
 struct Scenario {
     sim: SimConfig,
     lanes: Vec<(PipelineGraph, Vec<f64>, f64)>,
     /// Each lane's controller, drop policy and route mode.
     systems: Vec<(System, DropPolicy, RouteMode)>,
     rebalance_s: f64,
-    autoscaler: Option<AutoscalerConfig>,
+    arbiter: Arbiter,
+    /// An elastic case's fleet policy.
+    provisioner: Option<Provisioner>,
 }
 
 fn scenario(seed: u64) -> Scenario {
@@ -205,6 +228,22 @@ fn scenario(seed: u64) -> Scenario {
             (system, drop_policy, route)
         })
         .collect();
+    // The cluster policies come last, so no other draw depends on them.
+    let arbiter = [Arbiter::Manager, Arbiter::Even, Arbiter::Shares][rng.gen_range(0..3usize)];
+    let provisioner = elastic.as_ref().zip(autoscaler).map(|(elastic, sizing)| {
+        if rng.gen_bool(0.5) {
+            return Provisioner::Reactive(sizing);
+        }
+        // One seasonal period per run, buying one boot delay plus one
+        // decide interval ahead, as `loki` configures it.
+        let boot_s = elastic.catalog.classes[0].boot_delay_s;
+        Provisioner::Forecasting(ForecastConfig {
+            autoscaler: sizing,
+            period_s: ARRIVAL_S as f64,
+            lead_s: boot_s + elastic.decide_interval_s,
+            ..ForecastConfig::default()
+        })
+    });
     Scenario {
         sim: SimConfig {
             cluster_size: cluster,
@@ -224,7 +263,8 @@ fn scenario(seed: u64) -> Scenario {
         lanes,
         systems,
         rebalance_s,
-        autoscaler,
+        arbiter,
+        provisioner,
     }
 }
 
@@ -245,13 +285,27 @@ fn run(s: &Scenario, seed: u64, jobs: usize) -> MultiSimResult {
             initial_demand_hint: Some(*qps),
         });
     }
-    let mut manager = ResourceManager::new(ResourceManagerConfig {
-        rebalance_interval_s: s.rebalance_s,
-        ..ResourceManagerConfig::default()
-    });
-    let result = match &s.autoscaler {
-        Some(cfg) => multi.try_run_elastic(&mut manager, &mut ReactiveAutoscaler::new(cfg.clone())),
-        None => multi.try_run(&mut manager),
+    let mut arbiter: Box<dyn ResourceArbiter> = match s.arbiter {
+        Arbiter::Manager => Box::new(ResourceManager::new(ResourceManagerConfig {
+            rebalance_interval_s: s.rebalance_s,
+            ..ResourceManagerConfig::default()
+        })),
+        Arbiter::Even => Box::new(StaticPartition::even(s.lanes.len())),
+        Arbiter::Shares => Box::new(StaticPartition::with_shares(
+            "static-shares",
+            s.lanes.iter().map(|&(_, _, qps)| qps).collect(),
+        )),
+    };
+    let mut policy: Option<Box<dyn ElasticPolicy>> = match &s.provisioner {
+        Some(Provisioner::Reactive(cfg)) => Some(Box::new(ReactiveAutoscaler::new(cfg.clone()))),
+        Some(Provisioner::Forecasting(cfg)) => {
+            Some(Box::new(ForecastingProvisioner::new(cfg.clone())))
+        }
+        None => None,
+    };
+    let result = match policy.as_deref_mut() {
+        Some(policy) => multi.try_run_elastic(&mut *arbiter, policy),
+        None => multi.try_run(&mut *arbiter),
     };
     result.unwrap_or_else(|e| panic!("case {seed}, jobs={jobs}: {e}"))
 }
@@ -340,9 +394,18 @@ fn simulated(r: &MultiSimResult) -> Vec<(String, String)> {
 fn random_scenarios_keep_the_engine_invariants_at_every_jobs_value() {
     let (mut elastic, mut revocations, mut migrations) = (0, 0, 0);
     let (mut link_aware, mut per_edge, mut budgeted_baselines) = (0, 0, 0);
-    let mut systems = Vec::new();
+    let (mut systems, mut arbiters) = (Vec::new(), Vec::new());
+    let (mut reactive, mut forecasting) = (0, 0);
     for seed in CASES {
         let s = scenario(seed);
+        if !arbiters.contains(&s.arbiter) {
+            arbiters.push(s.arbiter);
+        }
+        match s.provisioner {
+            Some(Provisioner::Reactive(_)) => reactive += 1,
+            Some(Provisioner::Forecasting(_)) => forecasting += 1,
+            None => {}
+        }
         let uniform = s.sim.link_delays == LinkDelayModel::Uniform;
         for &(system, _, route) in &s.systems {
             if !systems.contains(&system) {
@@ -366,6 +429,11 @@ fn random_scenarios_keep_the_engine_invariants_at_every_jobs_value() {
     // The generator must actually reach the code it is meant to stress.
     assert!(elastic > 0 && revocations > 0 && migrations > 0);
     assert_eq!(systems.len(), 3, "every controller is drawn: {systems:?}");
+    assert_eq!(arbiters.len(), 3, "every arbiter is drawn: {arbiters:?}");
+    assert!(
+        reactive > 0 && forecasting > 0,
+        "every fleet policy is drawn: {reactive} reactive, {forecasting} forecasting"
+    );
     assert!(
         link_aware > 0 && per_edge > 0 && budgeted_baselines > 0,
         "link-aware Loki lanes {link_aware}, per-edge cases {per_edge}, \
